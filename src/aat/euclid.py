@@ -1,7 +1,16 @@
 """GCDs, resultants and squarefree machinery for the exact kernel.
 
 The multivariate gcd recurses on variable count and runs a primitive-part
-subresultant remainder sequence in the main variable; the resultant follows
+subresultant remainder sequence in the main variable.  In front of that
+sequence sits a modular coprimality certificate (Brown's modular gcd, JACM
+1971, used one-sidedly): every name except the main variable v is sent to a
+fixed point mod the prime 2^61 - 1.  When neither leading coefficient in v
+vanishes there and the univariate images have a degree-0 gcd mod p, the true
+gcd is v-free, hence 1 for v-primitive inputs, and the remainder sequence is
+skipped.  The image of the true gcd keeps its v-degree and divides both
+images, so this never answers wrongly; any other outcome (an unlucky point,
+a denominator divisible by p, a real common factor) falls through to the
+remainder sequence, which stays the only gcd algorithm.  The resultant follows
 the classical subresultant algorithm, returning the exact resultant with all
 sign and content factors restored.  A Sylvester-determinant evaluation (via
 fraction-free Bareiss elimination) is kept as an independent oracle for the
@@ -154,8 +163,75 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
     ca, cb = content_in(a, v), content_in(b, v)
     pa, pb = exact_div(a, ca), exact_div(b, cb)
     cg = _gcd_rec(ca, cb)
+    if _coprime_mod_p(pa, pb, v):
+        return cg
     g = _prs_gcd(pa, pb, v)
     return cg * g
+
+
+_P = (1 << 61) - 1  # Mersenne prime modulus of the coprimality certificate
+
+
+def _eval_point(ring) -> list:
+    """The fixed evaluation point mod _P, one nonzero residue per ring name."""
+    return [(0x9E3779B97F4A7C15 * (i + 1)) % _P for i in range(len(ring.names))]
+
+
+def _image_mod_p(a: MPoly, iv: int, point: list):
+    """Coefficients (low degree first) of a mod _P at the point, univariate in
+    name index iv; None when a coefficient denominator is divisible by _P."""
+    out = [0] * (max(e[iv] for e in a.terms) + 1)
+    for exps, c in a.terms.items():
+        den = c.denominator % _P
+        if not den:
+            return None
+        val = c.numerator * pow(den, -1, _P)
+        for i, e in enumerate(exps):
+            if e and i != iv:
+                val = val * pow(point[i], e, _P) % _P
+        out[exps[iv]] = (out[exps[iv]] + val) % _P
+    return out
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _gcd_degree_mod_p(f: list, g: list) -> int:
+    """Degree of gcd(f, g) in GF(_P)[v]; coefficient lists low degree first."""
+    f, g = _trim(list(f)), _trim(list(g))
+    while g:
+        inv = pow(g[-1], -1, _P)
+        dg = len(g) - 1
+        while len(f) > dg:
+            q = f[-1] * inv % _P
+            off = len(f) - 1 - dg
+            for j in range(dg):
+                f[off + j] = (f[off + j] - q * g[j]) % _P
+            f.pop()
+            _trim(f)
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_mod_p(a: MPoly, b: MPoly, v: str) -> bool:
+    """True only if gcd(a, b) is certainly v-free; False means "run the PRS".
+
+    Both images must keep their v-degree: then the image of the true gcd has
+    the true v-degree and divides both images, so a degree-0 image gcd shows
+    the true gcd has v-degree 0.
+    """
+    iv = a.ring.index(v)
+    point = _eval_point(a.ring)
+    fa = _image_mod_p(a, iv, point)
+    if fa is None or not fa[-1]:
+        return False
+    fb = _image_mod_p(b, iv, point)
+    if fb is None or not fb[-1]:
+        return False
+    return _gcd_degree_mod_p(fa, fb) == 0
 
 
 def _prs_gcd(a: MPoly, b: MPoly, v: str) -> MPoly:

@@ -33,13 +33,23 @@ def _select_vanishing(cands, backend, lvar, *, seed, require_positive_degree=Tru
     return None
 
 
+# (g2, g3) -> G(L1; x1, y1).  The polynomial is fixed by the invariants alone
+# (the backend and seed only vet which factor vanishes), and MPoly is never
+# mutated, so one build serves every later request in the process.
+_WP_CACHE: dict = {}
+
+
 def weierstrass_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int = 0) -> MPoly:
     """Addition polynomial G(L1; x1, y1) for the p-function with given invariants.
 
     Derived by eliminating tx = p'(u), ty = p'(v) from
         4*(x1-y1)^2*(L1 + x1 + y1) = (tx - ty)^2,
         tx^2 = 4*x1^3 - g2*x1 - g3,   ty^2 = 4*y1^3 - g2*y1 - g3.
+    Built once per (g2, g3) in a process.
     """
+    key = (Fraction(g2), Fraction(g3))
+    if key in _WP_CACHE:
+        return _WP_CACHE[key]
     scratch = VarRing(("L1", "x1", "y1", "tx", "ty"))
     L1, x1, y1 = scratch.var("L1"), scratch.var("x1"), scratch.var("y1")
     tx, ty = scratch.var("tx"), scratch.var("ty")
@@ -51,6 +61,7 @@ def weierstrass_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int 
     g = _select_vanishing(factor_candidates(r2), backend, "L1", seed=naming.stage_seed(seed, "gen-wp"))
     if g is None:
         raise StructuralError("no vanishing factor found for the p addition polynomial")
+    _WP_CACHE[key] = g
     return g
 
 

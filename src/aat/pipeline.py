@@ -26,6 +26,7 @@ from .addition import (
 )
 from .derivatives import RecursionSingular, higher_derivative, taylor_match_check, third_derivative
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
+from .euclid import squarefree_check
 from .periods import detect_period, is_integer_combination
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
@@ -195,7 +196,11 @@ def stage_variety(ctx: RunContext) -> None:
             ],
         },
     }
-    ctx.verdict("variety separability", True, "gcd(V, dV/dtheta) is theta-free")
+    separable = squarefree_check(ctx.vspec.V, naming.THETA)
+    ctx.verdict(
+        "variety separability", separable,
+        "gcd(V, dV/dtheta) is theta-free" if separable else "gcd(V, dV/dtheta) involves theta",
+    )
     ctx.verdict(
         "variety degree bound", ctx.vspec.h <= ctx.vspec.degree_bound,
         f"h = {ctx.vspec.h} <= {ctx.vspec.degree_bound}",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from aat import naming
+from aat import euclid, naming
 from aat.backends import make_backend
 from aat.elimination import (
     AATSystem,
@@ -131,6 +131,25 @@ def test_derive_weierstrass(wp_sys, wp_backend):
         relations[0].poly, wp_backend, relation_id="P11", samples=100, seed=9, tol=1e-9
     )
     assert rep.ok
+
+
+def test_lemniscatic_squarefree_probes_skip_the_prs(wp_sys, monkeypatch):
+    # the coprimality certificate settles gcd(H, dH/dv) = 1 on the eliminant;
+    # the PRS may still run on coefficient gcds, but only where it finds a
+    # common factor, never to prove coprimality (seconds on this H)
+    _, H = gcd_and_eliminant(wp_sys.poly(1), cross_difference(wp_sys, 1, 1), 1)
+    prs = euclid._prs_gcd
+
+    def guarded(a, b, v):
+        g = prs(a, b, v)
+        if g.is_constant():
+            raise AssertionError(f"subresultant PRS ran on a coprime pair in {v}")
+        return g
+
+    monkeypatch.setattr(euclid, "_prs_gcd", guarded)
+    for v in ("x1", "y1"):
+        assert H.degree_in(v) >= 2
+        assert euclid.gcd(H, H.diff(v)) == H.ring.one()
 
 
 def test_eliminant_symmetry_invariant(exp_sys, wp_sys):

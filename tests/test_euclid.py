@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from aat import euclid
 from aat.euclid import (
     divides,
     exact_div,
@@ -54,6 +55,62 @@ def test_gcd_divides_both(ring3):
             assert a.is_zero() and b.is_zero()
             continue
         assert divides(g, a) and divides(g, b)
+
+
+def _prs_only_gcd(monkeypatch, a, b):
+    with monkeypatch.context() as m:
+        m.setattr(euclid, "_coprime_mod_p", lambda a, b, v: False)
+        return gcd(a, b)
+
+
+def test_gcd_certificate_matches_prs_route(pring, monkeypatch):
+    rng = random.Random(35)
+    certified = []
+    real = euclid._coprime_mod_p
+
+    def spy(a, b, v):
+        ok = real(a, b, v)
+        certified.append(ok)
+        return ok
+
+    monkeypatch.setattr(euclid, "_coprime_mod_p", spy)
+    done = 0
+    while done < 60:
+        a = random_poly(rng, pring, max_degree=3, max_terms=4)
+        b = random_poly(rng, pring, max_degree=3, max_terms=4)
+        if a.is_zero() or b.is_zero():
+            continue
+        pairs = [(a, b)]
+        c = random_poly(rng, pring, max_degree=2, max_terms=3)
+        if not c.is_zero() and not c.is_constant():
+            pairs.append((a * c, b * c))
+        for x, y in pairs:
+            fast = gcd(x, y)
+            assert fast.is_associate(_prs_only_gcd(monkeypatch, x, y))
+            assert divides(fast, x) and divides(fast, y)
+        done += 1
+    # both outcomes of the certificate were exercised
+    assert True in certified and False in certified
+
+
+def test_gcd_certificate_steps_aside_on_denominator_divisible_by_p(pring):
+    theta, x1 = pring.var("theta"), pring.var("x1")
+    a = theta**2 + x1.scale(Fraction(1, euclid._P))
+    b = theta + 1
+    assert not euclid._coprime_mod_p(a, b, "theta")
+    assert euclid._coprime_mod_p(theta**2 + x1.scale(Fraction(1, 3)), b, "theta")
+    assert gcd(a, b) == pring.one()
+    assert gcd(a * (theta - x1), b * (theta - x1)) == theta - x1
+
+
+def test_gcd_certificate_steps_aside_on_vanishing_leading_coefficient(pring):
+    theta, x1, g2 = pring.var("theta"), pring.var("x1"), pring.var("g2")
+    c = euclid._eval_point(pring)[pring.index("x1")]
+    g = (x1 - c) * theta + 1  # its image at the point drops to the constant 1
+    a, b = g * (theta + 2), g * (theta + g2)
+    assert not euclid._coprime_mod_p(a, b, "theta")
+    assert gcd(a, b).is_associate(g)
+    assert gcd((x1 - c) * theta + 1, theta + g2) == pring.one()
 
 
 def test_exact_div_and_prem():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aat import pipeline
 from aat.pipeline import catalog_problem_text, expand_stages, run_problem
 from aat.problem import load_problem, parse_problem
 from aat.reporting import render_report
@@ -36,6 +37,21 @@ def test_timings_flag_adds_section_and_breaks_nothing():
     assert "timings" in section
     assert set(section["timings"]) == {"derive"}
     json.loads(render_report({"problem": section}))  # still valid JSON
+
+
+def test_variety_separability_verdict_runs_the_check(monkeypatch):
+    spec = load_problem("problems/exp.aat")
+
+    def verdict(section):
+        return next(v for v in section["verdicts"] if v["id"] == "variety separability")
+
+    assert verdict(run_problem(spec, ["variety"]))["pass"] is True
+    monkeypatch.setattr(pipeline, "squarefree_check", lambda p, v: False)
+    section = run_problem(spec, ["variety"])
+    assert verdict(section) == {
+        "id": "variety separability", "pass": False, "detail": "gcd(V, dV/dtheta) involves theta"
+    }
+    assert section["ok"] is False
 
 
 def test_stage_failure_is_reported_and_fails_run():
