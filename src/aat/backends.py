@@ -78,13 +78,6 @@ class MappingBackend:
     def period_box(self) -> float:
         return 4.0
 
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-        }
-
 
 class ExpBackend(MappingBackend):
     """f(u) = exp(c*u)."""

@@ -1,26 +1,36 @@
 """GCDs, resultants and squarefree machinery for the exact kernel.
 
-The multivariate gcd recurses on variable count and runs a primitive-part
-subresultant remainder sequence in the main variable.  In front of that
-sequence sits a modular coprimality certificate (Brown's modular gcd, JACM
-1971, used one-sidedly): every name except the main variable v is sent to a
-fixed point mod the prime 2^61 - 1.  When neither leading coefficient in v
-vanishes there and the univariate images have a degree-0 gcd mod p, the true
-gcd is v-free, hence 1 for v-primitive inputs, and the remainder sequence is
-skipped.  The image of the true gcd keeps its v-degree and divides both
-images, so this never answers wrongly; any other outcome (an unlucky point,
-a denominator divisible by p, a real common factor) falls through to the
-remainder sequence, which stays the only gcd algorithm.  The resultant follows
-the classical subresultant algorithm, returning the exact resultant with all
-sign and content factors restored.  A Sylvester-determinant evaluation (via
-fraction-free Bareiss elimination) is kept as an independent oracle for the
-test suite.
+The multivariate gcd recurses on variable count: it splits off the contents
+in the main variable v and then settles the gcd of the two v-primitive parts
+by the first of three routes that answers.
+
+1. A modular coprimality certificate (Brown's modular gcd, JACM 1971, used
+   one-sidedly): every name except v is sent to a fixed point mod the prime
+   2^61 - 1.  When neither leading coefficient in v vanishes there and the
+   univariate images have a degree-0 gcd mod p, the true gcd is v-free, hence
+   1, because its image keeps its v-degree and divides both images.
+2. The heuristic gcd GCDHEU (Char, Geddes & Gonnet, JSC 1989) for pairs with
+   a real common factor: the integer-primitive inputs are evaluated at a large
+   integer xi one name at a time, the integer gcd at the bottom is lifted back
+   xi-adically with symmetric digits, and the primitive part of the lift is
+   the gcd exactly when it divides both inputs.  A few growing points are
+   tried before the route gives up.
+3. The primitive-part subresultant remainder sequence in v, which answers
+   every case and stays the reference the other two routes are tested
+   against.
+
+Every route emits the gcd in canonical (descending lex) term order, so that
+numeric evaluation, which sums in insertion order, does not depend on the
+route taken.  The resultant follows the classical subresultant algorithm,
+returning the exact resultant with all sign and content factors restored.  A
+Sylvester-determinant evaluation (via fraction-free Bareiss elimination) is
+kept as an independent oracle for the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd as _int_gcd, isqrt, lcm
 
 from .rings import DomainError, MPoly, _check_same_ring
 
@@ -61,18 +71,24 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
 
 def _exact_div_int(a: MPoly, b: MPoly):
     """Integer-coefficient fast path; None when the quotient is not integral."""
-    bexps, bcf = b.leading()
-    bc = bcf.numerator
-    bterms = [(e, c.numerator) for e, c in b.terms.items()]
+    q = _int_quo({e: c.numerator for e, c in a.terms.items()}, {e: c.numerator for e, c in b.terms.items()})
+    return None if q is None else MPoly(a.ring, {e: Fraction(v) for e, v in q.items()})
+
+
+def _int_quo(a: dict, b: dict):
+    """Quotient of integer term maps {exps: int} in descending order; None when
+    it leaves the integers, DomainError when b does not divide a over Q."""
+    bexps = max(b)
+    bc = b[bexps]
+    bterms = list(b.items())
     out = {}
-    rem = {e: c.numerator for e, c in a.terms.items()}
+    rem = dict(a)
     while rem:
         exps = max(rem)
-        c = rem[exps]
         qexps = tuple(e - f for e, f in zip(exps, bexps))
         if any(e < 0 for e in qexps):
             raise DomainError("inexact polynomial division")
-        qc, leftover = divmod(c, bc)
+        qc, leftover = divmod(rem[exps], bc)
         if leftover:
             return None  # quotient leaves the integers; retry generically
         out[qexps] = qc
@@ -83,7 +99,7 @@ def _exact_div_int(a: MPoly, b: MPoly):
                 rem[t] = s
             else:
                 rem.pop(t, None)
-    return MPoly(a.ring, {e: Fraction(v) for e, v in out.items()})
+    return out
 
 
 def divides(b: MPoly, a: MPoly) -> bool:
@@ -140,13 +156,16 @@ def primitive_in(a: MPoly, v: str) -> MPoly:
 
 
 def gcd(a: MPoly, b: MPoly) -> MPoly:
-    """Multivariate gcd, normalized (integer content 1, positive leading coefficient)."""
+    """Multivariate gcd, normalized (integer content 1, positive leading
+    coefficient), with its terms in canonical order whatever the route."""
     _check_same_ring(a, b)
     if a.is_zero():
-        return b.normalized()
-    if b.is_zero():
-        return a.normalized()
-    return _gcd_rec(a, b).normalized()
+        g = b.normalized()
+    elif b.is_zero():
+        g = a.normalized()
+    else:
+        g = _gcd_rec(a, b).normalized()
+    return MPoly(g.ring, dict(g.sorted_terms()))
 
 
 def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
@@ -165,7 +184,9 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
     cg = _gcd_rec(ca, cb)
     if _coprime_mod_p(pa, pb, v):
         return cg
-    g = _prs_gcd(pa, pb, v)
+    g = _heu_gcd(pa, pb)
+    if g is None:
+        g = _prs_gcd(pa, pb, v)
     return cg * g
 
 
@@ -232,6 +253,105 @@ def _coprime_mod_p(a: MPoly, b: MPoly, v: str) -> bool:
     if fb is None or not fb[-1]:
         return False
     return _gcd_degree_mod_p(fa, fb) == 0
+
+
+_HEU_TRIES = 6  # evaluation points GCDHEU tries before the PRS takes over
+_HEU_MAX_BITS = 1 << 20  # give up before image coefficients pass a megabit
+
+
+def _heu_gcd(a: MPoly, b: MPoly):
+    """Integer-primitive gcd of two polynomials by GCDHEU, or None when it
+    gives up; for v-primitive inputs the PRS route returns an associate."""
+    g = _heu_rec(_int_primitive(a.terms), _int_primitive(b.terms))
+    if g is None:
+        return None
+    return MPoly(a.ring, {e: Fraction(k) for e, k in g.items()})
+
+
+def _int_primitive(terms: dict) -> dict:
+    """Integer term map of the integer-primitive associate of a rational one."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    cont = _int_gcd(*ints.values())
+    return {e: k // cont for e, k in ints.items()}
+
+
+def _heu_rec(A: dict, B: dict):
+    """gcd(A, B) in Z[names], integer content included, or None.
+
+    The last present name is evaluated at xi; the recursion must return the
+    full gcd of the images, content included, for the divisibility test to
+    prove the lifted candidate is the gcd and not a proper divisor of it.
+    """
+    if not A or not B:
+        return dict(A or B)
+    ca, cb = _int_gcd(*A.values()), _int_gcd(*B.values())
+    cont = _int_gcd(ca, cb)
+    da, db = [max(col) for col in zip(*A)], [max(col) for col in zip(*B)]
+    if not any(da) or not any(db):
+        return {(0,) * len(da): cont}
+    iv = max(i for i, (x, y) in enumerate(zip(da, db)) if x or y)
+    A = {e: k // ca for e, k in A.items()}
+    B = {e: k // cb for e, k in B.items()}
+    xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * max(da[iv], db[iv]) > _HEU_MAX_BITS:
+            return None
+        gamma = _heu_rec(_eval_int(A, iv, xi), _eval_int(B, iv, xi))
+        if gamma is None:
+            return None
+        G = _xi_adic(gamma, iv, xi)
+        if G:
+            c = _int_gcd(*G.values())
+            if G[max(G)] < 0:
+                c = -c
+            G = {e: k // c for e, k in G.items()}
+            if _int_divides(G, A) and _int_divides(G, B):
+                return {e: cont * k for e, k in G.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _eval_int(A: dict, iv: int, xi: int) -> dict:
+    """Integer term map of A with name index iv set to xi."""
+    powers = [1]
+    out: dict = {}
+    for e, k in A.items():
+        d = e[iv]
+        if d:
+            while len(powers) <= d:
+                powers.append(powers[-1] * xi)
+            k *= powers[d]
+            e = e[:iv] + (0,) + e[iv + 1 :]
+        out[e] = out.get(e, 0) + k
+    return {e: k for e, k in out.items() if k}
+
+
+def _xi_adic(gamma: dict, iv: int, xi: int) -> dict:
+    """Lift an image back to name index iv: symmetric base-xi digits of each
+    coefficient become the coefficients of iv^0, iv^1, ..."""
+    half = xi // 2
+    out = {}
+    for e, k in gamma.items():
+        d = 0
+        while k:
+            r = k % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:iv] + (d,) + e[iv + 1 :]] = r
+            k = (k - r) // xi
+            d += 1
+    return out
+
+
+def _int_divides(b: dict, a: dict) -> bool:
+    """Whether the integer-primitive b divides a in Z[names] (Gauss's lemma:
+    a quotient over Q is then integral)."""
+    try:
+        return _int_quo(a, b) is not None
+    except DomainError:
+        return False
 
 
 def _prs_gcd(a: MPoly, b: MPoly, v: str) -> MPoly:

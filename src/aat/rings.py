@@ -70,9 +70,6 @@ class VarRing:
         except KeyError:
             raise StructuralError(f"unknown name {name!r} in ring {self.names}") from None
 
-    def is_variable(self, name: str) -> bool:
-        return name in self._index and self._index[name] < self.arity
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VarRing)
@@ -127,7 +124,14 @@ def _check_same_ring(a: "MPoly", b: "MPoly") -> None:
 
 
 class MPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Equality and the canonical text ignore the order of ``terms``, but numeric
+    evaluation (``eval_terms``) sums in dict insertion order, so its last
+    digits depend on it.  Kernel routes that can compute one result in
+    several ways (the gcd routes in ``euclid``) must therefore emit canonical
+    (descending lex) order, or reports would change with the route taken.
+    """
 
     __slots__ = ("ring", "terms", "_allint")
 

@@ -164,10 +164,6 @@ class QuotientContext:
         return RatFn(num, transport(den, self.vring))
 
 
-def _pdeg(a) -> int:
-    return len(a) - 1
-
-
 def _ptrim(a):
     while a and a[-1].is_zero():
         a.pop()
@@ -237,9 +233,6 @@ class VarietySpec:
 
     def expression(self, k: int, p: int) -> RatFn:
         return self.qc.to_ratfn(self.reps[(k, p)])
-
-    def alpha_fractions(self):
-        return tuple(tuple(Fraction(a) for a in row) for row in self.alpha)
 
 
 def express_derivative(spec: VarietySpec, k: int, p: int) -> RatFn:

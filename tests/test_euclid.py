@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -58,9 +59,19 @@ def test_gcd_divides_both(ring3):
 
 
 def _prs_only_gcd(monkeypatch, a, b):
+    # both fast routes off: every non-trivial gcd runs the subresultant PRS
     with monkeypatch.context() as m:
         m.setattr(euclid, "_coprime_mod_p", lambda a, b, v: False)
+        m.setattr(euclid, "_heu_gcd", lambda a, b: None)
         return gcd(a, b)
+
+
+def _no_prs(a, b, v):
+    raise AssertionError(f"subresultant PRS ran in {v}")
+
+
+def _canonical(p):
+    return list(p.terms) == sorted(p.terms, reverse=True)
 
 
 def test_gcd_certificate_matches_prs_route(pring, monkeypatch):
@@ -111,6 +122,117 @@ def test_gcd_certificate_steps_aside_on_vanishing_leading_coefficient(pring):
     assert not euclid._coprime_mod_p(a, b, "theta")
     assert gcd(a, b).is_associate(g)
     assert gcd((x1 - c) * theta + 1, theta + g2) == pring.one()
+
+
+def _planted_pairs(rng, ring, count):
+    """(a*c, b*c, c) with random rational a, b and a non-constant planted c."""
+    out = []
+    while len(out) < count:
+        a, b, c = (random_poly(rng, ring, max_degree=3, max_terms=4) for _ in range(3))
+        if a.is_zero() or b.is_zero() or c.is_constant():
+            continue
+        out.append((a * c, b * c, c))
+    return out
+
+
+@pytest.mark.parametrize(
+    "variables, parameters",
+    [(("x1", "x2", "x3"), ()), (("theta", "x1"), ("g2", "g3")), (("L1", "x1", "y1"), ("g2",))],
+)
+def test_gcd_heuristic_matches_prs_route(variables, parameters, monkeypatch):
+    ring = VarRing(variables, parameters)
+    answered = []
+    real = euclid._heu_gcd
+
+    def spy(a, b):
+        g = real(a, b)
+        answered.append(g is not None)
+        return g
+
+    monkeypatch.setattr(euclid, "_heu_gcd", spy)
+    for x, y, c in _planted_pairs(random.Random(36), ring, 20):
+        fast = gcd(x, y)
+        assert fast.is_associate(_prs_only_gcd(monkeypatch, x, y))
+        assert divides(c, fast) and divides(fast, x) and divides(fast, y)
+        assert _canonical(fast)
+    assert answered and all(answered)
+
+
+def test_gcd_heuristic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    ring = VarRing(("x1", "x2", "y1"), ("g2",))
+    gens = sympy.symbols(ring.names)
+    names = dict(zip(ring.names, gens))
+
+    def to_sympy(p):
+        return sympy.Poly(sympy.sympify(str(p).replace("^", "**"), locals=names), *gens, domain="QQ")
+
+    for x, y, _ in _planted_pairs(random.Random(37), ring, 15):
+        expected = sympy.gcd(to_sympy(x), to_sympy(y)).monic()
+        assert to_sympy(gcd(x, y)).monic() == expected
+
+
+def test_gcd_heuristic_keeps_integer_content_of_inner_images(monkeypatch):
+    # y is evaluated first, at an even xi, where the common factor's image
+    # xi*x + xi + 2 has integer content 2; the inner level must hand it back
+    r = VarRing(("x", "y"))
+    x, y = r.var("x"), r.var("y")
+    g = y * x + y + 2
+    inner = []
+    real = euclid._heu_rec
+
+    def spy(A, B):
+        out = real(A, B)
+        if out and any(any(e) for e in out):
+            inner.append(math.gcd(*out.values()))
+        return out
+
+    monkeypatch.setattr(euclid, "_heu_rec", spy)
+    monkeypatch.setattr(euclid, "_prs_gcd", _no_prs)  # the heuristic must answer
+    assert gcd(g * (x + 3), g * (x - y + 1)) == g
+    assert 2 in inner
+    # the univariate level returns the gcd with its content, not its primitive part
+    assert real({(1, 0): 4, (0, 0): 6}, {(1, 0): 8, (0, 0): 12}) == {(1, 0): 4, (0, 0): 6}
+
+
+def test_gcd_heuristic_gives_up_to_the_prs(monkeypatch):
+    r = VarRing(("x", "y"))
+    x, y = r.var("x"), r.var("y")
+    g = x * y + 1
+    calls = []
+    real = euclid._prs_gcd
+
+    def spy(a, b, v):
+        calls.append(v)
+        return real(a, b, v)
+
+    monkeypatch.setattr(euclid, "_prs_gcd", spy)
+    # every evaluation point would give images beyond the size limit
+    big = 1 << euclid._HEU_MAX_BITS
+    a, b = g * (x + big), g * (x - big)
+    assert euclid._heu_gcd(a, b) is None
+    assert gcd(a, b) == g and calls
+    # and with no tries left the PRS answers what the heuristic would have
+    calls.clear()
+    monkeypatch.setattr(euclid, "_HEU_TRIES", 0)
+    assert gcd(g * (x + 3), g * (x - y + 1)) == g and calls
+
+
+def test_gcd_emits_canonical_term_order_on_every_route(monkeypatch):
+    r = VarRing(("x", "y"), ("g2",))
+    x, y, g2 = r.var("x"), r.var("y"), r.var("g2")
+    g = y * x + g2 + 2
+    unsorted = 1 + y + x
+    assert not _canonical(unsorted)
+    pairs = [
+        (r.zero(), unsorted),  # a zero operand
+        (x + 1, x + y),  # coprimality certificate
+        (g * (x + 3), g * (x - y)),  # heuristic
+        ((y + 1) * (x + 1) * (x + 2), (y + 1) * (x + 1) * (x + 3)),  # content times gcd
+    ]
+    for a, b in pairs:
+        assert _canonical(gcd(a, b))
+        assert _canonical(_prs_only_gcd(monkeypatch, a, b))
 
 
 def test_exact_div_and_prem():
