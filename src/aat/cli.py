@@ -84,7 +84,8 @@ def run(argv=None) -> int:
         for section in result["catalog"]:
             status = "pass" if section["ok"] else "FAIL"
             passed = sum(1 for v in section["verdicts"] if v["pass"])
-            print(f"[{status}] {section['source']}: {passed}/{len(section['verdicts'])} verdicts")
+            skipped = f", {len(section['skipped'])} skipped" if section.get("skipped") else ""
+            print(f"[{status}] {section['source']}: {passed}/{len(section['verdicts'])} verdicts{skipped}")
         print(f"report: {out_path}")
         return 0 if result["ok"] else 1
     try:
@@ -117,6 +118,8 @@ def run(argv=None) -> int:
     for verdict in section["verdicts"]:
         mark = "pass" if verdict["pass"] else "FAIL"
         print(f"[{mark}] {verdict['id']}: {verdict['detail']}")
+    for skipped in section.get("skipped", []):
+        print(f"[skip] {skipped['id']}: {skipped['reason']}")
     print(f"report: {out_path}")
     return 0 if section["ok"] else 1
 

@@ -68,6 +68,7 @@ class RunContext:
     spec: ProblemSpec
     backend: object
     verdicts: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     section: dict = field(default_factory=dict)
     sys: object = None
@@ -81,6 +82,11 @@ class RunContext:
     def verdict(self, vid: str, ok: bool, detail: str = "") -> bool:
         self.verdicts.append({"id": vid, "pass": bool(ok), "detail": detail})
         return ok
+
+    def skip(self, vid: str, reason: str) -> None:
+        """Record a check that does not apply to this problem; it neither
+        passes nor fails, so `ok` ignores it."""
+        self.skipped.append({"id": vid, "reason": reason})
 
     def residual(self, rep) -> bool:
         self.residuals.append(rep.to_json())
@@ -261,7 +267,7 @@ def stage_resolve(ctx: RunContext) -> None:
     if spec.n == 1 and ctx.sys.poly(1).degree_in(naming.L(1)) in (1, 2):
         ctx.verdict("addition resolved", out.status == "resolved", out.reason or "rational formula found")
     else:
-        ctx.verdict("addition resolved", True, "outside symbolic scope (numeric verification only)")
+        ctx.skip("addition resolved", "outside symbolic scope (numeric verification only)")
 
 
 def _group_law_checks(ctx: RunContext) -> None:
@@ -589,6 +595,8 @@ def run_problem(spec: ProblemSpec, stages, *, timings: bool = False) -> dict:
             stage_times[stage] = round(time.monotonic() - t0, 6)
     section["residuals"] = ctx.residuals
     section["verdicts"] = ctx.verdicts
+    if ctx.skipped:
+        section["skipped"] = ctx.skipped
     section["ok"] = ctx.ok
     if failure is not None:
         section["failure"] = failure

@@ -54,6 +54,20 @@ def test_variety_separability_verdict_runs_the_check(monkeypatch):
     assert section["ok"] is False
 
 
+def test_addition_resolved_is_skipped_outside_the_symbolic_scope():
+    spec = parse_problem(catalog_problem_text("singular2-case1", {}))
+    section = run_problem(spec, ["resolve"])
+    assert section["skipped"] == [
+        {"id": "addition resolved", "reason": "outside symbolic scope (numeric verification only)"}
+    ]
+    assert "addition resolved" not in [v["id"] for v in section["verdicts"]]
+    assert section["ok"] is True
+    # inside the scope the check runs and nothing is skipped
+    section = run_problem(load_problem("problems/exp.aat"), ["resolve"])
+    assert "skipped" not in section
+    assert "addition resolved" in [v["id"] for v in section["verdicts"]]
+
+
 def test_stage_failure_is_reported_and_fails_run():
     text = """\
 [mapping]
