@@ -269,7 +269,7 @@ def _heu_gcd(a: MPoly, b: MPoly):
 
 
 def _int_primitive(terms: dict) -> dict:
-    """Integer term map of the integer-primitive associate of a rational one."""
+    """Integer-primitive associate of a term map with rational or integer values."""
     den = lcm(*(c.denominator for c in terms.values()))
     ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     cont = _int_gcd(*ints.values())
@@ -302,10 +302,7 @@ def _heu_rec(A: dict, B: dict):
             return None
         G = _xi_adic(gamma, iv, xi)
         if G:
-            c = _int_gcd(*G.values())
-            if G[max(G)] < 0:
-                c = -c
-            G = {e: k // c for e, k in G.items()}
+            G = _int_primitive(G)
             if _int_divides(G, A) and _int_divides(G, B):
                 return {e: cont * k for e, k in G.items()}
         xi = xi * 73794 // 27011
