@@ -5,6 +5,11 @@ n x n first-derivative matrix, knows its pole set, and advertises special
 points where the mapping and its derivative take exact rational values (used
 by the exact specialization mode of the elimination engine).
 
+Each family writes its formula once, in `_map`, with plain arithmetic over an
+`_Ops` pair (exp and the Weierstrass evaluation).  `value` and `jacobian` run
+it on one point with cmath and `Lattice.eval_all`; `value_jacobian` runs it on
+an array of points with numpy and `Lattice.eval_many`.
+
 Families: exp(c), the identity/rational map, the Weierstrass family, and the
 five two-variable degenerate families (rational components, mixed
 exponentials, p with zeta drift, p with a sigma-quotient factor).
@@ -15,10 +20,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .rings import PoleError, StructuralError
+import numpy as np
+
+from .rings import StructuralError
 from .weierstrass import Lattice
+
+# points closer than this to a lattice point count as poles
+_POLE_RADIUS = 1e-6
 
 _FAMILIES = (
     "exp",
@@ -46,24 +56,64 @@ class ExactPoint:
     jac: tuple
 
 
+class _Ops(NamedTuple):
+    """The non-arithmetic steps of a family formula, for one point or an array."""
+
+    exp: Callable
+    weierstrass: Callable  # (lattice, u) -> (p, p', zeta, sigma)
+
+
+# attribute lookups at call time, so a wrapped Lattice method is the one called
+_POINT = _Ops(cmath.exp, lambda lat, u: lat.eval_all(u))
+_ARRAY = _Ops(np.exp, lambda lat, u: lat.eval_many(u))
+
+
 class MappingBackend:
     """Numeric evaluator for one concrete family."""
+
+    lattice = None
 
     def __init__(self, family: str, n: int, params: dict):
         self.family = family
         self.n = n
         self.params = dict(params)
 
-    # subclasses implement value / jacobian / is_pole ------------------------
+    # subclasses implement _map and, with a lattice, _lattice_args -----------
+
+    def _map(self, u, ops: _Ops):
+        """(values, jacobian rows) at u; u holds complexes or equal-length arrays."""
+        raise NotImplementedError
+
+    def _lattice_args(self, u) -> tuple:
+        """Arguments of the Weierstrass functions that must stay off the lattice."""
+        return ()
 
     def value(self, u: Sequence[complex]) -> tuple:
-        raise NotImplementedError
+        return self._map(u, _POINT)[0]
 
     def jacobian(self, u: Sequence[complex]) -> tuple:
-        raise NotImplementedError
+        return self._map(u, _POINT)[1]
 
     def is_pole(self, u: Sequence[complex]) -> bool:
-        return False
+        return any(self.lattice.lattice_distance(w) < _POLE_RADIUS for w in self._lattice_args(u))
+
+    def value_jacobian(self, points):
+        """(values[N, n], jac[N, n, n], bad[N]) at the rows of `points`.
+
+        `bad` marks the rows `is_pole` rejects and those where the scalar
+        evaluation would raise PoleError (their entries are not finite).
+        """
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
+        shape = (len(pts),)
+        cols = tuple(pts.T)
+        with np.errstate(all="ignore"):
+            vals, jac = self._map(cols, _ARRAY)
+        values = np.stack([np.broadcast_to(v, shape) for v in vals], axis=-1)
+        jac = np.stack([np.stack([np.broadcast_to(e, shape) for e in row], axis=-1) for row in jac], axis=-2)
+        bad = ~(np.isfinite(values).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
+        for w in self._lattice_args(cols):
+            bad |= np.abs(self.lattice.reduce_many(w)[0]) < _POLE_RADIUS
+        return values, jac, bad
 
     def exact_points(self) -> list:
         return []
@@ -86,11 +136,10 @@ class ExpBackend(MappingBackend):
         super().__init__("exp", 1, {"c": c})
         self.c = Fraction(c)
 
-    def value(self, u):
-        return (cmath.exp(complex(self.c) * u[0]),)
-
-    def jacobian(self, u):
-        return ((complex(self.c) * cmath.exp(complex(self.c) * u[0]),),)
+    def _map(self, u, ops):
+        c = complex(self.c)
+        e = ops.exp(c * u[0])
+        return (e,), ((c * e,),)
 
     def exact_points(self):
         one = Fraction(1)
@@ -109,11 +158,8 @@ class RationalBackend(MappingBackend):
     def __init__(self):
         super().__init__("rational", 1, {})
 
-    def value(self, u):
-        return (u[0],)
-
-    def jacobian(self, u):
-        return ((1 + 0j,),)
+    def _map(self, u, ops):
+        return (u[0],), ((1 + 0j,),)
 
     def exact_points(self):
         return [ExactPoint("v=0", (0j,), (Fraction(0),), ((Fraction(1),),))]
@@ -129,14 +175,12 @@ class WeierstrassBackend(MappingBackend):
         super().__init__("weierstrass", 1, {"g2": Fraction(g2), "g3": Fraction(g3)})
         self.lattice = Lattice(g2, g3)
 
-    def value(self, u):
-        return (self.lattice.wp(u[0]),)
+    def _map(self, u, ops):
+        p, q, _, _ = ops.weierstrass(self.lattice, u[0])
+        return (p,), ((q,),)
 
-    def jacobian(self, u):
-        return ((self.lattice.wp_prime(u[0]),),)
-
-    def is_pole(self, u):
-        return self.lattice.lattice_distance(u[0]) < 1e-6
+    def _lattice_args(self, u):
+        return (u[0],)
 
     def exact_points(self):
         lat = self.lattice
@@ -167,56 +211,37 @@ class Singular2Backend(MappingBackend):
         self.epsilon = int(params.get("epsilon", 1)) if case == 4 else None
         self.a = params.get("a")
 
-    def value(self, u):
-        u1, u2 = u
-        if self.case == 1:
-            return (u1, u2)
-        if self.case == 2:
-            return (u1, cmath.exp(u2))
-        if self.case == 3:
-            return (cmath.exp(u1), cmath.exp(u2))
-        if self.case == 4:
-            p = self.lattice.wp(u1)
-            drift = self.lattice.zeta(u1) if self.epsilon else 0j
-            return (p, u2 - self.epsilon * drift)
-        # case 5: (p(u1), exp(u2) * sigma(u1 - a)/sigma(u1))
-        a = complex(self.a)
-        s_num = self.lattice.sigma(u1 - a)
-        s_den = self.lattice.sigma(u1)
-        if abs(s_den) < 1e-280:
-            raise PoleError("sigma vanished at u1")
-        return (self.lattice.wp(u1), cmath.exp(u2) * s_num / s_den)
-
-    def jacobian(self, u):
+    def _map(self, u, ops):
         u1, u2 = u
         zero = 0j
         one = 1 + 0j
         if self.case == 1:
-            return ((one, zero), (zero, one))
+            return (u1, u2), ((one, zero), (zero, one))
         if self.case == 2:
-            return ((one, zero), (zero, cmath.exp(u2)))
+            e2 = ops.exp(u2)
+            return (u1, e2), ((one, zero), (zero, e2))
         if self.case == 3:
-            return ((cmath.exp(u1), zero), (zero, cmath.exp(u2)))
+            e1, e2 = ops.exp(u1), ops.exp(u2)
+            return (e1, e2), ((e1, zero), (zero, e2))
+        p, q, zt, s_den = ops.weierstrass(self.lattice, u1)
         if self.case == 4:
-            pd = self.lattice.wp_prime(u1)
+            drift = zt if self.epsilon else zero
             # d/du1 of (u2 - eps*zeta(u1)) = eps*wp(u1)
-            d21 = self.epsilon * self.lattice.wp(u1) if self.epsilon else zero
-            return ((pd, zero), (d21, one))
-        a = complex(self.a)
-        f2 = self.value(u)[1]
-        dlog = self.lattice.zeta(u1 - a) - self.lattice.zeta(u1)
-        return ((self.lattice.wp_prime(u1), zero), (f2 * dlog, f2))
+            d21 = self.epsilon * p if self.epsilon else zero
+            return (p, u2 - self.epsilon * drift), ((q, zero), (d21, one))
+        # case 5: (p(u1), exp(u2) * sigma(u1 - a)/sigma(u1)); f2 has log-derivative
+        # zeta(u1 - a) - zeta(u1) in u1
+        _, _, zt_a, s_num = ops.weierstrass(self.lattice, u1 - complex(self.a))
+        f2 = ops.exp(u2) * s_num / s_den
+        return (p, f2), ((q, zero), (f2 * (zt_a - zt), f2))
 
-    def is_pole(self, u):
-        if self.lattice is None:
-            return False
-        if self.lattice.lattice_distance(u[0]) < 1e-6:
-            return True
+    def _lattice_args(self, u):
+        if self.case == 4:
+            return (u[0],)
         if self.case == 5:
-            a = complex(self.a)
-            if self.lattice.lattice_distance(u[0] - a) < 1e-6:
-                return True  # zero of f2; its log-derivative blows up nearby
-        return False
+            # u1 - a: a zero of f2, where its log-derivative blows up
+            return (u[0], u[0] - complex(self.a))
+        return ()
 
     def exact_points(self):
         if self.case == 1:

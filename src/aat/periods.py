@@ -6,6 +6,10 @@ detector seeds Newton iterations on F(b) = F(a) over a grid of offsets,
 keeps solutions whose derivative matrices also match, verifies each candidate
 difference on independent samples, and reduces the verified candidates to a
 small generator set by integer-combination sweeps.
+
+All seeds share one array Newton over the backend's `value_jacobian`, and a
+verification evaluates its draws in two batches (base points and shifted
+points), then replays the sequential accept rules on the arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import naming
-from .rings import PoleError
-from .sampling import draw_point
+from .sampling import draw_points
 
 
 @dataclass
@@ -39,77 +42,84 @@ def _norm(p) -> float:
     return max(abs(c) for c in p)
 
 
-def _newton_solve(backend, target, b0, *, iters=40, tol=1e-12):
-    """Solve F(b) = target by damped Newton with the backend's derivative matrix."""
-    b = np.array(b0, dtype=complex)
+def _solve(jac, rhs):
+    """Row-wise solution of jac @ x = rhs in closed form (n = 1 or 2), and where it exists."""
+    if jac.shape[-1] == 1:
+        det = jac[:, 0, 0]
+        ok = det != 0
+        return rhs / np.where(ok, det, 1)[:, None], ok
+    a, b, c, d = jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1]
+    det = a * d - b * c
+    ok = det != 0
+    det = np.where(ok, det, 1)
+    x = np.stack([d * rhs[:, 0] - b * rhs[:, 1], a * rhs[:, 1] - c * rhs[:, 0]], axis=1)
+    return x / det[:, None], ok
 
-    def mismatch(point):
-        if backend.is_pole(tuple(point)):
-            return None, None
-        val = np.array(backend.value(tuple(point)), dtype=complex)
-        return val - target, val
 
-    try:
-        err, _ = mismatch(b)
-    except PoleError:
-        return None
-    if err is None:
-        return None
+def _newton(backend, target, seeds, *, iters=40, tol=1e-12):
+    """Solve F(b) = target by damped Newton from every seed at once.
+
+    Returns (b[N, n], jac[N, n, n], converged[N]).  Each row follows the
+    rules of a single solve: it stops at a pole, at a singular derivative
+    matrix or a step longer than 8; a step is halved at most 5 times and is
+    taken only if it lowers the largest mismatch.
+    """
+    b = np.array(seeds, dtype=complex)
+    val, jac, bad = backend.value_jacobian(b)
+    err = val - target
+    live = ~bad
+    converged = np.zeros(len(b), dtype=bool)
     for _ in range(iters):
-        size = max(abs(c) for c in err)
-        if size < tol:
-            return tuple(b)
-        try:
-            jac = np.array(backend.jacobian(tuple(b)), dtype=complex)
-            step = np.linalg.solve(jac, err)
-        except (PoleError, np.linalg.LinAlgError):
-            return None
-        if max(abs(c) for c in step) > 8.0:
-            return None
+        size = np.max(np.abs(err), axis=1)
+        done = live & (size < tol)
+        converged |= done
+        live &= ~done
+        rows = np.flatnonzero(live)
+        if not len(rows):
+            break
+        step, ok = _solve(jac[rows], err[rows])
+        ok &= np.max(np.abs(step), axis=1) <= 8.0
+        live[rows[~ok]] = False
+        rows, step = rows[ok], step[ok]
         # backtracking keeps wildly overshooting steps inside the basin
         for _ in range(5):
-            try:
-                nerr, _ = mismatch(b - step)
-            except PoleError:
-                nerr = None
-            if nerr is not None and max(abs(c) for c in nerr) < size:
-                b = b - step
-                err = nerr
+            if not len(rows):
                 break
-            step = step / 2
-        else:
-            return None
-    return None
+            trial = b[rows] - step
+            val, tjac, tbad = backend.value_jacobian(trial)
+            terr = val - target
+            better = ~tbad & (np.max(np.abs(terr), axis=1) < size[rows])
+            took = rows[better]
+            b[took], err[took], jac[took] = trial[better], terr[better], tjac[better]
+            rows, step = rows[~better], step[~better] / 2
+        live[rows] = False
+    return b, jac, converged
 
 
 def _verify_period(backend, p, *, samples, seed, tol, box):
+    """Worst relative |F(u + p) - F(u)| over `samples` usable draws, or None.
+
+    All 12*samples draws are evaluated at once; the accept logic then replays
+    them in order: a draw near a pole is skipped, a component above 1e6 ends
+    a draw's comparison without counting it, and the check fails once a
+    counted draw sees the running worst above tol.
+    """
     rng = random.Random(naming.stage_seed(seed, f"period-verify:{p}"))
-    worst = 0.0
-    good = 0
-    trials = 0
-    while good < samples and trials < 12 * samples:
-        trials += 1
-        u = draw_point(rng, backend.n, box)
-        shifted = tuple(a + b for a, b in zip(u, p))
-        try:
-            if backend.is_pole(u) or backend.is_pole(shifted):
-                continue
-            v0 = backend.value(u)
-            v1 = backend.value(shifted)
-        except PoleError:
-            continue
-        for c0, c1 in zip(v0, v1):
-            if abs(c0) > 1e6:
-                break
-            worst = max(worst, abs(c0 - c1) / (1 + abs(c0)))
-        else:
-            good += 1
-            if worst > tol:
-                return None
-            continue
-    if good < samples:
+    us = draw_points(rng, 12 * samples, backend.n, box)
+    v0, _, bad0 = backend.value_jacobian(us)
+    v1, _, bad1 = backend.value_jacobian(us + np.array(p))
+    usable = ~(bad0 | bad1)
+    big = np.abs(v0) > 1e6
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(v0 - v1) / (1 + np.abs(v0))
+    # components before a draw's first big one enter the worst
+    seen = usable[:, None] & (np.cumsum(big, axis=1) == 0)
+    worst = np.maximum.accumulate(np.where(seen, rel, 0.0).max(axis=1))
+    good = np.cumsum(usable & ~big.any(axis=1))
+    if good[-1] < samples:
         return None
-    return worst
+    last = float(worst[np.searchsorted(good, samples)])
+    return None if last > tol else last
 
 
 def _reduce_against(p, basis):
@@ -195,22 +205,13 @@ def detect_period(
     box = box if box is not None else backend.period_box()
     grid = grid if grid is not None else (13 if n == 1 else 9)
     rng = random.Random(naming.stage_seed(seed, "period-base"))
-    base = None
-    for _ in range(200):
-        a = draw_point(rng, n, 0.8)
-        try:
-            if backend.is_pole(a):
-                continue
-            val_a = np.array(backend.value(a), dtype=complex)
-            jac_a = np.array(backend.jacobian(a), dtype=complex)
-            if max(abs(c) for c in val_a) > 1e4:
-                continue
-        except PoleError:
-            continue
-        base = a
-        break
-    if base is None:
+    draws = draw_points(rng, 200, n, 0.8)
+    val, jac, bad = backend.value_jacobian(draws)
+    usable = ~bad & (np.max(np.abs(val), axis=1) <= 1e4)
+    if not usable.any():
         return []
+    first = int(np.argmax(usable))
+    base, target, jac_a = tuple(complex(c) for c in draws[first]), val[first], jac[first]
     steps = [(-box + (2 * box) * i / (grid - 1)) for i in range(grid)]
     offsets_1d = [complex(re, im) for re in steps for im in steps]
     raw = []
@@ -227,10 +228,10 @@ def detect_period(
             for o1 in offsets_1d
             for o2 in offs
         ]
-    for b0 in seeds:
-        b = _newton_solve(backend, np.array(backend.value(base), dtype=complex), b0)
-        if b is None:
-            continue
+    solved, jacs, converged = _newton(backend, target, seeds)
+    jac_bound = jac_tol * (1 + np.max(np.abs(jac_a)))
+    for i in np.flatnonzero(converged):
+        b = tuple(solved[i])
         p = tuple(bb - aa for bb, aa in zip(b, base))
         if _norm(p) < 1e-6:
             continue
@@ -238,12 +239,7 @@ def detect_period(
         if key in seen:
             continue
         seen.add(key)
-        try:
-            jac_b = np.array(backend.jacobian(b), dtype=complex)
-        except PoleError:
-            continue
-        jac_a = np.array(backend.jacobian(base), dtype=complex)
-        if np.max(np.abs(jac_b - jac_a)) > jac_tol * (1 + np.max(np.abs(jac_a))):
+        if np.max(np.abs(jacs[i] - jac_a)) > jac_bound:
             continue
         residual = _verify_period(backend, p, samples=samples, seed=seed, tol=tol, box=1.0)
         if residual is None:

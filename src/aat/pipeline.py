@@ -558,7 +558,13 @@ def stage_period(ctx: RunContext) -> None:
 
 
 def _fmt_vec(p) -> str:
-    return "(" + ", ".join(f"{c.real:+.4f}{c.imag:+.4f}j" for c in p) + ")"
+    """Verdict-id text of a period vector; parts that print as zero get a + sign."""
+
+    def part(x: float) -> str:
+        text = f"{x:+.4f}"
+        return "+0.0000" if text == "-0.0000" else text
+
+    return "(" + ", ".join(f"{part(c.real)}{part(c.imag)}j" for c in p) + ")"
 
 
 _STAGE_FUNCS = {

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import naming
 from .rings import MPoly, PoleError, StructuralError
 
@@ -47,6 +49,14 @@ class SamplingError(StructuralError):
 
 def draw_point(rng: random.Random, n: int, box: float) -> tuple:
     return tuple(complex(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(n))
+
+
+def draw_points(rng: random.Random, count: int, n: int, box: float) -> np.ndarray:
+    """`count` successive `draw_point` results as a (count, n) complex array."""
+    # rng.uniform(a, b) is a + (b - a) * rng.random(); the same arithmetic here
+    # keeps every point equal to its draw_point twin
+    parts = -box + (box - -box) * np.array([rng.random() for _ in range(2 * n * count)])
+    return (parts[0::2] + 1j * parts[1::2]).reshape(count, n)
 
 
 def _needs(relation: MPoly):

@@ -2,9 +2,17 @@
 
 Everything is computed from the invariants (g2, g3) alone: the half-periods
 come from cubic roots plus AGM complete integrals, and function values come
-from the Laurent/Taylor series after argument reduction into the fundamental
-cell, with argument halving and exact duplication formulas when the reduced
-point sits too close to the cell boundary.  No theta functions anywhere.
+from the Laurent series after argument reduction into the fundamental cell,
+with argument halving and exact duplication formulas when the reduced point
+sits too close to the cell boundary.  No theta functions anywhere.
+
+The series of p, p', zeta and log(sigma/u) are four coefficient tuples per
+lattice, summed by one Horner kernel in u^2.  The number of terms comes from
+a tail bound, not from watching the terms: with c_k = (2k-1) G_{2k} and
+|G_{2k}| <= rho^(4-2k) * sum'|w|^-4 (DLMF 23.9, rho the shortest period), the
+tail after K terms is geometric in (|u|/rho)^2, so K follows from the reduced
+|u| alone.  The kernel and the duplication formulas use plain arithmetic, so
+`eval_all` runs them on one complex and `eval_many` on a numpy array.
 
 Correctness is asserted through the lattice invariants (p(omega_i) = e_i, the
 zeta/sigma quasi-periodicity shifts), never through hard-coded constants.
@@ -13,18 +21,27 @@ zeta/sigma quasi-periodicity shifts), never through hard-coded constants.
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 
 import numpy as np
 
 from .reconstruct import rational_reconstruct
 from .rings import DomainError, PoleError
 
-_SERIES_MAX = 600
 # the covering radius of a reduced argument stays below ~0.71 of the shortest
 # period, where the Laurent series still converges cleanly; keeping the
 # halving threshold above that avoids duplication steps (and their noise)
 # for every reduced point
 _HALVING_RATIO = 0.75
+_MAX_HALVINGS = 48
+# bound on the series tail relative to the leading term (p', the worst case)
+_TAIL_EPS = 1e-17
+# lattice points with max(|m|, |n|) <= _SUM_BOX enter sum'|w|^-4 one by one;
+# the rest are covered by an integral bound
+_SUM_BOX = 30
+# the nine cells next to the rounded one, in the order `Lattice.reduce` tries them
+_NEAR_M = np.repeat([-1.0, 0.0, 1.0], 3)
+_NEAR_N = np.tile([-1.0, 0.0, 1.0], 3)
 
 
 def agm(a: complex, b: complex, tol: float = 1e-16) -> complex:
@@ -46,6 +63,58 @@ def _cubic_roots(g2: complex, g3: complex):
     return [complex(r) for r in roots]
 
 
+def _horner(coeffs, z):
+    """sum_j coeffs[j] * z^(len - 1 - j), highest power first."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def _laurent(u, z, sums):
+    """(p, p', zeta, log(sigma/u)) at u from the four Horner sums at z = u^2."""
+    hp, hq, hz, hs = sums
+    return 1.0 / z + z * hp, -2.0 / (z * u) + u * hq, 1.0 / u + u * z * hz, z * z * hs
+
+
+def _duplicate(p, q, zt, sg, g2):
+    """(p, p', zeta, sigma) at 2u from their values at u; needs p'(u) != 0."""
+    r = 6 * p * p - g2 / 2
+    s3 = 12 * p * q
+    return (
+        -2 * p + (r / (2 * q)) ** 2,
+        -q + r * (s3 * q - r * r) / (4 * q**3),
+        2 * zt + r / (2 * q),
+        -(sg**4) * q,
+    )
+
+
+def _term_radii(tail_scale: float, rho: float) -> tuple:
+    """radii[j]: the largest |u| at which the coefficients c_2..c_{j+2} suffice.
+
+    The tail after c_K of p' relative to its leading term is at most
+    tail_scale * sum_{k>K} (k-1)(2k-1) x^k with x = (|u|/rho)^2, bounded by its
+    first term over 1 - (ratio of the first two terms).  The list ends at the
+    first K that reaches the halving radius.
+    """
+    big_k = np.arange(2, 400, dtype=float)
+    first = big_k * (2 * big_k + 1)  # (k-1)(2k-1) at k = K+1
+    growth = (big_k + 1) * (2 * big_k + 3) / first
+    budget = np.log(_TAIL_EPS) - np.log(tail_scale * first)
+    lo = np.zeros_like(big_k)
+    hi = np.ones_like(big_k)
+    with np.errstate(invalid="ignore"):
+        for _ in range(40):  # bisection on x, to 1e-12
+            x = (lo + hi) / 2
+            ratio = x * growth
+            fits = (ratio < 1) & ((big_k + 1) * np.log(x) - np.log1p(-ratio) <= budget)
+            lo = np.where(fits, x, lo)
+            hi = np.where(fits, hi, x)
+    radii = rho * np.sqrt(np.maximum.accumulate(lo))
+    count = int(np.searchsorted(radii, _HALVING_RATIO * rho)) + 1
+    return tuple(float(r) for r in radii[:count])
+
+
 class Lattice:
     """Half-periods, quasi-period constants and e-values for given invariants.
 
@@ -64,8 +133,10 @@ class Lattice:
         "eta2",
         "e_roots",
         "exact_e",
-        "_coeffs",
         "_rho",
+        "_radii",
+        "_rows",
+        "_row_array",
     )
 
     def __init__(self, g2, g3):
@@ -84,22 +155,43 @@ class Lattice:
             omega2 = -omega2
         self.omega1 = omega1
         self.omega2 = omega2
-        self._coeffs = [0j, 0j, self.g2 / 20.0, self.g3 / 28.0]
-        self._rho = min(
-            abs(2 * omega1),
-            abs(2 * omega2),
-            abs(2 * omega1 + 2 * omega2),
-            abs(2 * omega1 - 2 * omega2),
-        )
-        self.eta1 = self._zeta_unreduced(self.omega1)
-        self.eta2 = self._zeta_unreduced(self.omega2)
+        self._init_series()
+        self.eta1 = self._eval_small(self.omega1)[2]
+        self.eta2 = self._eval_small(self.omega2)[2]
         roots = (e1, e2, e3)
         ordered = []
         for h in (self.omega1, self.omega2, self.omega1 + self.omega2):
-            val = self._wp_unreduced(h)
+            val = self._eval_small(h)[0]
             ordered.append(min(roots, key=lambda r: abs(r - val)))
         self.e_roots = tuple(ordered)
         self.exact_e = tuple(self._exact_root(e) for e in self.e_roots)
+
+    def _init_series(self):
+        """rho, the term-count radii and the four coefficient tuples."""
+        w1, w2 = 2 * self.omega1, 2 * self.omega2
+        box = np.arange(-_SUM_BOX, _SUM_BOX + 1)
+        m, n = np.meshgrid(box, box)
+        periods = np.abs((m * w1 + n * w2).ravel())
+        periods = periods[(m != 0).ravel() | (n != 0).ravel()]
+        self._rho = float(periods.min())
+        # |m*w1 + n*w2| >= s_min * max(|m|, |n|) bounds the points outside the box
+        s_min = np.linalg.svd([[w1.real, w2.real], [w1.imag, w2.imag]], compute_uv=False)[-1]
+        inv4 = float(np.sum(periods**-4.0)) + 4.0 / (_SUM_BOX**2 * s_min**4)
+        self._radii = _term_radii(inv4 * self._rho**4, self._rho)
+        top = len(self._radii) + 1
+        c = np.zeros(max(top, 3) + 1, dtype=complex)
+        c[2], c[3] = self.g2 / 20.0, self.g3 / 28.0
+        for k in range(4, top + 1):
+            c[k] = 3.0 * np.dot(c[2 : k - 1], c[k - 2 : 1 : -1]) / ((2 * k + 1) * (k - 3))
+        c = c.tolist()
+        ks = range(top, 1, -1)
+        self._rows = (
+            tuple(c[k] for k in ks),
+            tuple((2 * k - 2) * c[k] for k in ks),
+            tuple(-c[k] / (2 * k - 1) for k in ks),
+            tuple(-c[k] / ((2 * k - 1) * (2 * k)) for k in ks),
+        )
+        self._row_array = np.array(self._rows).T[:, :, None]
 
     def _exact_root(self, e: complex):
         if abs(e.imag) > 1e-9:
@@ -115,76 +207,30 @@ class Lattice:
             return cand
         return None
 
-    # -- series ---------------------------------------------------------------
-
-    def _coeff(self, k: int) -> complex:
-        cs = self._coeffs
-        while len(cs) <= k:
-            n = len(cs)
-            acc = 0j
-            for m in range(2, n - 1):
-                if 2 <= n - m < len(cs):
-                    acc += cs[m] * cs[n - m]
-            cs.append(3.0 * acc / ((2 * n + 1) * (n - 3)))
-        return cs[k]
-
-    def _series_all(self, u: complex):
-        """(p, p', zeta, sigma) by direct series; caller guarantees |u| small."""
-        u2 = u * u
-        wp = 1.0 / u2
-        wpd = -2.0 / (u2 * u)
-        zt = 1.0 / u
-        sig_log = 0j
-        power = u2  # u^(2k-2) for k = 2
-        small_run = 0
-        for k in range(2, _SERIES_MAX):
-            c = self._coeff(k)
-            t = c * power
-            wp += t
-            wpd += (2 * k - 2) * c * power / u
-            zt -= t * u / (2 * k - 1)
-            sig_log -= t * u2 / ((2 * k - 1) * (2 * k))
-            # zero coefficients occur systematically (g3 = 0 kills odd k),
-            # so require two consecutive negligible terms before stopping
-            if abs(t) < 1e-17 * max(1.0, abs(wp)) and k > 6:
-                small_run += 1
-                if small_run >= 2:
-                    break
-            else:
-                small_run = 0
-            power *= u2
-        else:
-            raise DomainError("Weierstrass series did not converge (point too close to a period)")
-        return wp, wpd, zt, u * cmath.exp(sig_log)
+    # -- one point ----------------------------------------------------------------
 
     def _eval_small(self, u: complex):
         """Series plus halving/duplication for any nonzero point of the cell."""
         halvings = 0
-        while abs(u) > _HALVING_RATIO * self._rho and halvings < 48:
+        while abs(u) > _HALVING_RATIO * self._rho and halvings < _MAX_HALVINGS:
             u /= 2
             halvings += 1
-        p, q, zt, sg = self._series_all(u)
-        g2 = self.g2
+        z = u * u
+        terms = bisect_left(self._radii, abs(u)) + 1
+        p, q, zt, log_s = _laurent(u, z, [_horner(row[-terms:], z) for row in self._rows])
+        sg = u * cmath.exp(log_s)
         for _ in range(halvings):
-            r = 6 * p * p - g2 / 2
-            s3 = 12 * p * q
             if abs(q) < 1e-280:
                 raise PoleError("duplication hit a critical point")
-            p, q, zt, sg = (
-                -2 * p + (r / (2 * q)) ** 2,
-                -q + r * (s3 * q - r * r) / (4 * q**3),
-                2 * zt + r / (2 * q),
-                -(sg**4) * q,
-            )
+            p, q, zt, sg = _duplicate(p, q, zt, sg, self.g2)
         return p, q, zt, sg
 
-    def _wp_unreduced(self, u: complex) -> complex:
-        return self._eval_small(u)[0]
-
-    def _zeta_unreduced(self, u: complex) -> complex:
-        return self._eval_small(u)[2]
-
-    # -- reduction --------------------------------------------------------------
+    def _unreduce(self, zt, sg, u0, m, n, exp):
+        """zeta and sigma at u0 + 2m*omega1 + 2n*omega2 from their values at u0."""
+        eta_p = 2 * m * self.eta1 + 2 * n * self.eta2
+        period = 2 * m * self.omega1 + 2 * n * self.omega2
+        sign = 1 - 2 * ((m + n + m * n) % 2)
+        return zt + eta_p, sign * exp(eta_p * (u0 + period / 2)) * sg
 
     def reduce(self, u: complex):
         """(u0, m, n) with u = u0 + 2m*omega1 + 2n*omega2 and |u0| minimal."""
@@ -205,8 +251,6 @@ class Lattice:
     def lattice_distance(self, u: complex) -> float:
         return abs(self.reduce(u)[0])
 
-    # -- public evaluation --------------------------------------------------------
-
     def eval_all(self, u: complex):
         """(p, p', zeta, sigma) at u, with quasi-periodic unreduction."""
         u = complex(u)
@@ -215,11 +259,7 @@ class Lattice:
             raise PoleError(f"lattice point: u = {u}")
         p, q, zt, sg = self._eval_small(u0)
         if m or n:
-            eta_p = 2 * m * self.eta1 + 2 * n * self.eta2
-            period = 2 * m * self.omega1 + 2 * n * self.omega2
-            zt = zt + eta_p
-            sign = -1.0 if (m + n + m * n) % 2 else 1.0
-            sg = sign * cmath.exp(eta_p * (u0 + period / 2)) * sg
+            zt, sg = self._unreduce(zt, sg, u0, m, n, cmath.exp)
         return p, q, zt, sg
 
     def wp(self, u: complex) -> complex:
@@ -238,6 +278,51 @@ class Lattice:
             # sigma is entire with simple zeros on the lattice
             return 0j
         return self.eval_all(u)[3]
+
+    # -- arrays of points -------------------------------------------------------------
+
+    def reduce_many(self, us):
+        """`reduce` on an array: (u0, m, n) arrays, with the same arithmetic and ties."""
+        u = np.asarray(us, dtype=complex)[..., None]
+        w1, w2 = 2 * self.omega1, 2 * self.omega2
+        det = w1.real * w2.imag - w1.imag * w2.real
+        m = np.round((u.real * w2.imag - u.imag * w2.real) / det) + _NEAR_M
+        n = np.round((w1.real * u.imag - w1.imag * u.real) / det) + _NEAR_N
+        cands = u - m * w1 - n * w2
+        pick = np.argmin(np.abs(cands), axis=-1)[..., None]
+        u0, m, n = (np.take_along_axis(a, pick, axis=-1)[..., 0] for a in (cands, m, n))
+        return u0, m.astype(np.int64), n.astype(np.int64)
+
+    def eval_many(self, us):
+        """(p, p', zeta, sigma) at every point of `us`, as complex arrays.
+
+        Where `eval_all` would raise PoleError (a lattice point, or a
+        duplication step at a critical point) all four entries are nan.
+        The term count is the one the largest reduced point needs.
+        """
+        u = np.asarray(us, dtype=complex)
+        u0, m, n = self.reduce_many(u)
+        pole = np.abs(u0) < 1e-12
+        v = np.where(pole, self.omega1, u0)  # a finite stand-in; pole rows end as nan
+        halvings = np.zeros(v.shape, dtype=np.int64)
+        for _ in range(_MAX_HALVINGS):
+            far = np.abs(v) > _HALVING_RATIO * self._rho
+            if not far.any():
+                break
+            v = np.where(far, v / 2, v)
+            halvings += far
+        z = v * v
+        terms = bisect_left(self._radii, float(np.abs(v).max(initial=0.0))) + 1
+        with np.errstate(all="ignore"):
+            p, q, zt, log_s = _laurent(v, z, _horner(self._row_array[-terms:], z.ravel()).reshape((4,) + z.shape))
+            sg = v * np.exp(log_s)
+            for step in range(int(halvings.max(initial=0))):
+                live = halvings > step
+                pole |= live & (np.abs(q) < 1e-280)
+                doubled = _duplicate(p, q, zt, sg, self.g2)
+                p, q, zt, sg = (np.where(live, new, old) for new, old in zip(doubled, (p, q, zt, sg)))
+            zt, sg = self._unreduce(zt, sg, u0, m, n, np.exp)
+            return tuple(np.where(pole, np.nan, f) for f in (p, q, zt, sg))
 
 
 def _as_fraction(z: complex):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aat.backends import make_backend
-from aat.rings import StructuralError
+from aat.rings import PoleError, StructuralError
 
 
 def _fd_jacobian(backend, u, h=1e-6):
@@ -38,22 +38,62 @@ def _check_jacobian(backend, rng, count=8, box=0.9):
         checked += 1
 
 
-@pytest.mark.parametrize(
-    "family,params",
-    [
-        ("exp", {"c": Fraction(2)}),
-        ("rational", {}),
-        ("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)}),
-        ("singular2-case1", {}),
-        ("singular2-case2", {}),
-        ("singular2-case3", {}),
-        ("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)}),
-        ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)}),
-    ],
-)
+FAMILIES = [
+    ("exp", {"c": Fraction(2)}),
+    ("rational", {}),
+    ("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)}),
+    ("singular2-case1", {}),
+    ("singular2-case2", {}),
+    ("singular2-case3", {}),
+    ("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)}),
+    ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)}),
+    ("singular2-case4", {"g2": Fraction(7), "g3": Fraction(-3), "epsilon": Fraction(0)}),
+]
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
 def test_jacobian_matches_finite_differences(family, params):
     backend = make_backend(family, params)
     _check_jacobian(backend, random.Random(hash(family) & 0xFFFF))
+
+
+def _scalar_value_jacobian(backend, u):
+    """(value, jacobian) from the point methods, or None where they reject u."""
+    if backend.is_pole(u):
+        return None
+    try:
+        return backend.value(u), backend.jacobian(u)
+    except PoleError:
+        return None
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_value_jacobian_matches_point_methods(family, params):
+    backend = make_backend(family, params)
+    rng = random.Random(f"value_jacobian:{family}")
+    points = [tuple(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(backend.n)) for _ in range(300)]
+    lat = backend.lattice
+    if lat is not None:
+        # three poles (one inside the pole radius) and a point just outside it
+        for w in (0j, 2 * lat.omega1, 2 * lat.omega2 + 3e-7, 2 * lat.omega1 - 2e-6j):
+            points.append((w,) + (0.3 + 0.2j,) * (backend.n - 1))
+        if family == "singular2-case5":
+            points.append((complex(backend.a) + 1e-8, 0.1 + 0j))
+    values, jac, bad = backend.value_jacobian(points)
+    assert values.shape == (len(points), backend.n)
+    assert jac.shape == (len(points), backend.n, backend.n)
+    rejected = 0
+    for i, u in enumerate(points):
+        want = _scalar_value_jacobian(backend, u)
+        assert bad[i] == (want is None), u
+        if want is None:
+            rejected += 1
+            continue
+        for k in range(backend.n):
+            assert abs(values[i, k] - want[0][k]) <= 1e-12 * (1 + abs(want[0][k]))
+            for p in range(backend.n):
+                assert abs(jac[i, k, p] - want[1][k][p]) <= 1e-12 * (1 + abs(want[1][k][p]))
+    assert rejected == (0 if lat is None else 3 + (family == "singular2-case5"))
 
 
 def test_exp_values():

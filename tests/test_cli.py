@@ -31,6 +31,16 @@ def test_exp_all_exit_zero_and_relation(tmp_path):
     assert payload["problem"]["relations"]["1_1"]["poly"] == "z1_1 - x1"
 
 
+def test_equianharmonic_all_exit_zero(tmp_path):
+    # g2 = 0 leaves only every third Laurent coefficient nonzero
+    out = tmp_path / "equianharmonic.json"
+    result = _run(["all", "problems/equianharmonic.aat", "-o", str(out)])
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(out.read_text())
+    assert payload["ok"] is True
+    assert len(payload["problem"]["periods"]["generators"]) == 2
+
+
 def test_derive_missing_file_exit_two(tmp_path):
     out = tmp_path / "missing.json"
     result = _run(["derive", "does-not-exist.aat", "-o", str(out)])

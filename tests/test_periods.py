@@ -1,10 +1,81 @@
 import cmath
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from aat import naming
 from aat.backends import make_backend
-from aat.periods import detect_period, is_integer_combination, reduce_candidates
+from aat.periods import _newton, _verify_period, detect_period, is_integer_combination, reduce_candidates
+from aat.rings import PoleError
+from aat.sampling import draw_point
+
+CASE5 = ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
+
+
+def _newton_one(backend, target, b0, *, iters=40, tol=1e-12):
+    """One seed at a time through the point methods: the reference for _newton."""
+    b = np.array(b0, dtype=complex)
+
+    def mismatch(point):
+        if backend.is_pole(tuple(point)):
+            return None
+        return np.array(backend.value(tuple(point)), dtype=complex) - target
+
+    try:
+        err = mismatch(b)
+    except PoleError:
+        return None
+    if err is None:
+        return None
+    for _ in range(iters):
+        size = max(abs(c) for c in err)
+        if size < tol:
+            return tuple(b)
+        try:
+            step = np.linalg.solve(np.array(backend.jacobian(tuple(b)), dtype=complex), err)
+        except (PoleError, np.linalg.LinAlgError):
+            return None
+        if max(abs(c) for c in step) > 8.0:
+            return None
+        for _ in range(5):
+            try:
+                nerr = mismatch(b - step)
+            except PoleError:
+                nerr = None
+            if nerr is not None and max(abs(c) for c in nerr) < size:
+                b, err = b - step, nerr
+                break
+            step = step / 2
+        else:
+            return None
+    return None
+
+
+def _verify_one(backend, p, *, samples, seed, tol, box):
+    """Draw by draw through the point methods: the reference for _verify_period."""
+    rng = random.Random(naming.stage_seed(seed, f"period-verify:{p}"))
+    worst, good, trials = 0.0, 0, 0
+    while good < samples and trials < 12 * samples:
+        trials += 1
+        u = draw_point(rng, backend.n, box)
+        shifted = tuple(a + b for a, b in zip(u, p))
+        try:
+            if backend.is_pole(u) or backend.is_pole(shifted):
+                continue
+            v0, v1 = backend.value(u), backend.value(shifted)
+        except PoleError:
+            continue
+        for c0, c1 in zip(v0, v1):
+            if abs(c0) > 1e6:
+                break
+            worst = max(worst, abs(c0 - c1) / (1 + abs(c0)))
+        else:
+            good += 1
+            if worst > tol:
+                return None
+    return worst if good >= samples else None
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +146,71 @@ def test_determinism(wp_backend):
     a = detect_period(wp_backend, seed=11, tol=1e-9)
     b = detect_period(wp_backend, seed=11, tol=1e-9)
     assert [c.p for c in a] == [c.p for c in b]
+
+
+def test_detect_period_makes_no_point_evaluation(monkeypatch):
+    # the catalog's case-5 backend; every evaluation must go through the
+    # batched layer, so a return to per-seed solves shows up as calls here
+    from aat.weierstrass import Lattice
+
+    backend = make_backend("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
+    calls = {"eval_all": 0, "eval_many": 0}
+    for name in calls:
+        original = getattr(Lattice, name)
+
+        def counted(self, u, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, u)
+
+        monkeypatch.setattr(Lattice, name, counted)
+    found = detect_period(backend, seed=42, tol=1e-9)
+    assert len(found) == 3
+    assert calls["eval_all"] == 0
+    assert calls["eval_many"] > 0
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("weierstrass", {"g2": Fraction(7), "g3": Fraction(-3)}),
+        ("exp", {"c": Fraction(1)}),
+        ("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)}),
+        CASE5,
+    ],
+)
+def test_array_newton_matches_one_seed_at_a_time(family, params):
+    backend = make_backend(family, params)
+    rng = random.Random(f"newton:{family}")
+    base = draw_point(rng, backend.n, 0.8)
+    target = np.array(backend.value(base), dtype=complex)
+    seeds = [tuple(b + complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for b in base) for _ in range(120)]
+    solved, jac, converged = _newton(backend, target, seeds)
+    for i, b0 in enumerate(seeds):
+        want = _newton_one(backend, target, b0)
+        assert converged[i] == (want is not None), b0
+        if want is not None:
+            assert max(abs(x - y) for x, y in zip(solved[i], want)) < 1e-9
+            assert np.allclose(jac[i], np.array(backend.jacobian(want)), rtol=1e-9, atol=1e-9)
+    assert 0 < converged.sum() < len(seeds)
+
+
+def test_batched_verification_replays_the_sequential_rules():
+    case5 = make_backend(*CASE5)
+    lat, a = case5.lattice, complex(case5.a)
+    case3 = make_backend("singular2-case3", {})
+    checks = [
+        (case5, (2 * lat.omega1, 2 * lat.eta1 * a), True),
+        (case5, (2 * lat.omega2, 2 * lat.eta2 * a), True),
+        (case5, (2 * lat.omega1, 0j), False),
+        # with box 20 about 15% of the draws have a component above 1e6
+        (case3, (2j * cmath.pi, -2j * cmath.pi), True),
+        (case3, (2j * cmath.pi, 1e-3), False),
+    ]
+    for backend, p, is_period in checks:
+        for box in (1.0, 3.0, 20.0):
+            got = _verify_period(backend, p, samples=50, seed=5, tol=1e-9, box=box)
+            want = _verify_one(backend, p, samples=50, seed=5, tol=1e-9, box=box)
+            assert (want is not None) == is_period, (p, box)
+            assert (got is None) == (want is None), (p, box)
+            if want is not None:
+                assert got == pytest.approx(want, abs=1e-13)

@@ -132,3 +132,12 @@ def test_catalog_problem_text_roundtrips():
     assert spec.family == "weierstrass"
     assert spec.options.seed == 7
     assert spec.aat_polys[0].degree_in("L1") == 2
+
+
+def test_period_vector_text_has_no_negative_zero():
+    # float noise around zero must not flip the sign in a verdict id
+    assert pipeline._fmt_vec((complex(-1e-17, 2.62207), complex(-1e-17, -0.59907))) == (
+        "(+0.0000+2.6221j, +0.0000-0.5991j)"
+    )
+    assert pipeline._fmt_vec((complex(1e-17, -0.0),)) == "(+0.0000+0.0000j)"
+    assert pipeline._fmt_vec((complex(-0.00006, 4e-5),)) == "(-0.0001+0.0000j)"

@@ -100,6 +100,6 @@ def test_comments_and_missing_file(tmp_path):
 
 
 def test_bundled_problem_files_load():
-    for name in ("exp", "lemniscatic", "additive", "zeta-drift"):
+    for name in ("exp", "lemniscatic", "equianharmonic", "additive", "zeta-drift"):
         spec = load_problem(f"problems/{name}.aat")
         assert spec.n in (1, 2)

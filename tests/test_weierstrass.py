@@ -2,6 +2,7 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aat.rings import DomainError, PoleError
@@ -135,3 +136,100 @@ def test_values_reproducible(lem):
     assert lem.wp(u) == lem.wp(u)
     assert eval_weierstrass(lem, "wp", u) == lem.wp(u)
     assert eval_weierstrass(lem, "sigma", u) == lem.sigma(u)
+
+
+# the lattices of the batched-layer checks: real and complex cubic roots,
+# g3 = 0, negative invariants, and the equianharmonic g2 = 0
+BATCH_LATTICES = [
+    (4, 0),
+    (7, -3),
+    (Fraction(8, 3), -7),
+    (1, 1),
+    (Fraction(-2, 3), 0),
+    (Fraction(-5, 2), Fraction(-4, 3)),
+    (1, 0),
+    (0, 1),
+]
+
+
+def _shortest_period(lat):
+    return min(
+        abs(2 * m * lat.omega1 + 2 * n * lat.omega2)
+        for m in range(-2, 3)
+        for n in range(-2, 3)
+        if (m, n) != (0, 0)
+    )
+
+
+def _batch_points(lat, rng, count=2000):
+    """Random points over several cells, a quarter of them near cell corners."""
+    corners = (lat.omega1 + lat.omega2, lat.omega1 - lat.omega2, lat.omega1, lat.omega2)
+    pts = []
+    for i in range(count):
+        if i % 4:
+            pts.append(complex(rng.uniform(-6, 6), rng.uniform(-6, 6)))
+        else:
+            c = corners[i % 16 // 4] * rng.choice((1, -1, 3))
+            pts.append(c + complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)))
+    return pts
+
+
+@pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
+def test_eval_many_matches_eval_all(g2, g3):
+    lat = Lattice(g2, g3)
+    pts = _batch_points(lat, random.Random(f"batch:{g2}:{g3}"))
+    batch = lat.eval_many(pts)
+    for i, u in enumerate(pts):
+        for got, want in zip((f[i] for f in batch), lat.eval_all(u)):
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (u, got, want)
+
+
+def test_batch_points_reach_the_halving_region():
+    # (7, -3) has cell corners at 0.84 of the shortest period, beyond the
+    # 0.75 halving threshold, so its differential check covers duplication
+    lat = Lattice(7, -3)
+    pts = _batch_points(lat, random.Random("batch:7:-3"))
+    reduced = abs(lat.reduce_many(pts)[0])
+    assert (reduced > 0.75 * _shortest_period(lat)).sum() >= 50
+
+
+@pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
+def test_eval_many_satisfies_the_cubic(g2, g3):
+    lat = Lattice(g2, g3)
+    pts = [u for u in _batch_points(lat, random.Random(f"cubic:{g2}:{g3}")) if lat.lattice_distance(u) > 0.25]
+    p, q, _, _ = lat.eval_many(pts)
+    rhs = 4 * p**3 - lat.g2 * p - lat.g3
+    assert np.all(abs(q * q - rhs) <= 1e-9 * (1 + np.maximum(abs(q * q), abs(rhs))))
+
+
+def test_eval_many_marks_lattice_points():
+    lat = Lattice(7, -3)
+    pts = [0j, 2 * lat.omega1 + 2 * lat.omega2, 0.3 + 0.1j]
+    batch = lat.eval_many(pts)
+    for f in batch:
+        assert np.isnan(f[0]) and np.isnan(f[1]) and np.isfinite(f[2])
+    assert batch[0][2] == pytest.approx(lat.wp(0.3 + 0.1j), rel=1e-14)
+
+
+@pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
+def test_wp_matches_theta_quotient(g2, g3):
+    """p against DLMF 23.6.2-23.6.5 in mpmath, independent of the series."""
+    mp = pytest.importorskip("mpmath")
+    lat = Lattice(g2, g3)
+    w1 = mp.mpc(lat.omega1)
+    q = mp.exp(1j * mp.pi * mp.mpc(lat.omega2) / w1)
+    scale = (mp.pi / (2 * w1)) ** 2
+    th2, th4 = mp.jtheta(2, 0, q), mp.jtheta(4, 0, q)
+    e1 = scale / 3 * (th2**4 + 2 * th4**4)
+    ratio = mp.jtheta(1, 0, q, 1) / th2
+
+    def wp(u):
+        xi = mp.pi * u / (2 * w1)
+        return complex(e1 + scale * (ratio * mp.jtheta(2, xi, q) / mp.jtheta(1, xi, q)) ** 2)
+
+    rng = random.Random(f"theta:{g2}:{g3}")
+    pts = [u for u in _random_points(rng, 60, scale=3.0) if lat.lattice_distance(u) > 0.2][:30]
+    got = lat.eval_many(pts)[0]
+    for u, value in zip(pts, got):
+        want = wp(u)
+        assert abs(value - want) <= 1e-11 * (1 + abs(want)), (u, value, want)
