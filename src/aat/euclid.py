@@ -1,23 +1,26 @@
 """GCDs, resultants and squarefree machinery for the exact kernel.
 
-The multivariate gcd recurses on variable count: it splits off the contents
-in the main variable v and then settles the gcd of the two v-primitive parts
-by the first of three routes that answers.
+`gcd` tries one route on the whole pair before any splitting: the heuristic
+gcd GCDHEU (Char, Geddes & Gonnet, JSC 1989).  The integer-primitive inputs
+are evaluated at a large integer xi one name at a time, the integer gcd at the
+bottom is lifted back xi-adically with symmetric digits, and the primitive
+part of the lift is the gcd exactly when it divides both inputs.  That gcd
+carries the contents in every name, so no content splitting is needed first.
+A few growing points are tried before it gives up; on the bundled problems
+and the catalog it has not given up once, so what follows is a fallback.
+
+When it gives up, the fallback recurses on variable count: it splits off the
+contents in the main variable v and settles the gcd of the two v-primitive
+parts by the first of three routes that answers.
 
 1. A modular coprimality certificate (Brown's modular gcd, JACM 1971, used
    one-sidedly): every name except v is sent to a fixed point mod the prime
    2^61 - 1.  When neither leading coefficient in v vanishes there and the
    univariate images have a degree-0 gcd mod p, the true gcd is v-free, hence
    1, because its image keeps its v-degree and divides both images.
-2. The heuristic gcd GCDHEU (Char, Geddes & Gonnet, JSC 1989) for pairs with
-   a real common factor: the integer-primitive inputs are evaluated at a large
-   integer xi one name at a time, the integer gcd at the bottom is lifted back
-   xi-adically with symmetric digits, and the primitive part of the lift is
-   the gcd exactly when it divides both inputs.  A few growing points are
-   tried before the route gives up.
+2. GCDHEU again, on the v-primitive parts, which are smaller than the pair.
 3. The primitive-part subresultant remainder sequence in v, which answers
-   every case and stays the reference the other two routes are tested
-   against.
+   every case and stays the reference the other routes are tested against.
 
 Every route emits the gcd in canonical (descending lex) term order, so that
 numeric evaluation, which sums in insertion order, does not depend on the
@@ -164,7 +167,10 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
     elif b.is_zero():
         g = a.normalized()
     else:
-        g = _gcd_rec(a, b).normalized()
+        g = _heu_gcd(a, b)
+        if g is None:
+            g = _gcd_rec(a, b)
+        g = g.normalized()
     return MPoly(g.ring, dict(g.sorted_terms()))
 
 
@@ -261,7 +267,7 @@ _HEU_MAX_BITS = 1 << 20  # give up before image coefficients pass a megabit
 
 def _heu_gcd(a: MPoly, b: MPoly):
     """Integer-primitive gcd of two polynomials by GCDHEU, or None when it
-    gives up; for v-primitive inputs the PRS route returns an associate."""
+    gives up; every other route returns an associate of it."""
     g = _heu_rec(_int_primitive(a.terms), _int_primitive(b.terms))
     if g is None:
         return None

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from aat import euclid
+from aat import euclid, generate
+from aat.backends import make_backend
 from aat.euclid import (
     divides,
     exact_div,
@@ -85,6 +86,9 @@ def test_gcd_certificate_matches_prs_route(pring, monkeypatch):
         return ok
 
     monkeypatch.setattr(euclid, "_coprime_mod_p", spy)
+    # with GCDHEU off, every gcd takes the content-split fallback, where the
+    # certificate sits; the pairs it cannot certify go to the PRS
+    monkeypatch.setattr(euclid, "_heu_gcd", lambda a, b: None)
     done = 0
     while done < 60:
         a = random_poly(rng, pring, max_degree=3, max_terms=4)
@@ -156,6 +160,54 @@ def test_gcd_heuristic_matches_prs_route(variables, parameters, monkeypatch):
         assert divides(c, fast) and divides(fast, x) and divides(fast, y)
         assert _canonical(fast)
     assert answered and all(answered)
+
+
+def _whole_pair_off(monkeypatch):
+    """Stub off the whole-pair GCDHEU step of gcd() only: GCDHEU still runs
+    on the primitive parts inside the content-split fallback.  Returns the
+    list of fallback entries."""
+    real_heu, real_rec = euclid._heu_gcd, euclid._gcd_rec
+    depth, entered = [0], []
+
+    def rec(a, b):
+        entered.append(depth[0])
+        depth[0] += 1
+        try:
+            return real_rec(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(euclid, "_gcd_rec", rec)
+    monkeypatch.setattr(euclid, "_heu_gcd", lambda a, b: real_heu(a, b) if depth[0] else None)
+    return entered
+
+
+def test_gcd_answers_by_the_whole_pair_step(pring, monkeypatch):
+    generation = []
+
+    def spy(p, depth=3):
+        generation.append((p, factor_candidates(p, depth)))
+        return generation[-1][1]
+
+    monkeypatch.setattr(generate, "_WP_CACHE", {})
+    monkeypatch.setattr(generate, "factor_candidates", spy)
+    g2, g3 = Fraction(8, 3), Fraction(-7)
+    generate.weierstrass_addition_poly(g2, g3, make_backend("weierstrass", {"g2": g2, "g3": g3}))
+    monkeypatch.undo()
+
+    def no_split(a, b):
+        raise AssertionError("gcd() fell back to the content split")
+
+    with monkeypatch.context() as m:
+        m.setattr(euclid, "_gcd_rec", no_split)
+        for x, y, c in _planted_pairs(random.Random(38), pring, 20):
+            assert divides(c, gcd(x, y))
+    # the candidate pool does not depend on the route: same list, same order
+    (resultant_poly, on), = generation
+    entered = _whole_pair_off(monkeypatch)
+    off = factor_candidates(resultant_poly)
+    assert 0 in entered  # the stubbed-off run took the content split
+    assert [str(q) for q in off] == [str(q) for q in on] and len(on) > 1
 
 
 def test_gcd_heuristic_matches_sympy():
