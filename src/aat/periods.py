@@ -14,6 +14,7 @@ points), then replays the sequential accept rules on the arrays.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -96,6 +97,19 @@ def _newton(backend, target, seeds, *, iters=40, tol=1e-12):
     return b, jac, converged
 
 
+_SEED_DIGITS = 10  # significant digits of a period in its verification seed
+
+
+def _seed_text(p) -> str:
+    """Seed label of a period: its real and imaginary parts as plain floats,
+    rounded to _SEED_DIGITS significant digits of the largest part, so the
+    draws depend neither on numpy's repr nor on the last bits of p."""
+    parts = [float(x) for z in p for x in (z.real, z.imag)]
+    top = max(map(abs, parts))
+    places = _SEED_DIGITS - 1 - math.floor(math.log10(top)) if top else 0
+    return ",".join(repr(round(x, places) + 0.0) for x in parts)  # + 0.0 folds -0.0
+
+
 def _verify_period(backend, p, *, samples, seed, tol, box):
     """Worst relative |F(u + p) - F(u)| over `samples` usable draws, or None.
 
@@ -104,7 +118,7 @@ def _verify_period(backend, p, *, samples, seed, tol, box):
     a draw's comparison without counting it, and the check fails once a
     counted draw sees the running worst above tol.
     """
-    rng = random.Random(naming.stage_seed(seed, f"period-verify:{p}"))
+    rng = random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}"))
     us = draw_points(rng, 12 * samples, backend.n, box)
     v0, _, bad0 = backend.value_jacobian(us)
     v1, _, bad1 = backend.value_jacobian(us + np.array(p))
