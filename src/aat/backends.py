@@ -65,7 +65,6 @@ class _Ops(NamedTuple):
 
 # attribute lookups at call time, so a wrapped Lattice method is the one called
 _POINT = _Ops(cmath.exp, lambda lat, u: lat.eval_all(u))
-_ARRAY = _Ops(np.exp, lambda lat, u: lat.eval_many(u))
 
 
 class MappingBackend:
@@ -102,17 +101,24 @@ class MappingBackend:
 
         `bad` marks the rows `is_pole` rejects and those where the scalar
         evaluation would raise PoleError (their entries are not finite).
+        Every Weierstrass argument is reduced once; the pole test reads the
+        same reduction the evaluation runs on.
         """
         pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
         shape = (len(pts),)
         cols = tuple(pts.T)
+        bad = np.zeros(shape, dtype=bool)
+
+        def weierstrass(lat, w):
+            reduced = lat.reduce_many(w)
+            bad[...] |= np.abs(reduced[0]) < _POLE_RADIUS
+            return lat.eval_many(w, reduced)
+
         with np.errstate(all="ignore"):
-            vals, jac = self._map(cols, _ARRAY)
+            vals, jac = self._map(cols, _Ops(np.exp, weierstrass))
         values = np.stack([np.broadcast_to(v, shape) for v in vals], axis=-1)
         jac = np.stack([np.stack([np.broadcast_to(e, shape) for e in row], axis=-1) for row in jac], axis=-2)
-        bad = ~(np.isfinite(values).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
-        for w in self._lattice_args(cols):
-            bad |= np.abs(self.lattice.reduce_many(w)[0]) < _POLE_RADIUS
+        bad |= ~(np.isfinite(values).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
         return values, jac, bad
 
     def exact_points(self) -> list:

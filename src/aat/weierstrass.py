@@ -293,15 +293,15 @@ class Lattice:
         u0, m, n = (np.take_along_axis(a, pick, axis=-1)[..., 0] for a in (cands, m, n))
         return u0, m.astype(np.int64), n.astype(np.int64)
 
-    def eval_many(self, us):
+    def eval_many(self, us, reduced=None):
         """(p, p', zeta, sigma) at every point of `us`, as complex arrays.
 
         Where `eval_all` would raise PoleError (a lattice point, or a
         duplication step at a critical point) all four entries are nan.
-        The term count is the one the largest reduced point needs.
+        The term count is the one the largest reduced point needs.  A caller
+        that already holds `reduce_many(us)` passes it as `reduced`.
         """
-        u = np.asarray(us, dtype=complex)
-        u0, m, n = self.reduce_many(u)
+        u0, m, n = self.reduce_many(us) if reduced is None else reduced
         pole = np.abs(u0) < 1e-12
         v = np.where(pole, self.omega1, u0)  # a finite stand-in; pole rows end as nan
         halvings = np.zeros(v.shape, dtype=np.int64)
