@@ -196,12 +196,3 @@ def substitute_symbolic(p: MPoly, bindings: Mapping[str, SubsValue]) -> RatFn:
                 factor = factor * pow_cache[key]
         out = out + factor * MPoly(ring, {tuple(rest): Fraction(1)})
     return out
-
-
-def ratfn_subs(r: RatFn, bindings: Mapping[str, SubsValue]) -> RatFn:
-    """Symbolic substitution into a rational function."""
-    num = substitute_symbolic(r.num, bindings)
-    den = substitute_symbolic(r.den, bindings)
-    if den.is_zero():
-        raise DomainError("substitution made the denominator vanish identically")
-    return num / den

@@ -232,12 +232,8 @@ class VarietySpec:
     degree_bound: int
 
     def expression(self, k: int, p: int) -> RatFn:
+        """The slot z{k}_{p} as a rational function of (theta, x)."""
         return self.qc.to_ratfn(self.reps[(k, p)])
-
-
-def express_derivative(spec: VarietySpec, k: int, p: int) -> RatFn:
-    """The slot z{k}_{p} as a rational function of (theta, x)."""
-    return spec.expression(k, p)
 
 
 def _alpha_candidates(n: int, limit: int = 2):

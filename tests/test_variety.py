@@ -12,7 +12,6 @@ from aat.sampling import residual_check
 from aat.variety import (
     QuotientContext,
     build_pij,
-    express_derivative,
     find_primitive_element,
     differential_system,
 )
@@ -43,7 +42,7 @@ def test_exp_variety(exp_setup):
     assert spec.alpha == ((1,),)
     assert str(spec.V) == "theta - x1"
     assert spec.h == 1
-    expr = express_derivative(spec, 1, 1)
+    expr = spec.expression(1, 1)
     assert str(expr) == "x1"  # degree-1 V, so theta reduces to x1
 
 
@@ -54,7 +53,7 @@ def test_weierstrass_variety(wp_setup):
     assert str(spec.V) == "theta^2 - 4*x1^3 + 4*x1"
     assert spec.h == 2
     assert spec.h <= spec.degree_bound == 2
-    expr = express_derivative(spec, 1, 1)
+    expr = spec.expression(1, 1)
     assert str(expr) == "theta"
     rep = residual_check(
         spec.V, backend, relation_id="V", samples=100, seed=4, tol=1e-9, alpha=spec.alpha
@@ -67,7 +66,7 @@ def test_scaled_theta(wp_setup):
     spec = find_primitive_element(relations, backend, seed=1, alpha_override=((2,),))
     # theta = 2*z means theta^2 = 4*(4x^3-4x)
     assert str(spec.V) == "theta^2 - 16*x1^3 + 16*x1"
-    assert str(express_derivative(spec, 1, 1)) == "1/2*theta"
+    assert str(spec.expression(1, 1)) == "1/2*theta"
 
 
 def test_case3_variety_default_and_identity():
@@ -82,7 +81,7 @@ def test_case3_variety_default_and_identity():
     assert spec.alpha == ((1, 0), (0, 0))
     assert str(spec.V) == "theta - x1"
     for (k, p), expected in {(1, 2): "0", (2, 1): "0", (2, 2): "x2"}.items():
-        assert str(express_derivative(spec, k, p)) == expected
+        assert str(spec.expression(k, p)) == expected
     # the identity weight matrix reproduces the joint minimal polynomial
     spec_id = find_primitive_element(relations, backend, seed=1, alpha_override=((1, 0), (0, 1)))
     assert str(spec_id.V) == "theta - x1 - x2"
