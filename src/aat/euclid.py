@@ -160,7 +160,8 @@ def primitive_in(a: MPoly, v: str) -> MPoly:
 
 def gcd(a: MPoly, b: MPoly) -> MPoly:
     """Multivariate gcd, normalized (integer content 1, positive leading
-    coefficient), with its terms in canonical order whatever the route."""
+    coefficient), with its terms in canonical order whatever the route:
+    GCDHEU on the whole pair, or the content split when GCDHEU gives up."""
     _check_same_ring(a, b)
     if a.is_zero():
         g = b.normalized()

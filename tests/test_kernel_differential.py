@@ -52,13 +52,13 @@ def polys(draw, ring, max_degree=3, max_terms=4):
     exps = st.lists(st.integers(0, width - 1), max_size=max_degree).map(
         lambda picks: tuple(picks.count(i) for i in range(width))
     )
-    return ring.poly(draw(st.dictionaries(exps, coefficients, max_size=max_terms)))
+    return ring.poly(draw(st.dictionaries(exps, coefficients, min_size=1, max_size=max_terms)))
 
 
 @st.composite
 def operands(draw, ring):
-    """A random polynomial, or a zero or nonzero constant."""
-    kind = draw(st.sampled_from(("poly", "poly", "poly", "zero", "const")))
+    """A random polynomial, or in one draw in five a zero or nonzero constant."""
+    kind = draw(st.sampled_from(("poly",) * 8 + ("zero", "const")))
     if kind == "zero":
         return ring.zero()
     if kind == "const":
