@@ -26,7 +26,6 @@ def __getattr__(name):
         "load_problem": ("aat.problem", "load_problem"),
         "make_backend": ("aat.backends", "make_backend"),
         "Lattice": ("aat.weierstrass", "Lattice"),
-        "eval_weierstrass": ("aat.weierstrass", "eval_weierstrass"),
         "AATSystem": ("aat.elimination", "AATSystem"),
         "derive_first_order": ("aat.elimination", "derive_first_order"),
         "find_primitive_element": ("aat.variety", "find_primitive_element"),

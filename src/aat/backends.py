@@ -1,9 +1,10 @@
 """Numeric mapping backends: the concrete function families used as oracles.
 
 A backend evaluates a mapping u -> (f_1(u), ..., f_n(u)) together with its
-n x n first-derivative matrix, knows its pole set, and advertises special
-points where the mapping and its derivative take exact rational values (used
-by the exact specialization mode of the elimination engine).
+n x n first-derivative matrix, knows its pole set and the period lattice the
+period stage must recover, and advertises special points where the mapping
+and its derivative take exact rational values (where the elimination engine
+specializes first).
 
 Each family writes its formula once, in `_map`, with plain arithmetic over an
 `_Ops` pair (exp and the Weierstrass evaluation).  `value` and `jacobian` run
@@ -18,6 +19,7 @@ exponentials, p with zeta drift, p with a sigma-quotient factor).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -30,7 +32,7 @@ from .weierstrass import Lattice
 # points closer than this to a lattice point count as poles
 _POLE_RADIUS = 1e-6
 
-_FAMILIES = (
+FAMILIES = (
     "exp",
     "rational",
     "weierstrass",
@@ -93,8 +95,13 @@ class MappingBackend:
     def jacobian(self, u: Sequence[complex]) -> tuple:
         return self._map(u, _POINT)[1]
 
+    def pole_distance(self, u: Sequence[complex]) -> float:
+        """Distance of the nearest Weierstrass argument from the lattice (inf without one)."""
+        args = self._lattice_args(u)
+        return min(map(self.lattice.lattice_distance, args)) if args else math.inf
+
     def is_pole(self, u: Sequence[complex]) -> bool:
-        return any(self.lattice.lattice_distance(w) < _POLE_RADIUS for w in self._lattice_args(u))
+        return self.pole_distance(u) < _POLE_RADIUS
 
     def value_jacobian(self, points):
         """(values[N, n], jac[N, n, n], bad[N]) at the rows of `points`.
@@ -123,6 +130,12 @@ class MappingBackend:
 
     def exact_points(self) -> list:
         return []
+
+    def expected_periods(self):
+        """The vectors the detected periods must generate up to integer
+        combinations: [] for a mapping without periods, None when the family
+        states no period lattice to check."""
+        return None
 
     def values_at_zero(self):
         """Per-component exact value of f_k(0), or None where 0 is a pole."""
@@ -170,6 +183,9 @@ class RationalBackend(MappingBackend):
     def exact_points(self):
         return [ExactPoint("v=0", (0j,), (Fraction(0),), ((Fraction(1),),))]
 
+    def expected_periods(self):
+        return []
+
     def values_at_zero(self):
         return [Fraction(0)]
 
@@ -196,6 +212,10 @@ class WeierstrassBackend(MappingBackend):
             if e is not None:
                 out.append(ExactPoint(f"half-period {i}", (h,), (e,), ((Fraction(0),),)))
         return out
+
+    def expected_periods(self):
+        lat = self.lattice
+        return [(2 * lat.omega1,), (2 * lat.omega2,)]
 
     def values_at_zero(self):
         return [None]  # pole at the origin
@@ -280,6 +300,16 @@ class Singular2Backend(MappingBackend):
             return out
         return []  # case 5: no rational special points; numeric reconstruction only
 
+    def expected_periods(self):
+        if self.case == 1:
+            return []
+        if self.case == 4:
+            # shifting u1 by 2*omega_i moves eps*zeta(u1) by 2*eps*eta_i; u2 follows
+            lat = self.lattice
+            drift = (2 * lat.eta1, 2 * lat.eta2) if self.epsilon else (0j, 0j)
+            return [(2 * lat.omega1, drift[0]), (2 * lat.omega2, drift[1])]
+        return None  # exp components (cases 2, 3) and case 5 state no lattice to check
+
     def values_at_zero(self):
         if self.case == 1:
             return [Fraction(0), Fraction(0)]
@@ -326,4 +356,4 @@ def make_backend(family: str, params: dict | None = None) -> MappingBackend:
             if case == 5:
                 params.setdefault("a", Fraction(1, 2))
         return Singular2Backend(case, params)
-    raise StructuralError(f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
+    raise StructuralError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")

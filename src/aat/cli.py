@@ -44,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="residual tolerance override")
         p.add_argument("--samples", type=int, help="sample count override")
         p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument(
-            "--mode",
-            choices=("exact-point", "numeric-reconstruct"),
-            help="specialization mode override",
-        )
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     return parser
 
@@ -68,8 +63,6 @@ def _apply_overrides(spec, args) -> None:
         spec.options.samples = args.samples
     if args.seed is not None:
         spec.options.seed = args.seed
-    if args.mode is not None:
-        spec.options.mode = args.mode
 
 
 def run(argv=None) -> int:

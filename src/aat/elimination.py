@@ -171,7 +171,6 @@ def specialize_v(
     sys: AATSystem,
     backend,
     *,
-    mode: str = "exact-point",
     retries: int = 8,
     seed: int = 0,
     tol: float = 1e-7,
@@ -179,14 +178,11 @@ def specialize_v(
     """Fix the second argument v, turning the eliminant into a relation in
     the x and z variables only.
 
-    exact-point mode substitutes backend points with exactly rational values;
-    numeric-reconstruct mode fixes a generic v numerically and lifts the
-    coefficients back to rationals by continued fractions, re-verifying
-    numerically.  exact-point falls back to numeric reconstruction when every
-    special point degenerates.
+    The backend's exact points come first: each substitutes exactly rational
+    values for v.  When every one degenerates, a generic v is fixed
+    numerically and the coefficients are lifted back to rationals by
+    continued fractions, then re-verified numerically.
     """
-    if mode not in ("exact-point", "numeric-reconstruct"):
-        raise StructuralError(f"unknown specialization mode {mode!r}")
     # resultants carry extraneous factors; specialize the numerically
     # vanishing factors that still hold a derivative slot, smallest first
     cands = []
@@ -199,15 +195,14 @@ def specialize_v(
     if not cands:
         cands = [H.normalized()]
     attempts = 0
-    if mode == "exact-point":
-        for cand in cands:
-            for point in backend.exact_points():
-                if attempts >= retries:
-                    break
-                attempts += 1
-                h = cand.subs_exact(_exact_bindings(sys, point))
-                if _is_usable_h(h, backend, seed=naming.stage_seed(seed, f"spec:{point.label}"), tol=tol):
-                    return h, SpecializationRecord("exact-point", point.label, attempts - 1)
+    for cand in cands:
+        for point in backend.exact_points():
+            if attempts >= retries:
+                break
+            attempts += 1
+            h = cand.subs_exact(_exact_bindings(sys, point))
+            if _is_usable_h(h, backend, seed=naming.stage_seed(seed, f"spec:{point.label}"), tol=tol):
+                return h, SpecializationRecord("exact-point", point.label, attempts - 1)
     rng = random.Random(naming.stage_seed(seed, "spec-numeric"))
     for cand in cands:
         for trial in range(retries):
@@ -283,7 +278,7 @@ def _clean_relation(h: MPoly, backend, *, prefer_var: str | None, seed, tol) -> 
     return h.normalized()
 
 
-def _column_relations(sys, backend, p, *, mode, retries, seed, tol, trace):
+def _column_relations(sys, backend, p, *, retries, seed, tol, trace):
     """Specialized, cleaned relations h_{k p} for one direction p, all k."""
     out = {}
     for k in range(1, sys.n + 1):
@@ -297,7 +292,7 @@ def _column_relations(sys, backend, p, *, mode, retries, seed, tol, trace):
             if H is None:
                 raise EliminationError(f"cross-difference for (k={k}, p={p}) carries no new relation")
             h, record = specialize_v(
-                H, sys, backend, mode=mode, retries=retries, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol
+                H, sys, backend, retries=retries, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol
             )
         else:
             # the symbolic eliminant would blow up; fix v first (exact points),
@@ -515,7 +510,6 @@ def derive_first_order(
     sys: AATSystem,
     backend,
     *,
-    mode: str = "exact-point",
     retries: int = 8,
     seed: int = 0,
     tol: float = 1e-7,
@@ -527,7 +521,7 @@ def derive_first_order(
     relations = []
     for p in range(1, sys.n + 1):
         column = _column_relations(
-            sys, backend, p, mode=mode, retries=retries, seed=seed, tol=tol, trace=trace
+            sys, backend, p, retries=retries, seed=seed, tol=tol, trace=trace
         )
         for k in range(1, sys.n + 1):
             poly = _isolate(sys, backend, column, k, p, seed=seed, tol=tol)
@@ -579,88 +573,3 @@ def _isolate(sys, backend, column, k, p, *, seed, tol):
             last_error = err
             continue
     raise last_error if last_error else EliminationError(f"could not isolate {target}")
-
-
-def verify_general_dependence(sys: AATSystem, selection, backend, relations=None, *, seed=0, tol=1e-7):
-    """A nonzero relation among any (n+1)-subset of the component values and
-    first derivatives, produced by chaining resultants over the first-order
-    relation set."""
-    selection = list(selection)
-    if len(selection) != sys.n + 1:
-        raise StructuralError(f"selection must have n+1 = {sys.n + 1} names")
-    if relations is None:
-        relations, _ = derive_first_order(sys, backend, seed=seed)
-    by_z = {rel.zvar: rel for rel in relations}
-    ring = sys.ring
-    pool = []
-    for name in selection:
-        cls = naming.classify(name)
-        if cls is None or cls[0] not in ("x", "z"):
-            raise StructuralError(f"selection must draw from the x and z names, got {name!r}")
-        if cls[0] == "z":
-            if name not in by_z:
-                raise StructuralError(f"no first-order relation for {name}")
-            pool.append(transport(by_z[name].poly, ring))
-    if not pool:
-        raise StructuralError("selection needs at least one derivative slot")
-    allowed = set(selection)
-
-    def extraneous():
-        out = set()
-        for q in pool:
-            for nm in q.variables_present():
-                if nm not in allowed:
-                    out.add(nm)
-        return sorted(out)
-
-    guard = 0
-    while True:
-        extra = extraneous()
-        if not extra:
-            break
-        guard += 1
-        if guard > 12:
-            raise EliminationError("dependence elimination did not converge")
-        v = extra[0]
-        holders = [q for q in pool if q.degree_in(v) > 0]
-        if len(holders) < 2:
-            cls = naming.classify(v)
-            pulled = None
-            if cls and cls[0] == "x":
-                # pull in another first-order relation touching v; its own
-                # derivative slot is outside the selection, so the loop will
-                # eliminate it next
-                for zname, rel in sorted(by_z.items()):
-                    if zname in allowed:
-                        continue
-                    cand = transport(rel.poly, ring)
-                    if cand.degree_in(v) > 0 and all(str(cand) != str(q) for q in pool):
-                        pulled = cand
-                        break
-            if pulled is not None:
-                pool.append(pulled)
-                continue
-            # nothing can cancel v; the polys mentioning it cannot contribute
-            survivors = [q for q in pool if q.degree_in(v) <= 0]
-            if not survivors:
-                raise EliminationError(f"cannot eliminate {v}: only one relation mentions it")
-            pool = survivors
-            continue
-        pivot = min(holders, key=lambda q: (q.degree_in(v), len(q.terms)))
-        new_pool = [q for q in pool if q is not pivot and q.degree_in(v) <= 0]
-        for q in holders:
-            if q is pivot:
-                continue
-            r = resultant(q, pivot, v).normalized()
-            if not r.is_zero():
-                new_pool.append(r)
-        pool = new_pool
-        if not pool:
-            raise EliminationError(f"elimination of {v} collapsed the relation pool")
-    for cand in sorted(pool, key=lambda q: (q.total_degree(), len(q.terms), str(q))):
-        cleaned = _clean_relation(cand, backend, prefer_var=None, seed=naming.stage_seed(seed, "dep"), tol=tol)
-        if not cleaned.is_constant() and vanishes(
-            cleaned, backend, seed=naming.stage_seed(seed, "dep-final"), tol=tol
-        ):
-            return cleaned
-    raise EliminationError("no vanishing dependence relation found for the selection")

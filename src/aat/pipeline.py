@@ -121,7 +121,6 @@ def stage_derive(ctx: RunContext) -> None:
     ctx.relations, ctx.trace = derive_first_order(
         ctx.sys,
         ctx.backend,
-        mode=opts.mode,
         retries=opts.retries,
         seed=opts.seed,
         tol=vet_tol,
@@ -378,12 +377,9 @@ def _derivative_checks(ctx: RunContext) -> None:
     while done < 20 and guard < 800:
         guard += 1
         u = draw_point(rng, spec.n, box)
-        if backend.is_pole(u):
-            continue
         # the difference quotients divide by h^2; stay well clear of poles so
         # the evaluator's noise floor cannot swamp the 1e-6 comparison
-        lat = getattr(backend, "lattice", None)
-        if lat is not None and lat.lattice_distance(u[0]) < 0.5:
+        if backend.pole_distance(u) < 0.5:
             continue
         try:
             for k in range(1, spec.n + 1):
@@ -498,7 +494,7 @@ def stage_period(ctx: RunContext) -> None:
     )
     ctx.periods = candidates
     section = {"generators": [c.to_json() for c in candidates]}
-    lat = getattr(backend, "lattice", None)
+    lat = backend.lattice
     if lat is not None:
         shift_worst = 0.0
         rng = random.Random(naming.stage_seed(opts.seed, "zeta-shift"))
@@ -511,27 +507,22 @@ def stage_period(ctx: RunContext) -> None:
                 shift_worst = max(shift_worst, abs(got - 2 * eta) / (1 + abs(2 * eta)))
         ctx.verdict("zeta quasi-periodicity", shift_worst < 1e-9, f"worst {shift_worst:.3e}")
         section["zeta_shift_worst"] = shift_worst
-        if spec.family == "weierstrass":
-            expected = [(2 * lat.omega1,), (2 * lat.omega2,)]
-        elif spec.family == "singular2-case4":
-            expected = [(2 * lat.omega1, 2 * lat.eta1), (2 * lat.omega2, 2 * lat.eta2)]
-        else:
-            expected = None
-        if expected is not None:
-            basis = [c.p for c in candidates]
-            ok = len(basis) == len(expected)
-            ok = ok and all(is_integer_combination(e, basis, tol=1e-7) for e in expected)
-            ok = ok and all(is_integer_combination(g, expected, tol=1e-7) for g in basis)
-            ctx.verdict(
-                "period lattice recovered", ok,
-                f"{len(candidates)} generators match the quasi-period vectors up to integer combinations",
-            )
-            section["expected"] = [[complex_entry(c) for c in e] for e in expected]
-            for cand in candidates:
-                if is_integer_combination(cand.p, expected, tol=1e-7):
-                    cand.note = "integer combination of the quasi-period vectors"
-            section["generators"] = [c.to_json() for c in candidates]
-    if spec.family == "rational" or (spec.family == "singular2-case1"):
+    expected = backend.expected_periods()
+    if expected:
+        basis = [c.p for c in candidates]
+        ok = len(basis) == len(expected)
+        ok = ok and all(is_integer_combination(e, basis, tol=1e-7) for e in expected)
+        ok = ok and all(is_integer_combination(g, expected, tol=1e-7) for g in basis)
+        ctx.verdict(
+            "period lattice recovered", ok,
+            f"{len(candidates)} generators match the quasi-period vectors up to integer combinations",
+        )
+        section["expected"] = [[complex_entry(c) for c in e] for e in expected]
+        for cand in candidates:
+            if is_integer_combination(cand.p, expected, tol=1e-7):
+                cand.note = "integer combination of the quasi-period vectors"
+        section["generators"] = [c.to_json() for c in candidates]
+    elif expected is not None:
         ctx.verdict("no period for rational mapping", not candidates, f"{len(candidates)} candidates")
     for cand in candidates:
         ctx.verdict(
@@ -577,9 +568,14 @@ _STAGE_FUNCS = {
 
 
 def run_problem(spec: ProblemSpec, stages, *, timings: bool = False) -> dict:
+    return _run_plan(spec, expand_stages(stages), timings=timings)
+
+
+def _run_plan(spec: ProblemSpec, plan: list, *, timings: bool) -> dict:
+    """Run the stages of `plan` in order; a stage error ends the run as a
+    failed verdict plus a `failure` section."""
     backend = spec.make_backend()
     ctx = RunContext(spec=spec, backend=backend)
-    plan = expand_stages(stages)
     section = {
         "source": spec.source,
         "spec_echo": _spec_echo(spec, backend),
@@ -612,14 +608,14 @@ def run_problem(spec: ProblemSpec, stages, *, timings: bool = False) -> dict:
 
 
 _CATALOG = (
-    ("exp", {"c": "1"}, "all"),
-    ("rational", {}, "all"),
-    ("weierstrass", {"g2": "4", "g3": "0"}, "all"),
-    ("singular2-case1", {}, "all"),
-    ("singular2-case2", {}, "all"),
-    ("singular2-case3", {}, "all"),
-    ("singular2-case4", {"g2": "4", "g3": "0", "epsilon": "1"}, "all"),
-    ("singular2-case5", {"g2": "4", "g3": "0", "a": "1/2"}, "period-only"),
+    ("exp", {"c": "1"}, STAGES),
+    ("rational", {}, STAGES),
+    ("weierstrass", {"g2": "4", "g3": "0"}, STAGES),
+    ("singular2-case1", {}, STAGES),
+    ("singular2-case2", {}, STAGES),
+    ("singular2-case3", {}, STAGES),
+    ("singular2-case4", {"g2": "4", "g3": "0", "epsilon": "1"}, STAGES),
+    ("singular2-case5", {"g2": "4", "g3": "0", "a": "1/2"}, ("period",)),
 )
 
 
@@ -640,42 +636,24 @@ def catalog_problem_text(family: str, params: dict, *, seed: int = 42) -> str:
 
 def run_catalog(*, seed: int = 42, timings: bool = False) -> dict:
     sections = []
-    for family, params, scope in _CATALOG:
-        if scope == "period-only":
+    for family, params, plan in _CATALOG:
+        if "derive" in plan:
+            text = catalog_problem_text(family, params, seed=seed)
+            spec = parse_problem(text, source=f"catalog:{family}")
+        else:
             # no closed addition polynomials for this family; run the numeric
             # layer only (backend invariants and period detection)
-            n = 2
-            from .backends import make_backend
-
-            backend = make_backend(family, {k: Fraction(v) for k, v in params.items()})
             spec = ProblemSpec(
-                n=n,
+                n=2,
                 family=family,
                 params={k: Fraction(v) for k, v in params.items()},
-                ring=naming.problem_ring(n),
+                ring=naming.problem_ring(2),
                 aat_texts=[],
                 aat_polys=[],
                 options=Options(seed=seed),
                 source=f"catalog:{family}",
             )
-            ctx = RunContext(spec=spec, backend=backend)
-            ctx.section = {
-                "source": spec.source,
-                "spec_echo": _spec_echo(spec, backend),
-                "stages": ["period"],
-            }
-            t0 = time.monotonic()
-            stage_period(ctx)
-            ctx.section["residuals"] = ctx.residuals
-            ctx.section["verdicts"] = ctx.verdicts
-            ctx.section["ok"] = ctx.ok
-            if timings:
-                ctx.section["timings"] = {"period": round(time.monotonic() - t0, 6)}
-            sections.append(ctx.section)
-            continue
-        text = catalog_problem_text(family, params, seed=seed)
-        spec = parse_problem(text, source=f"catalog:{family}")
-        sections.append(run_problem(spec, ["all"], timings=timings))
+        sections.append(_run_plan(spec, list(plan), timings=timings))
     return {
         "catalog": sections,
         "ok": all(s["ok"] for s in sections),

@@ -23,21 +23,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import naming
-from .backends import make_backend
+from .backends import FAMILIES, make_backend
 from .parsing import ParseError, parse_poly
 from .rings import StructuralError, VarRing
 
-_FAMILIES = (
-    "exp",
-    "rational",
-    "weierstrass",
-    "singular2-case1",
-    "singular2-case2",
-    "singular2-case3",
-    "singular2-case4",
-    "singular2-case5",
-    "none",
-)
+_FAMILIES = (*FAMILIES, "none")  # "none": symbolic input without a numeric backend
 
 _OPTION_TYPES = {
     "tol": float,
@@ -47,7 +37,6 @@ _OPTION_TYPES = {
     "period_box": float,
     "grid": int,
     "retries": int,
-    "mode": str,
 }
 
 
@@ -64,7 +53,6 @@ class Options:
     period_box: float | None = None
     grid: int | None = None
     retries: int = 8
-    mode: str = "exact-point"
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +63,6 @@ class Options:
             "period_box": self.period_box,
             "grid": self.grid,
             "retries": self.retries,
-            "mode": self.mode,
         }
 
 
@@ -158,8 +145,6 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         raise ProblemError(f"{source}: unknown family {family!r}")
     params = mapping["params"]
     options = Options(**opts)
-    if options.mode not in ("exact-point", "numeric-reconstruct"):
-        raise ProblemError(f"{source}: mode must be exact-point or numeric-reconstruct")
 
     ring = naming.problem_ring(n, tuple(sorted(params)))
     expected = set(range(1, n + 1))

@@ -329,16 +329,3 @@ def _as_fraction(z: complex):
     if abs(z.imag) > 1e-12:
         return None
     return rational_reconstruct(z.real, max_den=10**6, tol=1e-10)
-
-
-def eval_weierstrass(lat: Lattice, which: str, u: complex) -> complex:
-    """Single-function entry point: which in {wp, wp-prime, zeta, sigma}."""
-    if which == "wp":
-        return lat.wp(u)
-    if which == "wp-prime":
-        return lat.wp_prime(u)
-    if which == "zeta":
-        return lat.zeta(u)
-    if which == "sigma":
-        return lat.sigma(u)
-    raise DomainError(f"unknown Weierstrass function {which!r}")

@@ -94,6 +94,31 @@ def test_value_jacobian_matches_point_methods(family, params):
             for p in range(backend.n):
                 assert abs(jac[i, k, p] - want[1][k][p]) <= 1e-12 * (1 + abs(want[1][k][p]))
     assert rejected == (0 if lat is None else 3 + (family == "singular2-case5"))
+    for u in points:
+        assert backend.is_pole(u) == (backend.pole_distance(u) < 1e-6), u
+        if lat is None:
+            assert backend.pole_distance(u) == float("inf")
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_expected_periods(family, params):
+    backend = make_backend(family, params)
+    expected = backend.expected_periods()
+    lat = backend.lattice
+    if family in ("rational", "singular2-case1"):
+        assert expected == []
+    elif family == "weierstrass":
+        assert expected == [(2 * lat.omega1,), (2 * lat.omega2,)]
+    elif family == "singular2-case4":
+        eps = backend.epsilon
+        assert expected == [(2 * lat.omega1, eps * 2 * lat.eta1), (2 * lat.omega2, eps * 2 * lat.eta2)]
+    else:
+        assert expected is None  # exp, cases 2, 3 and 5 state no lattice to check
+    u = (0.31 + 0.17j, 0.2 - 0.1j)[: backend.n]
+    for vec in expected or []:
+        shifted = tuple(a + b for a, b in zip(u, vec))
+        for got, want in zip(backend.value(shifted), backend.value(u)):
+            assert abs(got - want) < 1e-9 * (1 + abs(want))
 
 
 def test_exp_values():

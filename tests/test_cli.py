@@ -61,6 +61,19 @@ def test_bad_problem_exit_two(tmp_path):
     assert payload["failure"]["error"] == "ProblemError"
 
 
+def test_mode_option_is_rejected(tmp_path):
+    bad = tmp_path / "mode.aat"
+    bad.write_text(
+        "[mapping]\nn = 1\nfamily = exp\n[aat]\nG1 = L1 - x1*y1\n[options]\nmode = numeric-reconstruct\n"
+    )
+    result = _run(["derive", str(bad), "-o", str(tmp_path / "mode.json")])
+    assert result.returncode == 2
+    assert "unknown option 'mode'" in result.stderr
+    result = _run(["derive", "problems/exp.aat", "-o", str(tmp_path / "exp.json"), "--mode", "exact-point"])
+    assert result.returncode == 2
+    assert "unrecognized arguments: --mode" in result.stderr
+
+
 def test_reports_byte_identical(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

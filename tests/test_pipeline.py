@@ -3,10 +3,11 @@ import json
 import pytest
 
 from aat import pipeline
-from aat.pipeline import catalog_problem_text, expand_stages, run_problem
+from aat.pipeline import catalog_problem_text, expand_stages, run_catalog, run_problem
 from aat.problem import load_problem, parse_problem
 from aat.reporting import render_report
 from aat.rings import StructuralError
+from aat.sampling import SamplingError
 
 
 def test_stage_expansion_pulls_dependencies():
@@ -83,6 +84,26 @@ seed = 1
     assert section["ok"] is False
     assert section["failure"]["stage"] == "derive"
     assert section["failure"]["error"] == "DegenerateSystemError"
+
+
+def test_catalog_period_only_failure_is_reported(monkeypatch):
+    # the period-only catalog entry runs through the same stage loop, so a
+    # stage error there fails the catalog instead of escaping it
+    detect = pipeline.detect_period
+
+    def failing(backend, **kwargs):
+        if backend.family == "singular2-case5":
+            raise SamplingError("no usable sample points")
+        return detect(backend, **kwargs)
+
+    monkeypatch.setattr(pipeline, "detect_period", failing)
+    result = run_catalog(seed=42)
+    assert result["ok"] is False
+    case5 = next(s for s in result["catalog"] if s["source"] == "catalog:singular2-case5")
+    assert case5["stages"] == ["period"]
+    assert case5["failure"] == {"stage": "period", "error": "SamplingError", "message": "no usable sample points"}
+    assert {"id": "stage period", "pass": False, "detail": "no usable sample points"} in case5["verdicts"]
+    assert all(s["ok"] for s in result["catalog"] if s is not case5)
 
 
 def test_family_none_cannot_run_numeric_stages():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aat.rings import DomainError, PoleError
-from aat.weierstrass import Lattice, eval_weierstrass
+from aat.weierstrass import Lattice
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +134,6 @@ def test_pole_and_degenerate_lattice(lem):
 def test_values_reproducible(lem):
     u = 0.37 + 0.79j
     assert lem.wp(u) == lem.wp(u)
-    assert eval_weierstrass(lem, "wp", u) == lem.wp(u)
-    assert eval_weierstrass(lem, "sigma", u) == lem.sigma(u)
 
 
 # the lattices of the batched-layer checks: real and complex cubic roots,
