@@ -9,107 +9,92 @@ backend.  One more formal differentiation gives the third order.  The same
 recursion powers the executable periodicity criterion: if two points share
 values and first derivatives, their recursion-computed higher derivatives
 agree, so the Taylor expansions coincide.
+
+`Recursion` differentiates every relation's first and second partials once,
+then runs the recursion over arrays of points from the values and first
+derivatives `value_jacobian` returns.  A point where some P_0 vanishes
+(relative to its bindings) is marked singular instead of evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import naming
 from .ratfn import RatFn
-from .rings import DomainError, PoleError, StructuralError
+from .rings import DomainError, StructuralError
 
 _SINGULAR_FLOOR = 1e-12
 
 
-class RecursionSingular(DomainError):
-    """The relation's z0-partial vanished at the evaluation point."""
+class Recursion:
+    """The second- and third-order recursion of a full set of first-order relations."""
 
-
-class _Context:
-    """Cached backend data and relation partials at one point u."""
-
-    def __init__(self, relations, backend, u):
-        self.backend = backend
-        self.u = tuple(complex(c) for c in u)
-        self.n = backend.n
-        if backend.is_pole(self.u):
-            raise PoleError(f"evaluation point on the pole set: {u}")
-        self.x = backend.value(self.u)
-        self.jac = backend.jacobian(self.u)
-        self.rel = {}
+    def __init__(self, relations, n: int):
+        self.n = n
+        self._partials = {}
         for rel in relations:
-            self.rel[(rel.k, rel.p)] = rel
-        if len(self.rel) != self.n * self.n:
+            slots = [rel.zvar] + [naming.x(i) for i in range(1, n + 1)]
+            first = [rel.poly.diff(s) for s in slots]
+            second = [[d.diff(s) for s in slots] for d in first]
+            self._partials[(rel.k, rel.p)] = (rel.zvar, first, second)
+        if len(self._partials) != n * n:
             raise StructuralError("the recursion needs the full set of first-order relations")
-        self._d2 = {}
 
-    def bindings(self, k, p):
-        rel = self.rel[(k, p)]
-        values = {rel.zvar: self.jac[k - 1][p - 1]}
-        for i in range(1, self.n + 1):
-            values[naming.x(i)] = self.x[i - 1]
-        return rel, values
+    def __call__(self, x, jac):
+        """(d2[N, n, n, n], d3[N, n, n, n, n], singular[N]) from the values
+        x[N, n] and first derivatives jac[N, n, n] of N points.
 
-    def partial(self, rel, values, slot):
-        """slot 0 is the derivative slot; slot i >= 1 is x_i."""
-        name = rel.zvar if slot == 0 else naming.x(slot)
-        return rel.poly.diff(name).eval_numeric(values)
-
-    def partial2(self, rel, values, s1, s2):
-        n1 = rel.zvar if s1 == 0 else naming.x(s1)
-        n2 = rel.zvar if s2 == 0 else naming.x(s2)
-        return rel.poly.diff(n1).diff(n2).eval_numeric(values)
-
-    def d2(self, k, p, q):
-        key = (k, p, q)
-        if key in self._d2:
-            return self._d2[key]
-        rel, values = self.bindings(k, p)
-        p0 = self.partial(rel, values, 0)
-        scale = 1 + max(abs(v) for v in values.values())
-        if abs(p0) < _SINGULAR_FLOOR * scale:
-            raise RecursionSingular(f"P_{k}{p},0 ~ 0 at u = {self.u}")
-        acc = 0j
-        for i in range(1, self.n + 1):
-            acc += self.partial(rel, values, i) * self.jac[i - 1][q - 1]
-        out = -acc / p0
-        self._d2[key] = out
-        return out
-
-    def d3(self, k, p, q, r):
-        rel, values = self.bindings(k, p)
-        p0 = self.partial(rel, values, 0)
-        scale = 1 + max(abs(v) for v in values.values())
-        if abs(p0) < _SINGULAR_FLOOR * scale:
-            raise RecursionSingular(f"P_{k}{p},0 ~ 0 at u = {self.u}")
-        f_r = self.d2(k, p, r)
-
-        def dslot(j):
-            # d/du_r of P_j evaluated along u:
-            # P_{j,0} * d2f_k/du_p du_r + sum_m P_{j,m} * z_{m r}
-            out = self.partial2(rel, values, j, 0) * f_r
-            for m in range(1, self.n + 1):
-                out += self.partial2(rel, values, j, m) * self.jac[m - 1][r - 1]
-            return out
-
-        num = 0j
-        den_rate = dslot(0)
-        for i in range(1, self.n + 1):
-            num += dslot(i) * self.jac[i - 1][q - 1]
-            num += self.partial(rel, values, i) * self.d2(i, q, r)
-        total = -(num * p0 - (-self.d2(k, p, q) * p0) * den_rate) / (p0 * p0)
-        return total
+        d2[:, k, p, q] is d2f_k/du_p du_q and d3[:, k, p, q, r] the third
+        derivative (indices from 0).  Entries of singular rows are meaningless.
+        """
+        n = self.n
+        rows = len(x)
+        singular = np.zeros(rows, dtype=bool)
+        first, second = {}, {}
+        with np.errstate(all="ignore"):
+            for (k, p), (zvar, polys1, polys2) in self._partials.items():
+                values = {zvar: jac[:, k - 1, p - 1]}
+                for i in range(1, n + 1):
+                    values[naming.x(i)] = x[:, i - 1]
+                first[k, p] = [_rows(d, values, rows) for d in polys1]
+                second[k, p] = [[_rows(d, values, rows) for d in row] for row in polys2]
+                scale = 1 + np.maximum.reduce([np.abs(v) for v in values.values()])
+                singular |= np.abs(first[k, p][0]) < _SINGULAR_FLOOR * scale
+            d2 = np.empty((rows, n, n, n), dtype=complex)
+            for (k, p), parts in first.items():
+                for q in range(n):
+                    acc = 0j
+                    for i in range(1, n + 1):
+                        acc = acc + parts[i] * jac[:, i - 1, q]
+                    d2[:, k - 1, p - 1, q] = -acc / parts[0]
+            d3 = np.empty((rows, n, n, n, n), dtype=complex)
+            for (k, p), parts in first.items():
+                p0 = parts[0]
+                for r in range(n):
+                    f_r = d2[:, k - 1, p - 1, r]
+                    # d/du_r of P_j along u: P_{j,0} * d2f_k/du_p du_r + sum_m P_{j,m} * z_{m r}
+                    rates = []
+                    for row in second[k, p]:
+                        out = row[0] * f_r
+                        for m in range(1, n + 1):
+                            out = out + row[m] * jac[:, m - 1, r]
+                        rates.append(out)
+                    for q in range(n):
+                        num = 0j
+                        for i in range(1, n + 1):
+                            num = num + rates[i] * jac[:, i - 1, q]
+                            num = num + parts[i] * d2[:, i - 1, q, r]
+                        f_q = d2[:, k - 1, p - 1, q]
+                        d3[:, k - 1, p - 1, q, r] = -(num * p0 - (-f_q * p0) * rates[0]) / (p0 * p0)
+        return d2, d3, singular
 
 
-def higher_derivative(relations, backend, k, p, q, u) -> complex:
-    """Second derivative d2 f_k / du_p du_q at u via the relation recursion."""
-    return _Context(relations, backend, u).d2(k, p, q)
-
-
-def third_derivative(relations, backend, k, p, q, r, u) -> complex:
-    """Third derivative d3 f_k / du_p du_q du_r via one more differentiation."""
-    return _Context(relations, backend, u).d3(k, p, q, r)
+def _rows(poly, values, rows):
+    """poly over the bound arrays, broadcast to one entry per row (constants included)."""
+    return np.broadcast_to(poly.eval_numeric(values), (rows,))
 
 
 def symbolic_second_derivative(rel) -> RatFn:
@@ -139,39 +124,29 @@ def taylor_match_check(relations, backend, a, b, *, order: int = 3, tol: float =
     to agree, so the local expansions are identical."""
     if order < 2 or order > 3:
         raise DomainError("supported orders are 2 and 3")
-    a = tuple(complex(c) for c in a)
-    b = tuple(complex(c) for c in b)
     n = backend.n
-    try:
-        va, vb = backend.value(a), backend.value(b)
-        ja, jb = backend.jacobian(a), backend.jacobian(b)
-    except PoleError:
+    values, jac, bad = backend.value_jacobian([a, b])
+    if bad.any():
         return TaylorCheck(False, None, "pole at a witness point")
+    (va, vb), (ja, jb) = values, jac
     for ca, cb in zip(va, vb):
         if abs(ca - cb) > tol * (1 + abs(ca)):
             return TaylorCheck(False, None, "mapping values differ at a and b")
-    for ra, rb in zip(ja, jb):
-        for ca, cb in zip(ra, rb):
-            if abs(ca - cb) > tol * (1 + abs(ca)):
-                return TaylorCheck(False, None, "first derivatives differ at a and b")
-    try:
-        ctx_a = _Context(relations, backend, a)
-        ctx_b = _Context(relations, backend, b)
-        for k in range(1, n + 1):
-            for p in range(1, n + 1):
-                for q in range(1, n + 1):
-                    da = ctx_a.d2(k, p, q)
-                    db = ctx_b.d2(k, p, q)
-                    if abs(da - db) > tol * (1 + abs(da)):
-                        return TaylorCheck(True, False, f"order-2 mismatch at (k,p,q)=({k},{p},{q})")
-                    if order >= 3:
-                        for r in range(1, n + 1):
-                            ta = ctx_a.d3(k, p, q, r)
-                            tb = ctx_b.d3(k, p, q, r)
-                            if abs(ta - tb) > tol * (1 + abs(ta)):
-                                return TaylorCheck(
-                                    True, False, f"order-3 mismatch at ({k},{p},{q},{r})"
-                                )
-    except RecursionSingular as err:
-        return TaylorCheck(False, None, f"recursion singular: {err}")
+    for ca, cb in zip(ja.ravel(), jb.ravel()):
+        if abs(ca - cb) > tol * (1 + abs(ca)):
+            return TaylorCheck(False, None, "first derivatives differ at a and b")
+    d2, d3, singular = Recursion(relations, n)(values, jac)
+    if singular.any():
+        return TaylorCheck(False, None, "recursion singular at a witness point")
+    for k in range(n):
+        for p in range(n):
+            for q in range(n):
+                da, db = d2[:, k, p, q]
+                if abs(da - db) > tol * (1 + abs(da)):
+                    return TaylorCheck(True, False, f"order-2 mismatch at (k,p,q)=({k + 1},{p + 1},{q + 1})")
+                if order >= 3:
+                    for r in range(n):
+                        ta, tb = d3[:, k, p, q, r]
+                        if abs(ta - tb) > tol * (1 + abs(ta)):
+                            return TaylorCheck(True, False, f"order-3 mismatch at ({k + 1},{p + 1},{q + 1},{r + 1})")
     return TaylorCheck(True, True, f"derivatives agree through order {order}")

@@ -32,8 +32,10 @@ kept as an independent oracle for the test suite.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm
+from operator import add, neg, sub
 
 from .rings import DomainError, MPoly, _check_same_ring
 
@@ -81,27 +83,36 @@ def _exact_div_int(a: MPoly, b: MPoly):
 def _int_quo(a: dict, b: dict):
     """Quotient of integer term maps {exps: int} in descending order; None when
     it leaves the integers, DomainError when b does not divide a over Q."""
-    bexps = max(b)
-    bc = b[bexps]
-    bterms = list(b.items())
+    # exponents are negated throughout, so the heap's smallest entry is the
+    # remainder's leading term; entries of cancelled terms are skipped lazily
+    bterms = [(tuple(map(neg, exps)), c) for exps, c in b.items()]
+    blead, bc = min(bterms)
     out = {}
-    rem = dict(a)
+    rem = {tuple(map(neg, exps)): c for exps, c in a.items()}
+    heap = list(rem)
+    heapq.heapify(heap)
     while rem:
-        exps = max(rem)
-        qexps = tuple(e - f for e, f in zip(exps, bexps))
-        if any(e < 0 for e in qexps):
+        exps = heapq.heappop(heap)
+        if exps not in rem:
+            continue
+        qexps = tuple(map(sub, exps, blead))
+        if max(qexps) > 0:
             raise DomainError("inexact polynomial division")
         qc, leftover = divmod(rem[exps], bc)
         if leftover:
             return None  # quotient leaves the integers; retry generically
-        out[qexps] = qc
+        out[tuple(map(neg, qexps))] = qc
         for e2, c2 in bterms:
-            t = tuple(x + y for x, y in zip(qexps, e2))
-            s = rem.get(t, 0) - qc * c2
-            if s:
-                rem[t] = s
+            t = tuple(map(add, qexps, e2))
+            prod = qc * c2
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -prod
+                heapq.heappush(heap, t)
+            elif old == prod:
+                del rem[t]
             else:
-                rem.pop(t, None)
+                rem[t] = old - prod
     return out
 
 

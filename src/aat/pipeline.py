@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import naming
 from .addition import (
     DivisorDegeneracyError,
@@ -24,14 +26,14 @@ from .addition import (
     uniqueness_witness,
     variety_residual,
 )
-from .derivatives import RecursionSingular, higher_derivative, taylor_match_check, third_derivative
+from .derivatives import Recursion, taylor_match_check
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
 from .periods import detect_period, is_integer_combination
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import SamplingError, draw_point, residual_check
+from .sampling import SamplingError, draw_point, draw_points, residual_check
 from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
@@ -371,51 +373,68 @@ def _derivative_checks(ctx: RunContext) -> None:
     rng = random.Random(naming.stage_seed(opts.seed, "derivative-check"))
     box = min(opts.box if opts.box is not None else backend.default_box(), 0.95)
     h = 1e-5
+    recursion = Recursion(ctx.relations, spec.n)
     worst2 = worst3 = 0.0
     done = 0
-    guard = 0
-    while done < 20 and guard < 800:
-        guard += 1
-        u = draw_point(rng, spec.n, box)
+    drawn = 0
+    # draws come in chunks; within a chunk the first usable points in draw
+    # order count, as in a loop that tests one draw at a time
+    while done < 20 and drawn < 800:
+        us = draw_points(rng, min(2 * (20 - done), 800 - drawn), spec.n, box)
+        drawn += len(us)
         # the difference quotients divide by h^2; stay well clear of poles so
         # the evaluator's noise floor cannot swamp the 1e-6 comparison
-        if backend.pole_distance(u) < 0.5:
+        us = us[[backend.pole_distance(u) >= 0.5 for u in us.tolist()]]
+        if not len(us):
             continue
-        try:
-            for k in range(1, spec.n + 1):
-                for p in range(1, spec.n + 1):
-                    for q in range(1, spec.n + 1):
-                        got = higher_derivative(ctx.relations, backend, k, p, q, u)
-                        want = _fd2(backend, k, p, q, u, h)
-                        worst2 = max(worst2, abs(got - want) / (1 + abs(want)))
-                        for r in range(1, spec.n + 1):
-                            got3 = third_derivative(ctx.relations, backend, k, p, q, r, u)
-                            want3 = _fd3(backend, k, p, q, r, u, h)
-                            worst3 = max(worst3, abs(got3 - want3) / (1 + abs(want3)))
-        except (RecursionSingular, PoleError):
-            continue
-        done += 1
+        gap2, gap3, usable = _recursion_gaps(recursion, backend, us, h)
+        take = np.flatnonzero(usable)[: 20 - done]
+        if len(take):
+            worst2 = max(worst2, float(gap2[take].max()))
+            worst3 = max(worst3, float(gap3[take].max()))
+        done += len(take)
     ctx.verdict("derivative recursion order 2", done >= 20 and worst2 < 1e-6, f"worst {worst2:.3e} at {done} points")
     ctx.verdict("derivative recursion order 3", done >= 20 and worst3 < 1e-6, f"worst {worst3:.3e}")
     ctx.section["derivative_recursion"] = {"points": done, "worst_order2": worst2, "worst_order3": worst3}
 
 
-def _fd2(backend, k, p, q, u, h):
-    up = list(u)
-    um = list(u)
-    up[q - 1] += h
-    um[q - 1] -= h
-    return (backend.jacobian(up)[k - 1][p - 1] - backend.jacobian(um)[k - 1][p - 1]) / (2 * h)
+def _recursion_gaps(recursion, backend, us, h):
+    """(order-2 gap, order-3 gap, usable) at every row of `us`.
 
-
-def _fd3(backend, k, p, q, r, u, h):
-    def j_at(sq, sr):
-        w = list(u)
-        w[q - 1] += sq
-        w[r - 1] += sr
-        return backend.jacobian(w)[k - 1][p - 1]
-
-    return (j_at(h, h) - j_at(h, -h) - j_at(-h, h) + j_at(-h, -h)) / (4 * h * h)
+    A gap is the largest relative difference, over every (k, p, q[, r]),
+    between the recursion's derivative and a central difference of the
+    Jacobian with step h.  The base points and all 2n + 4n^2 shifts are
+    evaluated in one `value_jacobian` call; a row is unusable where one of
+    them is rejected or the recursion is singular.
+    """
+    n = backend.n
+    rows = len(us)
+    shifted = []
+    for q in range(n):
+        for s in (h, -h):
+            w = us.copy()
+            w[:, q] += s
+            shifted.append(w)
+    for q in range(n):
+        for r in range(n):
+            for sq, sr in ((h, h), (h, -h), (-h, h), (-h, -h)):
+                w = us.copy()
+                w[:, q] += sq
+                w[:, r] += sr
+                shifted.append(w)
+    values, jac, bad = backend.value_jacobian(np.concatenate([us] + shifted))
+    jac = jac.reshape(-1, rows, n, n)
+    bad = bad.reshape(-1, rows).any(axis=0)
+    d2, d3, singular = recursion(values[:rows], jac[0])
+    with np.errstate(all="ignore"):
+        # want2[:, k, p, q] and want3[:, k, p, q, r], as d2 and d3 are laid out
+        want2 = np.stack([(jac[1 + 2 * q] - jac[2 + 2 * q]) / (2 * h) for q in range(n)], axis=-1)
+        cross = jac[1 + 2 * n :].reshape(n, n, 4, rows, n, n)
+        want3 = (cross[:, :, 0] - cross[:, :, 1] - cross[:, :, 2] + cross[:, :, 3]) / (4 * h * h)
+        want3 = want3.transpose(2, 3, 4, 0, 1)
+        gap2 = (np.abs(d2 - want2) / (1 + np.abs(want2))).reshape(rows, -1).max(axis=1)
+        gap3 = (np.abs(d3 - want3) / (1 + np.abs(want3))).reshape(rows, -1).max(axis=1)
+    return gap2, gap3, ~(bad | singular)
 
 
 def stage_verify(ctx: RunContext) -> None:

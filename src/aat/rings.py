@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 Coeff = Union[int, Fraction]
 
 
@@ -133,12 +135,13 @@ class MPoly:
     (descending lex) order, or reports would change with the route taken.
     """
 
-    __slots__ = ("ring", "terms", "_allint")
+    __slots__ = ("ring", "terms", "_allint", "_numeric")
 
     def __init__(self, ring: VarRing, terms: dict):
         self.ring = ring
         self.terms = terms  # {exponent tuple: nonzero Fraction}; treated as frozen
         self._allint = None
+        self._numeric = None
 
     def _is_int(self) -> bool:
         # integer-coefficient polynomials take a fast arithmetic path
@@ -371,31 +374,49 @@ class MPoly:
         return total
 
     def eval_terms(self, values: Mapping[str, complex]) -> tuple:
-        """(value, largest absolute monomial value) - the scale used by residual checks."""
+        """(value, largest absolute monomial value) - the scale used by residual checks.
+
+        `values` binds names to numbers for one point, or to equal-length
+        complex arrays for many points at once (numbers then act as constants
+        on every row); the results are then arrays too.  Either way the
+        monomials are summed in term order.
+        """
         ring = self.ring
+        used, monomials = self._numeric_form()
         vals = [None] * len(ring.names)
+        bigger = max
         for name, v in values.items():
-            vals[ring.index(name)] = complex(v)
-        missing = set()
-        total = 0 + 0j
-        biggest = 0.0
-        for exps, c in self.terms.items():
-            term = complex(c)
-            for i, e in enumerate(exps):
-                if e:
-                    if vals[i] is None:
-                        missing.add(ring.names[i])
-                        continue
-                    term *= vals[i] ** e
-            if missing:
-                continue
-            total += term
-            mag = abs(term)
-            if mag > biggest:
-                biggest = mag
+            if isinstance(v, np.ndarray):
+                bigger = np.fmax  # skips nan magnitudes, as max(biggest, nan) does
+            else:
+                v = complex(v)
+            vals[ring.index(name)] = v
+        missing = [ring.names[i] for i in used if vals[i] is None]
         if missing:
             raise StructuralError(f"unbound names in numeric evaluation: {sorted(missing)}")
+        powers = {}
+        total = 0 + 0j
+        biggest = 0.0
+        for c, factors in monomials:
+            term = c
+            for key in factors:
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = vals[key[0]] ** key[1]
+                term = term * power
+            total = total + term
+            biggest = bigger(biggest, abs(term))
         return total, biggest
+
+    def _numeric_form(self) -> tuple:
+        """(indices of the names present, [(coefficient, ((index, exponent), ...))])."""
+        if self._numeric is None:
+            monomials = [
+                (complex(c), tuple((i, e) for i, e in enumerate(exps) if e)) for exps, c in self.terms.items()
+            ]
+            used = sorted({i for _, factors in monomials for i, _ in factors})
+            self._numeric = (used, monomials)
+        return self._numeric
 
     # -- normal forms ---------------------------------------------------------
 

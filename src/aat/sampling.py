@@ -6,6 +6,15 @@ z{k}_{p} -> df_k/du_p(u), y_k -> f_k(v) or f_k(-u), L_k -> f_k(u+v),
 theta -> sum of alpha-weighted derivatives) and the scaled residual
 |relation| / (1 + largest monomial magnitude) is collected over seeded
 samples drawn from a box in C^n.
+
+A check draws its samples in chunks from one seeded stream.  Each chunk's
+points (u, and v, -u or u+v as the relation needs them) go through one
+`value_jacobian` call and the relation through one array evaluation
+(`MPoly.eval_terms`); the sequential accept rule is then replayed on the
+rows: the first `samples` usable draws in draw order count, and the unusable
+ones before them are the skips.  Counts and verdicts are those of a loop
+that draws and tests one sample at a time; the statistics agree with it up
+to the last digits of the array arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import naming
-from .rings import MPoly, PoleError, StructuralError
+from .rings import MPoly, StructuralError
 
 
 @dataclass
@@ -59,94 +68,7 @@ def draw_points(rng: random.Random, count: int, n: int, box: float) -> np.ndarra
     return (parts[0::2] + 1j * parts[1::2]).reshape(count, n)
 
 
-def _needs(relation: MPoly):
-    kinds = set()
-    for name in relation.names_present():
-        cls = naming.classify(name)
-        if cls is not None:
-            kinds.add(cls[0])
-    return kinds
-
-
 _VALUE_CAP = 1e8  # treat enormous values as pole-adjacent and skip the sample
-
-
-def bind_relation(relation: MPoly, backend, u, v=None, alpha=None, y_mode="v", param_values=None):
-    """Numeric bindings for every alphabet name the relation mentions.
-
-    y/w names are fed from v when y_mode == 'v', and from -u when
-    y_mode == 'neg'; L names always need u+v (y_mode 'v' only).
-    """
-    values = dict(param_values or {})
-    val_u = None
-    jac_u = None
-    val_v = None
-    jac_v = None
-    val_sum = None
-
-    def values_u():
-        nonlocal val_u
-        if val_u is None:
-            val_u = backend.value(u)
-        return val_u
-
-    def jacobian_u():
-        nonlocal jac_u
-        if jac_u is None:
-            jac_u = backend.jacobian(u)
-        return jac_u
-
-    def point_v():
-        if y_mode == "neg":
-            return tuple(-c for c in u)
-        if v is None:
-            raise StructuralError("relation needs a second sample point v")
-        return v
-
-    def values_v():
-        nonlocal val_v
-        if val_v is None:
-            val_v = backend.value(point_v())
-        return val_v
-
-    def jacobian_v():
-        nonlocal jac_v
-        if jac_v is None:
-            jac_v = backend.jacobian(point_v())
-        return jac_v
-
-    def values_sum():
-        nonlocal val_sum
-        if val_sum is None:
-            pv = point_v()
-            val_sum = backend.value(tuple(a + b for a, b in zip(u, pv)))
-        return val_sum
-
-    for name in relation.names_present():
-        cls = naming.classify(name)
-        if cls is None:
-            if name not in values:
-                raise StructuralError(f"no binding for {name!r}")
-            continue
-        kind = cls[0]
-        if kind == "x":
-            values[name] = values_u()[cls[1] - 1]
-        elif kind == "y":
-            values[name] = values_v()[cls[1] - 1]
-        elif kind == "L":
-            values[name] = values_sum()[cls[1] - 1]
-        elif kind == "z":
-            values[name] = jacobian_u()[cls[1] - 1][cls[2] - 1]
-        elif kind == "w":
-            values[name] = jacobian_v()[cls[1] - 1][cls[2] - 1]
-        elif kind == "theta":
-            if alpha is None:
-                raise StructuralError("relation uses theta but no alpha weights were given")
-            jac = jacobian_u()
-            values[name] = sum(
-                complex(alpha[k][p]) * jac[k][p] for k in range(backend.n) for p in range(backend.n)
-            )
-    return values
 
 
 def residual_check(
@@ -162,44 +84,59 @@ def residual_check(
     y_mode: str = "v",
     param_values=None,
 ) -> ResidualReport:
-    """Scaled residual statistics of one relation over seeded backend samples."""
+    """Scaled residual statistics of one relation over seeded backend samples.
+
+    y/w names are fed from v when y_mode == 'v', and from -u when
+    y_mode == 'neg'; L names need u+v.  A draw is skipped when u, v, u+v or
+    -u (as the mode needs them) is on the pole set, or when a bound value
+    exceeds _VALUE_CAP.  The first `samples` usable draws count; SamplingError
+    ends a check that skips 10*samples draws before that.
+    """
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
     box = box if box is not None else backend.default_box()
-    kinds = _needs(relation)
-    needs_v = bool(kinds & {"y", "w", "L"}) and y_mode == "v"
-    residuals = []
-    skipped = 0
+    params = dict(param_values or {})
+    names = relation.names_present()
+    kinds = set()
+    for name in names:
+        cls = naming.classify(name)
+        if cls is not None:
+            kinds.add(cls[0])
+        elif name not in params:
+            raise StructuralError(f"no binding for {name!r}")
+    if "theta" in kinds and alpha is None:
+        raise StructuralError("relation uses theta but no alpha weights were given")
+    pair = bool(kinds & {"y", "w", "L"})
+    if pair and y_mode not in ("v", "neg"):
+        raise StructuralError("relation needs a second sample point v")
+    needs_v = pair and y_mode == "v"
+    needs_sum = needs_v or "L" in kinds
+    n = backend.n
     cap = 10 * samples
-    while len(residuals) < samples:
+    residuals = []
+    good = []
+    chunk = samples
+    while True:
+        rows = draw_points(rng, chunk, 2 * n if needs_v else n, box)
+        us = rows[:, :n]
+        vs = rows[:, n:] if needs_v else -us if y_mode == "neg" else None
+        res, ok = _chunk_residuals(relation, backend, us, vs, needs_sum, names, params, alpha)
+        residuals.extend(res.tolist())
+        good.extend(ok.tolist())
+        counted = np.cumsum(good)
+        if counted[-1] >= samples:
+            last = int(np.searchsorted(counted, samples))
+            skipped = last + 1 - samples
+            break
+        skipped = len(good) - int(counted[-1])
         if skipped >= cap:
-            raise SamplingError(
-                f"pole-dominated sampling region for {relation_id}: "
-                f"{skipped} skips before {samples} samples"
-            )
-        u = draw_point(rng, backend.n, box)
-        v = draw_point(rng, backend.n, box) if needs_v else None
-        try:
-            if backend.is_pole(u):
-                raise PoleError("u on pole set")
-            if needs_v:
-                if backend.is_pole(v):
-                    raise PoleError("v on pole set")
-                uv = tuple(a + b for a, b in zip(u, v))
-                if backend.is_pole(uv):
-                    raise PoleError("u+v on pole set")
-            if y_mode == "neg" and backend.is_pole(tuple(-c for c in u)):
-                raise PoleError("-u on pole set")
-            values = bind_relation(
-                relation, backend, u, v, alpha=alpha, y_mode=y_mode, param_values=param_values
-            )
-            if any(abs(c) > _VALUE_CAP for c in values.values()):
-                raise PoleError("value overflow near pole")
-            total, biggest = relation.eval_terms(values)
-        except PoleError:
-            skipped += 1
-            continue
-        residuals.append(abs(total) / (1.0 + biggest))
-    residuals.sort()
+            break
+        chunk = 2 * (samples - int(counted[-1]))
+    if skipped >= cap:
+        raise SamplingError(
+            f"pole-dominated sampling region for {relation_id}: "
+            f"{cap} skips before {samples} samples"
+        )
+    residuals = sorted(r for r, g in zip(residuals[: last + 1], good) if g)
     count = len(residuals)
     idx95 = min(count - 1, max(0, -(-95 * count // 100) - 1))
     p95 = residuals[idx95]
@@ -213,6 +150,46 @@ def residual_check(
         tol=tol,
         ok=p95 < tol,
     )
+
+
+def _chunk_residuals(relation, backend, us, vs, needs_sum, names, params, alpha):
+    """(scaled residual, usable) at every row of the draws `us`.
+
+    u, the second point `vs` (v or -u, when given) and u+v are evaluated in
+    one `value_jacobian` call; a draw is unusable where one of them is
+    rejected or a bound value, parameters included, exceeds _VALUE_CAP.
+    """
+    n = backend.n
+    points = [us]
+    if vs is not None:
+        points.append(vs)
+    if needs_sum:
+        points.append(us + vs)
+    val, jac, bad = backend.value_jacobian(np.concatenate(points))
+    size = len(us)
+    val = val.reshape(len(points), size, n)
+    jac = jac.reshape(len(points), size, n, n)
+    bad = bad.reshape(len(points), size).any(axis=0)
+    if any(abs(c) > _VALUE_CAP for c in params.values()):
+        bad[:] = True
+    values = dict(params)
+    with np.errstate(all="ignore"):  # rows with non-finite entries are already bad
+        for name in names:
+            cls = naming.classify(name)
+            if cls is None:
+                continue
+            kind = cls[0]
+            if kind == "theta":
+                col = sum(complex(alpha[k][p]) * jac[0, :, k, p] for k in range(n) for p in range(n))
+            elif kind in ("x", "y", "L"):
+                col = val["xyL".index(kind), :, cls[1] - 1]
+            else:
+                col = jac["zw".index(kind), :, cls[1] - 1, cls[2] - 1]
+            bad |= ~(np.abs(col) <= _VALUE_CAP)
+            values[name] = col
+        total, biggest = relation.eval_terms(values)
+        res = np.broadcast_to(np.abs(total) / (1.0 + biggest), (size,))
+    return res, ~bad
 
 
 def vanishes(relation, backend, *, samples=24, seed=0, tol=1e-7, box=None, alpha=None, y_mode="v", param_values=None) -> bool:

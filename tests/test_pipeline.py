@@ -162,3 +162,62 @@ def test_period_vector_text_has_no_negative_zero():
     )
     assert pipeline._fmt_vec((complex(1e-17, -0.0),)) == "(+0.0000+0.0000j)"
     assert pipeline._fmt_vec((complex(-0.00006, 4e-5),)) == "(-0.0001+0.0000j)"
+
+
+_DERIVED = {}
+
+
+def _derivative_ctx(family, params, seed):
+    """A run context with the catalog relations of `family`, its seed set to `seed`."""
+    if family not in _DERIVED:
+        spec = parse_problem(catalog_problem_text(family, params), source=f"catalog:{family}")
+        ctx = pipeline.RunContext(spec=spec, backend=spec.make_backend())
+        pipeline.stage_derive(ctx)
+        _DERIVED[family] = ctx
+    base = _DERIVED[family]
+    base.spec.options.seed = seed
+    ctx = pipeline.RunContext(spec=base.spec, backend=base.backend)
+    ctx.relations = base.relations
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("exp", {"c": "1"}),
+        ("weierstrass", {"g2": "4", "g3": "0"}),
+        ("singular2-case4", {"g2": "4", "g3": "0", "epsilon": "1"}),
+    ],
+)
+def test_derivative_recursion_passes_on_seeds_0_to_9(family, params):
+    # the h = 1e-5 third difference sits at up to 75% of its 1e-6 bound from
+    # rounding alone, so the margin is checked on more than one seed
+    for seed in range(10):
+        ctx = _derivative_ctx(family, params, seed)
+        pipeline._derivative_checks(ctx)
+        assert [v["pass"] for v in ctx.verdicts] == [True, True], (seed, ctx.verdicts)
+        assert ctx.section["derivative_recursion"]["points"] == 20
+
+
+def test_derivative_check_ignores_rejected_points(monkeypatch):
+    class FirstPointSingular(pipeline.Recursion):
+        calls = 0
+
+        def __call__(self, x, jac):
+            d2, d3, singular = super().__call__(x, jac)
+            if FirstPointSingular.calls == 0:
+                # a rejected point with derivatives far off: it must not feed the worsts
+                singular[0] = True
+                d2[0] += 1
+                d3[0] += 1
+            FirstPointSingular.calls += 1
+            return d2, d3, singular
+
+    monkeypatch.setattr(pipeline, "Recursion", FirstPointSingular)
+    ctx = _derivative_ctx("exp", {"c": "1"}, 42)
+    pipeline._derivative_checks(ctx)
+    section = ctx.section["derivative_recursion"]
+    assert FirstPointSingular.calls >= 1
+    assert section["points"] == 20
+    assert section["worst_order2"] < 1e-6 and section["worst_order3"] < 1e-6
+    assert all(v["pass"] for v in ctx.verdicts)

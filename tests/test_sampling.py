@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from aat import naming
 from aat.backends import make_backend
 from aat.parsing import parse_poly
-from aat.sampling import SamplingError, residual_check, vanishes
+from aat.rings import PoleError, StructuralError, VarRing
+from aat.sampling import _VALUE_CAP, ResidualReport, SamplingError, draw_point, residual_check, vanishes
+from test_backends import FAMILIES
 
 
 def test_exp_addition_residual_is_tiny():
@@ -66,3 +69,160 @@ def test_vanishes_probe():
     backend = make_backend("exp", {"c": Fraction(2)})
     assert vanishes(parse_poly("z1_1 - 2*x1", ring), backend, seed=11)
     assert not vanishes(parse_poly("z1_1 - x1", ring), backend, seed=11)
+
+
+# -- the batched check against the sequential loop it replaced ------------------------
+
+
+def _bind_one(relation, backend, u, v, alpha, y_mode, param_values):
+    """Bindings at one draw, evaluating the backend point by point."""
+    values = dict(param_values or {})
+    vpt = tuple(-c for c in u) if y_mode == "neg" else v
+    for name in relation.names_present():
+        cls = naming.classify(name)
+        if cls is None:
+            if name not in values:
+                raise StructuralError(f"no binding for {name!r}")
+            continue
+        kind = cls[0]
+        if kind == "x":
+            values[name] = backend.value(u)[cls[1] - 1]
+        elif kind == "y":
+            values[name] = backend.value(vpt)[cls[1] - 1]
+        elif kind == "L":
+            values[name] = backend.value(tuple(a + b for a, b in zip(u, vpt)))[cls[1] - 1]
+        elif kind == "z":
+            values[name] = backend.jacobian(u)[cls[1] - 1][cls[2] - 1]
+        elif kind == "w":
+            values[name] = backend.jacobian(vpt)[cls[1] - 1][cls[2] - 1]
+        else:
+            jac = backend.jacobian(u)
+            values[name] = sum(
+                complex(alpha[k][p]) * jac[k][p] for k in range(backend.n) for p in range(backend.n)
+            )
+    return values
+
+
+def sequential_residual_check(relation, backend, *, relation_id, samples, seed, tol, box=None, alpha=None,
+                              y_mode="v", param_values=None):
+    """The one-draw-at-a-time residual check: the reference for the batched one."""
+    rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
+    box = box if box is not None else backend.default_box()
+    kinds = {naming.classify(n)[0] for n in relation.names_present() if naming.classify(n)}
+    needs_v = bool(kinds & {"y", "w", "L"}) and y_mode == "v"
+    residuals = []
+    skipped = 0
+    while len(residuals) < samples:
+        if skipped >= 10 * samples:
+            raise SamplingError(
+                f"pole-dominated sampling region for {relation_id}: "
+                f"{skipped} skips before {samples} samples"
+            )
+        u = draw_point(rng, backend.n, box)
+        v = draw_point(rng, backend.n, box) if needs_v else None
+        try:
+            if backend.is_pole(u):
+                raise PoleError("u on pole set")
+            if needs_v and (backend.is_pole(v) or backend.is_pole(tuple(a + b for a, b in zip(u, v)))):
+                raise PoleError("v or u+v on pole set")
+            if y_mode == "neg" and backend.is_pole(tuple(-c for c in u)):
+                raise PoleError("-u on pole set")
+            values = _bind_one(relation, backend, u, v, alpha, y_mode, param_values)
+            if any(abs(c) > _VALUE_CAP for c in values.values()):
+                raise PoleError("value overflow near pole")
+            total, biggest = relation.eval_terms(values)
+        except PoleError:
+            skipped += 1
+            continue
+        residuals.append(abs(total) / (1.0 + biggest))
+    residuals.sort()
+    count = len(residuals)
+    p95 = residuals[min(count - 1, max(0, -(-95 * count // 100) - 1))]
+    return ResidualReport(relation_id, count, residuals[-1], sum(residuals) / count, p95, skipped, tol, p95 < tol)
+
+
+def _cases(n):
+    """(text, y_mode, alpha, param_values) covering every binding kind."""
+    ring = VarRing(naming.problem_ring(n).variables, ("c",))
+    pair = " + ".join(f"L{k} - x{k}*y{k} + z{k}_{k}*w{k}_{k}" for k in range(1, n + 1))
+    neg = " + ".join(f"x{k}*y{k} - w{k}_{n}*z{k}_1" for k in range(1, n + 1)) + " - 1"
+    theta = f"theta^2 - x1^3 + 2*x{n} - z1_{n}"
+    alpha = tuple(tuple(Fraction(1 + k + 2 * p) for p in range(n)) for k in range(n))
+    return ring, [
+        (pair, "v", None, None),
+        (neg, "neg", None, None),
+        (theta, "v", alpha, None),
+        (f"c*z1_1 - x1^2*c^2 + x{n}", "v", None, {"c": Fraction(2)}),
+    ]
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except SamplingError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_batched_residual_check_matches_sequential_loop(family, params):
+    backend = make_backend(family, params)
+    ring, cases = _cases(backend.n)
+    compared = skips = 0
+    # the default box, one hugging the pole at 0 (values past the cap) and a
+    # wide one (exponentials past the cap; lattice families stay within a few
+    # periods, where the point evaluator's sigma does not overflow)
+    for box in (None, 0.004, 30.0 if backend.lattice is None else 4.0):
+        for i, (text, y_mode, alpha, param_values) in enumerate(cases):
+            relation = parse_poly(text, ring)
+            kwargs = dict(relation_id=f"case{i}", samples=60, seed=i + 3, tol=1e-9, box=box, alpha=alpha,
+                          y_mode=y_mode, param_values=param_values)
+            want = _outcome(sequential_residual_check, relation, backend, **kwargs)
+            got = _outcome(residual_check, relation, backend, **kwargs)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert (got.samples, got.skipped, got.ok) == (want.samples, want.skipped, want.ok)
+            for stat in ("max", "mean", "p95"):
+                assert abs(getattr(got, stat) - getattr(want, stat)) <= 1e-12 * max(1.0, getattr(want, stat))
+            compared += 1
+            skips += want.skipped
+    assert compared >= 8
+    if backend.lattice is not None or family in ("exp", "singular2-case2", "singular2-case3"):
+        assert skips > 0  # the replay of skipped draws is exercised
+
+
+def test_batched_residual_check_raises_at_the_same_cap():
+    ring = VarRing(naming.problem_ring(1).variables, ("c",))
+    wp = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
+    exp = make_backend("exp", {"c": Fraction(1)})
+    cases = [
+        (parse_poly("z1_1^2 - 4*x1^3 + 4*x1", ring), wp, dict(box=1e-7)),
+        # a parameter value past the cap skips every draw
+        (parse_poly("c*x1 - z1_1", ring), exp, dict(param_values={"c": Fraction(10**9)})),
+    ]
+    for relation, backend, extra in cases:
+        kwargs = dict(relation_id="cap", samples=40, seed=1, tol=1e-9, **extra)
+        with pytest.raises(SamplingError) as want:
+            sequential_residual_check(relation, backend, **kwargs)
+        with pytest.raises(SamplingError) as got:
+            residual_check(relation, backend, **kwargs)
+        assert str(got.value) == str(want.value)
+
+
+def test_residual_check_makes_no_point_evaluation(monkeypatch):
+    from aat.backends import MappingBackend
+    from aat.weierstrass import Lattice
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("point evaluation in a batched check")
+
+    for name in ("value", "jacobian", "is_pole", "pole_distance"):
+        monkeypatch.setattr(MappingBackend, name, forbidden)
+    monkeypatch.setattr(Lattice, "eval_all", forbidden)
+    ring = naming.problem_ring(2)
+    backend = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
+    relation = parse_poly("L1 - x1*y1 + z2_1*w1_1 + theta", ring)
+    alpha = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    rep = residual_check(relation, backend, relation_id="spy", samples=50, seed=2, tol=1e-9, alpha=alpha)
+    assert rep.samples == 50
+    assert not vanishes(parse_poly("x1*y1 - 1", ring), backend, y_mode="neg")  # p(u) p(-u) is not 1
