@@ -1,8 +1,10 @@
 """Digit-free oracle for refactors: the seed-42 verdicts and residual counts.
 
 `verdict_oracle.json` holds, for `aat all` on every bundled problem and for
-`aat catalog`, the ordered (verdict id, pass) pairs and the residual
-(relation, samples, pole_skipped, verdict) tuples.  A change may move the
+`aat catalog`, the ordered (verdict id, pass) pairs, the residual
+(relation, samples, pole_skipped, verdict) tuples and the sample counts of
+the sampled checks (group-law triples, formula-agreement pairs,
+derivative-recursion points, period generators).  A change may move the
 last digits of residual statistics, but not these.  After a change that
 alters them on purpose, rewrite the file with
 
@@ -26,9 +28,18 @@ PROBLEMS = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "problems").gl
 
 
 def _digest(section: dict) -> dict:
+    group = section.get("group_law", {})
+    agreement = group.get("formula_agreement", {})
     return {
         "verdicts": [[v["id"], v["pass"]] for v in section["verdicts"]],
         "residuals": [[r["relation"], r["samples"], r["pole_skipped"], r["verdict"]] for r in section["residuals"]],
+        "counts": {
+            "triples": group.get("triples"),
+            "agree": agreement.get("agree"),
+            "tried": agreement.get("tried"),
+            "derivative_points": section.get("derivative_recursion", {}).get("points"),
+            "generators": len(section["periods"]["generators"]) if "periods" in section else None,
+        },
     }
 
 
