@@ -4,10 +4,14 @@ For one-component mappings whose addition polynomial has degree one or two in
 the value slot, the addition theorem resolves into honest rational functions
 R_0, R_1 of (theta, x) at u and at v: the degree-two case checks that the
 discriminant is a perfect square of the form (s*x0*y0 + t) over the variety
-and fixes the root branch against the backend.  Points on the variety add and
-subtract through their u-parameters (always) or through the formula (when one
-was resolved), and the negation relations come from pinning the value slot of
-the addition polynomial at u + v = 0.
+and fixes the root branch against the backend.  The negation relations come
+from pinning the value slot of the addition polynomial at u + v = 0.
+
+`backend_points` maps the rows of an array of parameters u to variety points
+(theta, x) through one `value_jacobian` call, so the group law through the
+parameters is plain arithmetic on u before that call: the point of a + b is
+the point over u_a + u_b.  `point_add` is the other group law, through the
+resolved formula.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import naming
 from .euclid import factor_candidates, poly_sqrt, resultant, squarefree_in
 from .ratfn import RatFn
 from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, rename, transport
-from .sampling import draw_point, vanishes
+from .sampling import draw_points, sequential_draws, vanishes
 from .variety import VarietySpec
 
 _INF = None  # infinity marker for point coordinates
@@ -29,7 +35,6 @@ _INF = None  # infinity marker for point coordinates
 class VarietyPoint:
     theta: complex | None
     x: tuple
-    u: tuple | None = None
 
     def is_finite(self) -> bool:
         return self.theta is not None and all(c is not None for c in self.x)
@@ -309,45 +314,48 @@ def _excluded_divisors(r1: RatFn) -> list:
 
 def _verify_formula(formula: AdditionFormula, spec: VarietySpec, backend, *, seed, tol, samples=20):
     rng = random.Random(naming.stage_seed(seed, "formula-verify"))
-    box = backend.default_box()
+
+    def value_pair(p1, p2, p12):
+        got = formula_value(formula, 1, p1, p2)
+        return None if got is None or p12.x[0] is _INF else (got, p12.x[0])
+
+    pairs = sequential_draws(
+        rng, samples, 40 * samples, 2 * backend.n, backend.default_box(),
+        lambda rows: map(value_pair, *pair_points(backend, spec, rows)),
+    )
     good = 0
-    tried = 0
     reason = ""
-    while tried < samples:
-        u = draw_point(rng, backend.n, box)
-        v = draw_point(rng, backend.n, box)
-        try:
-            values = _formula_bindings(spec, backend, u, v)
-            if formula.excluded_hit(values, tol=1e-6):
-                continue
-            got = formula.R[1].eval_numeric(values)
-            want = backend.value(tuple(a + b for a, b in zip(u, v)))[0]
-        except PoleError:
-            continue
-        tried += 1
+    for tried, (got, want) in enumerate(pairs, start=1):
         if abs(got - want) <= tol * (1 + abs(want)):
             good += 1
         else:
             reason = f"|formula - backend| = {abs(got - want):.3e} at sample {tried}"
-    if tried == 0:
+    if not pairs:
         return False, "no usable verification samples"
-    return good >= max(1, int(0.9 * tried)), reason or f"{good}/{tried} samples matched"
+    return good >= max(1, int(0.9 * len(pairs))), reason or f"{good}/{len(pairs)} samples matched"
 
 
-def _formula_bindings(spec: VarietySpec, backend, u, v) -> dict:
-    alpha = spec.alpha
-    n = backend.n
-    ju = backend.jacobian(u)
-    jv = backend.jacobian(v)
-    xu = backend.value(u)
-    yv = backend.value(v)
-    values = {
-        "x0": sum(complex(alpha[k][p]) * ju[k][p] for k in range(n) for p in range(n)),
-        "y0": sum(complex(alpha[k][p]) * jv[k][p] for k in range(n) for p in range(n)),
-    }
-    for i in range(1, n + 1):
-        values[naming.x(i)] = xu[i - 1]
-        values[naming.y(i)] = yv[i - 1]
+def formula_value(formula: AdditionFormula, slot: int, p1: VarietyPoint, p2: VarietyPoint):
+    """R[slot] at two finite points, or None where a point is infinite, the
+    pair is within 1e-6 of the excluded divisor or a denominator vanishes."""
+    if not (p1.is_finite() and p2.is_finite()):
+        return None
+    values = _formula_bindings(p1, p2)
+    if formula.excluded_hit(values, tol=1e-6):
+        return None
+    try:
+        return formula.R[slot].eval_numeric(values)
+    except PoleError:
+        return None
+
+
+def _formula_bindings(p1: VarietyPoint, p2: VarietyPoint) -> dict:
+    """The formula ring's names bound to two finite points: x at p1, y at p2."""
+    values = {"x0": p1.theta, "y0": p2.theta}
+    for i, c in enumerate(p1.x, start=1):
+        values[naming.x(i)] = c
+    for i, c in enumerate(p2.x, start=1):
+        values[naming.y(i)] = c
     return values
 
 
@@ -357,60 +365,42 @@ def _formula_bindings(spec: VarietySpec, backend, u, v) -> dict:
 _BIG = 1e8
 
 
-def backend_point(backend, spec: VarietySpec, u) -> VarietyPoint:
-    """The variety point over the parameter value u, with infinity markers."""
-    u = tuple(complex(c) for c in u)
-    try:
-        if backend.is_pole(u):
-            raise PoleError("pole")
-        vals = backend.value(u)
-        jac = backend.jacobian(u)
-    except PoleError:
-        return VarietyPoint(theta=_INF, x=(_INF,) * backend.n, u=u)
+def backend_points(backend, spec: VarietySpec, us) -> list:
+    """The variety points over the rows of `us`, with infinity markers where
+    `value_jacobian` marks the row bad or a coordinate reaches _BIG."""
+    vals, jac, bad = backend.value_jacobian(us)
     n = backend.n
-    theta = sum(complex(spec.alpha[k][p]) * jac[k][p] for k in range(n) for p in range(n))
-    xs = tuple(c if abs(c) < _BIG else _INF for c in vals)
-    if abs(theta) >= _BIG:
-        theta = _INF
-    return VarietyPoint(theta=theta, x=xs, u=u)
+    with np.errstate(all="ignore"):  # bad rows carry nan
+        thetas = sum(complex(spec.alpha[k][p]) * jac[:, k, p] for k in range(n) for p in range(n))
+    out = []
+    for xs, theta, pole in zip(vals.tolist(), thetas.tolist(), bad.tolist()):
+        if pole:
+            out.append(VarietyPoint(theta=_INF, x=(_INF,) * n))
+            continue
+        xs = tuple(c if abs(c) < _BIG else _INF for c in xs)
+        out.append(VarietyPoint(theta=theta if abs(theta) < _BIG else _INF, x=xs))
+    return out
 
 
-def point_add(
-    p1: VarietyPoint,
-    p2: VarietyPoint,
-    *,
-    backend=None,
-    spec: VarietySpec | None = None,
-    formula: AdditionFormula | None = None,
-) -> VarietyPoint:
-    """Group addition: via u-parameters (backend mode) or via the resolved
-    rational formula (formula mode)."""
-    if formula is not None:
-        if not (p1.is_finite() and p2.is_finite()):
-            raise DivisorDegeneracyError("formula mode needs finite points")
-        values = {"x0": p1.theta, "y0": p2.theta}
-        for i, c in enumerate(p1.x, start=1):
-            values[naming.x(i)] = c
-        for i, c in enumerate(p2.x, start=1):
-            values[naming.y(i)] = c
-        if formula.excluded_hit(values, tol=1e-9):
-            raise DivisorDegeneracyError("excluded divisor hit")
-        theta = formula.R[0].eval_numeric(values)
-        xs = tuple(r.eval_numeric(values) for r in formula.R[1:])
-        return VarietyPoint(theta=theta, x=xs, u=None)
-    if backend is None or spec is None:
-        raise StructuralError("backend mode needs the backend and the variety spec")
-    if p1.u is None or p2.u is None:
-        raise StructuralError("backend mode needs points that carry u parameters")
-    u = tuple(a + b for a, b in zip(p1.u, p2.u))
-    return backend_point(backend, spec, u)
+def pair_points(backend, spec: VarietySpec, rows) -> tuple:
+    """(points at u, points at v, points at u+v) for the rows (u, v) of `rows`."""
+    n = backend.n
+    us, vs = rows[:, :n], rows[:, n:]
+    pts = backend_points(backend, spec, np.concatenate([us, vs, us + vs]))
+    size = len(rows)
+    return pts[:size], pts[size : 2 * size], pts[2 * size :]
 
 
-def point_sub(p1: VarietyPoint, p2: VarietyPoint, *, backend, spec: VarietySpec) -> VarietyPoint:
-    if p1.u is None or p2.u is None:
-        raise StructuralError("subtraction works through u parameters")
-    u = tuple(a - b for a, b in zip(p1.u, p2.u))
-    return backend_point(backend, spec, u)
+def point_add(p1: VarietyPoint, p2: VarietyPoint, formula: AdditionFormula) -> VarietyPoint:
+    """Group addition through the resolved rational formula."""
+    if not (p1.is_finite() and p2.is_finite()):
+        raise DivisorDegeneracyError("formula mode needs finite points")
+    values = _formula_bindings(p1, p2)
+    if formula.excluded_hit(values, tol=1e-9):
+        raise DivisorDegeneracyError("excluded divisor hit")
+    theta = formula.R[0].eval_numeric(values)
+    xs = tuple(r.eval_numeric(values) for r in formula.R[1:])
+    return VarietyPoint(theta=theta, x=xs)
 
 
 def variety_residual(spec: VarietySpec, point: VarietyPoint) -> float:
@@ -428,26 +418,26 @@ def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, tol=1e-8, 
     """Two distinct parameters with the same variety point stay indistinguishable
     under arbitrary shifts: the executable content of formula-mode soundness."""
     rng = random.Random(naming.stage_seed(seed, "uniqueness"))
-    box = backend.default_box()
-    for _ in range(60):
-        u1 = draw_point(rng, backend.n, box)
-        u2 = tuple(a + b for a, b in zip(u1, period))
-        if backend.is_pole(u1) or backend.is_pole(u2):
+    n = backend.n
+    attempts = 60
+    # attempt i draws u1 = draws[i]; the shifts of the first pair that
+    # qualifies are the draws after it
+    draws = draw_points(rng, attempts + shifts, n, backend.default_box())
+    u1 = draws[:attempts]
+    u2 = u1 + np.asarray(period, dtype=complex)
+    pts = backend_points(backend, spec, np.concatenate([u1, u2]))
+    for i, (pt1, pt2) in enumerate(zip(pts[:attempts], pts[attempts:])):
+        if pt1.is_finite() and pt2.is_finite() and pt1.close_to(pt2, tol):
+            break
+    else:
+        raise StructuralError("no usable witness pair found")
+    b = draws[i + 1 : i + 1 + shifts]
+    vals, _, bad = backend.value_jacobian(np.concatenate([u1[i] + b, u2[i] + b]))
+    vals, bad = vals.tolist(), bad.tolist()
+    for f1, f2, bad1, bad2 in zip(vals[:shifts], vals[shifts:], bad[:shifts], bad[shifts:]):
+        if bad1 or bad2:
             continue
-        pt1 = backend_point(backend, spec, u1)
-        pt2 = backend_point(backend, spec, u2)
-        if not (pt1.is_finite() and pt2.is_finite() and pt1.close_to(pt2, tol)):
-            continue
-        for _ in range(shifts):
-            b = draw_point(rng, backend.n, box)
-            w1 = tuple(a + c for a, c in zip(u1, b))
-            w2 = tuple(a + c for a, c in zip(u2, b))
-            if backend.is_pole(w1) or backend.is_pole(w2):
-                continue
-            f1 = backend.value(w1)
-            f2 = backend.value(w2)
-            for c1, c2 in zip(f1, f2):
-                if abs(c1 - c2) > tol * (1 + abs(c1)):
-                    return False
-        return True
-    raise StructuralError("no usable witness pair found")
+        for c1, c2 in zip(f1, f2):
+            if abs(c1 - c2) > tol * (1 + abs(c1)):
+                return False
+    return True

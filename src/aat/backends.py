@@ -6,23 +6,22 @@ period stage must recover, and advertises special points where the mapping
 and its derivative take exact rational values (where the elimination engine
 specializes first).
 
-Each family writes its formula once, in `_map`, with plain arithmetic over an
-`_Ops` pair (exp and the Weierstrass evaluation).  `value` and `jacobian` run
-it on one point with cmath and `Lattice.eval_all`; `value_jacobian` runs it on
-an array of points with numpy and `Lattice.eval_many`.
+There is one evaluator, `value_jacobian(points)`: each family writes its
+formula once, in `_map`, over numpy arrays (`np.exp` and
+`Lattice.eval_many`), and every caller hands it all the points it needs at
+once.  A row on the pole set or with a non-finite entry comes back marked
+`bad`.
 
-Families: exp(c), the identity/rational map, the Weierstrass family, and the
-five two-variable degenerate families (rational components, mixed
-exponentials, p with zeta drift, p with a sigma-quotient factor).
+Families (`FAMILIES` maps each name to its dimension n): exp(c), the
+identity/rational map, the Weierstrass family, and the five two-variable
+degenerate families (rational components, mixed exponentials, p with zeta
+drift, p with a sigma-quotient factor).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,16 +31,16 @@ from .weierstrass import Lattice
 # points closer than this to a lattice point count as poles
 _POLE_RADIUS = 1e-6
 
-FAMILIES = (
-    "exp",
-    "rational",
-    "weierstrass",
-    "singular2-case1",
-    "singular2-case2",
-    "singular2-case3",
-    "singular2-case4",
-    "singular2-case5",
-)
+FAMILIES = {
+    "exp": 1,
+    "rational": 1,
+    "weierstrass": 1,
+    "singular2-case1": 2,
+    "singular2-case2": 2,
+    "singular2-case3": 2,
+    "singular2-case4": 2,
+    "singular2-case5": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -58,17 +57,6 @@ class ExactPoint:
     jac: tuple
 
 
-class _Ops(NamedTuple):
-    """The non-arithmetic steps of a family formula, for one point or an array."""
-
-    exp: Callable
-    weierstrass: Callable  # (lattice, u) -> (p, p', zeta, sigma)
-
-
-# attribute lookups at call time, so a wrapped Lattice method is the one called
-_POINT = _Ops(cmath.exp, lambda lat, u: lat.eval_all(u))
-
-
 class MappingBackend:
     """Numeric evaluator for one concrete family."""
 
@@ -81,48 +69,43 @@ class MappingBackend:
 
     # subclasses implement _map and, with a lattice, _lattice_args -----------
 
-    def _map(self, u, ops: _Ops):
-        """(values, jacobian rows) at u; u holds complexes or equal-length arrays."""
+    def _map(self, u, bad):
+        """(values, jacobian rows) at the points whose coordinates are the
+        equal-length arrays u; Weierstrass arguments on the pole set mark
+        their rows in `bad`."""
         raise NotImplementedError
 
     def _lattice_args(self, u) -> tuple:
         """Arguments of the Weierstrass functions that must stay off the lattice."""
         return ()
 
-    def value(self, u: Sequence[complex]) -> tuple:
-        return self._map(u, _POINT)[0]
+    def _weierstrass(self, w, bad):
+        """(p, p', zeta, sigma) at the array w, reduced once; the pole test
+        reads the same reduction the evaluation runs on."""
+        reduced = self.lattice.reduce_many(w)
+        bad |= np.abs(reduced[0]) < _POLE_RADIUS
+        return self.lattice.eval_many(w, reduced)
 
-    def jacobian(self, u: Sequence[complex]) -> tuple:
-        return self._map(u, _POINT)[1]
-
-    def pole_distance(self, u: Sequence[complex]) -> float:
-        """Distance of the nearest Weierstrass argument from the lattice (inf without one)."""
-        args = self._lattice_args(u)
-        return min(map(self.lattice.lattice_distance, args)) if args else math.inf
-
-    def is_pole(self, u: Sequence[complex]) -> bool:
-        return self.pole_distance(u) < _POLE_RADIUS
+    def pole_distance(self, points):
+        """Per row of `points`, the distance of the nearest Weierstrass
+        argument from the lattice (inf without one)."""
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
+        dist = np.full(len(pts), np.inf)
+        for w in self._lattice_args(tuple(pts.T)):
+            dist = np.minimum(dist, np.abs(self.lattice.reduce_many(w)[0]))
+        return dist
 
     def value_jacobian(self, points):
         """(values[N, n], jac[N, n, n], bad[N]) at the rows of `points`.
 
-        `bad` marks the rows `is_pole` rejects and those where the scalar
-        evaluation would raise PoleError (their entries are not finite).
-        Every Weierstrass argument is reduced once; the pole test reads the
-        same reduction the evaluation runs on.
+        `bad` marks the rows whose `pole_distance` is below _POLE_RADIUS and
+        those with a non-finite entry (an evaluation that overflows).
         """
         pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
         shape = (len(pts),)
-        cols = tuple(pts.T)
         bad = np.zeros(shape, dtype=bool)
-
-        def weierstrass(lat, w):
-            reduced = lat.reduce_many(w)
-            bad[...] |= np.abs(reduced[0]) < _POLE_RADIUS
-            return lat.eval_many(w, reduced)
-
         with np.errstate(all="ignore"):
-            vals, jac = self._map(cols, _Ops(np.exp, weierstrass))
+            vals, jac = self._map(tuple(pts.T), bad)
         values = np.stack([np.broadcast_to(v, shape) for v in vals], axis=-1)
         jac = np.stack([np.stack([np.broadcast_to(e, shape) for e in row], axis=-1) for row in jac], axis=-2)
         bad |= ~(np.isfinite(values).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
@@ -155,9 +138,9 @@ class ExpBackend(MappingBackend):
         super().__init__("exp", 1, {"c": c})
         self.c = Fraction(c)
 
-    def _map(self, u, ops):
+    def _map(self, u, bad):
         c = complex(self.c)
-        e = ops.exp(c * u[0])
+        e = np.exp(c * u[0])
         return (e,), ((c * e,),)
 
     def exact_points(self):
@@ -177,7 +160,7 @@ class RationalBackend(MappingBackend):
     def __init__(self):
         super().__init__("rational", 1, {})
 
-    def _map(self, u, ops):
+    def _map(self, u, bad):
         return (u[0],), ((1 + 0j,),)
 
     def exact_points(self):
@@ -197,8 +180,8 @@ class WeierstrassBackend(MappingBackend):
         super().__init__("weierstrass", 1, {"g2": Fraction(g2), "g3": Fraction(g3)})
         self.lattice = Lattice(g2, g3)
 
-    def _map(self, u, ops):
-        p, q, _, _ = ops.weierstrass(self.lattice, u[0])
+    def _map(self, u, bad):
+        p, q, _, _ = self._weierstrass(u[0], bad)
         return (p,), ((q,),)
 
     def _lattice_args(self, u):
@@ -237,19 +220,19 @@ class Singular2Backend(MappingBackend):
         self.epsilon = int(params.get("epsilon", 1)) if case == 4 else None
         self.a = params.get("a")
 
-    def _map(self, u, ops):
+    def _map(self, u, bad):
         u1, u2 = u
         zero = 0j
         one = 1 + 0j
         if self.case == 1:
             return (u1, u2), ((one, zero), (zero, one))
         if self.case == 2:
-            e2 = ops.exp(u2)
+            e2 = np.exp(u2)
             return (u1, e2), ((one, zero), (zero, e2))
         if self.case == 3:
-            e1, e2 = ops.exp(u1), ops.exp(u2)
+            e1, e2 = np.exp(u1), np.exp(u2)
             return (e1, e2), ((e1, zero), (zero, e2))
-        p, q, zt, s_den = ops.weierstrass(self.lattice, u1)
+        p, q, zt, s_den = self._weierstrass(u1, bad)
         if self.case == 4:
             drift = zt if self.epsilon else zero
             # d/du1 of (u2 - eps*zeta(u1)) = eps*wp(u1)
@@ -257,8 +240,8 @@ class Singular2Backend(MappingBackend):
             return (p, u2 - self.epsilon * drift), ((q, zero), (d21, one))
         # case 5: (p(u1), exp(u2) * sigma(u1 - a)/sigma(u1)); f2 has log-derivative
         # zeta(u1 - a) - zeta(u1) in u1
-        _, _, zt_a, s_num = ops.weierstrass(self.lattice, u1 - complex(self.a))
-        f2 = ops.exp(u2) * s_num / s_den
+        _, _, zt_a, s_num = self._weierstrass(u1 - complex(self.a), bad)
+        f2 = np.exp(u2) * s_num / s_den
         return (p, f2), ((q, zero), (f2 * (zt_a - zt), f2))
 
     def _lattice_args(self, u):

@@ -23,8 +23,8 @@ import numpy as np
 from . import naming
 from .euclid import exact_div, factor_candidates, gcd, resultant
 from .reconstruct import complex_reconstruct, rational_reconstruct
-from .rings import MPoly, PoleError, StructuralError, VarRing, transport
-from .sampling import draw_point, vanishes
+from .rings import MPoly, StructuralError, VarRing, transport
+from .sampling import sequential_draws, vanishes
 
 SYMBOLIC_COST_LIMIT = 20_000  # term-count product beyond which H is not expanded symbolically
 
@@ -214,18 +214,10 @@ def specialize_v(
 
 
 def _numeric_specialize(H: MPoly, sys: AATSystem, backend, rng, *, tol, seed):
-    box = backend.default_box()
-    for _ in range(30):
-        v = draw_point(rng, sys.n, box)
-        if not backend.is_pole(v):
-            break
-    else:
+    found = sequential_draws(rng, 1, 30, sys.n, backend.default_box(), lambda vs: _evaluations(backend, vs))
+    if not found:
         return None
-    try:
-        vals = backend.value(v)
-        jac = backend.jacobian(v)
-    except PoleError:
-        return None
+    vals, jac = found[0]
     numeric = {naming.y(i): vals[i - 1] for i in range(1, sys.n + 1)}
     for i in range(1, sys.n + 1):
         for p in range(1, sys.n + 1):
@@ -364,26 +356,24 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     names += [naming.x(i) for i in range(1, sys.n + 1)]
     rng = random.Random(naming.stage_seed(seed, "search-samples"))
     box = backend.default_box()
+
+    def monomial_row(evaluation):
+        if evaluation is None:
+            return None
+        vals, jac = evaluation
+        values = {naming.x(i): vals[i - 1] for i in range(1, sys.n + 1)}
+        for i in range(1, sys.n + 1):
+            values[naming.z(i, p)] = jac[i - 1][p - 1]
+        if any(abs(c) > 50 for c in values.values()):
+            return None
+        return [_eval_monomial(m, values) for m in basis]
+
     for degree in range(1, max_degree + 1):
         basis = _monomials(names, degree)
-        rows = []
-        tries = 0
-        while len(rows) < 2 * len(basis) + 10 and tries < 40 * len(basis):
-            tries += 1
-            u = draw_point(rng, sys.n, box)
-            try:
-                if backend.is_pole(u):
-                    continue
-                vals = backend.value(u)
-                jac = backend.jacobian(u)
-            except PoleError:
-                continue
-            values = {naming.x(i): vals[i - 1] for i in range(1, sys.n + 1)}
-            for i in range(1, sys.n + 1):
-                values[naming.z(i, p)] = jac[i - 1][p - 1]
-            if any(abs(c) > 50 for c in values.values()):
-                continue
-            rows.append([_eval_monomial(m, values) for m in basis])
+        rows = sequential_draws(
+            rng, 2 * len(basis) + 10, 40 * len(basis), sys.n, box,
+            lambda us: map(monomial_row, _evaluations(backend, us)),
+        )
         if len(rows) < len(basis) + 4:
             continue
         matrix = np.array(rows, dtype=complex)
@@ -409,6 +399,12 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     raise EliminationError(
         f"no vanishing relation for (k={k}, p={p}) found up to degree {max_degree}"
     )
+
+
+def _evaluations(backend, us) -> list:
+    """(values, jacobian) as nested lists per row of `us`, None for a bad row."""
+    vals, jac, bad = backend.value_jacobian(us)
+    return [None if b else (v, j) for v, j, b in zip(vals.tolist(), jac.tolist(), bad.tolist())]
 
 
 def _eval_monomial(mono, values):

@@ -18,14 +18,16 @@ import numpy as np
 from . import naming
 from .addition import (
     DivisorDegeneracyError,
-    backend_point,
+    backend_points,
     derive_negation,
+    formula_value,
+    pair_points,
     point_add,
-    point_sub,
     resolve_addition,
     uniqueness_witness,
     variety_residual,
 )
+from .backends import FAMILIES
 from .derivatives import Recursion, taylor_match_check
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
@@ -33,7 +35,7 @@ from .periods import detect_period, is_integer_combination
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import SamplingError, draw_point, draw_points, residual_check
+from .sampling import SamplingError, draw_points, residual_check, sequential_draws
 from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
@@ -275,40 +277,24 @@ def _group_law_checks(ctx: RunContext) -> None:
     spec = ctx.spec
     opts = spec.options
     backend = ctx.backend
+    vspec = ctx.vspec
+    n = spec.n
+    # both loops draw from one stream; `sequential_draws` leaves it where a
+    # loop drawing one triple (one pair) at a time would
     rng = random.Random(naming.stage_seed(opts.seed, "group-law"))
     box = opts.box if opts.box is not None else backend.default_box()
     tol = max(opts.tol, 1e-8)
-    worst_comm = worst_assoc = worst_ident = worst_inv = 0.0
-    triples = 0
-    guard = 0
-    while triples < 50 and guard < 2000:
-        guard += 1
-        us = [draw_point(rng, spec.n, box) for _ in range(3)]
-        pts = [backend_point(backend, ctx.vspec, u) for u in us]
-        if not all(p.is_finite() for p in pts):
-            continue
-        ab = point_add(pts[0], pts[1], backend=backend, spec=ctx.vspec)
-        ba = point_add(pts[1], pts[0], backend=backend, spec=ctx.vspec)
-        a_bc = point_add(
-            pts[0], point_add(pts[1], pts[2], backend=backend, spec=ctx.vspec),
-            backend=backend, spec=ctx.vspec,
-        )
-        ab_c = point_add(ab, pts[2], backend=backend, spec=ctx.vspec)
-        if not (ab.is_finite() and ba.is_finite() and a_bc.is_finite() and ab_c.is_finite()):
-            continue
-        sub = point_sub(ab, pts[1], backend=backend, spec=ctx.vspec)
-        if not sub.is_finite():
-            continue
-        worst_comm = max(worst_comm, _point_gap(ab, ba))
-        worst_assoc = max(worst_assoc, _point_gap(a_bc, ab_c))
-        worst_inv = max(worst_inv, _point_gap(sub, pts[0]))
-        back = point_add(
-            point_sub(pts[0], pts[1], backend=backend, spec=ctx.vspec),
-            pts[1], backend=backend, spec=ctx.vspec,
-        )
-        if back.is_finite():
-            worst_ident = max(worst_ident, _point_gap(back, pts[0]))
-        triples += 1
+
+    def triple_gaps(rows):
+        a, b, c = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
+        ab = a + b
+        us = [a, b, c, ab, b + a, a + (b + c), ab + c, ab - b, (a - b) + b]
+        pts = backend_points(backend, vspec, np.concatenate(us))
+        return map(_triple_gaps, *(pts[i : i + len(rows)] for i in range(0, len(pts), len(rows))))
+
+    gaps = sequential_draws(rng, 50, 2000, 3 * n, box, triple_gaps)
+    triples = len(gaps)
+    worst_comm, worst_assoc, worst_inv, worst_ident = [max(g) for g in zip(*gaps)] or [0.0] * 4
     ctx.verdict("group commutativity", triples >= 50 and worst_comm < tol, f"worst gap {worst_comm:.3e} on {triples} triples")
     ctx.verdict("group associativity", triples >= 50 and worst_assoc < tol, f"worst gap {worst_assoc:.3e}")
     ctx.verdict("group inverse", worst_inv < tol, f"worst gap {worst_inv:.3e}")
@@ -323,36 +309,38 @@ def _group_law_checks(ctx: RunContext) -> None:
     formula = ctx.formula_outcome.formula if ctx.formula_outcome else None
     if formula is None:
         return
-    agree = 0
-    tried = 0
-    worst = 0.0
-    closure_worst = 0.0
-    guard = 0
-    while tried < opts.samples and guard < 40 * opts.samples:
-        guard += 1
-        u = draw_point(rng, spec.n, box)
-        v = draw_point(rng, spec.n, box)
-        p1 = backend_point(backend, ctx.vspec, u)
-        p2 = backend_point(backend, ctx.vspec, v)
-        if not (p1.is_finite() and p2.is_finite()):
-            continue
-        want = point_add(p1, p2, backend=backend, spec=ctx.vspec)
-        if not want.is_finite():
-            continue
+
+    def agreement(p1, p2, want):
+        if not (p1.is_finite() and p2.is_finite() and want.is_finite()):
+            return None
         try:
             got = point_add(p1, p2, formula=formula)
         except (DivisorDegeneracyError, PoleError):
-            continue
-        tried += 1
-        gap = _point_gap(got, want)
-        worst = max(worst, gap)
-        closure_worst = max(closure_worst, variety_residual(ctx.vspec, got))
-        if gap < tol:
-            agree += 1
+            return None
+        return _point_gap(got, want), variety_residual(vspec, got)
+
+    pairs = sequential_draws(
+        rng, opts.samples, 40 * opts.samples, 2 * n, box,
+        lambda rows: map(agreement, *pair_points(backend, vspec, rows)),
+    )
+    tried = len(pairs)
+    agree = sum(gap < tol for gap, _ in pairs)
+    worst = max((gap for gap, _ in pairs), default=0.0)
+    closure_worst = max((res for _, res in pairs), default=0.0)
     ok = tried >= min(opts.samples, 50) and agree >= int(0.95 * tried)
     ctx.verdict("formula/backend agreement", ok, f"{agree}/{tried} pairs within {tol:.1e}")
     ctx.verdict("formula closure", closure_worst < tol, f"worst |V| residual {closure_worst:.3e}")
     ctx.section["group_law"]["formula_agreement"] = {"agree": agree, "tried": tried, "worst_gap": worst}
+
+
+def _triple_gaps(a, b, c, ab, ba, a_bc, ab_c, sub, back):
+    """(commutativity, associativity, inverse, round-trip) gaps of one
+    triple, or None where the triple is unusable; the points are those over
+    a, b, c, a+b, b+a, a+(b+c), (a+b)+c, (a+b)-b and (a-b)+b."""
+    if not all(p.is_finite() for p in (a, b, c, ab, ba, a_bc, ab_c, sub)):
+        return None
+    round_trip = _point_gap(back, a) if back.is_finite() else 0.0
+    return _point_gap(ab, ba), _point_gap(a_bc, ab_c), _point_gap(sub, a), round_trip
 
 
 def _point_gap(a, b) -> float:
@@ -374,25 +362,22 @@ def _derivative_checks(ctx: RunContext) -> None:
     box = min(opts.box if opts.box is not None else backend.default_box(), 0.95)
     h = 1e-5
     recursion = Recursion(ctx.relations, spec.n)
-    worst2 = worst3 = 0.0
-    done = 0
-    drawn = 0
-    # draws come in chunks; within a chunk the first usable points in draw
-    # order count, as in a loop that tests one draw at a time
-    while done < 20 and drawn < 800:
-        us = draw_points(rng, min(2 * (20 - done), 800 - drawn), spec.n, box)
-        drawn += len(us)
+
+    def point_gaps(us):
         # the difference quotients divide by h^2; stay well clear of poles so
         # the evaluator's noise floor cannot swamp the 1e-6 comparison
-        us = us[[backend.pole_distance(u) >= 0.5 for u in us.tolist()]]
-        if not len(us):
-            continue
-        gap2, gap3, usable = _recursion_gaps(recursion, backend, us, h)
-        take = np.flatnonzero(usable)[: 20 - done]
-        if len(take):
-            worst2 = max(worst2, float(gap2[take].max()))
-            worst3 = max(worst3, float(gap3[take].max()))
-        done += len(take)
+        out = [None] * len(us)
+        clear = np.flatnonzero(backend.pole_distance(us) >= 0.5)
+        if len(clear):
+            gap2, gap3, usable = _recursion_gaps(recursion, backend, us[clear], h)
+            for i, g2, g3, ok in zip(clear.tolist(), gap2.tolist(), gap3.tolist(), usable.tolist()):
+                if ok:
+                    out[i] = (g2, g3)
+        return out
+
+    gaps = sequential_draws(rng, 20, 800, spec.n, box, point_gaps)
+    done = len(gaps)
+    worst2, worst3 = [max(g) for g in zip(*gaps)] or [0.0] * 2
     ctx.verdict("derivative recursion order 2", done >= 20 and worst2 < 1e-6, f"worst {worst2:.3e} at {done} points")
     ctx.verdict("derivative recursion order 3", done >= 20 and worst3 < 1e-6, f"worst {worst3:.3e}")
     ctx.section["derivative_recursion"] = {"points": done, "worst_order2": worst2, "worst_order3": worst3}
@@ -466,35 +451,21 @@ def stage_verify(ctx: RunContext) -> None:
     if formula is not None:
         rng = random.Random(naming.stage_seed(opts.seed, "theta-slot"))
         box = opts.box if opts.box is not None else ctx.backend.default_box()
-        worst = 0.0
-        done = 0
-        guard = 0
-        while done < min(50, opts.samples) and guard < 2000:
-            guard += 1
-            u = draw_point(rng, spec.n, box)
-            v = draw_point(rng, spec.n, box)
-            p1 = backend_point(ctx.backend, ctx.vspec, u)
-            p2 = backend_point(ctx.backend, ctx.vspec, v)
-            uv = tuple(a + b for a, b in zip(u, v))
-            p3 = backend_point(ctx.backend, ctx.vspec, uv)
-            if not (p1.is_finite() and p2.is_finite() and p3.is_finite()):
-                continue
-            values = {"x0": p1.theta, "y0": p2.theta}
-            for i, c in enumerate(p1.x, start=1):
-                values[naming.x(i)] = c
-            for i, c in enumerate(p2.x, start=1):
-                values[naming.y(i)] = c
-            if formula.excluded_hit(values, tol=1e-6):
-                continue
-            try:
-                got = formula.R[0].eval_numeric(values)
-            except PoleError:
-                continue
-            worst = max(worst, abs(got - p3.theta) / (1 + abs(p3.theta)))
-            done += 1
+
+        def theta_gap(p1, p2, p12):
+            got = formula_value(formula, 0, p1, p2)
+            if got is None or not p12.is_finite():
+                return None
+            return abs(got - p12.theta) / (1 + abs(p12.theta))
+
+        gaps = sequential_draws(
+            rng, min(50, opts.samples), 2000, 2 * spec.n, box,
+            lambda rows: map(theta_gap, *pair_points(ctx.backend, ctx.vspec, rows)),
+        )
+        worst = max(gaps, default=0.0)
         ctx.verdict(
-            "theta-slot formula", done >= 25 and worst < max(opts.tol, 1e-8),
-            f"worst gap {worst:.3e} on {done} pairs",
+            "theta-slot formula", len(gaps) >= 25 and worst < max(opts.tol, 1e-8),
+            f"worst gap {worst:.3e} on {len(gaps)} pairs",
         )
     _group_law_checks(ctx)
     _derivative_checks(ctx)
@@ -515,15 +486,15 @@ def stage_period(ctx: RunContext) -> None:
     section = {"generators": [c.to_json() for c in candidates]}
     lat = backend.lattice
     if lat is not None:
-        shift_worst = 0.0
         rng = random.Random(naming.stage_seed(opts.seed, "zeta-shift"))
-        for _ in range(10):
-            u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if lat.lattice_distance(u) < 0.25:
-                continue
-            for omega, eta in ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2)):
-                got = lat.zeta(u + 2 * omega) - lat.zeta(u)
-                shift_worst = max(shift_worst, abs(got - 2 * eta) / (1 + abs(2 * eta)))
+        us = draw_points(rng, 10, 1, 1.0)[:, 0]
+        us = us[np.abs(lat.reduce_many(us)[0]) >= 0.25]
+        _, _, zeta, _ = lat.eval_many(np.concatenate([us, us + 2 * lat.omega1, us + 2 * lat.omega2]))
+        base, *shifted = np.split(zeta, 3)
+        shift_worst = 0.0
+        for got, eta in zip(shifted, (lat.eta1, lat.eta2)):
+            gaps = np.abs(got - base - 2 * eta) / (1 + abs(2 * eta))
+            shift_worst = max(shift_worst, float(gaps.max(initial=0.0)))
         ctx.verdict("zeta quasi-periodicity", shift_worst < 1e-9, f"worst {shift_worst:.3e}")
         section["zeta_shift_worst"] = shift_worst
     expected = backend.expected_periods()
@@ -639,7 +610,7 @@ _CATALOG = (
 
 
 def catalog_problem_text(family: str, params: dict, *, seed: int = 42) -> str:
-    n = 2 if family.startswith("singular2") else 1
+    n = FAMILIES[family]
     lines = ["[mapping]", f"n = {n}", f"family = {family}"]
     for name, value in params.items():
         lines.append(f"param {name} = {value}")
@@ -662,11 +633,12 @@ def run_catalog(*, seed: int = 42, timings: bool = False) -> dict:
         else:
             # no closed addition polynomials for this family; run the numeric
             # layer only (backend invariants and period detection)
+            n = FAMILIES[family]
             spec = ProblemSpec(
-                n=2,
+                n=n,
                 family=family,
                 params={k: Fraction(v) for k, v in params.items()},
-                ring=naming.problem_ring(2),
+                ring=naming.problem_ring(n),
                 aat_texts=[],
                 aat_polys=[],
                 options=Options(seed=seed),

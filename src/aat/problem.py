@@ -143,6 +143,8 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
     family = mapping.get("family", "none")
     if family not in _FAMILIES:
         raise ProblemError(f"{source}: unknown family {family!r}")
+    if FAMILIES.get(family, n) != n:
+        raise ProblemError(f"{source}: family {family} has n = {FAMILIES[family]}, not {n}")
     params = mapping["params"]
     options = Options(**opts)
 

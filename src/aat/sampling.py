@@ -13,8 +13,12 @@ points (u, and v, -u or u+v as the relation needs them) go through one
 (`MPoly.eval_terms`); the sequential accept rule is then replayed on the
 rows: the first `samples` usable draws in draw order count, and the unusable
 ones before them are the skips.  Counts and verdicts are those of a loop
-that draws and tests one sample at a time; the statistics agree with it up
-to the last digits of the array arithmetic.
+that draws and tests one sample at a time.
+
+`sequential_draws` gives every other sampled check (group law, formula
+agreement, specialization, uniqueness) the same shape: chunks of draws, one
+batched evaluation per chunk, and a replay of the loop's stopping rule that
+leaves a shared rng exactly where the one-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -56,16 +60,42 @@ class SamplingError(StructuralError):
     """Sampling could not produce enough pole-free points."""
 
 
-def draw_point(rng: random.Random, n: int, box: float) -> tuple:
-    return tuple(complex(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(n))
-
-
 def draw_points(rng: random.Random, count: int, n: int, box: float) -> np.ndarray:
-    """`count` successive `draw_point` results as a (count, n) complex array."""
-    # rng.uniform(a, b) is a + (b - a) * rng.random(); the same arithmetic here
-    # keeps every point equal to its draw_point twin
+    """`count` points of the square box in C^n as a (count, n) complex array.
+
+    Each coordinate takes two draws, real part first; the arithmetic is that
+    of rng.uniform(-box, box), a + (b - a) * rng.random().
+    """
     parts = -box + (box - -box) * np.array([rng.random() for _ in range(2 * n * count)])
     return (parts[0::2] + 1j * parts[1::2]).reshape(count, n)
+
+
+def sequential_draws(rng: random.Random, want: int, limit: int, width: int, box: float, evaluate) -> list:
+    """The results a loop that draws one row of `width` coordinates at a time
+    keeps, when it stops after `want` usable rows or `limit` rows.
+
+    Rows are drawn in chunks; `evaluate(rows)` yields one result per row of a
+    chunk, in order, with None for an unusable row, and may evaluate the
+    whole chunk at once before yielding.  The usable results come back in
+    draw order, and `rng` is left where that loop would leave it.
+    """
+    kept = []
+    drawn = 0
+    while len(kept) < want and drawn < limit:
+        state = rng.getstate()
+        count = min(2 * (want - len(kept)), limit - drawn)
+        used = 0
+        for result in evaluate(draw_points(rng, count, width, box)):
+            used += 1
+            if result is not None:
+                kept.append(result)
+                if len(kept) == want:
+                    break
+        drawn += used
+        if used < count:  # give back the draws past the last row used
+            rng.setstate(state)
+            draw_points(rng, used, width, box)
+    return kept
 
 
 _VALUE_CAP = 1e8  # treat enormous values as pole-adjacent and skip the sample

@@ -6,13 +6,16 @@ from the Laurent series after argument reduction into the fundamental cell,
 with argument halving and exact duplication formulas when the reduced point
 sits too close to the cell boundary.  No theta functions anywhere.
 
-The series of p, p', zeta and log(sigma/u) are four coefficient tuples per
-lattice, summed by one Horner kernel in u^2.  The number of terms comes from
-a tail bound, not from watching the terms: with c_k = (2k-1) G_{2k} and
-|G_{2k}| <= rho^(4-2k) * sum'|w|^-4 (DLMF 23.9, rho the shortest period), the
-tail after K terms is geometric in (|u|/rho)^2, so K follows from the reduced
-|u| alone.  The kernel and the duplication formulas use plain arithmetic, so
-`eval_all` runs them on one complex and `eval_many` on a numpy array.
+There is one evaluator, `Lattice.eval_many`, and it works on numpy arrays:
+`reduce_many` moves every point into the fundamental cell, the series of p,
+p', zeta and log(sigma/u) are four coefficient rows per lattice summed by one
+Horner kernel in u^2, the duplication steps run masked by each point's
+halving count, and `_unreduce` applies the quasi-periodic shifts of zeta and
+sigma.  The number of terms comes from a tail bound, not from watching the
+terms: with c_k = (2k-1) G_{2k} and |G_{2k}| <= rho^(4-2k) * sum'|w|^-4
+(DLMF 23.9, rho the shortest period), the tail after K terms is geometric in
+(|u|/rho)^2, so K follows from the largest reduced |u| of the batch.  A
+lattice point comes back as nan, never as an exception.
 
 Correctness is asserted through the lattice invariants (p(omega_i) = e_i, the
 zeta/sigma quasi-periodicity shifts), never through hard-coded constants.
@@ -26,7 +29,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .reconstruct import rational_reconstruct
-from .rings import DomainError, PoleError
+from .rings import DomainError
 
 # the covering radius of a reduced argument stays below ~0.71 of the shortest
 # period, where the Laurent series still converges cleanly; keeping the
@@ -39,7 +42,7 @@ _TAIL_EPS = 1e-17
 # lattice points with max(|m|, |n|) <= _SUM_BOX enter sum'|w|^-4 one by one;
 # the rest are covered by an integral bound
 _SUM_BOX = 30
-# the nine cells next to the rounded one, in the order `Lattice.reduce` tries them
+# the nine cells next to the rounded one, in the order `Lattice.reduce_many` tries them
 _NEAR_M = np.repeat([-1.0, 0.0, 1.0], 3)
 _NEAR_N = np.tile([-1.0, 0.0, 1.0], 3)
 
@@ -136,7 +139,6 @@ class Lattice:
         "_rho",
         "_radii",
         "_rows",
-        "_row_array",
     )
 
     def __init__(self, g2, g3):
@@ -156,18 +158,18 @@ class Lattice:
         self.omega1 = omega1
         self.omega2 = omega2
         self._init_series()
-        self.eta1 = self._eval_small(self.omega1)[2]
-        self.eta2 = self._eval_small(self.omega2)[2]
+        # the half-periods are their own reductions; `reduce_many` could send
+        # omega1 to -omega1 on a tie, and zeta is odd
+        halves = np.array([omega1, omega2, omega1 + omega2])
+        none = np.zeros(3, dtype=np.int64)
+        p, _, zt, _ = (f.tolist() for f in self.eval_many(halves, (halves, none, none)))
+        self.eta1, self.eta2 = zt[:2]
         roots = (e1, e2, e3)
-        ordered = []
-        for h in (self.omega1, self.omega2, self.omega1 + self.omega2):
-            val = self._eval_small(h)[0]
-            ordered.append(min(roots, key=lambda r: abs(r - val)))
-        self.e_roots = tuple(ordered)
+        self.e_roots = tuple(min(roots, key=lambda r: abs(r - val)) for val in p)
         self.exact_e = tuple(self._exact_root(e) for e in self.e_roots)
 
     def _init_series(self):
-        """rho, the term-count radii and the four coefficient tuples."""
+        """rho, the term-count radii and the coefficient rows of the four series."""
         w1, w2 = 2 * self.omega1, 2 * self.omega2
         box = np.arange(-_SUM_BOX, _SUM_BOX + 1)
         m, n = np.meshgrid(box, box)
@@ -185,13 +187,13 @@ class Lattice:
             c[k] = 3.0 * np.dot(c[2 : k - 1], c[k - 2 : 1 : -1]) / ((2 * k + 1) * (k - 3))
         c = c.tolist()
         ks = range(top, 1, -1)
-        self._rows = (
-            tuple(c[k] for k in ks),
-            tuple((2 * k - 2) * c[k] for k in ks),
-            tuple(-c[k] / (2 * k - 1) for k in ks),
-            tuple(-c[k] / ((2 * k - 1) * (2 * k)) for k in ks),
+        rows = (
+            [c[k] for k in ks],
+            [(2 * k - 2) * c[k] for k in ks],
+            [-c[k] / (2 * k - 1) for k in ks],
+            [-c[k] / ((2 * k - 1) * (2 * k)) for k in ks],
         )
-        self._row_array = np.array(self._rows).T[:, :, None]
+        self._rows = np.array(rows).T[:, :, None]
 
     def _exact_root(self, e: complex):
         if abs(e.imag) > 1e-9:
@@ -207,82 +209,19 @@ class Lattice:
             return cand
         return None
 
-    # -- one point ----------------------------------------------------------------
-
-    def _eval_small(self, u: complex):
-        """Series plus halving/duplication for any nonzero point of the cell."""
-        halvings = 0
-        while abs(u) > _HALVING_RATIO * self._rho and halvings < _MAX_HALVINGS:
-            u /= 2
-            halvings += 1
-        z = u * u
-        terms = bisect_left(self._radii, abs(u)) + 1
-        p, q, zt, log_s = _laurent(u, z, [_horner(row[-terms:], z) for row in self._rows])
-        sg = u * cmath.exp(log_s)
-        for _ in range(halvings):
-            if abs(q) < 1e-280:
-                raise PoleError("duplication hit a critical point")
-            p, q, zt, sg = _duplicate(p, q, zt, sg, self.g2)
-        return p, q, zt, sg
-
-    def _unreduce(self, zt, sg, u0, m, n, exp):
+    def _unreduce(self, zt, sg, u0, m, n):
         """zeta and sigma at u0 + 2m*omega1 + 2n*omega2 from their values at u0."""
         eta_p = 2 * m * self.eta1 + 2 * n * self.eta2
         period = 2 * m * self.omega1 + 2 * n * self.omega2
         sign = 1 - 2 * ((m + n + m * n) % 2)
-        return zt + eta_p, sign * exp(eta_p * (u0 + period / 2)) * sg
-
-    def reduce(self, u: complex):
-        """(u0, m, n) with u = u0 + 2m*omega1 + 2n*omega2 and |u0| minimal."""
-        w1, w2 = 2 * self.omega1, 2 * self.omega2
-        det = w1.real * w2.imag - w1.imag * w2.real
-        s = (u.real * w2.imag - u.imag * w2.real) / det
-        t = (w1.real * u.imag - w1.imag * u.real) / det
-        m0, n0 = round(s), round(t)
-        best = None
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                m, n = m0 + dm, n0 + dn
-                u0 = u - m * w1 - n * w2
-                if best is None or abs(u0) < best[3]:
-                    best = (u0, m, n, abs(u0))
-        return best[0], best[1], best[2]
-
-    def lattice_distance(self, u: complex) -> float:
-        return abs(self.reduce(u)[0])
-
-    def eval_all(self, u: complex):
-        """(p, p', zeta, sigma) at u, with quasi-periodic unreduction."""
-        u = complex(u)
-        u0, m, n = self.reduce(u)
-        if abs(u0) < 1e-12:
-            raise PoleError(f"lattice point: u = {u}")
-        p, q, zt, sg = self._eval_small(u0)
-        if m or n:
-            zt, sg = self._unreduce(zt, sg, u0, m, n, cmath.exp)
-        return p, q, zt, sg
-
-    def wp(self, u: complex) -> complex:
-        return self.eval_all(u)[0]
-
-    def wp_prime(self, u: complex) -> complex:
-        return self.eval_all(u)[1]
-
-    def zeta(self, u: complex) -> complex:
-        return self.eval_all(u)[2]
-
-    def sigma(self, u: complex) -> complex:
-        u = complex(u)
-        u0, m, n = self.reduce(u)
-        if abs(u0) < 1e-12:
-            # sigma is entire with simple zeros on the lattice
-            return 0j
-        return self.eval_all(u)[3]
-
-    # -- arrays of points -------------------------------------------------------------
+        return zt + eta_p, sign * np.exp(eta_p * (u0 + period / 2)) * sg
 
     def reduce_many(self, us):
-        """`reduce` on an array: (u0, m, n) arrays, with the same arithmetic and ties."""
+        """(u0, m, n) arrays with u = u0 + 2m*omega1 + 2n*omega2 and |u0| minimal.
+
+        Of the nine cells around the rounded one, the first in `_NEAR_M`,
+        `_NEAR_N` order wins a tie.
+        """
         u = np.asarray(us, dtype=complex)[..., None]
         w1, w2 = 2 * self.omega1, 2 * self.omega2
         det = w1.real * w2.imag - w1.imag * w2.real
@@ -296,10 +235,11 @@ class Lattice:
     def eval_many(self, us, reduced=None):
         """(p, p', zeta, sigma) at every point of `us`, as complex arrays.
 
-        Where `eval_all` would raise PoleError (a lattice point, or a
-        duplication step at a critical point) all four entries are nan.
-        The term count is the one the largest reduced point needs.  A caller
-        that already holds `reduce_many(us)` passes it as `reduced`.
+        At a lattice point, or where a duplication step meets a critical
+        point, all four entries are nan; far from the origin sigma may
+        overflow to inf.  The term count is the one the largest reduced point
+        needs.  A caller that already holds `reduce_many(us)` passes it as
+        `reduced`.
         """
         u0, m, n = self.reduce_many(us) if reduced is None else reduced
         pole = np.abs(u0) < 1e-12
@@ -314,14 +254,15 @@ class Lattice:
         z = v * v
         terms = bisect_left(self._radii, float(np.abs(v).max(initial=0.0))) + 1
         with np.errstate(all="ignore"):
-            p, q, zt, log_s = _laurent(v, z, _horner(self._row_array[-terms:], z.ravel()).reshape((4,) + z.shape))
+            p, q, zt, log_s = _laurent(v, z, _horner(self._rows[-terms:], z.ravel()).reshape((4,) + z.shape))
             sg = v * np.exp(log_s)
             for step in range(int(halvings.max(initial=0))):
                 live = halvings > step
                 pole |= live & (np.abs(q) < 1e-280)
                 doubled = _duplicate(p, q, zt, sg, self.g2)
                 p, q, zt, sg = (np.where(live, new, old) for new, old in zip(doubled, (p, q, zt, sg)))
-            zt, sg = self._unreduce(zt, sg, u0, m, n, np.exp)
+            if m.any() or n.any():  # none shifted while __init__ finds eta1, eta2
+                zt, sg = self._unreduce(zt, sg, u0, m, n)
             return tuple(np.where(pole, np.nan, f) for f in (p, q, zt, sg))
 
 

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aat import naming
@@ -114,23 +115,27 @@ def test_criterion_3_rational_addition(wp_ctx):
     formula = out_a.formula
     lat = backend.lattice
     rng = random.Random(31)
-    agree = tried = 0
+    # the draws of the loop below, evaluated in one call up front
+    count = 400
+    u, v = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)] for _ in range(count)]).T
+    pts = np.concatenate([u, v, u + v])
+    (p_u, p_v, p_uv), (q_u, q_v, _) = (np.split(f, 3) for f in lat.eval_many(pts)[:2])
+    dist = np.abs(lat.reduce_many(pts)[0]).reshape(3, -1).min(axis=0)
+    agree = tried = drawn = 0
     while tried < 100:
-        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if min(lat.lattice_distance(w) for w in (u, v, u + v)) < 0.15:
+        assert drawn < count, "more draws needed than evaluated"
+        i = drawn
+        drawn += 1
+        if dist[i] < 0.15:
             continue
-        if abs(lat.wp(u) - lat.wp(v)) < 1e-4:
+        if abs(p_u[i] - p_v[i]) < 1e-4:
             continue  # excluded divisor x1 = y1
-        values = {
-            "x0": lat.wp_prime(u), "x1": lat.wp(u),
-            "y0": lat.wp_prime(v), "y1": lat.wp(v),
-        }
+        values = {"x0": q_u[i], "x1": p_u[i], "y0": q_v[i], "y1": p_v[i]}
         try:
             got = formula.R[1].eval_numeric(values)
         except PoleError:
             continue
-        want = lat.wp(u + v)
+        want = p_uv[i]
         tried += 1
         if abs(got - want) <= 1e-8 * (1 + abs(want)):
             agree += 1

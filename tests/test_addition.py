@@ -2,15 +2,16 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aat import naming
 from aat.addition import (
     DivisorDegeneracyError,
-    backend_point,
+    backend_points,
     derive_negation,
+    pair_points,
     point_add,
-    point_sub,
     resolve_addition,
     uniqueness_witness,
     variety_residual,
@@ -102,21 +103,15 @@ def test_resolve_weierstrass_matches_classical(wp_ctx):
     x1, y1 = fring.var("x1"), fring.var("y1")
     num = (x0 - y0) ** 2 - (x1 + y1).scale(4) * (x1 - y1) ** 2
     classical = RatFn(num, (x1 - y1).scale(2) ** 2)
-    lat = backend.lattice
     rng = random.Random(5)
     agree = 0
-    for _ in range(40):
-        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if lat.lattice_distance(u) < 0.2 or lat.lattice_distance(v) < 0.2:
+    for (pu, qu, du), (pv, qv, dv), (puv, _, duv) in _wp_pairs(backend.lattice, rng, 40):
+        if du < 0.2 or dv < 0.2:
             continue
-        if lat.lattice_distance(u + v) < 0.2 or abs(lat.wp(u) - lat.wp(v)) < 1e-3:
+        if duv < 0.2 or abs(pu - pv) < 1e-3:
             continue
-        vals = {
-            "x0": lat.wp_prime(u), "x1": lat.wp(u),
-            "y0": lat.wp_prime(v), "y1": lat.wp(v),
-        }
-        want = lat.wp(u + v)
+        vals = {"x0": qu, "x1": pu, "y0": qv, "y1": pv}
+        want = puv
         got = r1.eval_numeric(vals)
         cls = classical.eval_numeric(vals)
         assert abs(cls - want) < 1e-8 * (1 + abs(want))
@@ -140,26 +135,32 @@ def test_resolve_rejects_non_square_discriminant(exp_ctx):
     assert "ansatz insufficient" in out.reason
 
 
+def _wp_pairs(lat, rng, count):
+    """`count` draws (u, v): per draw, (p, p', distance from the lattice) at
+    u, v and u+v, all from one eval_many call."""
+    draws = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)] for _ in range(count)])
+    u, v = draws.T
+    pts = np.concatenate([u, v, u + v])
+    p, q, _, _ = lat.eval_many(pts)
+    dist = np.abs(lat.reduce_many(pts)[0])
+    at = [list(zip(*(f[i * count : (i + 1) * count].tolist() for f in (p, q, dist)))) for i in range(3)]
+    return zip(*at)
+
+
 def test_theta_slot_formula_with_scaled_weight(wp_ctx):
     sys, backend, relations, _ = wp_ctx
     spec2 = find_primitive_element(relations, backend, seed=1, alpha_override=((2,),))
     out = resolve_addition(sys, spec2, backend, seed=3)
     assert out.status == "resolved"
-    lat = backend.lattice
     rng = random.Random(8)
     checked = 0
-    for _ in range(120):
-        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if min(lat.lattice_distance(w) for w in (u, v, u + v)) < 0.25:
+    for (pu, qu, du), (pv, qv, dv), (_, quv, duv) in _wp_pairs(backend.lattice, rng, 120):
+        if min(du, dv, duv) < 0.25:
             continue
-        if abs(lat.wp(u) - lat.wp(v)) < 1e-3:
+        if abs(pu - pv) < 1e-3:
             continue
-        vals = {
-            "x0": 2 * lat.wp_prime(u), "x1": lat.wp(u),
-            "y0": 2 * lat.wp_prime(v), "y1": lat.wp(v),
-        }
-        want = 2 * lat.wp_prime(u + v)  # theta at u+v under the scaled weight
+        vals = {"x0": 2 * qu, "x1": pu, "y0": 2 * qv, "y1": pv}
+        want = 2 * quv  # theta at u+v under the scaled weight
         got = out.formula.R[0].eval_numeric(vals)
         assert abs(got - want) < 1e-8 * (1 + abs(want))
         checked += 1
@@ -183,13 +184,12 @@ def test_formula_independent_of_sampling_seed(wp_ctx):
 def test_exp_point_arithmetic(exp_ctx):
     sys, backend, _, spec = exp_ctx
     out = resolve_addition(sys, spec, backend, seed=3)
-    p2 = backend_point(backend, spec, (cmath.log(2),))
-    p3 = backend_point(backend, spec, (cmath.log(3),))
-    s = point_add(p2, p3, backend=backend, spec=spec)
+    log2, log3 = cmath.log(2), cmath.log(3)
+    # the group law through the parameters: the points over a, b, a+b, (a+b)-b
+    p2, p3, s, d = backend_points(backend, spec, [log2, log3, log2 + log3, (log2 + log3) - log3])
     assert abs(s.x[0] - 6) < 1e-12
     sf = point_add(p2, p3, formula=out.formula)
     assert sf.close_to(s, 1e-10)
-    d = point_sub(s, p3, backend=backend, spec=spec)
     assert d.close_to(p2, 1e-10)
 
 
@@ -197,16 +197,12 @@ def test_wp_formula_backend_agreement(wp_ctx):
     sys, backend, _, spec = wp_ctx
     formula = resolve_addition(sys, spec, backend, seed=3).formula
     rng = random.Random(12)
-    lat = backend.lattice
+    rows = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)] for _ in range(200)])
+    dist = backend.pole_distance(np.concatenate([rows[:, :1], rows[:, 1:], rows[:, :1] + rows[:, 1:]])).reshape(3, -1)
     checked = 0
-    for _ in range(200):
-        u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if min(lat.lattice_distance(w) for w in (u, v, u + v)) < 0.2:
+    for i, (p1, p2, want) in enumerate(zip(*pair_points(backend, spec, rows))):
+        if dist[:, i].min() < 0.2:
             continue
-        p1 = backend_point(backend, spec, (u,))
-        p2 = backend_point(backend, spec, (v,))
-        want = point_add(p1, p2, backend=backend, spec=spec)
         try:
             got = point_add(p1, p2, formula=formula)
         except DivisorDegeneracyError:
@@ -223,36 +219,31 @@ def test_formula_mode_refuses_excluded_divisor(wp_ctx):
     sys, backend, _, spec = wp_ctx
     formula = resolve_addition(sys, spec, backend, seed=3).formula
     u = 0.41 + 0.27j
-    p1 = backend_point(backend, spec, (u,))
-    p2 = backend_point(backend, spec, (-u,))  # same x-value, divisor x1 = y1
+    # -u has the same x-value (divisor x1 = y1); u - u is the identity
+    p1, p2, ident = backend_points(backend, spec, [u, -u, u - u])
     with pytest.raises(DivisorDegeneracyError):
         point_add(p1, p2, formula=formula)
-    ident = point_sub(p1, p1, backend=backend, spec=spec)
     with pytest.raises(DivisorDegeneracyError):
         point_add(p1, ident, formula=formula)  # infinite point never reaches the formula
 
 
 def test_wp_identity_and_inverse(wp_ctx):
     _, backend, _, spec = wp_ctx
-    p = backend_point(backend, spec, (0.31 + 0.17j,))
-    identity = point_sub(p, p, backend=backend, spec=spec)
+    u = 0.31 + 0.17j
+    p, identity, back = backend_points(backend, spec, [u, u - u, (u - u) + u])
     assert identity.theta is None and identity.x[0] is None  # pole markers at u = 0
-    back = point_add(identity, p, backend=backend, spec=spec)
     assert back.close_to(p, 1e-9)
 
 
 def test_group_axioms_spot(exp_ctx):
     sys, backend, _, spec = exp_ctx
     rng = random.Random(3)
-    for _ in range(10):
-        us = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-        pts = [backend_point(backend, spec, (u,)) for u in us]
-        ab = point_add(pts[0], pts[1], backend=backend, spec=spec)
-        ba = point_add(pts[1], pts[0], backend=backend, spec=spec)
-        assert ab.close_to(ba, 1e-10)
-        abc1 = point_add(ab, pts[2], backend=backend, spec=spec)
-        abc2 = point_add(pts[0], point_add(pts[1], pts[2], backend=backend, spec=spec), backend=backend, spec=spec)
-        assert abc1.close_to(abc2, 1e-9)
+    a, b, c = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)] for _ in range(10)]).T
+    pts = backend_points(backend, spec, np.concatenate([a + b, b + a, (a + b) + c, a + (b + c)]))
+    ab, ba, abc1, abc2 = (pts[i : i + 10] for i in range(0, 40, 10))
+    for i in range(10):
+        assert ab[i].close_to(ba[i], 1e-10)
+        assert abc1[i].close_to(abc2[i], 1e-9)
 
 
 def test_uniqueness_witness_wp(wp_ctx):

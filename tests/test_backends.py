@@ -2,40 +2,35 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from aat import backends
 from aat.backends import make_backend
-from aat.rings import PoleError, StructuralError
+from aat.rings import StructuralError
 
 
-def _fd_jacobian(backend, u, h=1e-6):
+def _check_jacobian(backend, rng, count=8, box=0.9, h=1e-6):
+    """The Jacobian against central differences of the values at the first
+    `count` pole-free draws; all draws and shifts go through one call."""
     n = backend.n
-    out = []
-    for k in range(n):
-        row = []
-        for p in range(n):
-            up = list(u)
-            um = list(u)
-            up[p] += h
-            um[p] -= h
-            row.append((backend.value(up)[k] - backend.value(um)[k]) / (2 * h))
-        out.append(row)
-    return out
-
-
-def _check_jacobian(backend, rng, count=8, box=0.9):
+    us = np.array([[complex(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(n)] for _ in range(4 * count)])
+    steps = h * np.eye(n)
+    values, jac, bad = backend.value_jacobian(np.concatenate([us] + [us + s * steps[p] for p in range(n) for s in (1, -1)]))
+    rows = len(us)
+    values = values.reshape(-1, rows, n)
     checked = 0
-    while checked < count:
-        u = [complex(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(backend.n)]
-        if backend.is_pole(u):
+    for i in range(rows):
+        if bad[i]:
             continue
-        jac = backend.jacobian(u)
-        fd = _fd_jacobian(backend, u)
-        for k in range(backend.n):
-            for p in range(backend.n):
-                scale = 1 + abs(jac[k][p])
-                assert abs(jac[k][p] - fd[k][p]) < 2e-5 * scale
+        for k in range(n):
+            for p in range(n):
+                fd = (values[1 + 2 * p, i, k] - values[2 + 2 * p, i, k]) / (2 * h)
+                assert abs(jac[i, k, p] - fd) < 2e-5 * (1 + abs(jac[i, k, p]))
         checked += 1
+        if checked == count:
+            break
+    assert checked == count
 
 
 FAMILIES = [
@@ -57,18 +52,36 @@ def test_jacobian_matches_finite_differences(family, params):
     _check_jacobian(backend, random.Random(hash(family) & 0xFFFF))
 
 
-def _scalar_value_jacobian(backend, u):
-    """(value, jacobian) from the point methods, or None where they reject u."""
-    if backend.is_pole(u):
-        return None
-    try:
-        return backend.value(u), backend.jacobian(u)
-    except PoleError:
-        return None
+def _closed_form(backend, u, oracle):
+    """(values, jacobian) at one point from the family's formula: cmath for
+    the exponentials, the mpmath theta oracle for the Weierstrass functions."""
+    if backend.family == "exp":
+        c = complex(backend.c)
+        e = cmath.exp(c * u[0])
+        return (e,), ((c * e,),)
+    if backend.family == "rational":
+        return (u[0],), ((1,),)
+    if backend.family == "weierstrass":
+        p, dp, _, _ = oracle(u[0])
+        return (p,), ((dp,),)
+    u1, u2 = u
+    if backend.case in (1, 2, 3):
+        f1 = cmath.exp(u1) if backend.case == 3 else u1
+        f2 = u2 if backend.case == 1 else cmath.exp(u2)
+        return (f1, f2), ((f1 if backend.case == 3 else 1, 0), (0, 1 if backend.case == 1 else f2))
+    p, dp, zeta, sigma = oracle(u1)
+    if backend.case == 4:
+        eps = backend.epsilon
+        return (p, u2 - eps * zeta), ((dp, 0), (eps * p, 1))
+    _, _, zeta_a, sigma_a = oracle(u1 - complex(backend.a))
+    f2 = cmath.exp(u2) * sigma_a / sigma
+    return (p, f2), ((dp, 0), (f2 * (zeta_a - zeta), f2))
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_value_jacobian_matches_point_methods(family, params):
+    """value_jacobian on a batch against the closed form of each family
+    evaluated one point at a time, and its `bad` mask against pole_distance."""
     backend = make_backend(family, params)
     rng = random.Random(f"value_jacobian:{family}")
     points = [tuple(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(backend.n)) for _ in range(300)]
@@ -82,22 +95,32 @@ def test_value_jacobian_matches_point_methods(family, params):
     values, jac, bad = backend.value_jacobian(points)
     assert values.shape == (len(points), backend.n)
     assert jac.shape == (len(points), backend.n, backend.n)
-    rejected = 0
-    for i, u in enumerate(points):
-        want = _scalar_value_jacobian(backend, u)
-        assert bad[i] == (want is None), u
-        if want is None:
-            rejected += 1
-            continue
+    distance = backend.pole_distance(points)
+    assert np.array_equal(bad, distance < 1e-6)
+    assert bad.sum() == (0 if lat is None else 3 + (family == "singular2-case5"))
+    if lat is None:
+        assert np.all(distance == np.inf)
+    assert np.isfinite(values[~bad]).all() and np.isfinite(jac[~bad]).all()
+    oracle = None
+    if lat is not None:
+        from test_weierstrass import theta_oracle
+
+        oracle = theta_oracle(pytest.importorskip("mpmath"), lat)[0]
+    # the theta oracle costs milliseconds a point; 40 lattice points suffice
+    checked = np.flatnonzero(~bad)[: 300 if lat is None else 40]
+    checked = np.append(checked, np.flatnonzero(~bad)[-1])  # with a lattice, the point just outside the pole radius
+    for i in checked.tolist():
+        want_values, want_jac = _closed_form(backend, points[i], oracle)
         for k in range(backend.n):
-            assert abs(values[i, k] - want[0][k]) <= 1e-12 * (1 + abs(want[0][k]))
+            assert abs(values[i, k] - want_values[k]) <= 1e-11 * (1 + abs(want_values[k])), points[i]
             for p in range(backend.n):
-                assert abs(jac[i, k, p] - want[1][k][p]) <= 1e-12 * (1 + abs(want[1][k][p]))
-    assert rejected == (0 if lat is None else 3 + (family == "singular2-case5"))
-    for u in points:
-        assert backend.is_pole(u) == (backend.pole_distance(u) < 1e-6), u
-        if lat is None:
-            assert backend.pole_distance(u) == float("inf")
+                assert abs(jac[i, k, p] - want_jac[k][p]) <= 1e-11 * (1 + abs(want_jac[k][p])), points[i]
+
+
+def test_family_dimensions():
+    for family, params in FAMILIES:
+        assert make_backend(family, params).n == backends.FAMILIES[family]
+    assert set(backends.FAMILIES) == {family for family, _ in FAMILIES}
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -114,17 +137,17 @@ def test_expected_periods(family, params):
         assert expected == [(2 * lat.omega1, eps * 2 * lat.eta1), (2 * lat.omega2, eps * 2 * lat.eta2)]
     else:
         assert expected is None  # exp, cases 2, 3 and 5 state no lattice to check
-    u = (0.31 + 0.17j, 0.2 - 0.1j)[: backend.n]
-    for vec in expected or []:
-        shifted = tuple(a + b for a, b in zip(u, vec))
-        for got, want in zip(backend.value(shifted), backend.value(u)):
-            assert abs(got - want) < 1e-9 * (1 + abs(want))
+    u = np.array((0.31 + 0.17j, 0.2 - 0.1j)[: backend.n])
+    values = backend.value_jacobian([u] + [u + np.array(vec) for vec in expected or []])[0]
+    for shifted in values[1:]:
+        assert np.all(abs(shifted - values[0]) < 1e-9 * (1 + abs(values[0])))
 
 
 def test_exp_values():
     b = make_backend("exp", {"c": Fraction(1)})
-    assert abs(b.value((0.5,))[0] - cmath.exp(0.5)) < 1e-15
-    assert abs(b.jacobian((0.5,))[0][0] - cmath.exp(0.5)) < 1e-15
+    values, jac, _ = b.value_jacobian([(0.5,)])
+    assert abs(values[0, 0] - cmath.exp(0.5)) < 1e-15
+    assert abs(jac[0, 0, 0] - cmath.exp(0.5)) < 1e-15
     pt = b.exact_points()[0]
     assert pt.values == (1,) and pt.jac == ((1,),)
 
@@ -132,11 +155,12 @@ def test_exp_values():
 def test_weierstrass_backend_half_period_values():
     b = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
     lat = b.lattice
-    assert abs(b.value((lat.omega1,))[0] - 1) < 1e-10
-    assert abs(b.jacobian((lat.omega1,))[0][0]) < 1e-9
+    values, jac, bad = b.value_jacobian([(lat.omega1,), (0j,)])
+    assert abs(values[0, 0] - 1) < 1e-10
+    assert abs(jac[0, 0, 0]) < 1e-9
     labels = {pt.values[0] for pt in b.exact_points()}
     assert labels == {Fraction(1), Fraction(-1), Fraction(0)}
-    assert b.is_pole((0j,))
+    assert bad.tolist() == [False, True]
 
 
 def test_case4_periodicity_and_exact_points():
@@ -146,19 +170,18 @@ def test_case4_periodicity_and_exact_points():
     p1 = (2 * lat.omega1, 2 * lat.eta1)
     p2 = (2 * lat.omega2, 2 * lat.eta2)
     for period in (p1, p2):
-        for _ in range(6):
-            u = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
-            if b.is_pole(u):
+        us = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)] for _ in range(6)])
+        values, _, bad = b.value_jacobian(np.concatenate([us, us + np.array(period)]))
+        v0, v1 = values[:6], values[6:]
+        for i in range(6):
+            if bad[i]:
                 continue
-            v0 = b.value(u)
-            v1 = b.value((u[0] + period[0], u[1] + period[1]))
-            assert abs(v0[0] - v1[0]) < 1e-9 * (1 + abs(v0[0]))
-            assert abs(v0[1] - v1[1]) < 1e-9 * (1 + abs(v0[1]))
+            assert abs(v0[i, 0] - v1[i, 0]) < 1e-9 * (1 + abs(v0[i, 0]))
+            assert abs(v0[i, 1] - v1[i, 1]) < 1e-9 * (1 + abs(v0[i, 1]))
     pts = b.exact_points()
     assert pts, "case4 should expose exact half-period points"
-    for pt in pts:
-        val = b.value(pt.v)
-        jac = b.jacobian(pt.v)
+    values, jacs, _ = b.value_jacobian([pt.v for pt in pts])
+    for pt, val, jac in zip(pts, values, jacs):
         for got, exact in zip(val, pt.values):
             assert abs(got - complex(exact)) < 1e-9
         for grow, erow in zip(jac, pt.jac):
@@ -168,9 +191,9 @@ def test_case4_periodicity_and_exact_points():
 
 def test_case5_pole_predicate():
     b = make_backend("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
-    assert b.is_pole((0j, 0.3 + 0j))
-    assert b.is_pole((0.5 + 0j, 0.3 + 0j))  # zero of sigma(u1 - a)
-    assert not b.is_pole((0.9 + 0.2j, 0.3 + 0j))
+    points = [(0j, 0.3 + 0j), (0.5 + 0j, 0.3 + 0j), (0.9 + 0.2j, 0.3 + 0j)]  # the second: zero of sigma(u1 - a)
+    assert b.value_jacobian(points)[2].tolist() == [True, True, False]
+    assert (b.pole_distance(points) < 1e-6).tolist() == [True, True, False]
 
 
 def test_make_backend_errors():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from aat.parsing import parse_poly
 from aat.rings import VarRing
 
@@ -59,6 +61,31 @@ def test_bad_problem_exit_two(tmp_path):
     assert result.returncode == 2
     payload = json.loads(out.read_text())
     assert payload["failure"]["error"] == "ProblemError"
+
+
+@pytest.mark.parametrize("family,n,family_n", [("singular2-case2", 1, 2), ("exp", 2, 1)])
+def test_family_dimension_mismatch_exit_two(tmp_path, family, n, family_n):
+    bad = tmp_path / "dimension.aat"
+    aat = "".join(f"G{k} = L{k} - x{k} - y{k}\n" for k in range(1, n + 1))
+    bad.write_text(f"[mapping]\nn = {n}\nfamily = {family}\n[aat]\n{aat}")
+    out = tmp_path / "dimension.json"
+    result = _run(["all", str(bad), "-o", str(out)])
+    assert result.returncode == 2, result.stderr
+    assert f"family {family} has n = {family_n}, not {n}" in result.stderr
+    payload = json.loads(out.read_text())
+    assert payload["failure"]["error"] == "ProblemError"
+
+
+def test_lemniscatic_wide_box_writes_a_report(tmp_path):
+    # dozens of periods out sigma overflows; those samples are skipped
+    problem = tmp_path / "wide.aat"
+    problem.write_text((REPO / "problems/lemniscatic.aat").read_text() + "box = 30\n")
+    out = tmp_path / "wide.json"
+    result = _run(["all", str(problem), "-o", str(out)])
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(out.read_text())
+    assert payload["ok"] is True
+    assert payload["problem"]["spec_echo"]["options"]["box"] == 30
 
 
 def test_mode_option_is_rejected(tmp_path):

@@ -8,25 +8,26 @@ import pytest
 from aat import naming
 from aat.backends import make_backend
 from aat.periods import _newton, _verify_period, detect_period, is_integer_combination, reduce_candidates
-from aat.rings import PoleError
-from aat.sampling import draw_point
+from aat.sampling import draw_points
 
 CASE5 = ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
 
 
+def _at(backend, point):
+    """(values, jacobian) at one point through a one-row call, None where it is bad."""
+    values, jac, bad = backend.value_jacobian([point])
+    return None if bad[0] else (values[0], jac[0])
+
+
 def _newton_one(backend, target, b0, *, iters=40, tol=1e-12):
-    """One seed at a time through the point methods: the reference for _newton."""
+    """One seed at a time: the reference for _newton."""
     b = np.array(b0, dtype=complex)
 
     def mismatch(point):
-        if backend.is_pole(tuple(point)):
-            return None
-        return np.array(backend.value(tuple(point)), dtype=complex) - target
+        at = _at(backend, point)
+        return None if at is None else at[0] - target
 
-    try:
-        err = mismatch(b)
-    except PoleError:
-        return None
+    err = mismatch(b)
     if err is None:
         return None
     for _ in range(iters):
@@ -34,16 +35,13 @@ def _newton_one(backend, target, b0, *, iters=40, tol=1e-12):
         if size < tol:
             return tuple(b)
         try:
-            step = np.linalg.solve(np.array(backend.jacobian(tuple(b)), dtype=complex), err)
-        except (PoleError, np.linalg.LinAlgError):
+            step = np.linalg.solve(_at(backend, b)[1], err)
+        except np.linalg.LinAlgError:
             return None
         if max(abs(c) for c in step) > 8.0:
             return None
         for _ in range(5):
-            try:
-                nerr = mismatch(b - step)
-            except PoleError:
-                nerr = None
+            nerr = mismatch(b - step)
             if nerr is not None and max(abs(c) for c in nerr) < size:
                 b, err = b - step, nerr
                 break
@@ -54,20 +52,19 @@ def _newton_one(backend, target, b0, *, iters=40, tol=1e-12):
 
 
 def _verify_one(backend, p, *, samples, seed, tol, box):
-    """Draw by draw through the point methods: the reference for _verify_period."""
+    """Draw by draw: the reference for _verify_period.  The values of every
+    draw come from one call up front; the loop reads them in draw order."""
     rng = random.Random(naming.stage_seed(seed, f"period-verify:{p}"))
+    us = draw_points(rng, 12 * samples, backend.n, box)
+    values, _, bad = backend.value_jacobian(np.concatenate([us, us + np.array(p)]))
+    values, bad = values.reshape(2, len(us), -1).tolist(), bad.reshape(2, -1).tolist()
     worst, good, trials = 0.0, 0, 0
     while good < samples and trials < 12 * samples:
+        i = trials
         trials += 1
-        u = draw_point(rng, backend.n, box)
-        shifted = tuple(a + b for a, b in zip(u, p))
-        try:
-            if backend.is_pole(u) or backend.is_pole(shifted):
-                continue
-            v0, v1 = backend.value(u), backend.value(shifted)
-        except PoleError:
+        if bad[0][i] or bad[1][i]:
             continue
-        for c0, c1 in zip(v0, v1):
+        for c0, c1 in zip(values[0][i], values[1][i]):
             if abs(c0) > 1e6:
                 break
             worst = max(worst, abs(c0 - c1) / (1 + abs(c0)))
@@ -149,24 +146,23 @@ def test_determinism(wp_backend):
 
 
 def test_detect_period_makes_no_point_evaluation(monkeypatch):
-    # the catalog's case-5 backend; every evaluation must go through the
-    # batched layer, so a return to per-seed solves shows up as calls here
+    # the catalog's case-5 backend; every Newton step evaluates all live
+    # seeds at once, so a return to per-seed solves shows up as more
+    # evaluator calls than there are seeds
     from aat.weierstrass import Lattice
 
     backend = make_backend("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
-    calls = {"eval_all": 0, "eval_many": 0}
-    for name in calls:
-        original = getattr(Lattice, name)
+    calls = []
+    original = Lattice.eval_many
 
-        def counted(self, *args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, *args)
+    def counted(self, us, reduced=None):
+        calls.append(np.size(us))
+        return original(self, us, reduced)
 
-        monkeypatch.setattr(Lattice, name, counted)
+    monkeypatch.setattr(Lattice, "eval_many", counted)
     found = detect_period(backend, seed=42, tol=1e-9)
     assert len(found) == 3
-    assert calls["eval_all"] == 0
-    assert calls["eval_many"] > 0
+    assert 0 < len(calls) < max(calls)
 
 
 @pytest.mark.parametrize(
@@ -181,8 +177,8 @@ def test_detect_period_makes_no_point_evaluation(monkeypatch):
 def test_array_newton_matches_one_seed_at_a_time(family, params):
     backend = make_backend(family, params)
     rng = random.Random(f"newton:{family}")
-    base = draw_point(rng, backend.n, 0.8)
-    target = np.array(backend.value(base), dtype=complex)
+    base = tuple(draw_points(rng, 1, backend.n, 0.8)[0].tolist())
+    target = _at(backend, base)[0]
     seeds = [tuple(b + complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for b in base) for _ in range(120)]
     solved, jac, converged = _newton(backend, target, seeds)
     for i, b0 in enumerate(seeds):
@@ -190,7 +186,7 @@ def test_array_newton_matches_one_seed_at_a_time(family, params):
         assert converged[i] == (want is not None), b0
         if want is not None:
             assert max(abs(x - y) for x, y in zip(solved[i], want)) < 1e-9
-            assert np.allclose(jac[i], np.array(backend.jacobian(want)), rtol=1e-9, atol=1e-9)
+            assert np.allclose(jac[i], _at(backend, want)[1], rtol=1e-9, atol=1e-9)
     assert 0 < converged.sum() < len(seeds)
 
 

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aat import naming
 from aat.backends import make_backend
 from aat.parsing import parse_poly
 from aat.rings import PoleError, StructuralError, VarRing
-from aat.sampling import _VALUE_CAP, ResidualReport, SamplingError, draw_point, residual_check, vanishes
+from aat.sampling import _VALUE_CAP, ResidualReport, SamplingError, draw_points, residual_check, vanishes
 from test_backends import FAMILIES
 
 
@@ -74,10 +75,13 @@ def test_vanishes_probe():
 # -- the batched check against the sequential loop it replaced ------------------------
 
 
-def _bind_one(relation, backend, u, v, alpha, y_mode, param_values):
-    """Bindings at one draw, evaluating the backend point by point."""
+_POINT_OF = {"x": "u", "z": "u", "theta": "u", "y": "v", "w": "v", "L": "sum"}
+
+
+def _bind_one(relation, backend, at, alpha, param_values):
+    """Bindings at one draw from the (values, jacobian, bad) of u, of the
+    second point v (or -u) and of their sum; a rejected point raises."""
     values = dict(param_values or {})
-    vpt = tuple(-c for c in u) if y_mode == "neg" else v
     for name in relation.names_present():
         cls = naming.classify(name)
         if cls is None:
@@ -85,18 +89,14 @@ def _bind_one(relation, backend, u, v, alpha, y_mode, param_values):
                 raise StructuralError(f"no binding for {name!r}")
             continue
         kind = cls[0]
-        if kind == "x":
-            values[name] = backend.value(u)[cls[1] - 1]
-        elif kind == "y":
-            values[name] = backend.value(vpt)[cls[1] - 1]
-        elif kind == "L":
-            values[name] = backend.value(tuple(a + b for a, b in zip(u, vpt)))[cls[1] - 1]
-        elif kind == "z":
-            values[name] = backend.jacobian(u)[cls[1] - 1][cls[2] - 1]
-        elif kind == "w":
-            values[name] = backend.jacobian(vpt)[cls[1] - 1][cls[2] - 1]
+        vals, jac, bad = at[_POINT_OF[kind]]
+        if bad:
+            raise PoleError(f"{_POINT_OF[kind]} rejected")
+        if kind in ("x", "y", "L"):
+            values[name] = vals[cls[1] - 1]
+        elif kind in ("z", "w"):
+            values[name] = jac[cls[1] - 1][cls[2] - 1]
         else:
-            jac = backend.jacobian(u)
             values[name] = sum(
                 complex(alpha[k][p]) * jac[k][p] for k in range(backend.n) for p in range(backend.n)
             )
@@ -105,29 +105,38 @@ def _bind_one(relation, backend, u, v, alpha, y_mode, param_values):
 
 def sequential_residual_check(relation, backend, *, relation_id, samples, seed, tol, box=None, alpha=None,
                               y_mode="v", param_values=None):
-    """The one-draw-at-a-time residual check: the reference for the batched one."""
+    """The one-draw-at-a-time residual check: the reference for the batched
+    one.  Every draw the loop may take is evaluated in one call up front."""
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
     box = box if box is not None else backend.default_box()
     kinds = {naming.classify(n)[0] for n in relation.names_present() if naming.classify(n)}
     needs_v = bool(kinds & {"y", "w", "L"}) and y_mode == "v"
+    n = backend.n
+    draws = draw_points(rng, 11 * samples, 2 * n if needs_v else n, box)
+    us = draws[:, :n]
+    vs = draws[:, n:] if needs_v else -us
+    evaluated = (a.tolist() for a in backend.value_jacobian(np.concatenate([us, vs, us + vs])))
+    rows = list(zip(*evaluated))
+    size = len(us)
     residuals = []
     skipped = 0
-    while len(residuals) < samples:
+    for i in range(size):
+        if len(residuals) == samples:
+            break
         if skipped >= 10 * samples:
             raise SamplingError(
                 f"pole-dominated sampling region for {relation_id}: "
                 f"{skipped} skips before {samples} samples"
             )
-        u = draw_point(rng, backend.n, box)
-        v = draw_point(rng, backend.n, box) if needs_v else None
+        at = {"u": rows[i], "v": rows[size + i], "sum": rows[2 * size + i]}
         try:
-            if backend.is_pole(u):
+            if at["u"][2]:
                 raise PoleError("u on pole set")
-            if needs_v and (backend.is_pole(v) or backend.is_pole(tuple(a + b for a, b in zip(u, v)))):
+            if needs_v and (at["v"][2] or at["sum"][2]):
                 raise PoleError("v or u+v on pole set")
-            if y_mode == "neg" and backend.is_pole(tuple(-c for c in u)):
+            if y_mode == "neg" and at["v"][2]:
                 raise PoleError("-u on pole set")
-            values = _bind_one(relation, backend, u, v, alpha, y_mode, param_values)
+            values = _bind_one(relation, backend, at, alpha, param_values)
             if any(abs(c) > _VALUE_CAP for c in values.values()):
                 raise PoleError("value overflow near pole")
             total, biggest = relation.eval_terms(values)
@@ -169,9 +178,9 @@ def test_batched_residual_check_matches_sequential_loop(family, params):
     ring, cases = _cases(backend.n)
     compared = skips = 0
     # the default box, one hugging the pole at 0 (values past the cap) and a
-    # wide one (exponentials past the cap; lattice families stay within a few
-    # periods, where the point evaluator's sigma does not overflow)
-    for box in (None, 0.004, 30.0 if backend.lattice is None else 4.0):
+    # wide one (exponentials past the cap, sigma overflowing dozens of
+    # periods out)
+    for box in (None, 0.004, 30.0):
         for i, (text, y_mode, alpha, param_values) in enumerate(cases):
             relation = parse_poly(text, ring)
             kwargs = dict(relation_id=f"case{i}", samples=60, seed=i + 3, tol=1e-9, box=box, alpha=alpha,
@@ -210,19 +219,28 @@ def test_batched_residual_check_raises_at_the_same_cap():
 
 
 def test_residual_check_makes_no_point_evaluation(monkeypatch):
+    # a check evaluates whole chunks of draws: fewer backend calls than samples
     from aat.backends import MappingBackend
-    from aat.weierstrass import Lattice
+
+    calls = []
+    original = MappingBackend.value_jacobian
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("point evaluation in a batched check")
+        raise AssertionError("a pole test outside value_jacobian")
 
-    for name in ("value", "jacobian", "is_pole", "pole_distance"):
-        monkeypatch.setattr(MappingBackend, name, forbidden)
-    monkeypatch.setattr(Lattice, "eval_all", forbidden)
+    monkeypatch.setattr(MappingBackend, "value_jacobian", counted)
+    monkeypatch.setattr(MappingBackend, "pole_distance", forbidden)
     ring = naming.problem_ring(2)
     backend = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
     relation = parse_poly("L1 - x1*y1 + z2_1*w1_1 + theta", ring)
     alpha = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     rep = residual_check(relation, backend, relation_id="spy", samples=50, seed=2, tol=1e-9, alpha=alpha)
     assert rep.samples == 50
+    assert 0 < len(calls) <= 3 and calls[0] == 3 * 50  # u, v and u+v of the first chunk
+    calls.clear()
     assert not vanishes(parse_poly("x1*y1 - 1", ring), backend, y_mode="neg")  # p(u) p(-u) is not 1
+    assert 0 < len(calls) <= 3

@@ -1,11 +1,10 @@
-import cmath
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from aat.rings import DomainError, PoleError
+from aat.rings import DomainError
 from aat.weierstrass import Lattice
 
 
@@ -21,18 +20,20 @@ def generic():
 
 
 def _random_points(rng, count, scale=1.0):
-    return [
-        complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        for _ in range(count)
-    ]
+    return np.array([complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(count)])
+
+
+def _clear_of_lattice(lat, us, margin):
+    """The points of `us` at least `margin` away from every lattice point."""
+    us = np.asarray(us, dtype=complex)
+    return us[np.abs(lat.reduce_many(us)[0]) >= margin]
 
 
 def test_half_period_values_match_e_roots(lem, generic):
     for lat in (lem, generic):
-        halves = (lat.omega1, lat.omega2, lat.omega1 + lat.omega2)
-        for h, e in zip(halves, lat.e_roots):
-            assert abs(lat.wp(h) - e) < 1e-10
-            assert abs(lat.wp_prime(h)) < 1e-9
+        p, q, _, _ = lat.eval_many([lat.omega1, lat.omega2, lat.omega1 + lat.omega2])
+        assert np.all(abs(p - np.array(lat.e_roots)) < 1e-10)
+        assert np.all(abs(q) < 1e-9)
 
 
 def test_lemniscatic_exact_roots(lem):
@@ -44,87 +45,66 @@ def test_lemniscatic_exact_roots(lem):
 
 
 def test_wp_is_even_and_periodic(lem):
-    rng = random.Random(21)
-    for u in _random_points(rng, 20):
-        if lem.lattice_distance(u) < 0.2:
-            continue
-        assert abs(lem.wp(-u) - lem.wp(u)) < 1e-10 * (1 + abs(lem.wp(u)))
-        for p in (2 * lem.omega1, 2 * lem.omega2):
-            assert abs(lem.wp(u + p) - lem.wp(u)) < 1e-9 * (1 + abs(lem.wp(u)))
+    us = _clear_of_lattice(lem, _random_points(random.Random(21), 20), 0.2)
+    p = lem.eval_many(np.concatenate([us, -us, us + 2 * lem.omega1, us + 2 * lem.omega2]))[0].reshape(4, -1)
+    scale = 1 + abs(p[0])
+    assert np.all(abs(p[1] - p[0]) < 1e-10 * scale)
+    assert np.all(abs(p[2:] - p[0]) < 1e-9 * scale)
 
 
 def test_wp_satisfies_its_cubic(lem, generic):
     rng = random.Random(22)
     for lat in (lem, generic):
-        checked = 0
-        for u in _random_points(rng, 200):
-            if lat.lattice_distance(u) < 0.25:
-                continue
-            p, q, _, _ = lat.eval_all(u)
-            lhs = q * q
-            rhs = 4 * p**3 - lat.g2 * p - lat.g3
-            scale = 1 + max(abs(lhs), abs(rhs))
-            assert abs(lhs - rhs) < 1e-9 * scale
-            checked += 1
-            if checked >= 100:
-                break
-        assert checked >= 100
+        us = _clear_of_lattice(lat, _random_points(rng, 200), 0.25)[:100]
+        assert len(us) == 100
+        p, q, _, _ = lat.eval_many(us)
+        lhs = q * q
+        rhs = 4 * p**3 - lat.g2 * p - lat.g3
+        assert np.all(abs(lhs - rhs) < 1e-9 * (1 + np.maximum(abs(lhs), abs(rhs))))
 
 
 def test_zeta_quasi_periodicity(lem, generic):
     rng = random.Random(23)
     for lat in (lem, generic):
-        pairs = ((2 * lat.omega1, 2 * lat.eta1), (2 * lat.omega2, 2 * lat.eta2))
-        for u in _random_points(rng, 10):
-            if lat.lattice_distance(u) < 0.25:
-                continue
-            for period, shift in pairs:
-                got = lat.zeta(u + period) - lat.zeta(u)
-                assert abs(got - shift) < 1e-9 * (1 + abs(shift))
+        us = _clear_of_lattice(lat, _random_points(rng, 10), 0.25)
+        zeta = lat.eval_many(np.concatenate([us, us + 2 * lat.omega1, us + 2 * lat.omega2]))[2].reshape(3, -1)
+        for got, shift in ((zeta[1] - zeta[0], 2 * lat.eta1), (zeta[2] - zeta[0], 2 * lat.eta2)):
+            assert np.all(abs(got - shift) < 1e-9 * (1 + abs(shift)))
 
 
 def test_sigma_quasi_periodicity(lem, generic):
     rng = random.Random(24)
     for lat in (lem, generic):
-        pairs = ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2))
-        for u in _random_points(rng, 10):
-            if lat.lattice_distance(u) < 0.3:
-                continue
-            for omega, eta in pairs:
-                lhs = lat.sigma(u + 2 * omega)
-                rhs = -lat.sigma(u) * cmath.exp(2 * eta * (u + omega))
-                assert abs(lhs - rhs) < 1e-8 * (1 + abs(rhs))
+        us = _clear_of_lattice(lat, _random_points(rng, 10), 0.3)
+        sigma = lat.eval_many(np.concatenate([us, us + 2 * lat.omega1, us + 2 * lat.omega2]))[3].reshape(3, -1)
+        for lhs, (omega, eta) in zip(sigma[1:], ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2))):
+            rhs = -sigma[0] * np.exp(2 * eta * (us + omega))
+            assert np.all(abs(lhs - rhs) < 1e-8 * (1 + abs(rhs)))
 
 
 def test_zeta_and_sigma_derivatives(lem):
     # zeta' = -wp and sigma'/sigma = zeta, checked by central differences
-    rng = random.Random(25)
     h = 1e-5
-    for u in _random_points(rng, 10):
-        if lem.lattice_distance(u) < 0.3:
-            continue
-        dzeta = (lem.zeta(u + h) - lem.zeta(u - h)) / (2 * h)
-        assert abs(dzeta + lem.wp(u)) < 1e-6 * (1 + abs(lem.wp(u)))
-        dsig = (lem.sigma(u + h) - lem.sigma(u - h)) / (2 * h)
-        assert abs(dsig / lem.sigma(u) - lem.zeta(u)) < 1e-6 * (1 + abs(lem.zeta(u)))
+    us = _clear_of_lattice(lem, _random_points(random.Random(25), 10), 0.3)
+    p, _, zeta, sigma = (np.split(f, 3) for f in lem.eval_many(np.concatenate([us, us + h, us - h])))
+    dzeta = (zeta[1] - zeta[2]) / (2 * h)
+    assert np.all(abs(dzeta + p[0]) < 1e-6 * (1 + abs(p[0])))
+    dsig = (sigma[1] - sigma[2]) / (2 * h)
+    assert np.all(abs(dsig / sigma[0] - zeta[0]) < 1e-6 * (1 + abs(zeta[0])))
 
 
 def test_wp_prime_matches_difference_quotient(lem):
-    rng = random.Random(26)
     h = 1e-5
-    for u in _random_points(rng, 10):
-        if lem.lattice_distance(u) < 0.3:
-            continue
-        fd = (lem.wp(u + h) - lem.wp(u - h)) / (2 * h)
-        assert abs(fd - lem.wp_prime(u)) < 1e-5 * (1 + abs(lem.wp_prime(u)))
+    us = _clear_of_lattice(lem, _random_points(random.Random(26), 10), 0.3)
+    p, q, _, _ = (np.split(f, 3) for f in lem.eval_many(np.concatenate([us, us + h, us - h])))
+    fd = (p[1] - p[2]) / (2 * h)
+    assert np.all(abs(fd - q[0]) < 1e-5 * (1 + abs(q[0])))
 
 
 def test_pole_and_degenerate_lattice(lem):
-    with pytest.raises(PoleError):
-        lem.wp(0)
-    with pytest.raises(PoleError):
-        lem.wp(2 * lem.omega1 + 1e-14)
-    assert lem.sigma(0) == 0
+    # lattice points come back as nan in all four entries
+    for f in lem.eval_many([0j, 2 * lem.omega1 + 1e-14]):
+        assert np.all(np.isnan(f))
     with pytest.raises(DomainError):
         Lattice(3, 1)  # g2^3 = 27 g3^2 exactly
     with pytest.raises(DomainError):
@@ -133,7 +113,7 @@ def test_pole_and_degenerate_lattice(lem):
 
 def test_values_reproducible(lem):
     u = 0.37 + 0.79j
-    assert lem.wp(u) == lem.wp(u)
+    assert lem.eval_many([u])[0][0] == lem.eval_many([u])[0][0]
 
 
 # the lattices of the batched-layer checks: real and complex cubic roots,
@@ -172,16 +152,6 @@ def _batch_points(lat, rng, count=2000):
     return pts
 
 
-@pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
-def test_eval_many_matches_eval_all(g2, g3):
-    lat = Lattice(g2, g3)
-    pts = _batch_points(lat, random.Random(f"batch:{g2}:{g3}"))
-    batch = lat.eval_many(pts)
-    for i, u in enumerate(pts):
-        for got, want in zip((f[i] for f in batch), lat.eval_all(u)):
-            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (u, got, want)
-
-
 def test_batch_points_reach_the_halving_region():
     # (7, -3) has cell corners at 0.84 of the shortest period, beyond the
     # 0.75 halving threshold, so its differential check covers duplication
@@ -194,7 +164,7 @@ def test_batch_points_reach_the_halving_region():
 @pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
 def test_eval_many_satisfies_the_cubic(g2, g3):
     lat = Lattice(g2, g3)
-    pts = [u for u in _batch_points(lat, random.Random(f"cubic:{g2}:{g3}")) if lat.lattice_distance(u) > 0.25]
+    pts = _clear_of_lattice(lat, _batch_points(lat, random.Random(f"cubic:{g2}:{g3}")), 0.25)
     p, q, _, _ = lat.eval_many(pts)
     rhs = 4 * p**3 - lat.g2 * p - lat.g3
     assert np.all(abs(q * q - rhs) <= 1e-9 * (1 + np.maximum(abs(q * q), abs(rhs))))
@@ -206,28 +176,55 @@ def test_eval_many_marks_lattice_points():
     batch = lat.eval_many(pts)
     for f in batch:
         assert np.isnan(f[0]) and np.isnan(f[1]) and np.isfinite(f[2])
-    assert batch[0][2] == pytest.approx(lat.wp(0.3 + 0.1j), rel=1e-14)
+    # a batch row equals the same point evaluated alone, up to rounding
+    assert batch[0][2] == pytest.approx(lat.eval_many([0.3 + 0.1j])[0][0], rel=1e-14)
+
+
+def theta_oracle(mp, lat):
+    """u -> (p, p', zeta, sigma) of the lattice from Jacobi theta functions
+    (DLMF 23.6.2, 23.6.8, 23.6.9, 23.6.13) in mpmath, independent of the
+    series, plus eta1.  p' is the derivative of the theta quotient for p.
+    Everything runs at 30 digits, so that a point a few 1e-6 from a lattice
+    point keeps the digits of its offset."""
+    with mp.workdps(30):
+        w1 = mp.mpc(lat.omega1)
+        q = mp.exp(1j * mp.pi * mp.mpc(lat.omega2) / w1)
+        k = mp.pi / (2 * w1)
+        th2, th4 = mp.jtheta(2, 0, q), mp.jtheta(4, 0, q)
+        d1 = mp.jtheta(1, 0, q, 1)
+        c = d1 / th2
+        e1 = k**2 / 3 * (th2**4 + 2 * th4**4)
+        eta1 = -(k**2 * w1 / 3) * mp.jtheta(1, 0, q, 3) / d1
+
+    def at(u):
+        with mp.workdps(30):
+            u = mp.mpc(u)
+            z = k * u
+            t1, t2 = mp.jtheta(1, z, q), mp.jtheta(2, z, q)
+            dt1, dt2 = mp.jtheta(1, z, q, 1), mp.jtheta(2, z, q, 1)
+            ratio = c * t2 / t1
+            p = e1 + k**2 * ratio**2
+            dp = 2 * k**3 * ratio * c * (dt2 * t1 - t2 * dt1) / t1**2
+            zeta = eta1 * u / w1 + k * dt1 / t1
+            sigma = mp.exp(eta1 * u**2 / (2 * w1)) * t1 / (k * d1)
+            return tuple(complex(v) for v in (p, dp, zeta, sigma))
+
+    return at, complex(eta1)
 
 
 @pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
 def test_wp_matches_theta_quotient(g2, g3):
-    """p against DLMF 23.6.2-23.6.5 in mpmath, independent of the series."""
+    """p, p', zeta and sigma of eval_many against the theta oracle, at points
+    over several cells and near cell corners (past the halving radius on
+    (7, -3)), and eta1 of the lattice."""
     mp = pytest.importorskip("mpmath")
     lat = Lattice(g2, g3)
-    w1 = mp.mpc(lat.omega1)
-    q = mp.exp(1j * mp.pi * mp.mpc(lat.omega2) / w1)
-    scale = (mp.pi / (2 * w1)) ** 2
-    th2, th4 = mp.jtheta(2, 0, q), mp.jtheta(4, 0, q)
-    e1 = scale / 3 * (th2**4 + 2 * th4**4)
-    ratio = mp.jtheta(1, 0, q, 1) / th2
-
-    def wp(u):
-        xi = mp.pi * u / (2 * w1)
-        return complex(e1 + scale * (ratio * mp.jtheta(2, xi, q) / mp.jtheta(1, xi, q)) ** 2)
-
-    rng = random.Random(f"theta:{g2}:{g3}")
-    pts = [u for u in _random_points(rng, 60, scale=3.0) if lat.lattice_distance(u) > 0.2][:30]
-    got = lat.eval_many(pts)[0]
-    for u, value in zip(pts, got):
-        want = wp(u)
-        assert abs(value - want) <= 1e-11 * (1 + abs(want)), (u, value, want)
+    oracle, eta1 = theta_oracle(mp, lat)
+    assert abs(lat.eta1 - eta1) <= 1e-13 * (1 + abs(eta1))
+    pts = _clear_of_lattice(lat, _batch_points(lat, random.Random(f"theta:{g2}:{g3}"), count=70), 0.2)
+    got = lat.eval_many(pts)
+    for i, u in enumerate(pts.tolist()):
+        for value, want in zip((f[i] for f in got), oracle(u)):
+            assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
+    if (g2, g3) == (7, -3):
+        assert (abs(lat.reduce_many(pts)[0]) > 0.75 * _shortest_period(lat)).sum() >= 10
