@@ -8,7 +8,15 @@ from aat import naming
 from aat.backends import make_backend
 from aat.parsing import parse_poly
 from aat.rings import PoleError, StructuralError, VarRing
-from aat.sampling import _VALUE_CAP, ResidualReport, SamplingError, draw_points, residual_check, vanishes
+from aat.sampling import (
+    _VALUE_CAP,
+    ResidualReport,
+    SamplingError,
+    draw_points,
+    residual_check,
+    sequential_draws,
+    vanishes,
+)
 from test_backends import FAMILIES
 
 
@@ -70,6 +78,28 @@ def test_vanishes_probe():
     backend = make_backend("exp", {"c": Fraction(2)})
     assert vanishes(parse_poly("z1_1 - 2*x1", ring), backend, seed=11)
     assert not vanishes(parse_poly("z1_1 - x1", ring), backend, seed=11)
+
+
+@pytest.mark.parametrize("want,limit,width,threshold", [(1, 30, 1, 0.9), (20, 800, 2, 0.0), (50, 60, 3, 0.5), (5, 400, 1, 1.1)])
+def test_sequential_draws_replays_a_one_at_a_time_loop(want, limit, width, threshold):
+    """Same kept rows and the same rng state afterwards as the loop it
+    replaces; a row is usable when its first real part exceeds `threshold`."""
+
+    def usable(row):
+        return tuple(row) if row[0].real > threshold else None
+
+    rng = random.Random(f"replay:{want}:{limit}")
+    want_kept, drawn = [], 0
+    while len(want_kept) < want and drawn < limit:
+        drawn += 1
+        row = usable(draw_points(rng, 1, width, 2.0)[0])
+        if row is not None:
+            want_kept.append(row)
+    after = rng.random()
+    rng = random.Random(f"replay:{want}:{limit}")
+    kept = sequential_draws(rng, want, limit, width, 2.0, lambda rows: [usable(r) for r in rows])
+    assert kept == want_kept
+    assert rng.random() == after
 
 
 # -- the batched check against the sequential loop it replaced ------------------------
