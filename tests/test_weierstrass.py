@@ -152,6 +152,25 @@ def _batch_points(lat, rng, count=2000):
     return pts
 
 
+@pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
+def test_eval_many_matches_eval_all(g2, g3):
+    """Each row of a 2000-point batch equals its point evaluated alone, so
+    the batch's masks and branches (halving, unreduce) never mix rows; a
+    stride of the one-point values is checked against the theta oracle."""
+    mp = pytest.importorskip("mpmath")
+    lat = Lattice(g2, g3)
+    pts = _batch_points(lat, random.Random(f"batch:{g2}:{g3}"))
+    batch = lat.eval_many(pts)
+    oracle, _ = theta_oracle(mp, lat)
+    for i, u in enumerate(pts):
+        alone = [f[0] for f in lat.eval_many([u])]
+        for got, want in zip((f[i] for f in batch), alone):
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (u, got, want)
+        if i % 40 == 0:
+            for value, want in zip(alone, oracle(u)):
+                assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
+
+
 def test_batch_points_reach_the_halving_region():
     # (7, -3) has cell corners at 0.84 of the shortest period, beyond the
     # 0.75 halving threshold, so its differential check covers duplication
