@@ -338,10 +338,8 @@ def _verify_formula(formula: AdditionFormula, spec: VarietySpec, backend, *, see
 def formula_value(formula: AdditionFormula, slot: int, p1: VarietyPoint, p2: VarietyPoint):
     """R[slot] at two finite points, or None where a point is infinite, the
     pair is within 1e-6 of the excluded divisor or a denominator vanishes."""
-    if not (p1.is_finite() and p2.is_finite()):
-        return None
-    values = _formula_bindings(p1, p2)
-    if formula.excluded_hit(values, tol=1e-6):
+    values = _formula_bindings(formula, p1, p2, tol=1e-6)
+    if values is None:
         return None
     try:
         return formula.R[slot].eval_numeric(values)
@@ -349,14 +347,18 @@ def formula_value(formula: AdditionFormula, slot: int, p1: VarietyPoint, p2: Var
         return None
 
 
-def _formula_bindings(p1: VarietyPoint, p2: VarietyPoint) -> dict:
-    """The formula ring's names bound to two finite points: x at p1, y at p2."""
+def _formula_bindings(formula: AdditionFormula, p1: VarietyPoint, p2: VarietyPoint, tol: float):
+    """The formula ring's names bound to two points (x at p1, y at p2), or
+    None where a point is infinite or the pair is within `tol` of the
+    excluded divisor."""
+    if not (p1.is_finite() and p2.is_finite()):
+        return None
     values = {"x0": p1.theta, "y0": p2.theta}
     for i, c in enumerate(p1.x, start=1):
         values[naming.x(i)] = c
     for i, c in enumerate(p2.x, start=1):
         values[naming.y(i)] = c
-    return values
+    return None if formula.excluded_hit(values, tol=tol) else values
 
 
 # -- points and the group operations ------------------------------------------------
@@ -393,11 +395,9 @@ def pair_points(backend, spec: VarietySpec, rows) -> tuple:
 
 def point_add(p1: VarietyPoint, p2: VarietyPoint, formula: AdditionFormula) -> VarietyPoint:
     """Group addition through the resolved rational formula."""
-    if not (p1.is_finite() and p2.is_finite()):
-        raise DivisorDegeneracyError("formula mode needs finite points")
-    values = _formula_bindings(p1, p2)
-    if formula.excluded_hit(values, tol=1e-9):
-        raise DivisorDegeneracyError("excluded divisor hit")
+    values = _formula_bindings(formula, p1, p2, tol=1e-9)
+    if values is None:
+        raise DivisorDegeneracyError("formula mode needs finite points off the excluded divisor")
     theta = formula.R[0].eval_numeric(values)
     xs = tuple(r.eval_numeric(values) for r in formula.R[1:])
     return VarietyPoint(theta=theta, x=xs)

@@ -62,9 +62,9 @@ class MappingBackend:
 
     lattice = None
 
-    def __init__(self, family: str, n: int, params: dict):
+    def __init__(self, family: str, params: dict):
         self.family = family
-        self.n = n
+        self.n = FAMILIES[family]
         self.params = dict(params)
 
     # subclasses implement _map and, with a lattice, _lattice_args -----------
@@ -135,7 +135,7 @@ class ExpBackend(MappingBackend):
     """f(u) = exp(c*u)."""
 
     def __init__(self, c=Fraction(1)):
-        super().__init__("exp", 1, {"c": c})
+        super().__init__("exp", {"c": c})
         self.c = Fraction(c)
 
     def _map(self, u, bad):
@@ -158,7 +158,7 @@ class RationalBackend(MappingBackend):
     """The identity map f(u) = u, the archetypal rational (non-periodic) family."""
 
     def __init__(self):
-        super().__init__("rational", 1, {})
+        super().__init__("rational", {})
 
     def _map(self, u, bad):
         return (u[0],), ((1 + 0j,),)
@@ -177,7 +177,7 @@ class WeierstrassBackend(MappingBackend):
     """f(u) = p(u) on the lattice with invariants (g2, g3)."""
 
     def __init__(self, g2, g3):
-        super().__init__("weierstrass", 1, {"g2": Fraction(g2), "g3": Fraction(g3)})
+        super().__init__("weierstrass", {"g2": Fraction(g2), "g3": Fraction(g3)})
         self.lattice = Lattice(g2, g3)
 
     def _map(self, u, bad):
@@ -211,7 +211,7 @@ class Singular2Backend(MappingBackend):
     """The five two-variable degenerate families (n = 2)."""
 
     def __init__(self, case: int, params: dict):
-        super().__init__(f"singular2-case{case}", 2, params)
+        super().__init__(f"singular2-case{case}", params)
         self.case = case
         if case in (4, 5):
             self.lattice = Lattice(params["g2"], params["g3"])

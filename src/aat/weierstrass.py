@@ -158,8 +158,10 @@ class Lattice:
         self.omega1 = omega1
         self.omega2 = omega2
         self._init_series()
-        # the half-periods are their own reductions; `reduce_many` could send
-        # omega1 to -omega1 on a tie, and zeta is odd
+        # the half-periods are their own reductions (`reduce_many` could send
+        # omega1 to -omega1 on a tie, and zeta is odd), so the zero shift
+        # leaves them unshifted before eta1, eta2 are known
+        self.eta1 = self.eta2 = 0j
         halves = np.array([omega1, omega2, omega1 + omega2])
         none = np.zeros(3, dtype=np.int64)
         p, _, zt, _ = (f.tolist() for f in self.eval_many(halves, (halves, none, none)))
@@ -261,8 +263,7 @@ class Lattice:
                 pole |= live & (np.abs(q) < 1e-280)
                 doubled = _duplicate(p, q, zt, sg, self.g2)
                 p, q, zt, sg = (np.where(live, new, old) for new, old in zip(doubled, (p, q, zt, sg)))
-            if m.any() or n.any():  # none shifted while __init__ finds eta1, eta2
-                zt, sg = self._unreduce(zt, sg, u0, m, n)
+            zt, sg = self._unreduce(zt, sg, u0, m, n)
             return tuple(np.where(pole, np.nan, f) for f in (p, q, zt, sg))
 
 

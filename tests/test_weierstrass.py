@@ -4,6 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+try:
+    import mpmath
+except ImportError:  # the theta oracle is optional where a test can run without it
+    mpmath = None
+
 from aat.rings import DomainError
 from aat.weierstrass import Lattice
 
@@ -156,17 +161,17 @@ def _batch_points(lat, rng, count=2000):
 def test_eval_many_matches_eval_all(g2, g3):
     """Each row of a 2000-point batch equals its point evaluated alone, so
     the batch's masks and branches (halving, unreduce) never mix rows; a
-    stride of the one-point values is checked against the theta oracle."""
-    mp = pytest.importorskip("mpmath")
+    stride of the one-point values is checked against the theta oracle
+    where mpmath is installed."""
     lat = Lattice(g2, g3)
     pts = _batch_points(lat, random.Random(f"batch:{g2}:{g3}"))
     batch = lat.eval_many(pts)
-    oracle, _ = theta_oracle(mp, lat)
+    oracle = theta_oracle(mpmath, lat)[0] if mpmath is not None else None
     for i, u in enumerate(pts):
         alone = [f[0] for f in lat.eval_many([u])]
         for got, want in zip((f[i] for f in batch), alone):
             assert abs(got - want) <= 1e-12 * (1 + abs(want)), (u, got, want)
-        if i % 40 == 0:
+        if oracle is not None and i % 40 == 0:
             for value, want in zip(alone, oracle(u)):
                 assert abs(value - want) <= 1e-12 * (1 + abs(want)), (u, value, want)
 
