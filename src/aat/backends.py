@@ -2,9 +2,9 @@
 
 A backend evaluates a mapping u -> (f_1(u), ..., f_n(u)) together with its
 n x n first-derivative matrix, knows its pole set and the period lattice the
-period stage must recover, and advertises special points where the mapping
+period stage must recover, advertises special points where the mapping
 and its derivative take exact rational values (where the elimination engine
-specializes first).
+specializes first), and builds the addition polynomials of `G = auto`.
 
 There is one evaluator, `value_jacobian(points)`: each family writes its
 formula once, in `_map`, over numpy arrays (`np.exp` and
@@ -12,20 +12,25 @@ formula once, in `_map`, over numpy arrays (`np.exp` and
 once.  A row on the pole set or with a non-finite entry comes back marked
 `bad`.
 
-Families (`FAMILIES` maps each name to its dimension n): exp(c), the
-identity/rational map, the Weierstrass family, and the five two-variable
-degenerate families (rational components, mixed exponentials, p with zeta
-drift, p with a sigma-quotient factor).
+Families (`FAMILIES` maps each name to its dimension n): exp(c), rational
+(the identity map) and singular2-case1..3 are one table-driven
+`ElementaryBackend`; weierstrass (p), singular2-case4 (p with zeta drift)
+and singular2-case5 (p with a sigma-quotient factor) share a `LatticeBackend`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rings import StructuralError
+from . import naming
+from .generate import weierstrass_addition_poly, zeta_drift_addition_poly
+from .parsing import parse_poly
+from .rings import StructuralError, transport
+from .sampling import draw_points
 from .weierstrass import Lattice
 
 # points closer than this to a lattice point count as poles
@@ -60,14 +65,9 @@ class ExactPoint:
 class MappingBackend:
     """Numeric evaluator for one concrete family."""
 
-    lattice = None
-
-    def __init__(self, family: str, params: dict):
+    def __init__(self, family: str):
         self.family = family
         self.n = FAMILIES[family]
-        self.params = dict(params)
-
-    # subclasses implement _map and, with a lattice, _lattice_args -----------
 
     def _map(self, u, bad):
         """(values, jacobian rows) at the points whose coordinates are the
@@ -75,25 +75,9 @@ class MappingBackend:
         their rows in `bad`."""
         raise NotImplementedError
 
-    def _lattice_args(self, u) -> tuple:
-        """Arguments of the Weierstrass functions that must stay off the lattice."""
-        return ()
-
-    def _weierstrass(self, w, bad):
-        """(p, p', zeta, sigma) at the array w, reduced once; the pole test
-        reads the same reduction the evaluation runs on."""
-        reduced = self.lattice.reduce_many(w)
-        bad |= np.abs(reduced[0]) < _POLE_RADIUS
-        return self.lattice.eval_many(w, reduced)
-
     def pole_distance(self, points):
-        """Per row of `points`, the distance of the nearest Weierstrass
-        argument from the lattice (inf without one)."""
-        pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
-        dist = np.full(len(pts), np.inf)
-        for w in self._lattice_args(tuple(pts.T)):
-            dist = np.minimum(dist, np.abs(self.lattice.reduce_many(w)[0]))
-        return dist
+        """Per row of `points`, the distance of the nearest pole (inf without one)."""
+        return np.full(len(np.asarray(points, dtype=complex).reshape(-1, self.n)), np.inf)
 
     def value_jacobian(self, points):
         """(values[N, n], jac[N, n, n], bad[N]) at the rows of `points`.
@@ -111,6 +95,10 @@ class MappingBackend:
         bad |= ~(np.isfinite(values).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
         return values, jac, bad
 
+    def addition_polys(self, ring, *, seed: int = 0) -> list:
+        """The family's addition polynomials G_1..G_n in `ring` (`G = auto`)."""
+        raise StructuralError(f"no automatic addition polynomials for family {self.family!r} with n={self.n}")
+
     def exact_points(self) -> list:
         return []
 
@@ -127,65 +115,123 @@ class MappingBackend:
     def default_box(self) -> float:
         return 1.2
 
-    def period_box(self) -> float:
-        return 4.0
+    def zeta_shift_worst(self, seed: int):
+        """Worst gap of the zeta quasi-periodicity check, or None without a lattice."""
+        return None
 
 
-class ExpBackend(MappingBackend):
-    """f(u) = exp(c*u)."""
+# family -> (kind of each component, period box), and each kind's addition
+# polynomial.  An "add" component is f = u; an "exp" component is exp(c*u),
+# with c the parameter c of the exp family (default 1), else 1.
+_LAWS = {"add": "L{k} - x{k} - y{k}", "exp": "L{k} - x{k}*y{k}"}
+_ELEMENTARY = {
+    "exp": (("exp",), 7.0),  # the box covers 2*pi/|c| for the default rates
+    "rational": (("add",), 4.0),
+    "singular2-case1": (("add", "add"), 7.0),
+    "singular2-case2": (("add", "exp"), 7.0),
+    "singular2-case3": (("exp", "exp"), 7.0),
+}
 
-    def __init__(self, c=Fraction(1)):
-        super().__init__("exp", {"c": c})
-        self.c = Fraction(c)
+
+class ElementaryBackend(MappingBackend):
+    """A mapping whose every component is additive or exponential in its own
+    variable: exp(c), the identity map and singular2 cases 1-3."""
+
+    def __init__(self, family: str, params: dict):
+        super().__init__(family)
+        self.kinds, self._period_box = _ELEMENTARY[family]
+        self.c = Fraction(params.get("c", 1)) if family == "exp" else Fraction(1)
 
     def _map(self, u, bad):
         c = complex(self.c)
-        e = np.exp(c * u[0])
-        return (e,), ((c * e,),)
+        values = [np.exp(c * uk) if kind == "exp" else uk for kind, uk in zip(self.kinds, u)]
+        slopes = [c * f if kind == "exp" else 1 + 0j for kind, f in zip(self.kinds, values)]
+        return values, self._diagonal(slopes, 0j)
+
+    def _diagonal(self, entries, zero):
+        return tuple(tuple(e if p == k else zero for p in range(self.n)) for k, e in enumerate(entries))
+
+    def addition_polys(self, ring, *, seed: int = 0) -> list:
+        return [parse_poly(_LAWS[kind].format(k=k), ring) for k, kind in enumerate(self.kinds, start=1)]
 
     def exact_points(self):
-        one = Fraction(1)
-        return [ExactPoint("v=0", (0j,), (one,), ((self.c,),))]
-
-    def values_at_zero(self):
-        return [Fraction(1)]
-
-    def period_box(self) -> float:
-        return 7.0  # covers 2*pi/|c| for the default rates
-
-
-class RationalBackend(MappingBackend):
-    """The identity map f(u) = u, the archetypal rational (non-periodic) family."""
-
-    def __init__(self):
-        super().__init__("rational", {})
-
-    def _map(self, u, bad):
-        return (u[0],), ((1 + 0j,),)
-
-    def exact_points(self):
-        return [ExactPoint("v=0", (0j,), (Fraction(0),), ((Fraction(1),),))]
+        slopes = [self.c if kind == "exp" else Fraction(1) for kind in self.kinds]
+        values = tuple(self.values_at_zero())
+        return [ExactPoint("v=0", (0j,) * self.n, values, self._diagonal(slopes, Fraction(0)))]
 
     def expected_periods(self):
-        return []
+        # additive components never repeat; exp components state no lattice to check
+        return [] if "exp" not in self.kinds else None
 
     def values_at_zero(self):
-        return [Fraction(0)]
+        return [Fraction(1) if kind == "exp" else Fraction(0) for kind in self.kinds]
+
+    def period_box(self) -> float:
+        return self._period_box
 
 
-class WeierstrassBackend(MappingBackend):
-    """f(u) = p(u) on the lattice with invariants (g2, g3)."""
+class LatticeBackend(MappingBackend):
+    """A family built on the Weierstrass functions of the lattice with exact
+    invariants g2, g3 (the parameters of the same names)."""
 
-    def __init__(self, g2, g3):
-        super().__init__("weierstrass", {"g2": Fraction(g2), "g3": Fraction(g3)})
-        self.lattice = Lattice(g2, g3)
+    def __init__(self, family: str, params: dict):
+        super().__init__(family)
+        if "g2" not in params or "g3" not in params:
+            raise StructuralError(f"{family} needs params g2 and g3")
+        self.g2, self.g3 = Fraction(params["g2"]), Fraction(params["g3"])
+        self.lattice = Lattice(self.g2, self.g3)
+
+    def _lattice_args(self, u) -> tuple:
+        """Arguments of the Weierstrass functions that must stay off the lattice."""
+        return (u[0],)
+
+    def _weierstrass(self, w, bad):
+        """(p, p', zeta, sigma) at the array w, reduced once; the pole test
+        reads the same reduction the evaluation runs on."""
+        reduced = self.lattice.reduce_many(w)
+        bad |= np.abs(reduced[0]) < _POLE_RADIUS
+        return self.lattice.eval_many(w, reduced)
+
+    def pole_distance(self, points):
+        """Per row of `points`, the nearest Weierstrass argument's distance from the lattice."""
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
+        dist = np.full(len(pts), np.inf)
+        for w in self._lattice_args(tuple(pts.T)):
+            dist = np.minimum(dist, np.abs(self.lattice.reduce_many(w)[0]))
+        return dist
+
+    def period_box(self) -> float:
+        return 1.25 * max(abs(2 * self.lattice.omega1), abs(2 * self.lattice.omega2))
+
+    def zeta_shift_worst(self, seed: int):
+        """Worst relative gap of zeta(u + 2*omega_i) = zeta(u) + 2*eta_i on
+        ten draws, those 0.25 clear of the lattice."""
+        lat = self.lattice
+        rng = random.Random(naming.stage_seed(seed, "zeta-shift"))
+        us = draw_points(rng, 10, 1, 1.0)[:, 0]
+        us = us[np.abs(lat.reduce_many(us)[0]) >= 0.25]
+        _, _, zeta, _ = lat.eval_many(np.concatenate([us, us + 2 * lat.omega1, us + 2 * lat.omega2]))
+        base, *shifted = np.split(zeta, 3)
+        worst = 0.0
+        for got, eta in zip(shifted, (lat.eta1, lat.eta2)):
+            gaps = np.abs(got - base - 2 * eta) / (1 + abs(2 * eta))
+            worst = max(worst, float(gaps.max(initial=0.0)))
+        return worst
+
+    def _weierstrass_poly(self, ring, seed):
+        """G_1 of the p component, in `ring`."""
+        return transport(weierstrass_addition_poly(self.g2, self.g3, self, seed=seed), ring)
+
+
+class WeierstrassBackend(LatticeBackend):
+    """f(u) = p(u)."""
 
     def _map(self, u, bad):
         p, q, _, _ = self._weierstrass(u[0], bad)
         return (p,), ((q,),)
 
-    def _lattice_args(self, u):
-        return (u[0],)
+    def addition_polys(self, ring, *, seed: int = 0) -> list:
+        return [self._weierstrass_poly(ring, seed)]
 
     def exact_points(self):
         lat = self.lattice
@@ -200,143 +246,83 @@ class WeierstrassBackend(MappingBackend):
         lat = self.lattice
         return [(2 * lat.omega1,), (2 * lat.omega2,)]
 
-    def values_at_zero(self):
-        return [None]  # pole at the origin
 
-    def period_box(self) -> float:
-        return 1.25 * max(abs(2 * self.lattice.omega1), abs(2 * self.lattice.omega2))
+class ZetaDriftBackend(LatticeBackend):
+    """singular2-case4: (p(u1), u2 - eps*zeta(u1)), eps = param epsilon (0 or 1, default 1)."""
 
-
-class Singular2Backend(MappingBackend):
-    """The five two-variable degenerate families (n = 2)."""
-
-    def __init__(self, case: int, params: dict):
-        super().__init__(f"singular2-case{case}", params)
-        self.case = case
-        if case in (4, 5):
-            self.lattice = Lattice(params["g2"], params["g3"])
-        else:
-            self.lattice = None
-        self.epsilon = int(params.get("epsilon", 1)) if case == 4 else None
-        self.a = params.get("a")
+    def __init__(self, family: str, params: dict):
+        epsilon = params.get("epsilon", 1)
+        if epsilon not in (0, 1):
+            raise StructuralError("epsilon must be 0 or 1")
+        super().__init__(family, params)
+        self.epsilon = int(epsilon)
 
     def _map(self, u, bad):
         u1, u2 = u
         zero = 0j
-        one = 1 + 0j
-        if self.case == 1:
-            return (u1, u2), ((one, zero), (zero, one))
-        if self.case == 2:
-            e2 = np.exp(u2)
-            return (u1, e2), ((one, zero), (zero, e2))
-        if self.case == 3:
-            e1, e2 = np.exp(u1), np.exp(u2)
-            return (e1, e2), ((e1, zero), (zero, e2))
-        p, q, zt, s_den = self._weierstrass(u1, bad)
-        if self.case == 4:
-            drift = zt if self.epsilon else zero
-            # d/du1 of (u2 - eps*zeta(u1)) = eps*wp(u1)
-            d21 = self.epsilon * p if self.epsilon else zero
-            return (p, u2 - self.epsilon * drift), ((q, zero), (d21, one))
-        # case 5: (p(u1), exp(u2) * sigma(u1 - a)/sigma(u1)); f2 has log-derivative
-        # zeta(u1 - a) - zeta(u1) in u1
-        _, _, zt_a, s_num = self._weierstrass(u1 - complex(self.a), bad)
-        f2 = np.exp(u2) * s_num / s_den
-        return (p, f2), ((q, zero), (f2 * (zt_a - zt), f2))
+        p, q, zt, _ = self._weierstrass(u1, bad)
+        drift = zt if self.epsilon else zero
+        # d/du1 of (u2 - eps*zeta(u1)) = eps*wp(u1)
+        d21 = self.epsilon * p if self.epsilon else zero
+        return (p, u2 - self.epsilon * drift), ((q, zero), (d21, 1 + 0j))
 
-    def _lattice_args(self, u):
-        if self.case == 4:
-            return (u[0],)
-        if self.case == 5:
-            # u1 - a: a zero of f2, where its log-derivative blows up
-            return (u[0], u[0] - complex(self.a))
-        return ()
+    def addition_polys(self, ring, *, seed: int = 0) -> list:
+        g1 = self._weierstrass_poly(ring, seed)
+        if not self.epsilon:
+            return [g1, parse_poly(_LAWS["add"].format(k=2), ring)]
+        return [g1, transport(zeta_drift_addition_poly(self.g2, self.g3, self, seed=seed), ring)]
 
     def exact_points(self):
-        if self.case == 1:
-            z, o = Fraction(0), Fraction(1)
-            return [ExactPoint("v=0", (0j, 0j), (z, z), ((o, z), (z, o)))]
-        if self.case == 2:
-            z, o = Fraction(0), Fraction(1)
-            return [ExactPoint("v=0", (0j, 0j), (z, o), ((o, z), (z, o)))]
-        if self.case == 3:
-            z, o = Fraction(0), Fraction(1)
-            return [ExactPoint("v=0", (0j, 0j), (o, o), ((o, z), (z, o)))]
-        if self.case == 4:
-            lat = self.lattice
-            out = []
-            halves = ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2))
-            for i, ((h, eta), e) in enumerate(zip(halves, lat.exact_e[:2]), start=1):
-                if e is None:
-                    continue
-                # v = (omega_i, eps*eta_i) makes f2(v) = 0 exactly
-                z, o = Fraction(0), Fraction(1)
-                v = (h, self.epsilon * eta + 0j)
-                out.append(
-                    ExactPoint(
-                        f"half-period {i}",
-                        v,
-                        (e, z),
-                        ((z, z), (self.epsilon * e, o)),
-                    )
-                )
-            return out
-        return []  # case 5: no rational special points; numeric reconstruction only
+        # v = (omega_i, eps*eta_i) makes f2(v) = 0 exactly
+        lat, eps, z, o = self.lattice, self.epsilon, Fraction(0), Fraction(1)
+        halves = ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2))
+        return [
+            ExactPoint(f"half-period {i}", (h, eps * eta + 0j), (e, z), ((z, z), (eps * e, o)))
+            for i, ((h, eta), e) in enumerate(zip(halves, lat.exact_e[:2]), start=1)
+            if e is not None
+        ]
 
     def expected_periods(self):
-        if self.case == 1:
-            return []
-        if self.case == 4:
-            # shifting u1 by 2*omega_i moves eps*zeta(u1) by 2*eps*eta_i; u2 follows
-            lat = self.lattice
-            drift = (2 * lat.eta1, 2 * lat.eta2) if self.epsilon else (0j, 0j)
-            return [(2 * lat.omega1, drift[0]), (2 * lat.omega2, drift[1])]
-        return None  # exp components (cases 2, 3) and case 5 state no lattice to check
+        # shifting u1 by 2*omega_i moves eps*zeta(u1) by 2*eps*eta_i; u2 follows
+        lat = self.lattice
+        drift = (2 * lat.eta1, 2 * lat.eta2) if self.epsilon else (0j, 0j)
+        return [(2 * lat.omega1, drift[0]), (2 * lat.omega2, drift[1])]
 
     def values_at_zero(self):
-        if self.case == 1:
-            return [Fraction(0), Fraction(0)]
-        if self.case == 2:
-            return [Fraction(0), Fraction(1)]
-        if self.case == 3:
-            return [Fraction(1), Fraction(1)]
-        if self.case == 4:
-            return [None, None if self.epsilon else Fraction(0)]
-        return [None, None]
+        return [None, None if self.epsilon else Fraction(0)]
 
-    def period_box(self) -> float:
-        if self.lattice is not None:
-            return 1.25 * max(abs(2 * self.lattice.omega1), abs(2 * self.lattice.omega2))
-        return 7.0
+
+class SigmaQuotientBackend(LatticeBackend):
+    """singular2-case5: (p(u1), exp(u2) * sigma(u1 - a)/sigma(u1)), a = param
+    a (default 1/2); no closed G, no exact points and no lattice to check."""
+
+    def __init__(self, family: str, params: dict):
+        super().__init__(family, params)
+        self.a = Fraction(params.get("a", Fraction(1, 2)))
+
+    def _map(self, u, bad):
+        u1, u2 = u
+        p, q, zt, s_den = self._weierstrass(u1, bad)
+        # f2 has log-derivative zeta(u1 - a) - zeta(u1) in u1
+        _, _, zt_a, s_num = self._weierstrass(u1 - complex(self.a), bad)
+        f2 = np.exp(u2) * s_num / s_den
+        return (p, f2), ((q, 0j), (f2 * (zt_a - zt), f2))
+
+    def _lattice_args(self, u):
+        # u1 - a: a zero of f2, where its log-derivative blows up
+        return (u[0], u[0] - complex(self.a))
+
+
+_LATTICE_BACKENDS = {
+    "weierstrass": WeierstrassBackend,
+    "singular2-case4": ZetaDriftBackend,
+    "singular2-case5": SigmaQuotientBackend,
+}
 
 
 def make_backend(family: str, params: dict | None = None) -> MappingBackend:
     """Build a backend from a family identifier and rational parameter values."""
-    params = dict(params or {})
-    if family == "exp":
-        return ExpBackend(params.get("c", Fraction(1)))
-    if family == "rational":
-        return RationalBackend()
-    if family == "weierstrass":
-        if "g2" not in params or "g3" not in params:
-            raise StructuralError("weierstrass family needs params g2 and g3")
-        return WeierstrassBackend(params["g2"], params["g3"])
-    if family.startswith("singular2-case"):
-        try:
-            case = int(family.removeprefix("singular2-case"))
-        except ValueError:
-            case = -1
-        if case not in (1, 2, 3, 4, 5):
-            raise StructuralError(f"unknown family {family!r}")
-        if case in (4, 5):
-            if "g2" not in params or "g3" not in params:
-                raise StructuralError(f"{family} needs params g2 and g3")
-            if case == 4:
-                params.setdefault("epsilon", Fraction(1))
-                eps = params["epsilon"]
-                if eps not in (0, 1, Fraction(0), Fraction(1)):
-                    raise StructuralError("epsilon must be 0 or 1")
-            if case == 5:
-                params.setdefault("a", Fraction(1, 2))
-        return Singular2Backend(case, params)
-    raise StructuralError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    cls = ElementaryBackend if family in _ELEMENTARY else _LATTICE_BACKENDS.get(family)
+    if cls is None:
+        raise StructuralError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    return cls(family, params or {})

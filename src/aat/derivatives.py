@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import naming
-from .ratfn import RatFn
 from .rings import DomainError, StructuralError
 
 _SINGULAR_FLOOR = 1e-12
@@ -95,17 +94,6 @@ class Recursion:
 def _rows(poly, values, rows):
     """poly over the bound arrays, broadcast to one entry per row (constants included)."""
     return np.broadcast_to(poly.eval_numeric(values), (rows,))
-
-
-def symbolic_second_derivative(rel) -> RatFn:
-    """The second derivative of a one-variable mapping as a rational function
-    of (z, x): -P_1(x) * z / P_0(z, x), normalized."""
-    poly = rel.poly
-    zv = rel.zvar
-    p0 = poly.diff(zv)
-    p1 = poly.diff(naming.x(1))
-    z = poly.ring.var(zv)
-    return RatFn(-p1 * z, p0)
 
 
 @dataclass

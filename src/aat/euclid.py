@@ -25,9 +25,7 @@ parts by the first of three routes that answers.
 Every route emits the gcd in canonical (descending lex) term order, so that
 numeric evaluation, which sums in insertion order, does not depend on the
 route taken.  The resultant follows the classical subresultant algorithm,
-returning the exact resultant with all sign and content factors restored.  A
-Sylvester-determinant evaluation (via fraction-free Bareiss elimination) is
-kept as an independent oracle for the test suite.
+returning the exact resultant with all sign and content factors restored.
 """
 
 from __future__ import annotations
@@ -428,61 +426,6 @@ def resultant(a: MPoly, b: MPoly, v: str) -> MPoly:
     res = exact_div(B**dA, h ** (dA - 1)) if dA > 1 else (B if dA == 1 else h)
     out = t * res
     return out if s > 0 else -out
-
-
-def sylvester_matrix(a: MPoly, b: MPoly, v: str) -> list:
-    """Sylvester matrix of a, b with respect to v, entries v-free MPolys."""
-    da, db = a.degree_in(v), b.degree_in(v)
-    if da <= 0 or db <= 0:
-        raise DomainError("sylvester matrix needs positive degrees")
-    ring = a.ring
-    ac = a.coeffs_in(v)
-    bc = b.coeffs_in(v)
-    size = da + db
-    rows = []
-    for i in range(db):
-        row = [ring.zero()] * size
-        for d, c in ac.items():
-            row[i + (da - d)] = c
-        rows.append(row)
-    for i in range(da):
-        row = [ring.zero()] * size
-        for d, c in bc.items():
-            row[i + (db - d)] = c
-        rows.append(row)
-    return rows
-
-
-def det_bareiss(rows: list) -> MPoly:
-    """Fraction-free determinant of a square MPoly matrix."""
-    n = len(rows)
-    if n == 0:
-        raise DomainError("empty matrix")
-    ring = rows[0][0].ring
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = ring.one()
-    for i in range(n - 1):
-        if m[i][i].is_zero():
-            for r in range(i + 1, n):
-                if not m[r][i].is_zero():
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero()
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = exact_div(m[i][i] * m[r][c] - m[r][i] * m[i][c], prev)
-            m[r][i] = ring.zero()
-        prev = m[i][i]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def resultant_sylvester(a: MPoly, b: MPoly, v: str) -> MPoly:
-    """Resultant as a Sylvester determinant; test oracle for small degrees."""
-    return det_bareiss(sylvester_matrix(a, b, v))
 
 
 def squarefree_check(p: MPoly, v: str) -> bool:

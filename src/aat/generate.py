@@ -1,5 +1,5 @@
-"""Built-in addition-theorem polynomials, including exact generation for the
-Weierstrass-based families.
+"""Exact generation of the addition polynomials of the Weierstrass-based
+families; the backends call these builders for `G = auto`.
 
 The Weierstrass addition polynomial is never written down by hand: it is
 produced by eliminating the two derivative slots from the classical addition
@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from . import naming
 from .euclid import factor_candidates, resultant
-from .parsing import parse_poly
-from .rings import MPoly, StructuralError, VarRing, transport
+from .rings import MPoly, StructuralError, VarRing
 from .sampling import vanishes
 
 
@@ -86,39 +85,3 @@ def zeta_drift_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int =
     if g is None:
         raise StructuralError("no vanishing factor found for the zeta-drift addition polynomial")
     return g
-
-
-def default_aat_texts(family: str, n: int):
-    """Fixed addition polynomials for the families that have closed textual G."""
-    if family == "exp" and n == 1:
-        return ["L1 - x1*y1"]
-    if family == "rational" and n == 1:
-        return ["L1 - x1 - y1"]
-    if family == "singular2-case1" and n == 2:
-        return ["L1 - x1 - y1", "L2 - x2 - y2"]
-    if family == "singular2-case2" and n == 2:
-        return ["L1 - x1 - y1", "L2 - x2*y2"]
-    if family == "singular2-case3" and n == 2:
-        return ["L1 - x1*y1", "L2 - x2*y2"]
-    return None
-
-
-def build_auto_aat(family: str, n: int, ring: VarRing, backend, params: dict, *, seed: int = 0):
-    """Materialize `G = auto` for a built-in family, in the problem's big ring."""
-    texts = default_aat_texts(family, n)
-    if texts is not None:
-        return [parse_poly(t, ring) for t in texts]
-    if family == "weierstrass" and n == 1:
-        g = weierstrass_addition_poly(params["g2"], params["g3"], backend, seed=seed)
-        return [transport(g, ring)]
-    if family == "singular2-case4" and n == 2:
-        g1 = weierstrass_addition_poly(params["g2"], params["g3"], backend, seed=seed)
-        # the p-component polynomial lives in (L1, x1, y1) already
-        out = [transport(g1, ring)]
-        if int(params.get("epsilon", 1)) == 1:
-            g2poly = zeta_drift_addition_poly(params["g2"], params["g3"], backend, seed=seed)
-        else:
-            g2poly = parse_poly("L2 - x2 - y2", ring)
-            return [out[0], g2poly]
-        return [out[0], transport(g2poly, ring)]
-    raise StructuralError(f"no automatic addition polynomials for family {family!r} with n={n}")

@@ -27,15 +27,15 @@ from .addition import (
     uniqueness_witness,
     variety_residual,
 )
-from .backends import FAMILIES
+from .backends import FAMILIES, make_backend
 from .derivatives import Recursion, taylor_match_check
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
 from .periods import detect_period, is_integer_combination
-from .problem import Options, ProblemSpec, parse_problem
+from .problem import Options, ProblemError, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import SamplingError, draw_points, residual_check, sequential_draws
+from .sampling import SamplingError, residual_check, sequential_draws
 from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
@@ -362,12 +362,15 @@ def _derivative_checks(ctx: RunContext) -> None:
     box = min(opts.box if opts.box is not None else backend.default_box(), 0.95)
     h = 1e-5
     recursion = Recursion(ctx.relations, spec.n)
+    cleared = 0  # draws that pass the pole-distance filter
 
     def point_gaps(us):
         # the difference quotients divide by h^2; stay well clear of poles so
         # the evaluator's noise floor cannot swamp the 1e-6 comparison
+        nonlocal cleared
         out = [None] * len(us)
         clear = np.flatnonzero(backend.pole_distance(us) >= 0.5)
+        cleared += len(clear)
         if len(clear):
             gap2, gap3, usable = _recursion_gaps(recursion, backend, us[clear], h)
             for i, g2, g3, ok in zip(clear.tolist(), gap2.tolist(), gap3.tolist(), usable.tolist()):
@@ -378,8 +381,12 @@ def _derivative_checks(ctx: RunContext) -> None:
     gaps = sequential_draws(rng, 20, 800, spec.n, box, point_gaps)
     done = len(gaps)
     worst2, worst3 = [max(g) for g in zip(*gaps)] or [0.0] * 2
-    ctx.verdict("derivative recursion order 2", done >= 20 and worst2 < 1e-6, f"worst {worst2:.3e} at {done} points")
-    ctx.verdict("derivative recursion order 3", done >= 20 and worst3 < 1e-6, f"worst {worst3:.3e}")
+    if not cleared:
+        for order in (2, 3):
+            ctx.skip(f"derivative recursion order {order}", f"box {box:g} leaves no point 0.5 from a pole")
+    else:
+        ctx.verdict("derivative recursion order 2", done >= 20 and worst2 < 1e-6, f"worst {worst2:.3e} at {done} points")
+        ctx.verdict("derivative recursion order 3", done >= 20 and worst3 < 1e-6, f"worst {worst3:.3e}")
     ctx.section["derivative_recursion"] = {"points": done, "worst_order2": worst2, "worst_order3": worst3}
 
 
@@ -458,13 +465,14 @@ def stage_verify(ctx: RunContext) -> None:
                 return None
             return abs(got - p12.theta) / (1 + abs(p12.theta))
 
+        want = min(50, opts.samples)
         gaps = sequential_draws(
-            rng, min(50, opts.samples), 2000, 2 * spec.n, box,
+            rng, want, 2000, 2 * spec.n, box,
             lambda rows: map(theta_gap, *pair_points(ctx.backend, ctx.vspec, rows)),
         )
         worst = max(gaps, default=0.0)
         ctx.verdict(
-            "theta-slot formula", len(gaps) >= 25 and worst < max(opts.tol, 1e-8),
+            "theta-slot formula", len(gaps) >= want and worst < max(opts.tol, 1e-8),
             f"worst gap {worst:.3e} on {len(gaps)} pairs",
         )
     _group_law_checks(ctx)
@@ -484,17 +492,8 @@ def stage_period(ctx: RunContext) -> None:
     )
     ctx.periods = candidates
     section = {"generators": [c.to_json() for c in candidates]}
-    lat = backend.lattice
-    if lat is not None:
-        rng = random.Random(naming.stage_seed(opts.seed, "zeta-shift"))
-        us = draw_points(rng, 10, 1, 1.0)[:, 0]
-        us = us[np.abs(lat.reduce_many(us)[0]) >= 0.25]
-        _, _, zeta, _ = lat.eval_many(np.concatenate([us, us + 2 * lat.omega1, us + 2 * lat.omega2]))
-        base, *shifted = np.split(zeta, 3)
-        shift_worst = 0.0
-        for got, eta in zip(shifted, (lat.eta1, lat.eta2)):
-            gaps = np.abs(got - base - 2 * eta) / (1 + abs(2 * eta))
-            shift_worst = max(shift_worst, float(gaps.max(initial=0.0)))
+    shift_worst = backend.zeta_shift_worst(opts.seed)
+    if shift_worst is not None:
         ctx.verdict("zeta quasi-periodicity", shift_worst < 1e-9, f"worst {shift_worst:.3e}")
         section["zeta_shift_worst"] = shift_worst
     expected = backend.expected_periods()
@@ -564,7 +563,9 @@ def run_problem(spec: ProblemSpec, stages, *, timings: bool = False) -> dict:
 def _run_plan(spec: ProblemSpec, plan: list, *, timings: bool) -> dict:
     """Run the stages of `plan` in order; a stage error ends the run as a
     failed verdict plus a `failure` section."""
-    backend = spec.make_backend()
+    backend = spec.backend
+    if backend is None:
+        raise ProblemError("this problem declares no numeric family")
     ctx = RunContext(spec=spec, backend=backend)
     section = {
         "source": spec.source,
@@ -634,15 +635,17 @@ def run_catalog(*, seed: int = 42, timings: bool = False) -> dict:
             # no closed addition polynomials for this family; run the numeric
             # layer only (backend invariants and period detection)
             n = FAMILIES[family]
+            exact = {k: Fraction(v) for k, v in params.items()}
             spec = ProblemSpec(
                 n=n,
                 family=family,
-                params={k: Fraction(v) for k, v in params.items()},
+                params=exact,
                 ring=naming.problem_ring(n),
                 aat_texts=[],
                 aat_polys=[],
                 options=Options(seed=seed),
                 source=f"catalog:{family}",
+                backend=make_backend(family, exact),
             )
         sections.append(_run_plan(spec, list(plan), timings=timings))
     return {

@@ -12,8 +12,9 @@
     samples = 100
     seed = 42
 
-`#` starts a comment; parameter values are exact rationals.  `G_k = auto`
-asks the built-in generator for the declared family's addition polynomials.
+`#` starts a comment; parameter values are exact rationals.  A concrete
+family's backend is built once, here, and kept on the spec; `G_k = auto`
+asks it for the family's addition polynomials (`addition_polys`).
 """
 
 from __future__ import annotations
@@ -76,11 +77,7 @@ class ProblemSpec:
     aat_polys: list  # MPoly with parameter values substituted
     options: Options
     source: str = ""
-
-    def make_backend(self):
-        if self.family == "none":
-            raise ProblemError("this problem declares no numeric family")
-        return make_backend(self.family, self.params)
+    backend: object = None  # the family's MappingBackend; None for family "none"
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
@@ -147,6 +144,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         raise ProblemError(f"{source}: family {family} has n = {FAMILIES[family]}, not {n}")
     params = mapping["params"]
     options = Options(**opts)
+    backend = make_backend(family, params) if family in FAMILIES else None
 
     ring = naming.problem_ring(n, tuple(sorted(params)))
     expected = set(range(1, n + 1))
@@ -157,15 +155,11 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         )
     texts = []
     polys = []
-    auto_needed = any(aat_lines[k][0].strip() == "auto" for k in sorted(aat_lines))
     auto_polys = None
-    if auto_needed:
-        if family == "none":
+    if any(aat_lines[k][0].strip() == "auto" for k in sorted(aat_lines)):
+        if backend is None:
             raise ProblemError(f"{source}: 'auto' needs a concrete family")
-        from .generate import build_auto_aat  # deferred: generator pulls in elimination
-
-        backend = make_backend(family, params)
-        auto_polys = build_auto_aat(family, n, ring, backend, params, seed=options.seed)
+        auto_polys = backend.addition_polys(ring, seed=options.seed)
     for k in sorted(aat_lines):
         text, lineno = aat_lines[k]
         if text.strip() == "auto":
@@ -196,6 +190,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         aat_polys=polys,
         options=options,
         source=source,
+        backend=backend,
     )
 
 

@@ -441,12 +441,6 @@ class MPoly:
             scale = -scale
         return self.scale(scale)
 
-    def is_associate(self, other: "MPoly") -> bool:
-        """Equal up to a nonzero rational factor."""
-        if not isinstance(other, MPoly) or self.ring != other.ring:
-            return False
-        return self.normalized() == other.normalized()
-
     # -- canonical text --------------------------------------------------------
 
     def _monomial_str(self, exps) -> str:

@@ -76,6 +76,34 @@ def test_family_dimension_mismatch_exit_two(tmp_path, family, n, family_n):
     assert payload["failure"]["error"] == "ProblemError"
 
 
+@pytest.mark.parametrize(
+    "mapping,aat,message",
+    [
+        ("n = 1\nfamily = weierstrass\n", "G1 = L1 - x1 - y1\n", "needs params g2 and g3"),
+        ("n = 1\nfamily = weierstrass\nparam g2 = 3\nparam g3 = 1\n", "G1 = L1 - x1 - y1\n", "degenerate lattice"),
+        (
+            "n = 2\nfamily = singular2-case4\nparam g2 = 4\nparam g3 = 0\nparam epsilon = 2\n",
+            "G1 = L1 - x1 - y1\nG2 = L2 - x2 - y2\n",
+            "epsilon must be 0 or 1",
+        ),
+        # case 5 has no closed addition polynomials
+        ("n = 2\nfamily = singular2-case5\nparam g2 = 4\nparam g3 = 0\n", "G1 = auto\nG2 = auto\n", "singular2-case5"),
+    ],
+)
+def test_bad_family_params_exit_two_at_load(tmp_path, mapping, aat, message):
+    # the backend is built while the problem loads, so explicit G fails there too
+    bad = tmp_path / "params.aat"
+    bad.write_text(f"[mapping]\n{mapping}[aat]\n{aat}")
+    out = tmp_path / "params.json"
+    result = _run(["all", str(bad), "-o", str(out)])
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr
+    payload = json.loads(out.read_text())
+    assert payload["ok"] is False
+    assert payload["failure"]["stage"] == "load"
+    assert message in payload["failure"]["message"]
+
+
 def test_lemniscatic_wide_box_writes_a_report(tmp_path):
     # dozens of periods out sigma overflows; those samples are skipped
     problem = tmp_path / "wide.aat"

@@ -23,11 +23,12 @@ from aat.euclid import (  # noqa: E402
     exact_div,
     gcd,
     resultant,
-    resultant_sylvester,
     squarefree_check,
     squarefree_in,
 )
 from aat.rings import VarRing  # noqa: E402
+
+from exact_oracles import resultant_sylvester  # noqa: E402
 
 RINGS = (
     VarRing(("x1", "x2", "x3")),

@@ -171,7 +171,7 @@ def _derivative_ctx(family, params, seed):
     """A run context with the catalog relations of `family`, its seed set to `seed`."""
     if family not in _DERIVED:
         spec = parse_problem(catalog_problem_text(family, params), source=f"catalog:{family}")
-        ctx = pipeline.RunContext(spec=spec, backend=spec.make_backend())
+        ctx = pipeline.RunContext(spec=spec, backend=spec.backend)
         pipeline.stage_derive(ctx)
         _DERIVED[family] = ctx
     base = _DERIVED[family]
@@ -221,3 +221,38 @@ def test_derivative_check_ignores_rejected_points(monkeypatch):
     assert section["points"] == 20
     assert section["worst_order2"] < 1e-6 and section["worst_order3"] < 1e-6
     assert all(v["pass"] for v in ctx.verdicts)
+
+
+def test_derivative_check_skips_when_no_point_clears_the_poles(monkeypatch):
+    ctx = _derivative_ctx("weierstrass", {"g2": "4", "g3": "0"}, 42)
+    monkeypatch.setattr(ctx.spec.options, "box", 0.01)
+    pipeline._derivative_checks(ctx)
+    assert ctx.verdicts == []
+    reason = "box 0.01 leaves no point 0.5 from a pole"
+    assert ctx.skipped == [
+        {"id": "derivative recursion order 2", "reason": reason},
+        {"id": "derivative recursion order 3", "reason": reason},
+    ]
+
+    class AllSingular(pipeline.Recursion):
+        def __call__(self, x, jac):
+            d2, d3, singular = super().__call__(x, jac)
+            return d2, d3, singular | True
+
+    # points clear the poles but none is usable: a failure, not a skip
+    monkeypatch.setattr(pipeline, "Recursion", AllSingular)
+    monkeypatch.setattr(ctx.spec.options, "box", None)
+    ctx = _derivative_ctx("weierstrass", {"g2": "4", "g3": "0"}, 42)
+    pipeline._derivative_checks(ctx)
+    assert not ctx.skipped
+    assert [v["pass"] for v in ctx.verdicts] == [False, False]
+    assert ctx.section["derivative_recursion"]["points"] == 0
+
+
+def test_theta_slot_formula_sized_by_samples():
+    # fewer samples than the loop's cap of 50 pairs: every drawn pair counts
+    spec = load_problem("problems/lemniscatic.aat")
+    spec.options.samples = 5
+    section = run_problem(spec, ["verify"])
+    theta = next(v for v in section["verdicts"] if v["id"] == "theta-slot formula")
+    assert theta["pass"] and theta["detail"].endswith("on 5 pairs"), theta

@@ -226,7 +226,7 @@ def test_batched_residual_check_matches_sequential_loop(family, params):
             compared += 1
             skips += want.skipped
     assert compared >= 8
-    if backend.lattice is not None or family in ("exp", "singular2-case2", "singular2-case3"):
+    if hasattr(backend, "lattice") or family in ("exp", "singular2-case2", "singular2-case3"):
         assert skips > 0  # the replay of skipped draws is exercised
 
 

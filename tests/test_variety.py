@@ -5,7 +5,6 @@ import pytest
 from aat import naming
 from aat.backends import make_backend
 from aat.elimination import AATSystem, derive_first_order
-from aat.generate import build_auto_aat
 from aat.parsing import parse_poly
 from aat.ratfn import RatFn
 from aat.sampling import residual_check
@@ -30,7 +29,7 @@ def exp_setup():
 def wp_setup():
     backend = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
     ring = naming.problem_ring(1)
-    polys = build_auto_aat("weierstrass", 1, ring, backend, {"g2": Fraction(4), "g3": Fraction(0)}, seed=0)
+    polys = backend.addition_polys(ring, seed=0)
     sys = AATSystem(n=1, ring=ring, polys=polys)
     relations, _ = derive_first_order(sys, backend, seed=42)
     return sys, backend, relations
