@@ -25,7 +25,7 @@ from . import naming
 from .euclid import factor_candidates, poly_sqrt, resultant, squarefree_in
 from .ratfn import RatFn
 from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, rename, transport
-from .sampling import draw_points, sequential_draws, vanishes
+from .sampling import DEFAULT_BOX, draw_points, sequential_draws, vanishes
 from .variety import VarietySpec
 
 _INF = None  # infinity marker for point coordinates
@@ -320,7 +320,7 @@ def _verify_formula(formula: AdditionFormula, spec: VarietySpec, backend, *, see
         return None if got is None or p12.x[0] is _INF else (got, p12.x[0])
 
     pairs = sequential_draws(
-        rng, samples, 40 * samples, 2 * backend.n, backend.default_box(),
+        rng, samples, 40 * samples, 2 * backend.n, DEFAULT_BOX,
         lambda rows: map(value_pair, *pair_points(backend, spec, rows)),
     )
     good = 0
@@ -422,7 +422,7 @@ def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, tol=1e-8, 
     attempts = 60
     # attempt i draws u1 = draws[i]; the shifts of the first pair that
     # qualifies are the draws after it
-    draws = draw_points(rng, attempts + shifts, n, backend.default_box())
+    draws = draw_points(rng, attempts + shifts, n, DEFAULT_BOX)
     u1 = draws[:attempts]
     u2 = u1 + np.asarray(period, dtype=complex)
     pts = backend_points(backend, spec, np.concatenate([u1, u2]))

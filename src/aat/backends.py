@@ -112,9 +112,6 @@ class MappingBackend:
         """Per-component exact value of f_k(0), or None where 0 is a pole."""
         return [None] * self.n
 
-    def default_box(self) -> float:
-        return 1.2
-
     def zeta_shift_worst(self, seed: int):
         """Worst gap of the zeta quasi-periodicity check, or None without a lattice."""
         return None

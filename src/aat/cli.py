@@ -40,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "all" else "run every stage")
         if name != "catalog":
             p.add_argument("problem", help="problem definition file")
+            p.add_argument("--tol", type=float, help="residual tolerance override")
+            p.add_argument("--samples", type=int, help="sample count override")
         p.add_argument("-o", "--output", help="report path (default: derived from the input)")
-        p.add_argument("--tol", type=float, help="residual tolerance override")
-        p.add_argument("--samples", type=int, help="sample count override")
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     return parser
@@ -63,6 +63,7 @@ def _apply_overrides(spec, args) -> None:
         spec.options.samples = args.samples
     if args.seed is not None:
         spec.options.seed = args.seed
+    spec.options.check("command line")
 
 
 def run(argv=None) -> int:
@@ -83,6 +84,7 @@ def run(argv=None) -> int:
         return 0 if result["ok"] else 1
     try:
         spec = load_problem(args.problem)
+        _apply_overrides(spec, args)
     except FileNotFoundError as err:
         report["failure"] = {"stage": "load", "error": "FileNotFoundError", "message": str(err)}
         report["ok"] = False
@@ -95,7 +97,6 @@ def run(argv=None) -> int:
         emit_report(report, out_path)
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _apply_overrides(spec, args)
     report["seed"] = spec.options.seed
     try:
         section = run_problem(spec, [args.command], timings=args.timings)

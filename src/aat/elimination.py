@@ -24,7 +24,7 @@ from . import naming
 from .euclid import exact_div, factor_candidates, gcd, resultant
 from .reconstruct import complex_reconstruct, rational_reconstruct
 from .rings import MPoly, StructuralError, VarRing, transport
-from .sampling import sequential_draws, vanishes
+from .sampling import DEFAULT_BOX, sequential_draws, vanishes
 
 SYMBOLIC_COST_LIMIT = 20_000  # term-count product beyond which H is not expanded symbolically
 
@@ -214,7 +214,7 @@ def specialize_v(
 
 
 def _numeric_specialize(H: MPoly, sys: AATSystem, backend, rng, *, tol, seed):
-    found = sequential_draws(rng, 1, 30, sys.n, backend.default_box(), lambda vs: _evaluations(backend, vs))
+    found = sequential_draws(rng, 1, 30, sys.n, DEFAULT_BOX, lambda vs: _evaluations(backend, vs))
     if not found:
         return None
     vals, jac = found[0]
@@ -355,7 +355,6 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     names = [naming.z(i, p) for i in range(1, sys.n + 1)]
     names += [naming.x(i) for i in range(1, sys.n + 1)]
     rng = random.Random(naming.stage_seed(seed, "search-samples"))
-    box = backend.default_box()
 
     def monomial_row(evaluation):
         if evaluation is None:
@@ -371,7 +370,7 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     for degree in range(1, max_degree + 1):
         basis = _monomials(names, degree)
         rows = sequential_draws(
-            rng, 2 * len(basis) + 10, 40 * len(basis), sys.n, box,
+            rng, 2 * len(basis) + 10, 40 * len(basis), sys.n, DEFAULT_BOX,
             lambda us: map(monomial_row, _evaluations(backend, us)),
         )
         if len(rows) < len(basis) + 4:

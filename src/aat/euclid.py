@@ -22,6 +22,19 @@ parts by the first of three routes that answers.
 3. The primitive-part subresultant remainder sequence in v, which answers
    every case and stays the reference the other routes are tested against.
 
+GCDHEU and the integer fast path of `exact_div` run on packed monomials,
+private to this module: an exponent tuple of a ring of width n becomes one
+int of n 16-bit fields, the first name in the most significant one, so int
+order is descending lex order and a monomial product is one addition.  The
+top bit of every field is a guard bit; one subtraction with every guard set
+tests divisibility, since a field that would go negative clears its guard.
+Polynomials with an exponent of 2^14 (a quarter of the field range) or more
+are not packed, so no sum of two fields ever carries: `exact_div` then takes
+its generic rational path, and `gcd` its content-split fallback.  A
+remainder term with a guard bit set proves a division inexact, and a lifted
+GCDHEU digit past 2^14 rejects that evaluation point.  A unit lift needs no
+trial division: it divides both inputs, so the gcd is their common content.
+
 Every route emits the gcd in canonical (descending lex) term order, so that
 numeric evaluation, which sums in insertion order, does not depend on the
 route taken.  The resultant follows the classical subresultant algorithm,
@@ -31,9 +44,11 @@ returning the exact resultant with all sign and content factors restored.
 from __future__ import annotations
 
 import heapq
+import struct
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _int_gcd, isqrt, lcm
-from operator import add, neg, sub
+from operator import or_
 
 from .rings import DomainError, MPoly, _check_same_ring
 
@@ -73,40 +88,83 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
 
 
 def _exact_div_int(a: MPoly, b: MPoly):
-    """Integer-coefficient fast path; None when the quotient is not integral."""
-    q = _int_quo({e: c.numerator for e, c in a.terms.items()}, {e: c.numerator for e, c in b.terms.items()})
-    return None if q is None else MPoly(a.ring, {e: Fraction(v) for e, v in q.items()})
+    """Integer-coefficient fast path on packed monomials; None when the
+    quotient is not integral or an exponent is too large to pack."""
+    pack = _Packing(len(a.ring.names))
+    A, B = pack.ints(a.terms), pack.ints(b.terms)
+    if A is None or B is None:
+        return None
+    q = _packed_quo(A, B)
+    return None if q is None else MPoly(a.ring, {pack.unpack(k): Fraction(c) for k, c in q.items()})
 
 
-def _int_quo(a: dict, b: dict):
-    """Quotient of integer term maps {exps: int} in descending order; None when
-    it leaves the integers, DomainError when b does not divide a over Q."""
-    # exponents are negated throughout, so the heap's smallest entry is the
-    # remainder's leading term; entries of cancelled terms are skipped lazily
-    bterms = [(tuple(map(neg, exps)), c) for exps, c in b.items()]
-    blead, bc = min(bterms)
+# Packed monomials (see the module docstring).  Inputs whose exponents reach
+# _LIMIT are not packed: then every quotient or lifted candidate exponent
+# stays below 2 * _LIMIT, and adding a divisor's field never carries.
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 2)
+
+
+class _Packing:
+    """Packs and unpacks the exponent tuples of one ring width."""
+
+    __slots__ = ("_struct", "_nbytes")
+
+    def __init__(self, width: int):
+        self._struct = struct.Struct(f">{width}H")  # big-endian 16-bit fields, as _FIELD
+        self._nbytes = 2 * width
+
+    def ints(self, terms: dict):
+        """{packed: numerator} of a term map with integral values, or None
+        when an exponent reaches the packing limit."""
+        if max(map(max, terms)) >= _LIMIT:
+            return None
+        pack = self._struct.pack
+        return {int.from_bytes(pack(*e), "big"): c.numerator for e, c in terms.items()}
+
+    def unpack(self, key: int) -> tuple:
+        return self._struct.unpack(key.to_bytes(self._nbytes, "big"))
+
+
+def _packed_quo(a: dict, b: dict):
+    """Quotient of packed integer term maps in descending order; None when it
+    leaves the integers, DomainError when b does not divide a over Q.
+
+    A monomial divides another when subtracting it from the other with every
+    guard bit set clears none of them.  A remainder term with a guard bit set
+    has an exponent past any of a's, which an exact quotient never makes.
+    """
+    blead = max(b)
+    bc = b[blead]
+    fields = max(max(a), blead).bit_length() // _FIELD + 1  # those a and b use, and one more
+    guards = ((1 << (_FIELD * fields)) - 1) // _MASK << (_FIELD - 1)
+    # keys are negated in the heap, so its smallest entry is the remainder's
+    # leading term; entries of cancelled terms are skipped lazily
+    bterms = list(b.items())
     out = {}
-    rem = {tuple(map(neg, exps)): c for exps, c in a.items()}
-    heap = list(rem)
+    rem = dict(a)
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     while rem:
-        exps = heapq.heappop(heap)
-        if exps not in rem:
+        k = -heapq.heappop(heap)
+        if k not in rem:
             continue
-        qexps = tuple(map(sub, exps, blead))
-        if max(qexps) > 0:
+        d = (k | guards) - blead
+        if k & guards or d & guards != guards:
             raise DomainError("inexact polynomial division")
-        qc, leftover = divmod(rem[exps], bc)
+        q = d ^ guards
+        qc, leftover = divmod(rem[k], bc)
         if leftover:
             return None  # quotient leaves the integers; retry generically
-        out[tuple(map(neg, qexps))] = qc
+        out[q] = qc
         for e2, c2 in bterms:
-            t = tuple(map(add, qexps, e2))
+            t = q + e2
             prod = qc * c2
             old = rem.get(t)
             if old is None:
                 rem[t] = -prod
-                heapq.heappush(heap, t)
+                heapq.heappush(heap, -t)
             elif old == prod:
                 del rem[t]
             else:
@@ -277,11 +335,16 @@ _HEU_MAX_BITS = 1 << 20  # give up before image coefficients pass a megabit
 
 def _heu_gcd(a: MPoly, b: MPoly):
     """Integer-primitive gcd of two polynomials by GCDHEU, or None when it
-    gives up; every other route returns an associate of it."""
-    g = _heu_rec(_int_primitive(a.terms), _int_primitive(b.terms))
+    gives up; every other route returns an associate of it.  It runs on
+    packed monomials, so it gives up on exponents past the packing limit."""
+    pack = _Packing(len(a.ring.names))
+    A, B = pack.ints(_int_primitive(a.terms)), pack.ints(_int_primitive(b.terms))
+    if A is None or B is None:
+        return None
+    g = _heu_rec(A, B)
     if g is None:
         return None
-    return MPoly(a.ring, {e: Fraction(k) for e, k in g.items()})
+    return MPoly(a.ring, {pack.unpack(e): Fraction(k) for e, k in g.items()})
 
 
 def _int_primitive(terms: dict) -> dict:
@@ -293,76 +356,86 @@ def _int_primitive(terms: dict) -> dict:
 
 
 def _heu_rec(A: dict, B: dict):
-    """gcd(A, B) in Z[names], integer content included, or None.
+    """gcd(A, B) in Z[names] of packed term maps, integer content included,
+    or None.
 
-    The last present name is evaluated at xi; the recursion must return the
-    full gcd of the images, content included, for the divisibility test to
-    prove the lifted candidate is the gcd and not a proper divisor of it.
+    The last present name (the lowest nonzero field) is evaluated at xi; the
+    recursion must return the full gcd of the images, content included, for
+    the divisibility test to prove the lifted candidate is the gcd and not a
+    proper divisor of it.  A unit candidate divides everything, so it is
+    accepted without a trial division.
     """
     if not A or not B:
         return dict(A or B)
     ca, cb = _int_gcd(*A.values()), _int_gcd(*B.values())
     cont = _int_gcd(ca, cb)
-    da, db = [max(col) for col in zip(*A)], [max(col) for col in zip(*B)]
-    if not any(da) or not any(db):
-        return {(0,) * len(da): cont}
-    iv = max(i for i, (x, y) in enumerate(zip(da, db)) if x or y)
+    used_a, used_b = reduce(or_, A), reduce(or_, B)
+    if not used_a or not used_b:
+        return {0: cont}
+    low = used_a | used_b
+    shift = ((low & -low).bit_length() - 1) // _FIELD * _FIELD
+    deg = max(max(k >> shift & _MASK for k in A), max(k >> shift & _MASK for k in B))
     A = {e: k // ca for e, k in A.items()}
     B = {e: k // cb for e, k in B.items()}
     xi = 2 * min(max(map(abs, A.values())), max(map(abs, B.values()))) + 2
     for _ in range(_HEU_TRIES):
-        if xi.bit_length() * max(da[iv], db[iv]) > _HEU_MAX_BITS:
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
             return None
-        gamma = _heu_rec(_eval_int(A, iv, xi), _eval_int(B, iv, xi))
+        gamma = _heu_rec(_eval_int(A, shift, xi), _eval_int(B, shift, xi))
         if gamma is None:
             return None
-        G = _xi_adic(gamma, iv, xi)
+        G = _xi_adic(gamma, shift, xi)
         if G:
             G = _int_primitive(G)
-            if _int_divides(G, A) and _int_divides(G, B):
+            if len(G) == 1 and 0 in G:
+                return {0: cont * G[0]}
+            if _packed_divides(G, A) and _packed_divides(G, B):
                 return {e: cont * k for e, k in G.items()}
         xi = xi * 73794 // 27011
     return None
 
 
-def _eval_int(A: dict, iv: int, xi: int) -> dict:
-    """Integer term map of A with name index iv set to xi."""
+def _eval_int(A: dict, shift: int, xi: int) -> dict:
+    """Packed integer term map of A with the field at `shift` set to xi."""
     powers = [1]
     out: dict = {}
     for e, k in A.items():
-        d = e[iv]
+        d = e >> shift & _MASK
         if d:
             while len(powers) <= d:
                 powers.append(powers[-1] * xi)
             k *= powers[d]
-            e = e[:iv] + (0,) + e[iv + 1 :]
+            e -= d << shift
         out[e] = out.get(e, 0) + k
     return {e: k for e, k in out.items() if k}
 
 
-def _xi_adic(gamma: dict, iv: int, xi: int) -> dict:
-    """Lift an image back to name index iv: symmetric base-xi digits of each
-    coefficient become the coefficients of iv^0, iv^1, ..."""
+def _xi_adic(gamma: dict, shift: int, xi: int) -> dict:
+    """Lift an image back to the field at `shift`: symmetric base-xi digits of
+    each coefficient become the coefficients of its powers 0, 1, ...  An empty
+    map when a digit lands past the packing limit, where no gcd can have one."""
     half = xi // 2
     out = {}
     for e, k in gamma.items():
         d = 0
         while k:
+            if d >= _LIMIT:
+                return {}
             r = k % xi
             if r > half:
                 r -= xi
             if r:
-                out[e[:iv] + (d,) + e[iv + 1 :]] = r
+                out[e + (d << shift)] = r
             k = (k - r) // xi
             d += 1
     return out
 
 
-def _int_divides(b: dict, a: dict) -> bool:
+def _packed_divides(b: dict, a: dict) -> bool:
     """Whether the integer-primitive b divides a in Z[names] (Gauss's lemma:
     a quotient over Q is then integral)."""
     try:
-        return _int_quo(a, b) is not None
+        return _packed_quo(a, b) is not None
     except DomainError:
         return False
 
@@ -494,7 +567,7 @@ def factor_candidates(p: MPoly, depth: int = 3) -> list:
         q = q.normalized()
         if q.is_zero() or q.is_constant():
             return
-        key = str(q)
+        key = frozenset(q.terms.items())
         if key in seen:
             return
         seen[key] = q

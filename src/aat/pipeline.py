@@ -35,7 +35,7 @@ from .periods import detect_period, is_integer_combination
 from .problem import Options, ProblemError, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import SamplingError, residual_check, sequential_draws
+from .sampling import DEFAULT_BOX, SamplingError, residual_check, sequential_draws
 from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
@@ -104,7 +104,7 @@ class RunContext:
 def _spec_echo(spec: ProblemSpec, backend) -> dict:
     options = spec.options.to_json()
     # the boxes actually sampled (family defaults unless overridden)
-    options["effective_box"] = spec.options.box if spec.options.box is not None else backend.default_box()
+    options["effective_box"] = spec.options.box if spec.options.box is not None else DEFAULT_BOX
     options["effective_period_box"] = (
         spec.options.period_box if spec.options.period_box is not None else backend.period_box()
     )
@@ -282,7 +282,7 @@ def _group_law_checks(ctx: RunContext) -> None:
     # both loops draw from one stream; `sequential_draws` leaves it where a
     # loop drawing one triple (one pair) at a time would
     rng = random.Random(naming.stage_seed(opts.seed, "group-law"))
-    box = opts.box if opts.box is not None else backend.default_box()
+    box = opts.box if opts.box is not None else DEFAULT_BOX
     tol = max(opts.tol, 1e-8)
 
     def triple_gaps(rows):
@@ -359,7 +359,7 @@ def _derivative_checks(ctx: RunContext) -> None:
     opts = spec.options
     backend = ctx.backend
     rng = random.Random(naming.stage_seed(opts.seed, "derivative-check"))
-    box = min(opts.box if opts.box is not None else backend.default_box(), 0.95)
+    box = min(opts.box if opts.box is not None else DEFAULT_BOX, 0.95)
     h = 1e-5
     recursion = Recursion(ctx.relations, spec.n)
     cleared = 0  # draws that pass the pole-distance filter
@@ -457,7 +457,7 @@ def stage_verify(ctx: RunContext) -> None:
     formula = ctx.formula_outcome.formula if ctx.formula_outcome else None
     if formula is not None:
         rng = random.Random(naming.stage_seed(opts.seed, "theta-slot"))
-        box = opts.box if opts.box is not None else ctx.backend.default_box()
+        box = opts.box if opts.box is not None else DEFAULT_BOX
 
         def theta_gap(p1, p2, p12):
             got = formula_value(formula, 0, p1, p2)

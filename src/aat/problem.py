@@ -41,6 +41,15 @@ _OPTION_TYPES = {
 }
 
 
+# option -> (requirement, test); None (the backend's default) always passes
+_OPTION_RANGES = {
+    "samples": ("at least 1", lambda v: v >= 1),
+    "grid": ("at least 2", lambda v: v >= 2),
+    "retries": ("at least 1", lambda v: v >= 1),
+    "tol": ("positive", lambda v: v > 0),
+}
+
+
 class ProblemError(StructuralError):
     """Malformed problem file."""
 
@@ -54,6 +63,13 @@ class Options:
     period_box: float | None = None
     grid: int | None = None
     retries: int = 8
+
+    def check(self, where: str) -> None:
+        """Raise ProblemError, naming the option, for a value out of range."""
+        for name, (need, ok) in _OPTION_RANGES.items():
+            value = getattr(self, name)
+            if value is not None and not ok(value):
+                raise ProblemError(f"{where}: option {name} must be {need}, got {value}")
 
     def to_json(self) -> dict:
         return {
@@ -144,6 +160,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         raise ProblemError(f"{source}: family {family} has n = {FAMILIES[family]}, not {n}")
     params = mapping["params"]
     options = Options(**opts)
+    options.check(source)
     backend = make_backend(family, params) if family in FAMILIES else None
 
     ring = naming.problem_ring(n, tuple(sorted(params)))

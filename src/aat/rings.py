@@ -10,12 +10,20 @@ The canonical term order is lexicographic in the declared name order,
 descending.  This is the order used for leading terms, for the canonical
 textual form (see ``MPoly.__str__``), and for all unit normalizations, so
 every derived polynomial serializes byte-stably.
+
+``MPoly.terms`` always keys by exponent tuple; the gcd and division routines
+of ``euclid`` pack the tuples into ints for the length of one call and
+unpack their results.  Term order still matters to numeric evaluation (see
+``MPoly``), so ``subs_exact`` accumulates into one dict in exactly the order
+a running sum of ``MPoly`` additions would leave, and ``normalized`` returns
+a polynomial that is already canonical unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -238,13 +246,13 @@ class MPoly:
             for e1, c1 in self.terms.items():
                 n1 = c1.numerator
                 for e2, n2 in right:
-                    exps = tuple(a + b for a, b in zip(e1, e2))
+                    exps = tuple(map(add, e1, e2))
                     acc[exps] = acc.get(exps, 0) + n1 * n2
             return MPoly(self.ring, {e: Fraction(v) for e, v in acc.items() if v})
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 s = out.get(exps, Fraction(0)) + c1 * c2
                 if s:
                     out[exps] = s
@@ -351,7 +359,9 @@ class MPoly:
             else:
                 v = ring.const(v)
             vals[i] = v
-        out = ring.zero()
+        # one accumulator, updated term by term as `out = out + term * factor`
+        # would be: a new monomial is appended, a cancelled one is removed
+        out: dict = {}
         pow_cache: dict = {}
         for exps, c in self.terms.items():
             rest = list(exps)
@@ -364,9 +374,17 @@ class MPoly:
                     if key not in pow_cache:
                         pow_cache[key] = v**e
                     factor = pow_cache[key] if factor is None else factor * pow_cache[key]
-            term = MPoly(ring, {tuple(rest): c})
-            out = out + (term if factor is None else term * factor)
-        return out
+            rest = tuple(rest)
+            products = [(rest, c)] if factor is None else [
+                (tuple(map(add, rest, e2)), c * c2) for e2, c2 in factor.terms.items()
+            ]
+            for t, tc in products:
+                s = out.get(t, 0) + tc
+                if s:
+                    out[t] = s
+                else:
+                    out.pop(t, None)
+        return MPoly(ring, out)
 
     def eval_numeric(self, values: Mapping[str, complex]) -> complex:
         """Evaluate in complex double precision; every present name must be bound."""
@@ -424,19 +442,19 @@ class MPoly:
         """Positive rational content: gcd of numerators over lcm of denominators."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        coeffs = self.terms.values()
+        return Fraction(_int_gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
 
     def normalized(self) -> "MPoly":
-        """Canonical associate: integer-primitive with positive leading coefficient."""
+        """Canonical associate: integer-primitive with positive leading
+        coefficient; the polynomial itself when it is one already."""
         if not self.terms:
             return self
-        scale = 1 / self.content_rational()
+        content = self.content_rational()
         _, lead = self.leading()
+        if content == 1 and lead > 0:
+            return self
+        scale = 1 / content
         if lead < 0:
             scale = -scale
         return self.scale(scale)

@@ -99,6 +99,7 @@ def sequential_draws(rng: random.Random, want: int, limit: int, width: int, box:
 
 
 _VALUE_CAP = 1e8  # treat enormous values as pole-adjacent and skip the sample
+DEFAULT_BOX = 1.2  # half-width of the sampling box when a problem sets no `box`
 
 
 def residual_check(
@@ -123,7 +124,7 @@ def residual_check(
     ends a check that skips 10*samples draws before that.
     """
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    box = box if box is not None else backend.default_box()
+    box = box if box is not None else DEFAULT_BOX
     params = dict(param_values or {})
     names = relation.names_present()
     kinds = set()

@@ -1,6 +1,7 @@
 """Exact oracles that only the tests use: a Sylvester-determinant resultant
-(fraction-free Bareiss elimination), equality up to a rational factor, and
-the closed-form second derivative of a one-variable mapping."""
+(fraction-free Bareiss elimination), equality up to a rational factor, a
+term-by-term substitution, and the closed-form second derivative of a
+one-variable mapping."""
 
 from __future__ import annotations
 
@@ -70,6 +71,25 @@ def is_associate(a: MPoly, b: MPoly) -> bool:
     if not isinstance(b, MPoly) or a.ring != b.ring:
         return False
     return a.normalized() == b.normalized()
+
+
+def subs_term_by_term(p: MPoly, bindings: dict) -> MPoly:
+    """Substitution as a running polynomial sum, `out = out + term * factor`
+    for each term of p in turn; `MPoly.subs_exact` must match it in value
+    and in term order."""
+    ring = p.ring
+    vals = {ring.index(n): v if isinstance(v, MPoly) else ring.const(v) for n, v in bindings.items()}
+    out = ring.zero()
+    for exps, c in p.terms.items():
+        rest = list(exps)
+        factor = None
+        for i, v in vals.items():
+            rest[i] = 0
+            if exps[i]:
+                factor = v ** exps[i] if factor is None else factor * v ** exps[i]
+        term = MPoly(ring, {tuple(rest): c})
+        out = out + (term if factor is None else term * factor)
+    return out
 
 
 def symbolic_second_derivative(rel) -> RatFn:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from aat.cli import run
 from aat.parsing import parse_poly
 from aat.rings import VarRing
 
@@ -127,6 +128,41 @@ def test_mode_option_is_rejected(tmp_path):
     result = _run(["derive", "problems/exp.aat", "-o", str(tmp_path / "exp.json"), "--mode", "exact-point"])
     assert result.returncode == 2
     assert "unrecognized arguments: --mode" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "problem,option,args",
+    [
+        ("lemniscatic", "samples = 0", []),
+        ("exp", "samples = -3", []),
+        ("exp", None, ["--samples", "0"]),
+        ("lemniscatic", "grid = 1", []),
+        ("exp", "retries = 0", []),
+        ("exp", "tol = 0", []),
+        ("lemniscatic", None, ["--tol", "0"]),
+    ],
+)
+def test_out_of_range_option_exit_two(tmp_path, capsys, problem, option, args):
+    # checked at load, before any stage can fail on it with a misleading reason
+    path = tmp_path / f"{problem}.aat"
+    path.write_text((REPO / f"problems/{problem}.aat").read_text() + (f"{option}\n" if option else ""))
+    out = tmp_path / "range.json"
+    assert run(["all", str(path), "-o", str(out), *args]) == 2
+    name = (option or args[0]).split()[0].lstrip("-")
+    failure = json.loads(out.read_text())["failure"]
+    assert failure["stage"] == "load" and failure["error"] == "ProblemError"
+    assert f"option {name} must be" in failure["message"]
+    assert f"option {name} must be" in capsys.readouterr().err
+
+
+def test_catalog_rejects_problem_options(tmp_path, capsys):
+    # the catalog runs fixed problems, so --samples and --tol would be ignored
+    out = tmp_path / "catalog.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["catalog", "-o", str(out), "--samples", "5", "--tol", "1e-3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --samples 5 --tol 1e-3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reports_byte_identical(tmp_path):

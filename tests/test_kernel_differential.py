@@ -1,9 +1,11 @@
 """Differential tests of the exact kernel, with inputs drawn by hypothesis.
 
 `gcd` is checked against the PRS-only route of the same module and against
-sympy up to associates; `resultant` against the Sylvester-determinant oracle
-(not against sympy, which negates some resultants: 1.14 gives the wrong sign
-for 2/3*x1^2*x2 + 4 and -4*x2^3 - 2 in x2).  Inputs have rational
+sympy up to associates; the packed-monomial integer quotient against the
+generic rational division; `subs_exact` against a term-by-term sum;
+`resultant` against the Sylvester-determinant oracle (not against sympy,
+which negates some resultants: 1.14 gives the wrong sign for
+2/3*x1^2*x2 + 4 and -4*x2^3 - 2 in x2).  Inputs have rational
 coefficients, ring parameters, planted common factors, and zero or constant
 operands.  The runs are derandomized and capped, so the suite is repeatable
 and cheap.
@@ -26,9 +28,9 @@ from aat.euclid import (  # noqa: E402
     squarefree_check,
     squarefree_in,
 )
-from aat.rings import VarRing  # noqa: E402
+from aat.rings import DomainError, VarRing  # noqa: E402
 
-from exact_oracles import resultant_sylvester  # noqa: E402
+from exact_oracles import resultant_sylvester, subs_term_by_term  # noqa: E402
 
 RINGS = (
     VarRing(("x1", "x2", "x3")),
@@ -48,7 +50,7 @@ coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(
 
 
 @st.composite
-def polys(draw, ring, max_degree=3, max_terms=4):
+def polys(draw, ring, max_degree=3, max_terms=4, coefficients=coefficients):
     width = len(ring.names)
     exps = st.lists(st.integers(0, width - 1), max_size=max_degree).map(
         lambda picks: tuple(picks.count(i) for i in range(width))
@@ -169,3 +171,157 @@ def test_squarefree_in_keeps_each_v_factor_once(case):
         g = gcd(removed, s)
         assert g.degree_in(v) > 0
         removed = exact_div(removed, g)
+
+
+def _generic_div(a, b):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(euclid, "_exact_div_int", lambda a, b: None)
+        return exact_div(a, b)
+
+
+def _outcome(div, a, b):
+    """The quotient's terms in order, or DomainError."""
+    try:
+        return list(div(a, b).terms.items())
+    except DomainError:
+        return DomainError
+
+
+def int_polys(ring):
+    return polys(ring, coefficients=st.integers(-6, 6).filter(bool))
+
+
+@st.composite
+def int_division_cases(draw):
+    """(kind, a, b) with integer coefficients: an exact quotient, a division
+    that is inexact over Q, or an exact one whose quotient is not integral."""
+    ring = draw(st.sampled_from(RINGS))
+    q, b = draw(int_polys(ring)), draw(int_polys(ring))
+    kind = draw(st.sampled_from(("exact", "inexact", "non-integral")))
+    if kind == "inexact":
+        assume(not b.is_constant())
+        return kind, q * b + 1, b
+    if kind == "non-integral":
+        d = draw(st.sampled_from((2, 3)))
+        assume(any(c.numerator % d for c in q.terms.values()))
+        return kind, q * b, b.scale(d)
+    return kind, q * b, b
+
+
+@SETTINGS
+@given(int_division_cases())
+def test_packed_quotient_matches_generic_division(case):
+    kind, a, b = case
+    fast = _outcome(exact_div, a, b)
+    assert fast == _outcome(_generic_div, a, b)
+    assert (fast is DomainError) == (kind == "inexact")
+    packed = euclid._exact_div_int(a, b) if kind != "inexact" else None
+    assert (packed is None) == (kind != "exact")
+    if packed is not None:
+        assert list(packed.terms) == sorted(packed.terms, reverse=True)
+
+
+def test_packed_quotient_guards_and_limit():
+    r = VarRing(("x", "y"))
+    x, y = r.var("x"), r.var("y")
+    # the remainder's y-degree passes the guard bit before the division ends
+    with pytest.raises(DomainError):
+        euclid._exact_div_int(x**12000, x - y**3)
+    # an exponent at the packing limit takes the generic route
+    big = x**euclid._LIMIT * (x + y)
+    assert euclid._exact_div_int(big, x + y) is None
+    assert exact_div(big, x + y) == x**euclid._LIMIT
+
+
+def test_gcd_past_the_packing_limit_takes_the_fallback(monkeypatch):
+    r = VarRing(("x", "y"))
+    x, y = r.var("x"), r.var("y")
+    routes = []
+    real = euclid._prs_gcd
+
+    def spy(a, b, v):
+        routes.append(v)
+        return real(a, b, v)
+
+    monkeypatch.setattr(euclid, "_prs_gcd", spy)
+    assert euclid._heu_gcd(x**20000 * (x + y), x + y) is None
+    assert gcd(x**20000 * (x + y), x**3 * (x + y) * (y + 1)) == x**3 * (x + y)
+    assert routes == ["x"]
+
+
+def _trial_divisors(monkeypatch):
+    divisors = []
+    real = euclid._packed_divides
+
+    def spy(b, a):
+        divisors.append(b)
+        return real(b, a)
+
+    monkeypatch.setattr(euclid, "_packed_divides", spy)
+    return divisors
+
+
+def test_constant_lift_makes_no_trial_division(monkeypatch):
+    r = VarRing(("x", "y"))
+    x, y = r.var("x"), r.var("y")
+    divisors = _trial_divisors(monkeypatch)
+    assert gcd(x + 1, y + 2) == r.one()
+    assert gcd((x + 1) * (y + 3), 2 * (y + 2)) == r.one()
+    assert divisors == []
+
+
+@SETTINGS
+@given(gcd_cases())
+def test_gcd_trial_divides_only_by_nonconstant_lifts(case):
+    a, b, _ = case
+    with pytest.MonkeyPatch.context() as m:
+        divisors = _trial_divisors(m)
+        gcd(a, b)
+    assert all(any(divisor) for divisor in divisors)
+
+
+@st.composite
+def substitutions(draw):
+    """(p, bindings) where terms cancel and reappear: p lists the terms of a
+    polynomial A, then those of -A with the first name's power moved to the
+    second, then some other terms B, then A's with that power moved to the
+    third.  The second and third names are bound to the first, so the middle
+    block cancels A's images and the last brings them back after B's.  Any
+    further name gets a polynomial or a rational."""
+    ring = draw(st.sampled_from(RINGS))
+    unit = st.sampled_from((1, -1))
+    first = ring.var(ring.names[0])
+    a = draw(polys(ring, max_degree=3, max_terms=4, coefficients=unit)) * first
+    b = draw(polys(ring, max_degree=3, max_terms=4, coefficients=unit))
+
+    def moved(to, sign):
+        return [(tuple(e[0] + x if i == to else 0 if i == 0 else x for i, x in enumerate(e)), sign * c)
+                for e, c in a.terms.items()]
+
+    terms: dict = {}
+    for e, c in [*a.terms.items(), *moved(1, -1), *b.terms.items(), *moved(2, 1)]:
+        terms[e] = terms.get(e, 0) + c
+    bindings = {ring.names[1]: first, ring.names[2]: first}
+    for name in ring.names[3:]:
+        if draw(st.booleans()):
+            bindings[name] = draw(st.one_of(st.just(0), coefficients, polys(ring, max_degree=2, max_terms=3)))
+    return ring.poly(terms), bindings
+
+
+@SETTINGS
+@given(substitutions())
+def test_subs_exact_matches_term_by_term_sum(case):
+    p, bindings = case
+    out = p.subs_exact(bindings)
+    ref = subs_term_by_term(p, bindings)
+    assert list(out.terms.items()) == list(ref.terms.items())
+
+
+def test_subs_exact_cancels_and_reinserts_in_order():
+    r = VarRing(("x", "y", "z"))
+    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    # with y = z = x: x^2 enters, x^3 enters, x^2 cancels, x^2 comes back last
+    p = x**2 + x**3 - x * y + 5 * x * z
+    out = p.subs_exact({"y": x, "z": x})
+    assert list(out.terms.items()) == [((3, 0, 0), 1), ((2, 0, 0), 5)]
+    assert list(out.terms.items()) == list(subs_term_by_term(p, {"y": x, "z": x}).terms.items())

@@ -10,6 +10,7 @@ from aat.parsing import parse_poly
 from aat.rings import PoleError, StructuralError, VarRing
 from aat.sampling import (
     _VALUE_CAP,
+    DEFAULT_BOX,
     ResidualReport,
     SamplingError,
     draw_points,
@@ -138,7 +139,7 @@ def sequential_residual_check(relation, backend, *, relation_id, samples, seed, 
     """The one-draw-at-a-time residual check: the reference for the batched
     one.  Every draw the loop may take is evaluated in one call up front."""
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    box = box if box is not None else backend.default_box()
+    box = box if box is not None else DEFAULT_BOX
     kinds = {naming.classify(n)[0] for n in relation.names_present() if naming.classify(n)}
     needs_v = bool(kinds & {"y", "w", "L"}) and y_mode == "v"
     n = backend.n
