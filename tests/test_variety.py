@@ -160,3 +160,65 @@ def test_differential_system_case3():
     spec = find_primitive_element(relations, backend, seed=1)
     entries, lines = differential_system(spec, build_pij(2))
     assert lines == ["du_1 = (1/x1) dx_1", "du_2 = (1/x2) dx_2"]
+
+
+class _TwoWeierstrassBackend:
+    """(p(u1), p(u2)) on the lattice (4, 0): a map no family provides, whose
+    two degree-two slots reach the general quotient-gcd route."""
+
+    n = 2
+
+    def __init__(self):
+        from aat.weierstrass import Lattice
+
+        self.lattice = Lattice(4, 0)
+
+    def value_jacobian(self, points):
+        import numpy as np
+
+        pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+        p, q, _, _ = self.lattice.eval_many(pts.ravel())
+        p, q = p.reshape(-1, 2), q.reshape(-1, 2)
+        bad = np.abs(self.lattice.reduce_many(pts)[0]).min(axis=1) < 1e-6
+        jac = np.zeros((len(pts), 2, 2), dtype=complex)
+        jac[:, 0, 0], jac[:, 1, 1] = q[:, 0], q[:, 1]
+        bad |= ~(np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
+        return p, jac, bad
+
+
+def test_two_slot_variety_takes_the_quotient_gcd_route(monkeypatch):
+    import aat.variety as variety
+    from aat.elimination import FirstOrderRelation
+
+    ring = naming.problem_ring(2)
+    texts = {
+        (1, 1): "z1_1^2 - 4*x1^3 + 4*x1",
+        (1, 2): "z1_2",
+        (2, 1): "z2_1",
+        (2, 2): "z2_2^2 - 4*x2^3 + 4*x2",
+    }
+    relations = [FirstOrderRelation(k=k, p=p, poly=parse_poly(t, ring)) for (k, p), t in texts.items()]
+    calls = []
+    real = variety._express_by_quotient_gcd
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(variety, "_express_by_quotient_gcd", spy)
+    spec = find_primitive_element(relations, _TwoWeierstrassBackend(), seed=1)
+    assert spec.alpha == ((-2, -2), (-2, -2))
+    assert spec.h == 4
+    assert str(spec.V) == (
+        "theta^4 - 32*theta^2*x1^3 + 32*theta^2*x1 - 32*theta^2*x2^3 + 32*theta^2*x2 + 256*x1^6 - 512*x1^4"
+        " - 512*x1^3*x2^3 + 512*x1^3*x2 + 256*x1^2 + 512*x1*x2^3 - 512*x1*x2 + 256*x2^6 - 512*x2^4 + 256*x2^2"
+    )
+    den = "(x1^3 - x1 - x2^3 + x2)"
+    assert {key: str(spec.expression(*key)) for key in texts} == {
+        (1, 1): "(1/64*theta^3 - 3/4*theta*x1^3 + 3/4*theta*x1 - 1/4*theta*x2^3 + 1/4*theta*x2)/" + den,
+        (1, 2): "0",
+        (2, 1): "0",
+        (2, 2): "(-1/64*theta^3 + 1/4*theta*x1^3 - 1/4*theta*x1 + 3/4*theta*x2^3 - 3/4*theta*x2)/" + den,
+    }
+    assert calls == [False] * 4 + [True]
