@@ -1,7 +1,10 @@
 """Digit-free oracle for refactors: the seed-42 verdicts and residual counts.
 
 `verdict_oracle.json` holds, for `aat all` on every bundled problem and for
-`aat catalog`, the ordered (verdict id, pass) pairs, the residual
+`aat catalog`, the exact objects (relation texts, each derivation's
+specialization mode and point, the weights alpha, V and the slot expressions,
+the negation relations E and the addition formula R), the ordered
+(verdict id, pass) pairs, the residual
 (relation, samples, pole_skipped, verdict) tuples and the sample counts of
 the sampled checks (group-law triples, formula-agreement pairs,
 derivative-recursion points, period generators).  A change may move the
@@ -27,10 +30,28 @@ ORACLE = Path(__file__).with_name("verdict_oracle.json")
 PROBLEMS = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "problems").glob("*.aat"))
 
 
+def _text(obj):
+    """The printed polynomial or rational function of a report object."""
+    if obj is None:
+        return None
+    return obj["poly"] if "poly" in obj else obj["text"]
+
+
 def _digest(section: dict) -> dict:
     group = section.get("group_law", {})
     agreement = group.get("formula_agreement", {})
+    variety = section.get("variety", {})
     return {
+        "relations": {key: _text(rel) for key, rel in section.get("relations", {}).items()},
+        "specializations": {
+            key: [entry["specialization"]["mode"], entry["specialization"]["point"]]
+            for key, entry in section.get("trace", {}).items()
+        },
+        "alpha": variety.get("alpha"),
+        "V": _text(variety.get("V")),
+        "expressions": {key: _text(e) for key, e in variety.get("expressions", {}).items()},
+        "E": [_text(e) for e in section.get("negation", {}).get("E", [])],
+        "R": [_text(r) for r in section.get("formulas", {}).get("R", [])],
         "verdicts": [[v["id"], v["pass"]] for v in section["verdicts"]],
         "residuals": [[r["relation"], r["samples"], r["pole_skipped"], r["verdict"]] for r in section["residuals"]],
         "counts": {
