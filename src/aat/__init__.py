@@ -19,7 +19,6 @@ def __getattr__(name):
     surface = {
         "parse_poly": ("aat.parsing", "parse_poly"),
         "RatFn": ("aat.ratfn", "RatFn"),
-        "substitute": ("aat.ratfn", "substitute"),
         "gcd": ("aat.euclid", "gcd"),
         "resultant": ("aat.euclid", "resultant"),
         "squarefree_check": ("aat.euclid", "squarefree_check"),

@@ -24,7 +24,7 @@ import numpy as np
 from . import naming
 from .euclid import factor_candidates, poly_sqrt, resultant, squarefree_in
 from .ratfn import RatFn
-from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, rename, transport
+from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, rename
 from .sampling import DEFAULT_BOX, draw_points, sequential_draws, vanishes
 from .variety import VarietySpec
 
@@ -157,7 +157,7 @@ def _negation_consequence(sys, backend, D, k, *, seed, tol):
     if best is None:
         return None
     ring = naming.negation_ring(sys.n, k, sys.ring.parameters)
-    return transport(best, ring).normalized()
+    return rename(best, {}, ring).normalized()
 
 
 # -- the rational addition formula ---------------------------------------------------
@@ -174,7 +174,7 @@ def resolve_addition(sys, spec: VarietySpec, backend, *, seed: int = 0, tol: flo
     if deg not in (1, 2):
         return ResolveOutcome("unresolved", None, f"value-slot degree {deg} not in (1, 2)")
     fring = naming.formula_ring(1, sys.ring.parameters)
-    coeffs = {d: transport(c, fring) for d, c in g.coeffs_in(lvar).items()}
+    coeffs = {d: rename(c, {}, fring) for d, c in g.coeffs_in(lvar).items()}
     a = coeffs.get(deg, fring.zero())
     b = coeffs.get(deg - 1, fring.zero()) if deg == 2 else coeffs.get(0, fring.zero())
     if deg == 1:

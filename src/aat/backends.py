@@ -29,7 +29,7 @@ import numpy as np
 from . import naming
 from .generate import weierstrass_addition_poly, zeta_drift_addition_poly
 from .parsing import parse_poly
-from .rings import StructuralError, transport
+from .rings import StructuralError, rename
 from .sampling import draw_points
 from .weierstrass import Lattice
 
@@ -217,7 +217,7 @@ class LatticeBackend(MappingBackend):
 
     def _weierstrass_poly(self, ring, seed):
         """G_1 of the p component, in `ring`."""
-        return transport(weierstrass_addition_poly(self.g2, self.g3, self, seed=seed), ring)
+        return rename(weierstrass_addition_poly(self.g2, self.g3, self, seed=seed), {}, ring)
 
 
 class WeierstrassBackend(LatticeBackend):
@@ -267,7 +267,7 @@ class ZetaDriftBackend(LatticeBackend):
         g1 = self._weierstrass_poly(ring, seed)
         if not self.epsilon:
             return [g1, parse_poly(_LAWS["add"].format(k=2), ring)]
-        return [g1, transport(zeta_drift_addition_poly(self.g2, self.g3, self, seed=seed), ring)]
+        return [g1, rename(zeta_drift_addition_poly(self.g2, self.g3, self, seed=seed), {}, ring)]
 
     def exact_points(self):
         # v = (omega_i, eps*eta_i) makes f2(v) = 0 exactly

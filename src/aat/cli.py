@@ -66,6 +66,15 @@ def _apply_overrides(spec, args) -> None:
     spec.options.check("command line")
 
 
+def _input_failure(report: dict, out_path: Path, stage: str, err: Exception) -> int:
+    """Write the report of unusable input and return exit status 2."""
+    report["failure"] = {"stage": stage, "error": type(err).__name__, "message": str(err)}
+    report["ok"] = False
+    emit_report(report, out_path)
+    print(f"error: {err}", file=sys.stderr)
+    return 2
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_path = _default_output(args)
@@ -85,27 +94,13 @@ def run(argv=None) -> int:
     try:
         spec = load_problem(args.problem)
         _apply_overrides(spec, args)
-    except FileNotFoundError as err:
-        report["failure"] = {"stage": "load", "error": "FileNotFoundError", "message": str(err)}
-        report["ok"] = False
-        emit_report(report, out_path)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ProblemError, AlgebraError) as err:
-        report["failure"] = {"stage": "load", "error": type(err).__name__, "message": str(err)}
-        report["ok"] = False
-        emit_report(report, out_path)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except (FileNotFoundError, AlgebraError) as err:  # ProblemError is an AlgebraError
+        return _input_failure(report, out_path, "load", err)
     report["seed"] = spec.options.seed
     try:
         section = run_problem(spec, [args.command], timings=args.timings)
     except ProblemError as err:
-        report["failure"] = {"stage": "run", "error": type(err).__name__, "message": str(err)}
-        report["ok"] = False
-        emit_report(report, out_path)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _input_failure(report, out_path, "run", err)
     report["problem"] = section
     report["ok"] = section["ok"]
     emit_report(report, out_path)

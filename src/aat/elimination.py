@@ -23,7 +23,7 @@ import numpy as np
 from . import naming
 from .euclid import exact_div, factor_candidates, gcd, resultant
 from .reconstruct import complex_reconstruct, rational_reconstruct
-from .rings import MPoly, StructuralError, VarRing, transport
+from .rings import MPoly, StructuralError, VarRing, rename
 from .sampling import DEFAULT_BOX, sequential_draws, vanishes
 
 SYMBOLIC_COST_LIMIT = 20_000  # term-count product beyond which H is not expanded symbolically
@@ -521,7 +521,7 @@ def derive_first_order(
         for k in range(1, sys.n + 1):
             poly = _isolate(sys, backend, column, k, p, seed=seed, tol=tol)
             pres = naming.relation_ring(sys.n, k, p, sys.ring.parameters)
-            rel = FirstOrderRelation(k=k, p=p, poly=transport(poly, pres).normalized())
+            rel = FirstOrderRelation(k=k, p=p, poly=rename(poly, {}, pres).normalized())
             entry = trace.entries[(k, p)]
             entry.relation = rel.poly
             if rel.poly.degree_in(rel.zvar) < 1:

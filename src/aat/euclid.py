@@ -1,26 +1,19 @@
 """GCDs, resultants and squarefree machinery for the exact kernel.
 
-`gcd` tries one route on the whole pair before any splitting: the heuristic
-gcd GCDHEU (Char, Geddes & Gonnet, JSC 1989).  The integer-primitive inputs
-are evaluated at a large integer xi one name at a time, the integer gcd at the
+`gcd` has two routes.  The first takes the whole pair: the heuristic gcd
+GCDHEU (Char, Geddes & Gonnet, JSC 1989).  The integer-primitive inputs are
+evaluated at a large integer xi one name at a time, the integer gcd at the
 bottom is lifted back xi-adically with symmetric digits, and the primitive
 part of the lift is the gcd exactly when it divides both inputs.  That gcd
 carries the contents in every name, so no content splitting is needed first.
-A few growing points are tried before it gives up; on the bundled problems
-and the catalog it has not given up once, so what follows is a fallback.
+A few growing points are tried before it gives up; on the bundled problems,
+the catalog and the benchmark inputs it has not given up once.
 
-When it gives up, the fallback recurses on variable count: it splits off the
-contents in the main variable v and settles the gcd of the two v-primitive
-parts by the first of three routes that answers.
-
-1. A modular coprimality certificate (Brown's modular gcd, JACM 1971, used
-   one-sidedly): every name except v is sent to a fixed point mod the prime
-   2^61 - 1.  When neither leading coefficient in v vanishes there and the
-   univariate images have a degree-0 gcd mod p, the true gcd is v-free, hence
-   1, because its image keeps its v-degree and divides both images.
-2. GCDHEU again, on the v-primitive parts, which are smaller than the pair.
-3. The primitive-part subresultant remainder sequence in v, which answers
-   every case and stays the reference the other routes are tested against.
+Only when it gives up does the second route run: it splits off the contents
+in the main variable v (their gcd by recursion on variable count) and takes
+the gcd of the two v-primitive parts from the primitive-part subresultant
+remainder sequence in v.  It answers every case, past the packing limit
+below too, and is the reference the tests hold GCDHEU to.
 
 GCDHEU and the integer fast path of `exact_div` run on packed monomials,
 private to this module: an exponent tuple of a ring of width n becomes one
@@ -35,7 +28,7 @@ remainder term with a guard bit set proves a division inexact, and a lifted
 GCDHEU digit past 2^14 rejects that evaluation point.  A unit lift needs no
 trial division: it divides both inputs, so the gcd is their common content.
 
-Every route emits the gcd in canonical (descending lex) term order, so that
+Both routes emit the gcd in canonical (descending lex) term order, so that
 numeric evaluation, which sums in insertion order, does not depend on the
 route taken.  The resultant follows the classical subresultant algorithm,
 returning the exact resultant with all sign and content factors restored.
@@ -228,7 +221,8 @@ def primitive_in(a: MPoly, v: str) -> MPoly:
 def gcd(a: MPoly, b: MPoly) -> MPoly:
     """Multivariate gcd, normalized (integer content 1, positive leading
     coefficient), with its terms in canonical order whatever the route:
-    GCDHEU on the whole pair, or the content split when GCDHEU gives up."""
+    GCDHEU on the whole pair, or the content split and the PRS when GCDHEU
+    gives up."""
     _check_same_ring(a, b)
     if a.is_zero():
         g = b.normalized()
@@ -243,6 +237,8 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
 
 
 def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
+    """The fallback: contents in the main variable v by recursion, the
+    v-primitive parts by the subresultant PRS."""
     ring = a.ring
     present = [n for n in ring.names if a.degree_in(n) > 0 or b.degree_in(n) > 0]
     if not present:
@@ -254,88 +250,16 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
     if db == 0:
         return _gcd_rec(content_in(a, v), b)
     ca, cb = content_in(a, v), content_in(b, v)
-    pa, pb = exact_div(a, ca), exact_div(b, cb)
-    cg = _gcd_rec(ca, cb)
-    if _coprime_mod_p(pa, pb, v):
-        return cg
-    g = _heu_gcd(pa, pb)
-    if g is None:
-        g = _prs_gcd(pa, pb, v)
-    return cg * g
+    return _gcd_rec(ca, cb) * _prs_gcd(exact_div(a, ca), exact_div(b, cb), v)
 
 
-_P = (1 << 61) - 1  # Mersenne prime modulus of the coprimality certificate
-
-
-def _eval_point(ring) -> list:
-    """The fixed evaluation point mod _P, one nonzero residue per ring name."""
-    return [(0x9E3779B97F4A7C15 * (i + 1)) % _P for i in range(len(ring.names))]
-
-
-def _image_mod_p(a: MPoly, iv: int, point: list):
-    """Coefficients (low degree first) of a mod _P at the point, univariate in
-    name index iv; None when a coefficient denominator is divisible by _P."""
-    out = [0] * (max(e[iv] for e in a.terms) + 1)
-    for exps, c in a.terms.items():
-        den = c.denominator % _P
-        if not den:
-            return None
-        val = c.numerator * pow(den, -1, _P)
-        for i, e in enumerate(exps):
-            if e and i != iv:
-                val = val * pow(point[i], e, _P) % _P
-        out[exps[iv]] = (out[exps[iv]] + val) % _P
-    return out
-
-
-def _trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _gcd_degree_mod_p(f: list, g: list) -> int:
-    """Degree of gcd(f, g) in GF(_P)[v]; coefficient lists low degree first."""
-    f, g = _trim(list(f)), _trim(list(g))
-    while g:
-        inv = pow(g[-1], -1, _P)
-        dg = len(g) - 1
-        while len(f) > dg:
-            q = f[-1] * inv % _P
-            off = len(f) - 1 - dg
-            for j in range(dg):
-                f[off + j] = (f[off + j] - q * g[j]) % _P
-            f.pop()
-            _trim(f)
-        f, g = g, f
-    return len(f) - 1
-
-
-def _coprime_mod_p(a: MPoly, b: MPoly, v: str) -> bool:
-    """True only if gcd(a, b) is certainly v-free; False means "run the PRS".
-
-    Both images must keep their v-degree: then the image of the true gcd has
-    the true v-degree and divides both images, so a degree-0 image gcd shows
-    the true gcd has v-degree 0.
-    """
-    iv = a.ring.index(v)
-    point = _eval_point(a.ring)
-    fa = _image_mod_p(a, iv, point)
-    if fa is None or not fa[-1]:
-        return False
-    fb = _image_mod_p(b, iv, point)
-    if fb is None or not fb[-1]:
-        return False
-    return _gcd_degree_mod_p(fa, fb) == 0
-
-
-_HEU_TRIES = 6  # evaluation points GCDHEU tries before the PRS takes over
+_HEU_TRIES = 6  # evaluation points GCDHEU tries before the fallback takes over
 _HEU_MAX_BITS = 1 << 20  # give up before image coefficients pass a megabit
 
 
 def _heu_gcd(a: MPoly, b: MPoly):
     """Integer-primitive gcd of two polynomials by GCDHEU, or None when it
-    gives up; every other route returns an associate of it.  It runs on
+    gives up; the fallback returns an associate of it.  It runs on
     packed monomials, so it gives up on exponents past the packing limit."""
     pack = _Packing(len(a.ring.names))
     A, B = pack.ints(_int_primitive(a.terms)), pack.ints(_int_primitive(b.terms))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +92,14 @@ class RunContext:
         passes nor fails, so `ok` ignores it."""
         self.skipped.append({"id": vid, "reason": reason})
 
-    def residual(self, rep) -> bool:
+    def residual(self, relation, relation_id: str, tol: float, **kwargs) -> bool:
+        """Check `relation` on the problem's samples, seed and box; record its
+        statistics and a verdict.  `kwargs` go on to `residual_check`."""
+        opts = self.spec.options
+        rep = residual_check(
+            relation, self.backend, relation_id=relation_id,
+            samples=opts.samples, seed=opts.seed, tol=tol, box=opts.box, **kwargs,
+        )
         self.residuals.append(rep.to_json())
         return self.verdict(f"residual {rep.relation_id}", rep.ok, f"p95 {rep.p95:.3e} vs tol {rep.tol:.1e}")
 
@@ -102,7 +109,7 @@ class RunContext:
 
 
 def _spec_echo(spec: ProblemSpec, backend) -> dict:
-    options = spec.options.to_json()
+    options = asdict(spec.options)
     # the boxes actually sampled (family defaults unless overridden)
     options["effective_box"] = spec.options.box if spec.options.box is not None else DEFAULT_BOX
     options["effective_period_box"] = (
@@ -146,27 +153,9 @@ def stage_derive(ctx: RunContext) -> None:
         f"{rel.k}_{rel.p}": poly_entry(rel.poly) for rel in ctx.relations
     }
     for k, g in enumerate(spec.aat_polys, start=1):
-        rep = residual_check(
-            g,
-            ctx.backend,
-            relation_id=f"G{k}",
-            samples=opts.samples,
-            seed=opts.seed,
-            tol=max(opts.tol, 1e-9),
-            box=opts.box,
-        )
-        ctx.residual(rep)
+        ctx.residual(g, f"G{k}", max(opts.tol, 1e-9))
     for rel in ctx.relations:
-        rep = residual_check(
-            rel.poly,
-            ctx.backend,
-            relation_id=f"P_{rel.k}{rel.p}",
-            samples=opts.samples,
-            seed=opts.seed,
-            tol=opts.tol,
-            box=opts.box,
-        )
-        ctx.residual(rep)
+        ctx.residual(rel.poly, f"P_{rel.k}{rel.p}", opts.tol)
         ctx.verdict(
             f"degree bound P_{rel.k}{rel.p}",
             1 <= rel.poly.degree_in(rel.zvar) <= ctx.trace.entry(rel.k, rel.p).degree_bound,
@@ -215,17 +204,7 @@ def stage_variety(ctx: RunContext) -> None:
         f"h = {ctx.vspec.h} <= {ctx.vspec.degree_bound}",
     )
     ctx.verdict("adjugate identity", adj_ok, "p_ij equals the (j,i) inverse entry exactly")
-    rep = residual_check(
-        ctx.vspec.V,
-        ctx.backend,
-        relation_id="V",
-        samples=opts.samples,
-        seed=opts.seed,
-        tol=opts.tol,
-        box=opts.box,
-        alpha=ctx.vspec.alpha,
-    )
-    ctx.residual(rep)
+    ctx.residual(ctx.vspec.V, "V", opts.tol, alpha=ctx.vspec.alpha)
 
 
 def stage_resolve(ctx: RunContext) -> None:
@@ -239,19 +218,8 @@ def stage_resolve(ctx: RunContext) -> None:
         "notes": ctx.negation.notes,
     }
     for k, e in enumerate(ctx.negation.E, start=1):
-        if e is None:
-            continue
-        rep = residual_check(
-            e,
-            ctx.backend,
-            relation_id=f"E{k}",
-            samples=opts.samples,
-            seed=opts.seed,
-            tol=opts.tol,
-            box=opts.box,
-            y_mode="neg",
-        )
-        ctx.residual(rep)
+        if e is not None:
+            ctx.residual(e, f"E{k}", opts.tol, y_mode="neg")
     ctx.formula_outcome = resolve_addition(
         ctx.sys, ctx.vspec, ctx.backend, seed=opts.seed, tol=max(opts.tol, 1e-8)
     )
@@ -434,26 +402,8 @@ def stage_verify(ctx: RunContext) -> None:
     opts = spec.options
     for (k, p), entry in sorted(ctx.trace.entries.items()):
         if entry.eliminant is not None:
-            rep = residual_check(
-                entry.eliminant,
-                ctx.backend,
-                relation_id=f"H_{k}{p}",
-                samples=opts.samples,
-                seed=opts.seed,
-                tol=max(opts.tol, 1e-8),
-                box=opts.box,
-            )
-            ctx.residual(rep)
-        rep = residual_check(
-            entry.specialized,
-            ctx.backend,
-            relation_id=f"h_{k}{p}",
-            samples=opts.samples,
-            seed=opts.seed,
-            tol=max(opts.tol, 1e-8),
-            box=opts.box,
-        )
-        ctx.residual(rep)
+            ctx.residual(entry.eliminant, f"H_{k}{p}", max(opts.tol, 1e-8))
+        ctx.residual(entry.specialized, f"h_{k}{p}", max(opts.tol, 1e-8))
     formula = ctx.formula_outcome.formula if ctx.formula_outcome else None
     if formula is not None:
         rng = random.Random(naming.stage_seed(opts.seed, "theta-slot"))

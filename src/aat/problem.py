@@ -71,17 +71,6 @@ class Options:
             if value is not None and not ok(value):
                 raise ProblemError(f"{where}: option {name} must be {need}, got {value}")
 
-    def to_json(self) -> dict:
-        return {
-            "tol": self.tol,
-            "samples": self.samples,
-            "seed": self.seed,
-            "box": self.box,
-            "period_box": self.period_box,
-            "grid": self.grid,
-            "retries": self.retries,
-        }
-
 
 @dataclass
 class ProblemSpec:

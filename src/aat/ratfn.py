@@ -1,13 +1,12 @@
-"""Rational functions (quotients of MPoly) and the generic substitution op."""
+"""Rational functions (quotients of MPoly) and symbolic substitution."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Complex
 from typing import Mapping, Union
 
 from . import euclid
-from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, _check_same_ring
+from .rings import DomainError, MPoly, PoleError, VarRing, _check_same_ring
 
 POLE_FLOOR = 1e-300  # numeric denominators below this magnitude signal a pole
 
@@ -144,31 +143,12 @@ def _is_atomic(text: str) -> bool:
     return not any(op in text for op in (" + ", " - ")) and not text.startswith("-")
 
 
-SubsValue = Union[int, Fraction, MPoly, RatFn, float, complex]
-
-
-def substitute(p: MPoly, bindings: Mapping[str, SubsValue]):
-    """Substitute values for variables: symbolic bindings give a RatFn,
-    numeric bindings give a complex value.
-
-    Symbolic mode accepts rationals, polynomials and rational functions and
-    may bind any subset of the variables.  Numeric mode is triggered by any
-    float/complex value; it then requires every name appearing in p
-    (parameters included) to be bound.
-    """
-    numeric = any(isinstance(v, Complex) and not isinstance(v, (int, Fraction)) for v in bindings.values())
-    if numeric:
-        values = {}
-        for name, v in bindings.items():
-            p.ring.index(name)
-            if isinstance(v, (MPoly, RatFn)):
-                raise StructuralError("cannot mix numeric and symbolic bindings")
-            values[name] = complex(v)
-        return p.eval_numeric(values)
-    return substitute_symbolic(p, bindings)
+SubsValue = Union[int, Fraction, MPoly, RatFn]
 
 
 def substitute_symbolic(p: MPoly, bindings: Mapping[str, SubsValue]) -> RatFn:
+    """p with rationals, polynomials or rational functions bound to any subset
+    of its names; numeric values go through `MPoly.eval_numeric` instead."""
     ring = p.ring
     vals: dict = {}
     for name, v in bindings.items():

@@ -499,23 +499,10 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def transport(p: MPoly, ring: VarRing) -> MPoly:
-    """Re-home a polynomial into another ring containing every name it uses."""
-    out = {}
-    width = len(ring.names)
-    for exps, c in p.terms.items():
-        nexps = [0] * width
-        for i, e in enumerate(exps):
-            if e:
-                name = p.ring.names[i]
-                j = ring.index(name)  # raises StructuralError if absent
-                nexps[j] = e
-        out[tuple(nexps)] = c
-    return MPoly(ring, out)
-
-
 def rename(p: MPoly, mapping: Mapping[str, str], ring: VarRing) -> MPoly:
-    """Transport into `ring`, renaming the given names on the way."""
+    """Re-home a polynomial into another ring containing every name it uses,
+    renaming the names in `mapping` on the way; StructuralError when a name
+    is absent."""
     out = {}
     width = len(ring.names)
     for exps, c in p.terms.items():

@@ -11,13 +11,14 @@ first-order relations into a total differential system du_i = sum p_ij dx_j.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import naming
 from .euclid import factor_candidates, resultant, squarefree_check
 from .ratfn import RatFn
-from .rings import DomainError, MPoly, StructuralError, VarRing, transport
+from .rings import DomainError, MPoly, StructuralError, VarRing, rename
 from .sampling import vanishes
 
 
@@ -29,17 +30,98 @@ class PrimitiveElementError(StructuralError):
     """No weight matrix in the search grid produced a usable minimal polynomial."""
 
 
+# -- dense polynomials over a coefficient field ----------------------------------
+#
+# A dense polynomial is a list of field elements, index = degree, with no zero
+# top entry.  The field F is an object with zero, one, add, sub, mul, neg, div
+# and is_zero: `_FractionField` for Q(x), or a `QuotientContext` for
+# Q(x)[theta]/(V), whose elements are themselves dense polynomials.
+
+
+def _trim(F, a: list) -> list:
+    while a and F.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _padd(F, a: list, b: list) -> list:
+    out = [F.zero()] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = F.add(out[i], c)
+    for i, c in enumerate(b):
+        out[i] = F.add(out[i], c)
+    return _trim(F, out)
+
+
+def _pmul(F, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [F.zero()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if F.is_zero(ca):
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(ca, cb))
+    return _trim(F, out)
+
+
+def _pdivmod(F, a: list, b: list):
+    a = list(a)
+    q = [F.zero()] * max(0, len(a) - len(b) + 1)
+    while a and len(a) >= len(b):
+        factor = F.div(a[-1], b[-1])
+        shift = len(a) - len(b)
+        q[shift] = F.add(q[shift], factor)
+        for i, c in enumerate(b):
+            a[shift + i] = F.sub(a[shift + i], F.mul(factor, c))
+        a = _trim(F, a)
+    return _trim(F, q), a
+
+
+def _ext_gcd(F, a: list, b: list):
+    """(g, s) with g = gcd(a, b) = s*a + t*b for some t, by Euclid's
+    algorithm over F."""
+    r0, r1 = _trim(F, list(a)), _trim(F, list(b))
+    s0, s1 = [F.one()], []
+    while r1:
+        q, r = _pdivmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(F, s0, [F.neg(c) for c in _pmul(F, q, s1)])
+    return r0, s0
+
+
+class _FractionField:
+    """Q(x): the rational functions over one ring, as a field for the above."""
+
+    def __init__(self, xring: VarRing):
+        self._zero, self._one = RatFn(xring.zero()), RatFn(xring.one())
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
+
+    add, sub, mul, div, neg = operator.add, operator.sub, operator.mul, operator.truediv, operator.neg
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return a.is_zero()
+
+
 # -- arithmetic in Q(x)[theta]/(V) -------------------------------------------
 
 
 class QuotientContext:
     """Dense arithmetic for polynomials in theta with RatFn(x) coefficients,
-    reduced modulo a monic minimal polynomial."""
+    reduced modulo a monic minimal polynomial.  The context is itself a
+    field (when V is irreducible) for the dense helpers above."""
 
     def __init__(self, V: MPoly, n: int):
         self.n = n
         self.vring = V.ring
         self.xring = VarRing(tuple(naming.x(i) for i in range(1, n + 1)), V.ring.parameters)
+        self.coeffs = _FractionField(self.xring)
         h = V.degree_in(naming.THETA)
         if h < 1:
             raise StructuralError("minimal polynomial must involve theta")
@@ -52,7 +134,7 @@ class QuotientContext:
         ]
 
     def _to_x(self, p: MPoly) -> MPoly:
-        return transport(p, self.xring)
+        return rename(p, {}, self.xring)
 
     # elements are lists of RatFn over xring, index = theta power, length <= h
 
@@ -60,7 +142,7 @@ class QuotientContext:
         return []
 
     def one(self):
-        return [RatFn(self.xring.one())]
+        return [self.coeffs.one()]
 
     def const(self, r) -> list:
         if isinstance(r, MPoly):
@@ -72,20 +154,10 @@ class QuotientContext:
     def theta(self):
         if self.h == 1:
             return [-self.tail[0]]
-        return [RatFn(self.xring.zero()), RatFn(self.xring.one())]
-
-    def _trim(self, a: list) -> list:
-        while a and a[-1].is_zero():
-            a.pop()
-        return a
+        return [self.coeffs.zero(), self.coeffs.one()]
 
     def add(self, a, b):
-        out = [RatFn(self.xring.zero())] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = out[i] + c
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return self._trim(out)
+        return _padd(self.coeffs, a, b)
 
     def neg(self, a):
         return [-c for c in a]
@@ -96,19 +168,10 @@ class QuotientContext:
     def scale(self, a, r: RatFn):
         if r.is_zero():
             return []
-        return self._trim([c * r for c in a])
+        return _trim(self.coeffs, [c * r for c in a])
 
     def mul(self, a, b):
-        if not a or not b:
-            return []
-        zero = RatFn(self.xring.zero())
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return self.reduce(out)
+        return self.reduce(_pmul(self.coeffs, a, b))
 
     def reduce(self, a):
         a = list(a)
@@ -119,10 +182,10 @@ class QuotientContext:
             k = len(a) - self.h  # theta^(h+k) folds onto theta^k .. theta^(k+h-1)
             for i in range(self.h):
                 a[k + i] = a[k + i] - top * self.tail[i]
-        return self._trim(a)
+        return _trim(self.coeffs, a)
 
     def is_zero(self, a) -> bool:
-        return not self._trim(list(a))
+        return not _trim(self.coeffs, list(a))
 
     def eval_poly(self, coeffs: list, at: list):
         """Horner evaluation of a theta-free polynomial given by Q-coefficients."""
@@ -133,17 +196,14 @@ class QuotientContext:
 
     # -- field operations -------------------------------------------------------
 
-    def _v_dense(self):
-        return self.tail + [RatFn(self.xring.one())]
-
     def inverse(self, a):
-        a = self._trim(list(a))
+        a = _trim(self.coeffs, list(a))
         if not a:
             raise InversionError("zero is not invertible")
-        g, s, _ = _ext_gcd(a, self._v_dense(), self.xring)
+        g, s = _ext_gcd(self.coeffs, a, self.tail + [self.coeffs.one()])
         if len(g) != 1:
             raise InversionError("element shares a factor with the minimal polynomial")
-        inv_lead = RatFn(self.xring.one()) / g[0]
+        inv_lead = self.coeffs.one() / g[0]
         return self.reduce([c * inv_lead for c in s])
 
     def div(self, a, b):
@@ -160,63 +220,8 @@ class QuotientContext:
             for j, d in enumerate(a):
                 if j != i:
                     other = other * d.den
-            num = num + transport(c.num * other, self.vring) * self.vring.var(naming.THETA) ** i
-        return RatFn(num, transport(den, self.vring))
-
-
-def _ptrim(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _pdivmod(a, b, xring):
-    a = list(a)
-    q = [RatFn(xring.zero())] * max(0, len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = q[shift] + factor
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
-        a = _ptrim(a)
-    return _ptrim(q), a
-
-
-def _ext_gcd(a, b, xring):
-    """Extended Euclid over Q(x)[theta] on dense RatFn coefficient lists."""
-    zero = []
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    one = [RatFn(xring.one())]
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-
-    def padd(u, v):
-        out = [RatFn(xring.zero())] * max(len(u), len(v))
-        for i, c in enumerate(u):
-            out[i] = out[i] + c
-        for i, c in enumerate(v):
-            out[i] = out[i] + c
-        return _ptrim(out)
-
-    def pmul(u, v):
-        if not u or not v:
-            return []
-        out = [RatFn(xring.zero())] * (len(u) + len(v) - 1)
-        for i, cu in enumerate(u):
-            for j, cv in enumerate(v):
-                out[i + j] = out[i + j] + cu * cv
-        return _ptrim(out)
-
-    def pneg(u):
-        return [-c for c in u]
-
-    while r1:
-        q, r = _pdivmod(r0, r1, xring)
-        r0, r1 = r1, r
-        s0, s1 = s1, padd(s0, pneg(pmul(q, s1)))
-        t0, t1 = t1, padd(t0, pneg(pmul(q, t1)))
-    return r0, s0, t0
+            num = num + rename(c.num * other, {}, self.vring) * self.vring.var(naming.THETA) ** i
+        return RatFn(num, rename(den, {}, self.vring))
 
 
 # -- variety construction ------------------------------------------------------
@@ -236,13 +241,16 @@ class VarietySpec:
         return self.qc.to_ratfn(self.reps[(k, p)])
 
 
-def _alpha_candidates(n: int, limit: int = 2):
+_GRID_LIMIT = 2  # largest |weight| of the grid searched after the unit vectors
+
+
+def _alpha_candidates(n: int):
     slots = n * n
     for i in range(slots):
         unit = [0] * slots
         unit[i] = 1
         yield tuple(unit)
-    values = list(range(-limit, limit + 1))
+    values = list(range(-_GRID_LIMIT, _GRID_LIMIT + 1))
     for combo in itertools.product(values, repeat=slots):
         if all(c == 0 for c in combo):
             continue
@@ -252,7 +260,8 @@ def _alpha_candidates(n: int, limit: int = 2):
 
 
 def _theta_chain(relations, alpha_rows, ring, n):
-    """Eliminate every derivative slot from theta - sum(alpha*z) and the P set."""
+    """Eliminate the slots of `relations` from theta - sum(alpha*z) by
+    resultants against the relations; None when the chain collapses to 0."""
     theta = ring.var(naming.THETA)
     T = theta
     for k in range(1, n + 1):
@@ -265,8 +274,7 @@ def _theta_chain(relations, alpha_rows, ring, n):
         v = rel.zvar
         if R.degree_in(v) <= 0:
             continue
-        partner = transport(rel.poly, ring)
-        R = resultant(R, partner, v).normalized()
+        R = resultant(R, rename(rel.poly, {}, ring), v).normalized()
         if R.is_zero():
             return None
     return R
@@ -279,7 +287,7 @@ def _select_minimal_polynomial(R, backend, alpha_rows, n, *, seed, tol):
         if cand.degree_in(naming.THETA) < 1:
             continue
         try:
-            cand_v = transport(cand, vring)
+            cand_v = rename(cand, {}, vring)
         except StructuralError:
             continue
         cands.append(cand_v)
@@ -303,8 +311,8 @@ def _express_all(relations, alpha_rows, qc: QuotientContext, n: int):
         if deg == 1:
             b = poly.coeff_of(zv, 1)
             c = poly.coeff_of(zv, 0)
-            num = -RatFn(transport(c, qc.xring))
-            den = RatFn(transport(b, qc.xring))
+            num = -RatFn(rename(c, {}, qc.xring))
+            den = RatFn(rename(b, {}, qc.xring))
             reps[(rel.k, rel.p)] = qc.const(num / den)
         else:
             pending[(rel.k, rel.p)] = rel
@@ -340,37 +348,18 @@ def _express_all(relations, alpha_rows, qc: QuotientContext, n: int):
 def _express_by_quotient_gcd(rel, relations, alpha_rows, qc: QuotientContext, n: int):
     """General route: gcd over the quotient field of the slot's own relation and
     the theta constraint with every other slot eliminated."""
-    params = rel.poly.ring.parameters
-    names = [naming.THETA] + [naming.x(i) for i in range(1, n + 1)]
-    names += [naming.z(k, p) for k in range(1, n + 1) for p in range(1, n + 1)]
-    work = VarRing(tuple(names), params)
-    theta = work.var(naming.THETA)
-    T = theta
-    for k in range(1, n + 1):
-        for p in range(1, n + 1):
-            a = alpha_rows[k - 1][p - 1]
-            if a:
-                T = T - work.var(naming.z(k, p)).scale(a)
-    C = T
-    for other in sorted(relations, key=lambda r: (r.k, r.p)):
-        if (other.k, other.p) == (rel.k, rel.p):
-            continue
-        v = other.zvar
-        if C.degree_in(v) <= 0:
-            continue
-        C = resultant(C, transport(other.poly, work), v).normalized()
-        if C.is_zero():
-            return None
+    ring = naming.problem_ring(n, rel.poly.ring.parameters)
+    others = [other for other in relations if (other.k, other.p) != (rel.k, rel.p)]
+    C = _theta_chain(others, alpha_rows, ring, n)
     zv = rel.zvar
-    if C.degree_in(zv) <= 0:
+    if C is None or C.degree_in(zv) <= 0:
         return None
-    P_dense = _as_quotient_poly(transport(rel.poly, work), zv, qc)
-    C_dense = _as_quotient_poly(C, zv, qc)
-    g = _quotient_poly_gcd(P_dense, C_dense, qc)
-    if g is None or len(g) != 2:
-        return None
-    # g = g1*w + g0  =>  w = -g0/g1
     try:
+        own = _as_quotient_poly(rename(rel.poly, {}, ring), zv, qc)
+        g, _ = _ext_gcd(qc, own, _as_quotient_poly(C, zv, qc))
+        if len(g) != 2:
+            return None
+        # g = g1*w + g0  =>  w = -g0/g1
         return qc.neg(qc.div(g[0], g[1]))
     except InversionError:
         return None
@@ -385,49 +374,12 @@ def _as_quotient_poly(p: MPoly, wvar: str, qc: QuotientContext):
         theta_coeffs = coeff.coeffs_in(naming.THETA)
         elem = []
         for i in sorted(theta_coeffs):
-            c = theta_coeffs[i]
-            base = qc.const(RatFn(transport(c, qc.xring)))
-            term = base
+            term = qc.const(RatFn(rename(theta_coeffs[i], {}, qc.xring)))
             for _ in range(i):
                 term = qc.mul(term, qc.theta())
             elem = qc.add(elem, term)
         out[d] = elem
-    while out and qc.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def _quotient_poly_gcd(a, b, qc: QuotientContext):
-    """Monic gcd in (quotient field)[w] by the Euclidean algorithm."""
-    r0, r1 = list(a), list(b)
-
-    def trim(u):
-        while u and qc.is_zero(u[-1]):
-            u.pop()
-        return u
-
-    r0, r1 = trim(r0), trim(r1)
-    if len(r0) < len(r1):
-        r0, r1 = r1, r0
-    guard = 0
-    while r1:
-        guard += 1
-        if guard > 40:
-            return None
-        try:
-            inv_lead = qc.inverse(r1[-1])
-        except InversionError:
-            return None
-        monic = [qc.mul(c, inv_lead) for c in r1]
-        rem = list(r0)
-        while rem and len(rem) >= len(monic):
-            factor = rem[-1]
-            shift = len(rem) - len(monic)
-            for i, c in enumerate(monic):
-                rem[shift + i] = qc.sub(rem[shift + i], qc.mul(factor, c))
-            rem = trim(rem)
-        r0, r1 = monic, rem
-    return r0
+    return _trim(qc, out)
 
 
 def _consistency_ok(reps, relations, qc: QuotientContext) -> bool:
@@ -438,54 +390,49 @@ def _consistency_ok(reps, relations, qc: QuotientContext) -> bool:
         for d, coeff in sorted(rel.poly.coeffs_in(rel.zvar).items()):
             while len(coeffs) <= d:
                 coeffs.append([])
-            coeffs[d] = qc.const(RatFn(transport(coeff, qc.xring)))
+            coeffs[d] = qc.const(RatFn(rename(coeff, {}, qc.xring)))
         if not qc.is_zero(qc.eval_poly(coeffs, rep)):
             return False
     return True
 
 
-def find_primitive_element(
-    relations: list,
-    backend,
-    *,
-    seed: int = 0,
-    tol: float = 1e-7,
-    alpha_override=None,
-    grid_limit: int = 2,
-) -> VarietySpec:
+def find_primitive_element(relations: list, backend, *, seed: int = 0, tol: float = 1e-7) -> VarietySpec:
     """Search integer weight matrices (unit vectors first, then the +/-2 grid)
     for a theta whose minimal polynomial is squarefree and expresses every
     derivative slot."""
     if not relations:
         raise StructuralError("no first-order relations given")
     n = max(rel.k for rel in relations)
-    ring = naming.problem_ring(n, relations[0].poly.ring.parameters)
+    for flat in _alpha_candidates(n):
+        alpha = tuple(flat[k * n : (k + 1) * n] for k in range(n))
+        spec = variety_for_alpha(relations, alpha, backend, seed=seed, tol=tol)
+        if spec is not None:
+            return spec
+    raise PrimitiveElementError(f"no primitive element found with |alpha| <= {_GRID_LIMIT}")
+
+
+def variety_for_alpha(relations: list, alpha: tuple, backend, *, seed: int = 0, tol: float = 1e-7):
+    """The variety of theta = sum alpha[k-1][p-1] * z{k}_{p}, or None when
+    theta has no squarefree minimal polynomial within the degree bound or
+    leaves a slot unexpressed."""
+    n = len(alpha)
+    R = _theta_chain(relations, alpha, naming.problem_ring(n, relations[0].poly.ring.parameters), n)
+    if R is None or R.degree_in(naming.THETA) < 1:
+        return None
+    V = _select_minimal_polynomial(R, backend, alpha, n, seed=seed, tol=tol)
+    if V is None:
+        return None
     bound = 1
     for rel in relations:
         bound *= max(1, rel.poly.degree_in(rel.zvar))
-    if alpha_override is not None:
-        flats = [tuple(int(a) for row in alpha_override for a in row)]
-    else:
-        flats = _alpha_candidates(n, grid_limit)
-    for flat in flats:
-        alpha_rows = tuple(tuple(flat[(k - 1) * n + (p - 1)] for p in range(1, n + 1)) for k in range(1, n + 1))
-        R = _theta_chain(relations, alpha_rows, ring, n)
-        if R is None or R.degree_in(naming.THETA) < 1:
-            continue
-        V = _select_minimal_polynomial(R, backend, alpha_rows, n, seed=seed, tol=tol)
-        if V is None:
-            continue
-        h = V.degree_in(naming.THETA)
-        if h > bound:
-            continue
-        qc = QuotientContext(V, n)
-        reps = _express_all(relations, alpha_rows, qc, n)
-        if reps is None:
-            continue
-        if not _consistency_ok(reps, relations, qc):
-            continue
-        return VarietySpec(alpha=alpha_rows, V=V, h=h, qc=qc, reps=reps, degree_bound=bound)
-    raise PrimitiveElementError(f"no primitive element found with |alpha| <= {grid_limit}")
+    h = V.degree_in(naming.THETA)
+    if h > bound:
+        return None
+    qc = QuotientContext(V, n)
+    reps = _express_all(relations, alpha, qc, n)
+    if reps is None or not _consistency_ok(reps, relations, qc):
+        return None
+    return VarietySpec(alpha=alpha, V=V, h=h, qc=qc, reps=reps, degree_bound=bound)
 
 
 # -- the total differential system ----------------------------------------------

@@ -21,7 +21,7 @@ from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
 from aat.ratfn import RatFn
 from aat.sampling import residual_check
-from aat.variety import QuotientContext, VarietySpec, find_primitive_element
+from aat.variety import QuotientContext, VarietySpec, find_primitive_element, variety_for_alpha
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def _wp_pairs(lat, rng, count):
 
 def test_theta_slot_formula_with_scaled_weight(wp_ctx):
     sys, backend, relations, _ = wp_ctx
-    spec2 = find_primitive_element(relations, backend, seed=1, alpha_override=((2,),))
+    spec2 = variety_for_alpha(relations, ((2,),), backend, seed=1)
     out = resolve_addition(sys, spec2, backend, seed=3)
     assert out.status == "resolved"
     rng = random.Random(8)

@@ -135,9 +135,8 @@ def test_derive_weierstrass(wp_sys, wp_backend):
 
 
 def test_lemniscatic_squarefree_probes_skip_the_prs(wp_sys, monkeypatch):
-    # the coprimality certificate settles gcd(H, dH/dv) = 1 on the eliminant;
-    # the PRS may still run on coefficient gcds, but only where it finds a
-    # common factor, never to prove coprimality (seconds on this H)
+    # GCDHEU on the whole pair settles gcd(H, dH/dv) = 1 on the eliminant;
+    # the PRS never runs to prove coprimality (seconds on this H)
     _, H = gcd_and_eliminant(wp_sys.poly(1), cross_difference(wp_sys, 1, 1), 1)
     prs = euclid._prs_gcd
 

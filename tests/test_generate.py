@@ -18,9 +18,8 @@ from test_backends import FAMILIES
     ],
 )
 def test_addition_poly_generation_skips_the_prs(build, family, lvar, g2, g3, monkeypatch):
-    # the gcds of factor_candidates on the double resultant are either coprime
-    # (certificate) or share a real factor (GCDHEU); the subresultant PRS,
-    # seconds per call on these operands, is never needed
+    # GCDHEU answers every gcd of factor_candidates on the double resultant;
+    # the subresultant PRS, seconds per call on these operands, is never needed
     def guarded(a, b, v):
         raise AssertionError(f"subresultant PRS ran in {v}")
 

@@ -81,7 +81,6 @@ def gcd_cases(draw):
 
 def _prs_only_gcd(a, b):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(euclid, "_coprime_mod_p", lambda a, b, v: False)
         m.setattr(euclid, "_heu_gcd", lambda a, b: None)
         return gcd(a, b)
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from aat.rings import DomainError, StructuralError, VarRing, transport
-from aat.ratfn import RatFn, substitute
+from aat.rings import DomainError, StructuralError, VarRing, rename
+from aat.ratfn import RatFn, substitute_symbolic
 
 from conftest import random_poly
 from exact_oracles import is_associate
@@ -95,12 +95,12 @@ def test_substitute_symbolic_and_numeric(pring):
     theta, x1 = pring.var("theta"), pring.var("x1")
     g2, g3 = pring.var("g2"), pring.var("g3")
     xy = theta * x1
-    assert substitute(xy, {"x1": 1}) == RatFn(theta)
+    assert substitute_symbolic(xy, {"x1": 1}) == RatFn(theta)
     v = theta**2 - 4 * x1**3 + g2 * x1 + g3
-    val = substitute(v, {"theta": 0.0, "x1": 1.0, "g2": 4.0, "g3": 0.0})
+    val = v.eval_numeric({"theta": 0.0, "x1": 1.0, "g2": 4.0, "g3": 0.0})
     assert abs(val) == 0.0  # e-value root of the lemniscatic cubic
     with pytest.raises(StructuralError):
-        substitute(v, {"theta": 1.0, "x1": 1.0})  # parameters unbound in numeric mode
+        v.eval_numeric({"theta": 1.0, "x1": 1.0})  # parameters unbound in numeric mode
 
 
 def test_numeric_matches_exact_then_eval(ring3):
@@ -109,7 +109,7 @@ def test_numeric_matches_exact_then_eval(ring3):
         p = random_poly(rng, ring3)
         b1 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         b2 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        exact = substitute(p, {"x1": b1, "x2": b2})
+        exact = substitute_symbolic(p, {"x1": b1, "x2": b2})
         sym = exact.eval_numeric({"x3": 0.7}) if not exact.is_zero() else 0.0
         direct = p.eval_numeric({"x1": complex(b1), "x2": complex(b2), "x3": 0.7})
         assert abs(sym - direct) <= 1e-12 * (1 + abs(direct))
@@ -127,7 +127,7 @@ def test_transport_between_rings():
     big = VarRing(("a", "b", "c"), ("t",))
     small = VarRing(("b", "a"), ("t",))
     p = big.var("a") * big.var("b") + big.var("t")
-    q = transport(p, small)
+    q = rename(p, {}, small)
     assert str(q) == "b*a + t"
     with pytest.raises(StructuralError):
-        transport(big.var("c"), small)
+        rename(big.var("c"), {}, small)

@@ -13,6 +13,7 @@ from aat.variety import (
     build_pij,
     find_primitive_element,
     differential_system,
+    variety_for_alpha,
 )
 
 
@@ -62,7 +63,7 @@ def test_weierstrass_variety(wp_setup):
 
 def test_scaled_theta(wp_setup):
     _, backend, relations = wp_setup
-    spec = find_primitive_element(relations, backend, seed=1, alpha_override=((2,),))
+    spec = variety_for_alpha(relations, ((2,),), backend, seed=1)
     # theta = 2*z means theta^2 = 4*(4x^3-4x)
     assert str(spec.V) == "theta^2 - 16*x1^3 + 16*x1"
     assert str(spec.expression(1, 1)) == "1/2*theta"
@@ -82,7 +83,7 @@ def test_case3_variety_default_and_identity():
     for (k, p), expected in {(1, 2): "0", (2, 1): "0", (2, 2): "x2"}.items():
         assert str(spec.expression(k, p)) == expected
     # the identity weight matrix reproduces the joint minimal polynomial
-    spec_id = find_primitive_element(relations, backend, seed=1, alpha_override=((1, 0), (0, 1)))
+    spec_id = variety_for_alpha(relations, ((1, 0), (0, 1)), backend, seed=1)
     assert str(spec_id.V) == "theta - x1 - x2"
 
 
