@@ -39,14 +39,16 @@ class VarietyPoint:
     def is_finite(self) -> bool:
         return self.theta is not None and all(c is not None for c in self.x)
 
-    def close_to(self, other: "VarietyPoint", tol: float = 1e-8) -> bool:
-        pairs = [(self.theta, other.theta), *zip(self.x, other.x)]
-        for a, b in pairs:
-            if (a is None) != (b is None):
-                return False
-            if a is not None and abs(a - b) > tol * (1 + abs(a) + abs(b)):
-                return False
-        return True
+    def gap(self, other: "VarietyPoint") -> float:
+        """Largest coordinate gap |a - b| / (1 + |a| + |b|); a coordinate at
+        infinity is 0 from infinity and infinitely far from a finite one."""
+        gaps = []
+        for a, b in [(self.theta, other.theta), *zip(self.x, other.x)]:
+            if a is None or b is None:
+                gaps.append(0.0 if a is b else float("inf"))
+            else:
+                gaps.append(abs(a - b) / (1 + abs(a) + abs(b)))
+        return max(gaps)
 
 
 @dataclass
@@ -427,7 +429,7 @@ def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, tol=1e-8, 
     u2 = u1 + np.asarray(period, dtype=complex)
     pts = backend_points(backend, spec, np.concatenate([u1, u2]))
     for i, (pt1, pt2) in enumerate(zip(pts[:attempts], pts[attempts:])):
-        if pt1.is_finite() and pt2.is_finite() and pt1.close_to(pt2, tol):
+        if pt1.is_finite() and pt2.is_finite() and pt1.gap(pt2) <= tol:
             break
     else:
         raise StructuralError("no usable witness pair found")

@@ -21,12 +21,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .pipeline import run_catalog, run_problem
+from .pipeline import STAGES, run_catalog, run_problem
 from .problem import ProblemError, load_problem
 from .reporting import emit_report
 from .rings import AlgebraError
 
-_COMMANDS = ("derive", "variety", "resolve", "verify", "period", "catalog", "all")
+_COMMANDS = (*STAGES, "catalog", "all")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,6 @@ is vetted numerically before it is kept.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import naming
 from .euclid import exact_div, factor_candidates, gcd, resultant
-from .reconstruct import complex_reconstruct, rational_reconstruct
+from .reconstruct import rational_reconstruct
 from .rings import MPoly, StructuralError, VarRing, rename
 from .sampling import DEFAULT_BOX, sequential_draws, vanishes
 
@@ -68,9 +67,6 @@ class SpecializationRecord:
     point: str
     retries: int
 
-    def to_json(self):
-        return {"mode": self.mode, "point": self.point, "retries": self.retries}
-
 
 @dataclass
 class FirstOrderRelation:
@@ -100,7 +96,6 @@ class TraceEntry:
 @dataclass
 class DerivationTrace:
     entries: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
 
     def entry(self, k, p) -> TraceEntry:
         return self.entries[(k, p)]
@@ -241,11 +236,9 @@ def _numeric_specialize(H: MPoly, sys: AATSystem, backend, rng, *, tol, seed):
     lead = buckets[max(buckets)]
     terms = {}
     for exps, c in buckets.items():
-        lifted = complex_reconstruct(c / lead, max_den=10**6, tol=1e-9)
-        if lifted is None:
-            return None
-        re, im = lifted
-        if im != 0:
+        c = c / lead
+        re = rational_reconstruct(c.real)
+        if re is None or rational_reconstruct(c.imag) != 0:
             return None  # relation coefficients must be real rationals
         if re:
             terms[exps] = re
@@ -522,49 +515,32 @@ def derive_first_order(
             poly = _isolate(sys, backend, column, k, p, seed=seed, tol=tol)
             pres = naming.relation_ring(sys.n, k, p, sys.ring.parameters)
             rel = FirstOrderRelation(k=k, p=p, poly=rename(poly, {}, pres).normalized())
-            entry = trace.entries[(k, p)]
-            entry.relation = rel.poly
+            trace.entries[(k, p)].relation = rel.poly
             if rel.poly.degree_in(rel.zvar) < 1:
                 raise EliminationError(f"relation for (k={k}, p={p}) lost its derivative slot")
-            if rel.poly.degree_in(rel.zvar) > entry.degree_bound:
-                entry.notes.append("degree bound exceeded")  # defensive; should not happen
             relations.append(rel)
     return relations, trace
 
 
 def _isolate(sys, backend, column, k, p, *, seed, tol):
-    """Eliminate the other derivative slots of direction p from h_{k p}."""
+    """Eliminate the other derivative slot of direction p from h_{k p}
+    (n <= 2, so there is at most one)."""
     target = naming.z(k, p)
-    others = [i for i in range(1, sys.n + 1) if i != k]
-    orders = list(itertools.permutations(others)) or [()]
-    last_error = None
-    for order in orders:
-        r = column[k]
-        try:
-            for i in order:
-                var = naming.z(i, p)
-                if r.degree_in(var) <= 0:
-                    continue
-                partner = column[i]
-                if partner.degree_in(var) <= 0:
-                    raise EliminationError(
-                        f"no relation available to eliminate {var} for (k={k}, p={p})"
-                    )
-                r = resultant(r, partner, var).normalized()
-                r = _clean_relation(
-                    r, backend, prefer_var=target, seed=naming.stage_seed(seed, f"iso{k}{p}{i}"), tol=tol
-                )
-                if r.is_zero():
-                    raise EliminationError("chain collapsed to zero")
-            if r.is_zero() or r.degree_in(target) < 1:
-                raise EliminationError(
-                    f"dependent eliminant chain for (k={k}, p={p}) - choose different elimination order"
-                    f" (tried {order})"
-                )
-            if not vanishes(r, backend, seed=naming.stage_seed(seed, f"iso-final{k}{p}"), tol=tol):
-                raise EliminationError(f"relation for (k={k}, p={p}) failed numeric vetting")
-            return r
-        except EliminationError as err:
-            last_error = err
+    r = column[k]
+    for i in range(1, sys.n + 1):
+        var = naming.z(i, p)
+        if i == k or r.degree_in(var) <= 0:
             continue
-    raise last_error if last_error else EliminationError(f"could not isolate {target}")
+        if column[i].degree_in(var) <= 0:
+            raise EliminationError(f"no relation available to eliminate {var} for (k={k}, p={p})")
+        r = resultant(r, column[i], var).normalized()
+        r = _clean_relation(
+            r, backend, prefer_var=target, seed=naming.stage_seed(seed, f"iso{k}{p}{i}"), tol=tol
+        )
+        if r.is_zero():
+            raise EliminationError("chain collapsed to zero")
+    if r.is_zero() or r.degree_in(target) < 1:
+        raise EliminationError(f"dependent eliminant chain for (k={k}, p={p})")
+    if not vanishes(r, backend, seed=naming.stage_seed(seed, f"iso-final{k}{p}"), tol=tol):
+        raise EliminationError(f"relation for (k={k}, p={p}) failed numeric vetting")
+    return r

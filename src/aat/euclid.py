@@ -165,14 +165,6 @@ def _packed_quo(a: dict, b: dict):
     return out
 
 
-def divides(b: MPoly, a: MPoly) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except DomainError:
-        return False
-
-
 def prem(a: MPoly, b: MPoly, v: str) -> MPoly:
     """Pseudo-remainder of a by b with respect to v: lc(b)^(da-db+1) * a mod b."""
     _check_same_ring(a, b)

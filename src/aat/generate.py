@@ -23,13 +23,18 @@ def _curve_rhs(ring: VarRing, var: str, g2: Fraction, g3: Fraction) -> MPoly:
     return 4 * t**3 - ring.const(g2) * t - ring.const(g3)
 
 
-def _select_vanishing(cands, backend, lvar, *, seed, require_positive_degree=True):
-    for cand in cands:
-        if require_positive_degree and cand.degree_in(lvar) <= 0:
-            continue
-        if vanishes(cand, backend, seed=seed, tol=1e-7):
+def _eliminate_tangents(c: MPoly, g2: Fraction, g3: Fraction, lvar: str, backend, *, seed, name) -> MPoly:
+    """The factor of c, with tx = p'(u) and ty = p'(v) eliminated against the
+    curve equations tx^2 = 4*x1^3 - g2*x1 - g3 and ty^2 = 4*y1^3 - g2*y1 - g3,
+    that involves lvar and vanishes on backend samples."""
+    ring = c.ring
+    a = ring.var("tx") ** 2 - _curve_rhs(ring, "x1", g2, g3)
+    b = ring.var("ty") ** 2 - _curve_rhs(ring, "y1", g2, g3)
+    r2 = resultant(resultant(c, a, "tx"), b, "ty").normalized()
+    for cand in factor_candidates(r2):
+        if cand.degree_in(lvar) > 0 and vanishes(cand, backend, seed=seed, tol=1e-7):
             return cand.normalized()
-    return None
+    raise StructuralError(f"no vanishing factor found for the {name} addition polynomial")
 
 
 # (g2, g3) -> G(L1; x1, y1).  The polynomial is fixed by the invariants alone
@@ -52,14 +57,8 @@ def weierstrass_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int 
     scratch = VarRing(("L1", "x1", "y1", "tx", "ty"))
     L1, x1, y1 = scratch.var("L1"), scratch.var("x1"), scratch.var("y1")
     tx, ty = scratch.var("tx"), scratch.var("ty")
-    a = tx**2 - _curve_rhs(scratch, "x1", g2, g3)
-    b = ty**2 - _curve_rhs(scratch, "y1", g2, g3)
     c = 4 * (x1 - y1) ** 2 * (L1 + x1 + y1) - (tx - ty) ** 2
-    r1 = resultant(c, a, "tx")
-    r2 = resultant(r1, b, "ty").normalized()
-    g = _select_vanishing(factor_candidates(r2), backend, "L1", seed=naming.stage_seed(seed, "gen-wp"))
-    if g is None:
-        raise StructuralError("no vanishing factor found for the p addition polynomial")
+    g = _eliminate_tangents(c, g2, g3, "L1", backend, seed=naming.stage_seed(seed, "gen-wp"), name="p")
     _WP_CACHE[key] = g
     return g
 
@@ -76,12 +75,7 @@ def zeta_drift_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int =
     x1, x2 = scratch.var("x1"), scratch.var("x2")
     y1, y2 = scratch.var("y1"), scratch.var("y2")
     tx, ty = scratch.var("tx"), scratch.var("ty")
-    a = tx**2 - _curve_rhs(scratch, "x1", g2, g3)
-    b = ty**2 - _curve_rhs(scratch, "y1", g2, g3)
     c = 2 * (x1 - y1) * (L2 - x2 - y2) + tx - ty
-    r1 = resultant(c, a, "tx")
-    r2 = resultant(r1, b, "ty").normalized()
-    g = _select_vanishing(factor_candidates(r2), backend, "L2", seed=naming.stage_seed(seed, "gen-zeta"))
-    if g is None:
-        raise StructuralError("no vanishing factor found for the zeta-drift addition polynomial")
-    return g
+    return _eliminate_tangents(
+        c, g2, g3, "L2", backend, seed=naming.stage_seed(seed, "gen-zeta"), name="zeta-drift"
+    )

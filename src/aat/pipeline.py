@@ -98,22 +98,29 @@ class RunContext:
         opts = self.spec.options
         rep = residual_check(
             relation, self.backend, relation_id=relation_id,
-            samples=opts.samples, seed=opts.seed, tol=tol, box=opts.box, **kwargs,
+            samples=opts.samples, seed=opts.seed, tol=tol, box=self.box, **kwargs,
         )
         self.residuals.append(rep.to_json())
         return self.verdict(f"residual {rep.relation_id}", rep.ok, f"p95 {rep.p95:.3e} vs tol {rep.tol:.1e}")
+
+    @property
+    def box(self) -> float:
+        """Half-width of the sampling box: the problem's `box`, else the default."""
+        box = self.spec.options.box
+        return box if box is not None else DEFAULT_BOX
 
     @property
     def ok(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
 
 
-def _spec_echo(spec: ProblemSpec, backend) -> dict:
+def _spec_echo(ctx: RunContext) -> dict:
+    spec = ctx.spec
     options = asdict(spec.options)
     # the boxes actually sampled (family defaults unless overridden)
-    options["effective_box"] = spec.options.box if spec.options.box is not None else DEFAULT_BOX
+    options["effective_box"] = ctx.box
     options["effective_period_box"] = (
-        spec.options.period_box if spec.options.period_box is not None else backend.period_box()
+        spec.options.period_box if spec.options.period_box is not None else ctx.backend.period_box()
     )
     return {
         "n": spec.n,
@@ -143,7 +150,7 @@ def stage_derive(ctx: RunContext) -> None:
             "shared_factor": poly_entry(entry.shared),
             "eliminant": poly_entry(entry.eliminant) if entry.eliminant is not None else None,
             "specialized": poly_entry(entry.specialized),
-            "specialization": entry.record.to_json(),
+            "specialization": asdict(entry.record),
             "relation": poly_entry(entry.relation),
             "degree_bound": entry.degree_bound,
             "notes": entry.notes,
@@ -250,7 +257,6 @@ def _group_law_checks(ctx: RunContext) -> None:
     # both loops draw from one stream; `sequential_draws` leaves it where a
     # loop drawing one triple (one pair) at a time would
     rng = random.Random(naming.stage_seed(opts.seed, "group-law"))
-    box = opts.box if opts.box is not None else DEFAULT_BOX
     tol = max(opts.tol, 1e-8)
 
     def triple_gaps(rows):
@@ -260,7 +266,7 @@ def _group_law_checks(ctx: RunContext) -> None:
         pts = backend_points(backend, vspec, np.concatenate(us))
         return map(_triple_gaps, *(pts[i : i + len(rows)] for i in range(0, len(pts), len(rows))))
 
-    gaps = sequential_draws(rng, 50, 2000, 3 * n, box, triple_gaps)
+    gaps = sequential_draws(rng, 50, 2000, 3 * n, ctx.box, triple_gaps)
     triples = len(gaps)
     worst_comm, worst_assoc, worst_inv, worst_ident = [max(g) for g in zip(*gaps)] or [0.0] * 4
     ctx.verdict("group commutativity", triples >= 50 and worst_comm < tol, f"worst gap {worst_comm:.3e} on {triples} triples")
@@ -285,10 +291,10 @@ def _group_law_checks(ctx: RunContext) -> None:
             got = point_add(p1, p2, formula=formula)
         except (DivisorDegeneracyError, PoleError):
             return None
-        return _point_gap(got, want), variety_residual(vspec, got)
+        return got.gap(want), variety_residual(vspec, got)
 
     pairs = sequential_draws(
-        rng, opts.samples, 40 * opts.samples, 2 * n, box,
+        rng, opts.samples, 40 * opts.samples, 2 * n, ctx.box,
         lambda rows: map(agreement, *pair_points(backend, vspec, rows)),
     )
     tried = len(pairs)
@@ -307,19 +313,8 @@ def _triple_gaps(a, b, c, ab, ba, a_bc, ab_c, sub, back):
     a, b, c, a+b, b+a, a+(b+c), (a+b)+c, (a+b)-b and (a-b)+b."""
     if not all(p.is_finite() for p in (a, b, c, ab, ba, a_bc, ab_c, sub)):
         return None
-    round_trip = _point_gap(back, a) if back.is_finite() else 0.0
-    return _point_gap(ab, ba), _point_gap(a_bc, ab_c), _point_gap(sub, a), round_trip
-
-
-def _point_gap(a, b) -> float:
-    gaps = []
-    pairs = [(a.theta, b.theta), *zip(a.x, b.x)]
-    for ca, cb in pairs:
-        if ca is None or cb is None:
-            gaps.append(0.0 if ca is cb else float("inf"))
-        else:
-            gaps.append(abs(ca - cb) / (1 + abs(ca) + abs(cb)))
-    return max(gaps)
+    round_trip = back.gap(a) if back.is_finite() else 0.0
+    return ab.gap(ba), a_bc.gap(ab_c), sub.gap(a), round_trip
 
 
 def _derivative_checks(ctx: RunContext) -> None:
@@ -327,7 +322,7 @@ def _derivative_checks(ctx: RunContext) -> None:
     opts = spec.options
     backend = ctx.backend
     rng = random.Random(naming.stage_seed(opts.seed, "derivative-check"))
-    box = min(opts.box if opts.box is not None else DEFAULT_BOX, 0.95)
+    box = min(ctx.box, 0.95)
     h = 1e-5
     recursion = Recursion(ctx.relations, spec.n)
     cleared = 0  # draws that pass the pole-distance filter
@@ -407,7 +402,6 @@ def stage_verify(ctx: RunContext) -> None:
     formula = ctx.formula_outcome.formula if ctx.formula_outcome else None
     if formula is not None:
         rng = random.Random(naming.stage_seed(opts.seed, "theta-slot"))
-        box = opts.box if opts.box is not None else DEFAULT_BOX
 
         def theta_gap(p1, p2, p12):
             got = formula_value(formula, 0, p1, p2)
@@ -417,7 +411,7 @@ def stage_verify(ctx: RunContext) -> None:
 
         want = min(50, opts.samples)
         gaps = sequential_draws(
-            rng, want, 2000, 2 * spec.n, box,
+            rng, want, 2000, 2 * spec.n, ctx.box,
             lambda rows: map(theta_gap, *pair_points(ctx.backend, ctx.vspec, rows)),
         )
         worst = max(gaps, default=0.0)
@@ -519,7 +513,7 @@ def _run_plan(spec: ProblemSpec, plan: list, *, timings: bool) -> dict:
     ctx = RunContext(spec=spec, backend=backend)
     section = {
         "source": spec.source,
-        "spec_echo": _spec_echo(spec, backend),
+        "spec_echo": _spec_echo(ctx),
         "stages": plan,
     }
     ctx.section = section

@@ -20,11 +20,3 @@ def rational_reconstruct(x: float, max_den: int = 10**6, tol: float = 1e-9):
         return target
     return None
 
-
-def complex_reconstruct(z: complex, max_den: int = 10**6, tol: float = 1e-9):
-    """Reconstruct real and imaginary parts separately; None unless both lift."""
-    re = rational_reconstruct(z.real, max_den, tol)
-    im = rational_reconstruct(z.imag, max_den, tol)
-    if re is None or im is None:
-        return None
-    return re, im

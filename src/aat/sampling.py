@@ -110,10 +110,9 @@ def residual_check(
     samples: int,
     seed: int,
     tol: float,
-    box: float | None = None,
+    box: float = DEFAULT_BOX,
     alpha=None,
     y_mode: str = "v",
-    param_values=None,
 ) -> ResidualReport:
     """Scaled residual statistics of one relation over seeded backend samples.
 
@@ -124,16 +123,13 @@ def residual_check(
     ends a check that skips 10*samples draws before that.
     """
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    box = box if box is not None else DEFAULT_BOX
-    params = dict(param_values or {})
     names = relation.names_present()
     kinds = set()
     for name in names:
         cls = naming.classify(name)
-        if cls is not None:
-            kinds.add(cls[0])
-        elif name not in params:
+        if cls is None:
             raise StructuralError(f"no binding for {name!r}")
+        kinds.add(cls[0])
     if "theta" in kinds and alpha is None:
         raise StructuralError("relation uses theta but no alpha weights were given")
     pair = bool(kinds & {"y", "w", "L"})
@@ -150,7 +146,7 @@ def residual_check(
         rows = draw_points(rng, chunk, 2 * n if needs_v else n, box)
         us = rows[:, :n]
         vs = rows[:, n:] if needs_v else -us if y_mode == "neg" else None
-        res, ok = _chunk_residuals(relation, backend, us, vs, needs_sum, names, params, alpha)
+        res, ok = _chunk_residuals(relation, backend, us, vs, needs_sum, names, alpha)
         residuals.extend(res.tolist())
         good.extend(ok.tolist())
         counted = np.cumsum(good)
@@ -183,12 +179,12 @@ def residual_check(
     )
 
 
-def _chunk_residuals(relation, backend, us, vs, needs_sum, names, params, alpha):
+def _chunk_residuals(relation, backend, us, vs, needs_sum, names, alpha):
     """(scaled residual, usable) at every row of the draws `us`.
 
     u, the second point `vs` (v or -u, when given) and u+v are evaluated in
     one `value_jacobian` call; a draw is unusable where one of them is
-    rejected or a bound value, parameters included, exceeds _VALUE_CAP.
+    rejected or a bound value exceeds _VALUE_CAP.
     """
     n = backend.n
     points = [us]
@@ -201,14 +197,10 @@ def _chunk_residuals(relation, backend, us, vs, needs_sum, names, params, alpha)
     val = val.reshape(len(points), size, n)
     jac = jac.reshape(len(points), size, n, n)
     bad = bad.reshape(len(points), size).any(axis=0)
-    if any(abs(c) > _VALUE_CAP for c in params.values()):
-        bad[:] = True
-    values = dict(params)
+    values = {}
     with np.errstate(all="ignore"):  # rows with non-finite entries are already bad
         for name in names:
             cls = naming.classify(name)
-            if cls is None:
-                continue
             kind = cls[0]
             if kind == "theta":
                 col = sum(complex(alpha[k][p]) * jac[0, :, k, p] for k in range(n) for p in range(n))
@@ -223,20 +215,11 @@ def _chunk_residuals(relation, backend, us, vs, needs_sum, names, params, alpha)
     return res, ~bad
 
 
-def vanishes(relation, backend, *, samples=24, seed=0, tol=1e-7, box=None, alpha=None, y_mode="v", param_values=None) -> bool:
+def vanishes(relation, backend, *, seed=0, tol=1e-7, alpha=None, y_mode="v") -> bool:
     """Quick boolean residual test used during factor selection."""
     try:
         rep = residual_check(
-            relation,
-            backend,
-            relation_id="probe",
-            samples=samples,
-            seed=seed,
-            tol=tol,
-            box=box,
-            alpha=alpha,
-            y_mode=y_mode,
-            param_values=param_values,
+            relation, backend, relation_id="probe", samples=24, seed=seed, tol=tol, alpha=alpha, y_mode=y_mode
         )
     except SamplingError:
         return False

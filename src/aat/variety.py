@@ -187,13 +187,6 @@ class QuotientContext:
     def is_zero(self, a) -> bool:
         return not _trim(self.coeffs, list(a))
 
-    def eval_poly(self, coeffs: list, at: list):
-        """Horner evaluation of a theta-free polynomial given by Q-coefficients."""
-        acc = []
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, at), c if isinstance(c, list) else self.const(c))
-        return acc
-
     # -- field operations -------------------------------------------------------
 
     def inverse(self, a):
@@ -377,21 +370,19 @@ def _as_quotient_poly(p: MPoly, wvar: str, qc: QuotientContext):
             term = qc.const(RatFn(rename(theta_coeffs[i], {}, qc.xring)))
             for _ in range(i):
                 term = qc.mul(term, qc.theta())
-            elem = qc.add(elem, term)
+            elem = qc.add(elem, term) if elem else term
         out[d] = elem
     return _trim(qc, out)
 
 
 def _consistency_ok(reps, relations, qc: QuotientContext) -> bool:
     """Substituting each expression into its relation must give 0 modulo V."""
+    ring = naming.problem_ring(qc.n, qc.vring.parameters)
     for rel in relations:
-        rep = reps[(rel.k, rel.p)]
-        coeffs = []
-        for d, coeff in sorted(rel.poly.coeffs_in(rel.zvar).items()):
-            while len(coeffs) <= d:
-                coeffs.append([])
-            coeffs[d] = qc.const(RatFn(rename(coeff, {}, qc.xring)))
-        if not qc.is_zero(qc.eval_poly(coeffs, rep)):
+        acc = []  # Horner in the relation's slot, at the slot's expression
+        for c in reversed(_as_quotient_poly(rename(rel.poly, {}, ring), rel.zvar, qc)):
+            acc = qc.add(qc.mul(acc, reps[(rel.k, rel.p)]), c)
+        if not qc.is_zero(acc):
             return False
     return True
 

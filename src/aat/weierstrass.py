@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,7 +125,8 @@ class Lattice:
     omega1, omega2 generate the period lattice {2m*omega1 + 2n*omega2} with
     Im(omega2/omega1) > 0.  e_roots is ordered so that p(omega1) = e_roots[0],
     p(omega2) = e_roots[1], p(omega1+omega2) = e_roots[2]; exact_e carries the
-    entries that are exactly rational (used for exact specialization points).
+    entries that are exactly rational (used for exact specialization points),
+    each checked against the exact invariants g2, g3 (Fractions).
     """
 
     __slots__ = (
@@ -142,12 +144,13 @@ class Lattice:
     )
 
     def __init__(self, g2, g3):
-        self.g2 = complex(g2)
-        self.g3 = complex(g3)
-        disc = self.g2**3 - 27 * self.g3**2
-        if abs(disc) < 1e-12 * max(1.0, abs(self.g2) ** 3, abs(self.g3) ** 2):
+        self.g2 = Fraction(g2)
+        self.g3 = Fraction(g3)
+        g2, g3 = complex(g2), complex(g3)
+        disc = g2**3 - 27 * g3**2
+        if abs(disc) < 1e-12 * max(1.0, abs(g2) ** 3, abs(g3) ** 2):
             raise DomainError(f"degenerate lattice: g2^3 - 27*g3^2 = {disc}")
-        e1, e2, e3 = _cubic_roots(self.g2, self.g3)
+        e1, e2, e3 = _cubic_roots(g2, g3)
         s13 = cmath.sqrt(e1 - e3)
         kp2 = (e1 - e2) / (e1 - e3)  # complementary modulus squared
         k2 = (e2 - e3) / (e1 - e3)
@@ -184,7 +187,7 @@ class Lattice:
         self._radii = _term_radii(inv4 * self._rho**4, self._rho)
         top = len(self._radii) + 1
         c = np.zeros(max(top, 3) + 1, dtype=complex)
-        c[2], c[3] = self.g2 / 20.0, self.g3 / 28.0
+        c[2], c[3] = complex(self.g2) / 20.0, complex(self.g3) / 28.0
         for k in range(4, top + 1):
             c[k] = 3.0 * np.dot(c[2 : k - 1], c[k - 2 : 1 : -1]) / ((2 * k + 1) * (k - 3))
         c = c.tolist()
@@ -201,13 +204,7 @@ class Lattice:
         if abs(e.imag) > 1e-9:
             return None
         cand = rational_reconstruct(e.real, max_den=10**4, tol=1e-8)
-        if cand is None:
-            return None
-        g2r = _as_fraction(self.g2)
-        g3r = _as_fraction(self.g3)
-        if g2r is None or g3r is None:
-            return None
-        if 4 * cand**3 - g2r * cand - g3r == 0:
+        if cand is not None and 4 * cand**3 - self.g2 * cand - self.g3 == 0:
             return cand
         return None
 
@@ -261,13 +258,8 @@ class Lattice:
             for step in range(int(halvings.max(initial=0))):
                 live = halvings > step
                 pole |= live & (np.abs(q) < 1e-280)
-                doubled = _duplicate(p, q, zt, sg, self.g2)
+                doubled = _duplicate(p, q, zt, sg, complex(self.g2))
                 p, q, zt, sg = (np.where(live, new, old) for new, old in zip(doubled, (p, q, zt, sg)))
             zt, sg = self._unreduce(zt, sg, u0, m, n)
             return tuple(np.where(pole, np.nan, f) for f in (p, q, zt, sg))
 
-
-def _as_fraction(z: complex):
-    if abs(z.imag) > 1e-12:
-        return None
-    return rational_reconstruct(z.real, max_den=10**6, tol=1e-10)

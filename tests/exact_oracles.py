@@ -1,7 +1,7 @@
 """Exact oracles that only the tests use: a Sylvester-determinant resultant
-(fraction-free Bareiss elimination), equality up to a rational factor, a
-term-by-term substitution, and the closed-form second derivative of a
-one-variable mapping."""
+(fraction-free Bareiss elimination), equality up to a rational factor,
+divisibility, a term-by-term substitution, and the closed-form second
+derivative of a one-variable mapping."""
 
 from __future__ import annotations
 
@@ -71,6 +71,15 @@ def is_associate(a: MPoly, b: MPoly) -> bool:
     if not isinstance(b, MPoly) or a.ring != b.ring:
         return False
     return a.normalized() == b.normalized()
+
+
+def divides(b: MPoly, a: MPoly) -> bool:
+    """Whether b divides a exactly."""
+    try:
+        exact_div(a, b)
+        return True
+    except DomainError:
+        return False
 
 
 def subs_term_by_term(p: MPoly, bindings: dict) -> MPoly:

@@ -160,6 +160,16 @@ def test_weierstrass_backend_half_period_values():
     assert bad.tolist() == [False, True]
 
 
+def test_exact_roots_survive_an_invariant_denominator_past_a_million():
+    # e = -3 is a root of 4e^3 - g2*e - g3; it is exact only when checked
+    # against the exact invariants, whose denominator is 322346116
+    g2, g3 = Fraction(11603921581, 322346116), Fraction(-1615785, 322346116)
+    assert 4 * Fraction(-3) ** 3 - g2 * Fraction(-3) - g3 == 0
+    b = make_backend("singular2-case4", {"g2": g2, "g3": g3})
+    assert Fraction(-3) in b.lattice.exact_e
+    assert b.exact_points()
+
+
 def test_case4_periodicity_and_exact_points():
     b = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
     lat = b.lattice

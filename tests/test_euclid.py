@@ -7,7 +7,6 @@ import pytest
 from aat import euclid, generate
 from aat.backends import make_backend
 from aat.euclid import (
-    divides,
     exact_div,
     factor_candidates,
     gcd,
@@ -20,7 +19,7 @@ from aat.euclid import (
 from aat.rings import DomainError, VarRing
 
 from conftest import random_poly
-from exact_oracles import is_associate, resultant_sylvester
+from exact_oracles import divides, is_associate, resultant_sylvester
 
 
 def test_gcd_examples():

@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st  #
 from aat import euclid  # noqa: E402
 from aat.euclid import (  # noqa: E402
     content_in,
-    divides,
     exact_div,
     gcd,
     resultant,
@@ -30,7 +29,7 @@ from aat.euclid import (  # noqa: E402
 )
 from aat.rings import DomainError, VarRing  # noqa: E402
 
-from exact_oracles import resultant_sylvester, subs_term_by_term  # noqa: E402
+from exact_oracles import divides, resultant_sylvester, subs_term_by_term  # noqa: E402
 
 RINGS = (
     VarRing(("x1", "x2", "x3")),

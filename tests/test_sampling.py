@@ -7,7 +7,7 @@ import pytest
 from aat import naming
 from aat.backends import make_backend
 from aat.parsing import parse_poly
-from aat.rings import PoleError, StructuralError, VarRing
+from aat.rings import PoleError, StructuralError
 from aat.sampling import (
     _VALUE_CAP,
     DEFAULT_BOX,
@@ -109,16 +109,14 @@ def test_sequential_draws_replays_a_one_at_a_time_loop(want, limit, width, thres
 _POINT_OF = {"x": "u", "z": "u", "theta": "u", "y": "v", "w": "v", "L": "sum"}
 
 
-def _bind_one(relation, backend, at, alpha, param_values):
+def _bind_one(relation, backend, at, alpha):
     """Bindings at one draw from the (values, jacobian, bad) of u, of the
     second point v (or -u) and of their sum; a rejected point raises."""
-    values = dict(param_values or {})
+    values = {}
     for name in relation.names_present():
         cls = naming.classify(name)
         if cls is None:
-            if name not in values:
-                raise StructuralError(f"no binding for {name!r}")
-            continue
+            raise StructuralError(f"no binding for {name!r}")
         kind = cls[0]
         vals, jac, bad = at[_POINT_OF[kind]]
         if bad:
@@ -134,12 +132,11 @@ def _bind_one(relation, backend, at, alpha, param_values):
     return values
 
 
-def sequential_residual_check(relation, backend, *, relation_id, samples, seed, tol, box=None, alpha=None,
-                              y_mode="v", param_values=None):
+def sequential_residual_check(relation, backend, *, relation_id, samples, seed, tol, box=DEFAULT_BOX, alpha=None,
+                              y_mode="v"):
     """The one-draw-at-a-time residual check: the reference for the batched
     one.  Every draw the loop may take is evaluated in one call up front."""
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    box = box if box is not None else DEFAULT_BOX
     kinds = {naming.classify(n)[0] for n in relation.names_present() if naming.classify(n)}
     needs_v = bool(kinds & {"y", "w", "L"}) and y_mode == "v"
     n = backend.n
@@ -167,7 +164,7 @@ def sequential_residual_check(relation, backend, *, relation_id, samples, seed, 
                 raise PoleError("v or u+v on pole set")
             if y_mode == "neg" and at["v"][2]:
                 raise PoleError("-u on pole set")
-            values = _bind_one(relation, backend, at, alpha, param_values)
+            values = _bind_one(relation, backend, at, alpha)
             if any(abs(c) > _VALUE_CAP for c in values.values()):
                 raise PoleError("value overflow near pole")
             total, biggest = relation.eval_terms(values)
@@ -182,17 +179,16 @@ def sequential_residual_check(relation, backend, *, relation_id, samples, seed, 
 
 
 def _cases(n):
-    """(text, y_mode, alpha, param_values) covering every binding kind."""
-    ring = VarRing(naming.problem_ring(n).variables, ("c",))
+    """(text, y_mode, alpha) covering every binding kind."""
+    ring = naming.problem_ring(n)
     pair = " + ".join(f"L{k} - x{k}*y{k} + z{k}_{k}*w{k}_{k}" for k in range(1, n + 1))
     neg = " + ".join(f"x{k}*y{k} - w{k}_{n}*z{k}_1" for k in range(1, n + 1)) + " - 1"
     theta = f"theta^2 - x1^3 + 2*x{n} - z1_{n}"
     alpha = tuple(tuple(Fraction(1 + k + 2 * p) for p in range(n)) for k in range(n))
     return ring, [
-        (pair, "v", None, None),
-        (neg, "neg", None, None),
-        (theta, "v", alpha, None),
-        (f"c*z1_1 - x1^2*c^2 + x{n}", "v", None, {"c": Fraction(2)}),
+        (pair, "v", None),
+        (neg, "neg", None),
+        (theta, "v", alpha),
     ]
 
 
@@ -211,11 +207,11 @@ def test_batched_residual_check_matches_sequential_loop(family, params):
     # the default box, one hugging the pole at 0 (values past the cap) and a
     # wide one (exponentials past the cap, sigma overflowing dozens of
     # periods out)
-    for box in (None, 0.004, 30.0):
-        for i, (text, y_mode, alpha, param_values) in enumerate(cases):
+    for box in (DEFAULT_BOX, 0.004, 30.0):
+        for i, (text, y_mode, alpha) in enumerate(cases):
             relation = parse_poly(text, ring)
             kwargs = dict(relation_id=f"case{i}", samples=60, seed=i + 3, tol=1e-9, box=box, alpha=alpha,
-                          y_mode=y_mode, param_values=param_values)
+                          y_mode=y_mode)
             want = _outcome(sequential_residual_check, relation, backend, **kwargs)
             got = _outcome(residual_check, relation, backend, **kwargs)
             if isinstance(want, str):
@@ -232,21 +228,14 @@ def test_batched_residual_check_matches_sequential_loop(family, params):
 
 
 def test_batched_residual_check_raises_at_the_same_cap():
-    ring = VarRing(naming.problem_ring(1).variables, ("c",))
-    wp = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
-    exp = make_backend("exp", {"c": Fraction(1)})
-    cases = [
-        (parse_poly("z1_1^2 - 4*x1^3 + 4*x1", ring), wp, dict(box=1e-7)),
-        # a parameter value past the cap skips every draw
-        (parse_poly("c*x1 - z1_1", ring), exp, dict(param_values={"c": Fraction(10**9)})),
-    ]
-    for relation, backend, extra in cases:
-        kwargs = dict(relation_id="cap", samples=40, seed=1, tol=1e-9, **extra)
-        with pytest.raises(SamplingError) as want:
-            sequential_residual_check(relation, backend, **kwargs)
-        with pytest.raises(SamplingError) as got:
-            residual_check(relation, backend, **kwargs)
-        assert str(got.value) == str(want.value)
+    relation = parse_poly("z1_1^2 - 4*x1^3 + 4*x1", naming.problem_ring(1))
+    backend = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
+    kwargs = dict(relation_id="cap", samples=40, seed=1, tol=1e-9, box=1e-7)
+    with pytest.raises(SamplingError) as want:
+        sequential_residual_check(relation, backend, **kwargs)
+    with pytest.raises(SamplingError) as got:
+        residual_check(relation, backend, **kwargs)
+    assert str(got.value) == str(want.value)
 
 
 def test_residual_check_makes_no_point_evaluation(monkeypatch):

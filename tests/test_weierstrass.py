@@ -64,7 +64,7 @@ def test_wp_satisfies_its_cubic(lem, generic):
         assert len(us) == 100
         p, q, _, _ = lat.eval_many(us)
         lhs = q * q
-        rhs = 4 * p**3 - lat.g2 * p - lat.g3
+        rhs = 4 * p**3 - float(lat.g2) * p - float(lat.g3)
         assert np.all(abs(lhs - rhs) < 1e-9 * (1 + np.maximum(abs(lhs), abs(rhs))))
 
 
@@ -190,7 +190,7 @@ def test_eval_many_satisfies_the_cubic(g2, g3):
     lat = Lattice(g2, g3)
     pts = _clear_of_lattice(lat, _batch_points(lat, random.Random(f"cubic:{g2}:{g3}")), 0.25)
     p, q, _, _ = lat.eval_many(pts)
-    rhs = 4 * p**3 - lat.g2 * p - lat.g3
+    rhs = 4 * p**3 - float(lat.g2) * p - float(lat.g3)
     assert np.all(abs(q * q - rhs) <= 1e-9 * (1 + np.maximum(abs(q * q), abs(rhs))))
 
 
