@@ -7,9 +7,10 @@ keeps solutions whose derivative matrices also match, verifies each candidate
 difference on independent samples, and reduces the verified candidates to a
 small generator set by integer-combination sweeps.
 
-All seeds share one array Newton over the backend's `value_jacobian`, and a
-verification evaluates its draws in two batches (base points and shifted
-points), then replays the sequential accept rules on the arrays.
+All seeds share one array Newton over the backend's `value_jacobian`.  The
+candidates are verified together, and then the generators: each period
+reads its own seeded draws in chunks, only as many as its accept rule needs,
+and each round evaluates the chunks of every open period in a few calls.
 """
 
 from __future__ import annotations
@@ -110,30 +111,66 @@ def _seed_text(p) -> str:
     return ",".join(repr(round(x, places) + 0.0) for x in parts)  # + 0.0 folds -0.0
 
 
-def _verify_period(backend, p, *, samples, seed, tol, box):
-    """Worst relative |F(u + p) - F(u)| over `samples` usable draws, or None.
+_VERIFY_ROWS = 600  # points per evaluator call when verifying; bounds its temporaries
 
-    All 12*samples draws are evaluated at once; the accept logic then replays
-    them in order: a draw near a pole is skipped, a component above 1e6 ends
-    a draw's comparison without counting it, and the check fails once a
-    counted draw sees the running worst above tol.
+
+def _draw_gaps(backend, us, shifts):
+    """(worst relative gap, counted) of each draw u, from F at u and u + p.
+
+    A draw near a pole (at u or u + p) contributes nothing and is not
+    counted; a component above 1e6 ends the draw's comparison, and the draw
+    is not counted.
     """
-    rng = random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}"))
-    us = draw_points(rng, 12 * samples, backend.n, box)
-    v0, _, bad0 = backend.value_jacobian(us)
-    v1, _, bad1 = backend.value_jacobian(us + np.array(p))
-    usable = ~(bad0 | bad1)
+    values, _, bad = backend.value_jacobian(np.concatenate([us, us + shifts]))
+    v0, v1 = values[: len(us)], values[len(us) :]
+    usable = ~(bad[: len(us)] | bad[len(us) :])
     big = np.abs(v0) > 1e6
     with np.errstate(invalid="ignore"):
         rel = np.abs(v0 - v1) / (1 + np.abs(v0))
     # components before a draw's first big one enter the worst
     seen = usable[:, None] & (np.cumsum(big, axis=1) == 0)
-    worst = np.maximum.accumulate(np.where(seen, rel, 0.0).max(axis=1))
-    good = np.cumsum(usable & ~big.any(axis=1))
-    if good[-1] < samples:
-        return None
-    last = float(worst[np.searchsorted(good, samples)])
-    return None if last > tol else last
+    return np.where(seen, rel, 0.0).max(axis=1), usable & ~big.any(axis=1)
+
+
+def _verify_periods(backend, periods, *, samples, seed, tol, box):
+    """Worst relative |F(u + p) - F(u)| of each period p over `samples` usable
+    draws, or None for a p that fails.
+
+    Every p has its own seeded stream of draws u and reads it in chunks, as
+    `residual_check` does: `samples` draws first, then twice the usable draws
+    still missing, up to 12*samples in all.  Each round evaluates the chunks
+    of all open periods, at u and at u + p, in calls of at most _VERIFY_ROWS
+    points.  The accept rule replays the draws in order (`_draw_gaps`): a p
+    fails once a counted draw sees the running worst above tol.  Since the
+    running worst only grows, a p fails as soon as it passes tol.
+    """
+    n, limit, step = backend.n, 12 * samples, _VERIFY_ROWS // 2
+    rngs = [random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}")) for p in periods]
+    drawn = [0] * len(periods)
+    good = [0] * len(periods)
+    worst = [0.0] * len(periods)
+    result = [None] * len(periods)
+    open_ = list(range(len(periods)))
+    while open_:
+        counts = [min(samples if not drawn[i] else 2 * (samples - good[i]), limit - drawn[i]) for i in open_]
+        us = np.concatenate([draw_points(rngs[i], c, n, box) for i, c in zip(open_, counts)])
+        shifts = np.repeat(np.array([periods[i] for i in open_], dtype=complex), counts, axis=0)
+        gaps = [_draw_gaps(backend, us[k : k + step], shifts[k : k + step]) for k in range(0, len(us), step)]
+        row_worst = np.concatenate([w for w, _ in gaps])
+        counted = np.concatenate([c for _, c in gaps])
+        still = []
+        for i, lo, hi in zip(open_, np.cumsum([0, *counts[:-1]]), np.cumsum(counts)):
+            run = np.maximum.accumulate(np.maximum(row_worst[lo:hi], worst[i]))
+            total = good[i] + np.cumsum(counted[lo:hi])
+            drawn[i] += hi - lo
+            if total[-1] >= samples:
+                last = float(run[np.searchsorted(total, samples)])
+                result[i] = None if last > tol else last
+            elif run[-1] <= tol and drawn[i] < limit:
+                good[i], worst[i] = int(total[-1]), float(run[-1])
+                still.append(i)
+        open_ = still
+    return result
 
 
 def _reduce_against(p, basis):
@@ -228,8 +265,6 @@ def detect_period(
     base, target, jac_a = tuple(complex(c) for c in draws[first]), val[first], jac[first]
     steps = [(-box + (2 * box) * i / (grid - 1)) for i in range(grid)]
     offsets_1d = [complex(re, im) for re in steps for im in steps]
-    raw = []
-    seen = set()
     if n == 1:
         seeds = [(base[0] + off,) for off in offsets_1d]
     else:
@@ -243,29 +278,31 @@ def detect_period(
             for o2 in offs
         ]
     solved, jacs, converged = _newton(backend, target, seeds)
+    rows = np.flatnonzero(converged)
+    diffs = solved[rows] - np.array(base)
+    far = np.max(np.abs(diffs), axis=1) >= 1e-6
     jac_bound = jac_tol * (1 + np.max(np.abs(jac_a)))
-    for i in np.flatnonzero(converged):
-        b = tuple(solved[i])
-        p = tuple(bb - aa for bb, aa in zip(b, base))
-        if _norm(p) < 1e-6:
-            continue
-        key = tuple((round(c.real, 6), round(c.imag, 6)) for c in p)
+    match = np.max(np.abs(jacs[rows] - jac_a), axis=(1, 2)) <= jac_bound
+    # dedupe keys: the real and imaginary parts of p rounded to 6 places
+    keys = np.round(np.stack([diffs.real, diffs.imag], axis=-1), 6).reshape(len(rows), -1).tolist()
+    pending = []
+    seen = set()
+    for i in np.flatnonzero(far):
+        key = tuple(keys[i])
         if key in seen:
             continue
         seen.add(key)
-        if np.max(np.abs(jacs[i] - jac_a)) > jac_bound:
-            continue
-        residual = _verify_period(backend, p, samples=samples, seed=seed, tol=tol, box=1.0)
-        if residual is None:
-            continue
-        raw.append(PeriodCandidate(p=p, witness=(base, b), residual=residual))
+        if match[i]:
+            pending.append((tuple(diffs[i]), tuple(solved[rows[i]])))
+    checked = _verify_periods(backend, [p for p, _ in pending], samples=samples, seed=seed, tol=tol, box=1.0)
+    raw = [PeriodCandidate(p=p, witness=(base, b), residual=r) for (p, b), r in zip(pending, checked) if r is not None]
     generators = reduce_candidates([c.p for c in raw], tol=1e-6, max_rank=2 * n)
-    out = []
-    for g in generators:
-        residual = _verify_period(backend, g, samples=samples, seed=seed + 1, tol=tol, box=1.0)
-        if residual is None:
-            continue
-        out.append(PeriodCandidate(p=g, witness=(base, tuple(a + b for a, b in zip(base, g))), residual=residual))
+    checked = _verify_periods(backend, generators, samples=samples, seed=seed + 1, tol=tol, box=1.0)
+    out = [
+        PeriodCandidate(p=g, witness=(base, tuple(a + b for a, b in zip(base, g))), residual=r)
+        for g, r in zip(generators, checked)
+        if r is not None
+    ]
     out.sort(key=lambda c: _norm(c.p))
     basis = [c.p for c in out]
     for cand in sorted(raw, key=lambda c: _norm(c.p)):

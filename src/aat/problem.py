@@ -19,6 +19,7 @@ asks it for the family's addition polynomials (`addition_polys`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -41,12 +42,18 @@ _OPTION_TYPES = {
 }
 
 
+def _finite_positive(v) -> bool:
+    return math.isfinite(v) and v > 0
+
+
 # option -> (requirement, test); None (the backend's default) always passes
 _OPTION_RANGES = {
     "samples": ("at least 1", lambda v: v >= 1),
     "grid": ("at least 2", lambda v: v >= 2),
     "retries": ("at least 1", lambda v: v >= 1),
-    "tol": ("positive", lambda v: v > 0),
+    "tol": ("finite and positive", _finite_positive),
+    "box": ("finite and positive", _finite_positive),
+    "period_box": ("finite and positive", _finite_positive),
 }
 
 

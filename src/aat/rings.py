@@ -233,7 +233,29 @@ class MPoly:
         return MPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        # term by term, without negating other first; the terms come in the
+        # order of self + (-other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        _check_same_ring(self, other)
+        if self._is_int() and other._is_int():
+            acc = {e: c.numerator for e, c in self.terms.items()}
+            for exps, c in other.terms.items():
+                s = acc.get(exps, 0) - c.numerator
+                if s:
+                    acc[exps] = s
+                else:
+                    acc.pop(exps)
+            return MPoly(self.ring, {e: Fraction(v) for e, v in acc.items()})
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = out[exps] - c if exps in out else -c
+            if s:
+                out[exps] = s
+            else:
+                out.pop(exps)
+        return MPoly(self.ring, out)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -140,6 +140,17 @@ def test_mode_option_is_rejected(tmp_path):
         ("exp", "retries = 0", []),
         ("exp", "tol = 0", []),
         ("lemniscatic", None, ["--tol", "0"]),
+        # non-finite values used to reach the JSON writer, and a zero or
+        # negative box used to fail in a later stage
+        ("exp", "tol = inf", []),
+        ("exp", None, ["--tol", "inf"]),
+        ("lemniscatic", None, ["--tol", "nan"]),
+        ("exp", "box = nan", []),
+        ("lemniscatic", "box = 1e400", []),
+        ("exp", "box = 0", []),
+        ("exp", "box = -1", []),
+        ("lemniscatic", "period_box = inf", []),
+        ("exp", "period_box = 0", []),
     ],
 )
 def test_out_of_range_option_exit_two(tmp_path, capsys, problem, option, args):

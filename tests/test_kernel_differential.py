@@ -323,3 +323,23 @@ def test_subs_exact_cancels_and_reinserts_in_order():
     out = p.subs_exact({"y": x, "z": x})
     assert list(out.terms.items()) == [((3, 0, 0), 1), ((2, 0, 0), 5)]
     assert list(out.terms.items()) == list(subs_term_by_term(p, {"y": x, "z": x}).terms.items())
+
+
+@st.composite
+def differences(draw):
+    """(a, b) with integer or rational coefficients; in some draws b shares
+    monomials with a, so that terms of a - b cancel or change."""
+    ring = draw(st.sampled_from(RINGS))
+    terms = draw(st.sampled_from((int_polys(ring), polys(ring))))
+    a = draw(st.one_of(terms, operands(ring)))
+    b = draw(st.one_of(terms, operands(ring)))
+    if draw(st.booleans()):
+        b = b + a.scale(draw(st.sampled_from((1, 1, 2, Fraction(1, 2)))))
+    return a, b
+
+
+@SETTINGS
+@given(differences())
+def test_sub_matches_adding_the_negation(case):
+    a, b = case
+    assert list((a - b).terms.items()) == list((a + (-b)).terms.items())

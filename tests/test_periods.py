@@ -7,7 +7,8 @@ import pytest
 
 from aat import naming
 from aat.backends import make_backend
-from aat.periods import _newton, _verify_period, detect_period, is_integer_combination, reduce_candidates
+from aat import periods
+from aat.periods import _newton, _seed_text, _verify_periods, detect_period, is_integer_combination, reduce_candidates
 from aat.sampling import draw_points
 
 CASE5 = ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
@@ -52,9 +53,10 @@ def _newton_one(backend, target, b0, *, iters=40, tol=1e-12):
 
 
 def _verify_one(backend, p, *, samples, seed, tol, box):
-    """Draw by draw: the reference for _verify_period.  The values of every
-    draw come from one call up front; the loop reads them in draw order."""
-    rng = random.Random(naming.stage_seed(seed, f"period-verify:{p}"))
+    """Draw by draw: the reference for _verify_periods, as (worst or None,
+    draws read).  The values of every draw come from one call up front; the
+    loop reads them in draw order."""
+    rng = random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}"))
     us = draw_points(rng, 12 * samples, backend.n, box)
     values, _, bad = backend.value_jacobian(np.concatenate([us, us + np.array(p)]))
     values, bad = values.reshape(2, len(us), -1).tolist(), bad.reshape(2, -1).tolist()
@@ -71,8 +73,8 @@ def _verify_one(backend, p, *, samples, seed, tol, box):
         else:
             good += 1
             if worst > tol:
-                return None
-    return worst if good >= samples else None
+                return None, trials
+    return (worst if good >= samples else None), trials
 
 
 @pytest.fixture(scope="module")
@@ -190,23 +192,77 @@ def test_array_newton_matches_one_seed_at_a_time(family, params):
     assert 0 < converged.sum() < len(seeds)
 
 
-def test_batched_verification_replays_the_sequential_rules():
+def test_batched_verification_replays_the_sequential_rules(monkeypatch):
     case5 = make_backend(*CASE5)
     lat, a = case5.lattice, complex(case5.a)
     case3 = make_backend("singular2-case3", {})
-    checks = [
-        (case5, (2 * lat.omega1, 2 * lat.eta1 * a), True),
-        (case5, (2 * lat.omega2, 2 * lat.eta2 * a), True),
-        (case5, (2 * lat.omega1, 0j), False),
-        # with box 20 about 15% of the draws have a component above 1e6
-        (case3, (2j * cmath.pi, -2j * cmath.pi), True),
-        (case3, (2j * cmath.pi, 1e-3), False),
-    ]
-    for backend, p, is_period in checks:
+    checks = {
+        case5: [
+            ((2 * lat.omega1, 2 * lat.eta1 * a), True),
+            ((2 * lat.omega2, 2 * lat.eta2 * a), True),
+            ((2 * lat.omega1, 0j), False),
+        ],
+        case3: [
+            # with box 20 about 15% of the draws have a component above 1e6
+            ((2j * cmath.pi, -2j * cmath.pi), True),
+            ((2j * cmath.pi, 1e-3), False),
+        ],
+    }
+    for backend, cases in checks.items():
         for box in (1.0, 3.0, 20.0):
-            got = _verify_period(backend, p, samples=50, seed=5, tol=1e-9, box=box)
-            want = _verify_one(backend, p, samples=50, seed=5, tol=1e-9, box=box)
-            assert (want is not None) == is_period, (p, box)
-            assert (got is None) == (want is None), (p, box)
-            if want is not None:
-                assert got == pytest.approx(want, abs=1e-13)
+            # one batched call over all candidates of the backend, and each
+            # candidate on its own
+            together = _verify_periods(backend, [p for p, _ in cases], samples=50, seed=5, tol=1e-9, box=box)
+            for (p, is_period), got in zip(cases, together):
+                want, _ = _verify_one(backend, p, samples=50, seed=5, tol=1e-9, box=box)
+                assert (want is not None) == is_period, (p, box)
+                assert _verify_periods(backend, [p], samples=50, seed=5, tol=1e-9, box=box) == [got]
+                assert (got is None) == (want is None), (p, box)
+                if want is not None:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    # at box 20 the case-3 batch has a period that reads past its first
+    # chunk and a non-period that fails on its first counted draw: one round
+    # draws both first chunks, the next only the period's refill
+    period, other = (p for p, _ in checks[case3])
+    assert _verify_one(case3, period, samples=50, seed=5, tol=1e-9, box=20.0)[1] > 50
+    assert _verify_one(case3, other, samples=50, seed=5, tol=1e-9, box=20.0) == (None, 1)
+    draw, drawn = periods.draw_points, []
+    monkeypatch.setattr(periods, "draw_points", lambda rng, count, n, box: drawn.append(count) or draw(rng, count, n, box))
+    _verify_periods(case3, [period, other], samples=50, seed=5, tol=1e-9, box=20.0)
+    assert drawn[:2] == [50, 50] and len(drawn) == 3
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)}), CASE5],
+)
+def test_verification_evaluates_only_the_draws_it_reads(monkeypatch, family, params):
+    # the catalog's weierstrass and case-5 backends: every candidate draws
+    # `samples` points first and refills only the usable draws it misses,
+    # and each round evaluates all open candidates in calls of at most
+    # _VERIFY_ROWS points, so a return to 12*samples draws per candidate, or
+    # to one evaluator call per candidate, fails here
+    backend = make_backend(family, params)
+    samples = 50
+    batches, drawn, calls = [], [], []
+    verify, draw, evaluate = periods._verify_periods, periods.draw_points, backend.value_jacobian
+
+    def spy_verify(backend, ps, **kw):
+        batches.append(len(ps))
+        monkeypatch.setattr(periods, "draw_points", lambda rng, count, n, box: drawn.append(count) or draw(rng, count, n, box))
+        monkeypatch.setattr(backend, "value_jacobian", lambda points: calls.append(len(points)) or evaluate(points))
+        try:
+            return verify(backend, ps, **kw)
+        finally:
+            monkeypatch.setattr(periods, "draw_points", draw)
+            monkeypatch.setattr(backend, "value_jacobian", evaluate)
+
+    monkeypatch.setattr(periods, "_verify_periods", spy_verify)
+    found = detect_period(backend, seed=42, tol=1e-9, samples=samples)
+    assert len(batches) == 2 and found
+    first = samples * sum(batches)
+    refill = sum(drawn) - first
+    assert 0 <= refill <= first // 4
+    assert sum(calls) == 2 * (first + refill)
+    assert max(calls) <= periods._VERIFY_ROWS
+    assert len(calls) <= 2 * len(batches) + sum(calls) // periods._VERIFY_ROWS < sum(batches)
