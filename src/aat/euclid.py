@@ -30,8 +30,20 @@ trial division: it divides both inputs, so the gcd is their common content.
 
 Both routes emit the gcd in canonical (descending lex) term order, so that
 numeric evaluation, which sums in insertion order, does not depend on the
-route taken.  The resultant follows the classical subresultant algorithm,
-returning the exact resultant with all sign and content factors restored.
+route taken.  A constant operand needs neither route: the gcd is 1.  The
+resultant follows the classical subresultant algorithm, returning the exact
+resultant with all sign and content factors restored.
+
+`factor_candidates` splits off each name's content and then tries
+gcd(q, dq/dv) for repeated factors.  A certificate skips that gcd when it
+can only return the v-content: q is mapped into GF(P)[v], P = 2^61 - 1,
+with every other name at a fixed point.  If the image keeps deg_v q and is
+coprime to its derivative, the v-primitive part of q is squarefree, since a
+factor a^2 with deg_v a >= 1 would keep its degree in the image and square
+it there.  The gcd is then the content already visited, and the pool and
+its order are what the gcd would have given.  When the certificate fails (a
+repeated factor, an unlucky point, a denominator divisible by P) the gcd
+runs.
 """
 
 from __future__ import annotations
@@ -192,15 +204,17 @@ def prem(a: MPoly, b: MPoly, v: str) -> MPoly:
 
 def content_in(a: MPoly, v: str) -> MPoly:
     """GCD of the coefficients of a viewed as univariate in v."""
-    coeffs = list(a.coeffs_in(v).values())
+    coeffs = sorted(a.coeffs_in(v).values(), key=lambda c: len(c.terms))
     if not coeffs:
         return a.ring.zero()
+    if any(c.is_constant() for c in coeffs):
+        return a.ring.one()
     g = coeffs[0].normalized()
     for c in coeffs[1:]:
         if g.is_constant():
             break
         g = gcd(g, c)
-    return g.normalized() if not g.is_zero() else g
+    return g
 
 
 def primitive_in(a: MPoly, v: str) -> MPoly:
@@ -220,6 +234,8 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
         g = b.normalized()
     elif b.is_zero():
         g = a.normalized()
+    elif a.is_constant() or b.is_constant():
+        return a.ring.one()
     else:
         g = _heu_gcd(a, b)
         if g is None:
@@ -470,6 +486,52 @@ def poly_sqrt(p: MPoly):
     return root
 
 
+# The squarefree certificate maps a polynomial into GF(_P)[v] at these
+# fixed points of the other names (the name at ring index i goes to
+# _POINT * (i + 1) mod _P).
+_P = (1 << 61) - 1
+_POINT = 0x9E3779B97F4A7C15
+
+
+def _squarefree_image(q: MPoly, v: str) -> bool:
+    """Whether q mod _P, with every name but v at its fixed point, keeps
+    deg_v q and is squarefree; the v-primitive part of q is then squarefree.
+    False when a denominator is divisible by _P."""
+    i = q.ring.index(v)
+    points = [_POINT * (j + 1) % _P for j in range(len(q.ring.names))]
+    image = [0] * (q.degree_in(v) + 1)
+    for exps, c in q.terms.items():
+        if c.denominator % _P == 0:
+            return False
+        x = c.numerator * pow(c.denominator, -1, _P)
+        for j, e in enumerate(exps):
+            if e and j != i:
+                x = x * pow(points[j], e, _P) % _P
+        image[exps[i]] += x
+    image = [x % _P for x in image]
+    if not image[-1]:
+        return False
+    return _coprime_mod_p(image, [k * image[k] % _P for k in range(1, len(image))])
+
+
+def _coprime_mod_p(a: list, b: list) -> bool:
+    """Whether two dense polynomials over GF(_P), constant term first and a
+    nonzero leading coefficient, are coprime: Euclid's algorithm."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] * inv % _P
+            shift = len(a) - len(b)
+            for k, bk in enumerate(b):
+                a[shift + k] = (a[shift + k] - q * bk) % _P
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def factor_candidates(p: MPoly, depth: int = 3) -> list:
     """Pool of normalized potential factors found by content/squarefree splitting.
 
@@ -497,12 +559,11 @@ def factor_candidates(p: MPoly, depth: int = 3) -> list:
             if not c.is_constant():
                 visit(c, d - 1)
                 visit(exact_div(q, c), d - 1)
-            if dv < 2:
-                continue  # no repeated v-factors possible
-            if v in q.ring.parameters:
-                g = q.ring.one()
-            else:
-                g = gcd(q, q.diff(v))
+            if dv < 2 or v in q.ring.parameters or _squarefree_image(q, v):
+                # no repeated v-factors possible or sought, or none present:
+                # gcd(q, dq/dv) is then the v-content just visited, or 1
+                continue
+            g = gcd(q, q.diff(v))
             if not g.is_constant():
                 visit(g, d - 1)
                 visit(exact_div(q, g), d - 1)

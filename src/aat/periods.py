@@ -173,29 +173,24 @@ def _verify_periods(backend, periods, *, samples, seed, tol, box):
     return result
 
 
+def _reduce_rows(points, basis):
+    """Each row of the complex array `points` minus its best integer
+    combination of the basis: the rounded least-squares coefficients, from
+    one solve with a matrix right-hand side."""
+    vecs = np.array(basis, dtype=complex)
+    A = np.stack([vecs.real, vecs.imag], axis=-1).reshape(len(vecs), -1).T
+    rhs = np.stack([points.real, points.imag], axis=-1).reshape(len(points), -1).T
+    coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    for m, b in zip(np.round(coeffs), vecs):
+        points = points - m[:, None] * b
+    return points
+
+
 def _reduce_against(p, basis):
     """Subtract the best integer combination of the basis from p."""
     if not basis:
         return p
-    n = len(p)
-    cols = []
-    for b in basis:
-        col = []
-        for i in range(n):
-            col.extend((b[i].real, b[i].imag))
-        cols.append(col)
-    rhs = []
-    for i in range(n):
-        rhs.extend((p[i].real, p[i].imag))
-    A = np.array(cols, dtype=float).T
-    y = np.array(rhs, dtype=float)
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    out = list(p)
-    for c, b in zip(coeffs, basis):
-        m = round(float(c))
-        if m:
-            out = [o - m * bb for o, bb in zip(out, b)]
-    return tuple(out)
+    return tuple(_reduce_rows(np.array([p], dtype=complex), basis)[0])
 
 
 def reduce_candidates(cands, *, tol=1e-7, max_rank=None):
@@ -231,11 +226,23 @@ def reduce_candidates(cands, *, tol=1e-7, max_rank=None):
     return basis
 
 
+def integer_combinations(points, basis, tol=1e-7) -> list:
+    """For each point, whether it is an integer combination of the basis:
+    what is left after five reductions against it is within tol of zero,
+    relative to the point.  Each reduction treats every point at once."""
+    if not points:
+        return []
+    start = np.array(points, dtype=complex)
+    left = start
+    if basis:
+        for _ in range(5):
+            left = _reduce_rows(left, basis)
+    size = np.max(np.abs(start), axis=1)
+    return (np.max(np.abs(left), axis=1) <= tol * (1 + size)).tolist()
+
+
 def is_integer_combination(p, basis, tol=1e-7) -> bool:
-    r = _reduce_against(p, basis)
-    for _ in range(4):
-        r = _reduce_against(r, basis)
-    return _norm(r) <= tol * (1 + _norm(p))
+    return integer_combinations([p], basis, tol)[0]
 
 
 def detect_period(
@@ -304,10 +311,11 @@ def detect_period(
         if r is not None
     ]
     out.sort(key=lambda c: _norm(c.p))
-    basis = [c.p for c in out]
-    for cand in sorted(raw, key=lambda c: _norm(c.p)):
+    raw.sort(key=lambda c: _norm(c.p))
+    inside = integer_combinations([c.p for c in raw], [c.p for c in out], tol=1e-6)
+    for cand, absorbed in zip(raw, inside):
         # anything the rank-capped reduction could not absorb is reported raw
-        if not is_integer_combination(cand.p, basis, tol=1e-6):
+        if not absorbed:
             cand.note = "raw candidate beyond the reduction rank cap"
             out.append(cand)
     return out

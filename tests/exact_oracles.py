@@ -1,12 +1,13 @@
 """Exact oracles that only the tests use: a Sylvester-determinant resultant
 (fraction-free Bareiss elimination), equality up to a rational factor,
-divisibility, a term-by-term substitution, and the closed-form second
-derivative of a one-variable mapping."""
+divisibility, a term-by-term substitution, the closed-form second
+derivative of a one-variable mapping, and the candidate-factor pool that
+runs every squarefree gcd."""
 
 from __future__ import annotations
 
 from aat import naming
-from aat.euclid import exact_div
+from aat.euclid import exact_div, gcd
 from aat.ratfn import RatFn
 from aat.rings import DomainError, MPoly
 
@@ -110,3 +111,51 @@ def symbolic_second_derivative(rel) -> RatFn:
     p1 = poly.diff(naming.x(1))
     z = poly.ring.var(zv)
     return RatFn(-p1 * z, p0)
+
+
+def content_in_reference(a: MPoly, v: str) -> MPoly:
+    """The v-content as a left-to-right fold of gcds over the coefficients."""
+    coeffs = list(a.coeffs_in(v).values())
+    if not coeffs:
+        return a.ring.zero()
+    g = coeffs[0].normalized()
+    for c in coeffs[1:]:
+        if g.is_constant():
+            break
+        g = gcd(g, c)
+    return g.normalized() if not g.is_zero() else g
+
+
+def factor_candidates_reference(p: MPoly, depth: int = 3) -> list:
+    """`euclid.factor_candidates` without the squarefree certificate: every
+    name of degree 2 or more runs gcd(q, dq/dv).  The pool, its order and
+    each member's term order must match."""
+    seen: dict = {}
+
+    def visit(q: MPoly, d: int):
+        q = q.normalized()
+        if q.is_zero() or q.is_constant():
+            return
+        key = frozenset(q.terms.items())
+        if key in seen:
+            return
+        seen[key] = q
+        if d <= 0:
+            return
+        for v in q.names_present():
+            dv = q.degree_in(v)
+            if dv <= 0:
+                continue
+            c = content_in_reference(q, v)
+            if not c.is_constant():
+                visit(c, d - 1)
+                visit(exact_div(q, c), d - 1)
+            if dv < 2:
+                continue
+            g = q.ring.one() if v in q.ring.parameters else gcd(q, q.diff(v))
+            if not g.is_constant():
+                visit(g, d - 1)
+                visit(exact_div(q, g), d - 1)
+
+    visit(p, depth)
+    return sorted(seen.values(), key=lambda q: (q.total_degree(), len(q.terms), str(q)))

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from aat import euclid, generate
-from aat.backends import make_backend
+from aat import euclid
 from aat.euclid import (
+    content_in,
     exact_div,
     factor_candidates,
     gcd,
@@ -19,7 +19,13 @@ from aat.euclid import (
 from aat.rings import DomainError, VarRing
 
 from conftest import random_poly
-from exact_oracles import divides, is_associate, resultant_sylvester
+from exact_oracles import (
+    content_in_reference,
+    divides,
+    factor_candidates_reference,
+    is_associate,
+    resultant_sylvester,
+)
 
 
 def test_gcd_examples():
@@ -29,6 +35,21 @@ def test_gcd_examples():
     p = (x1 + y1).scale(Fraction(3, 2))
     assert gcd(p, r.zero()) == x1 + y1
     assert gcd(x1 * y1, x1 * y1 + x1) == x1
+
+
+def test_gcd_with_a_constant_is_one_without_a_gcd_route(monkeypatch):
+    r = VarRing(("x1", "y1"))
+    x1, y1 = r.var("x1"), r.var("y1")
+
+    def no_route(a, b):
+        raise AssertionError("a gcd route ran on a constant operand")
+
+    monkeypatch.setattr(euclid, "_heu_gcd", no_route)
+    monkeypatch.setattr(euclid, "_gcd_rec", no_route)
+    for a, b in [(x1**2 - y1, r.const(Fraction(-2, 3))), (r.const(7), x1 * y1), (r.const(3), r.const(5))]:
+        assert gcd(a, b) == r.one() and gcd(b, a) == r.one()
+    assert gcd(r.const(Fraction(-5, 2)), r.zero()) == r.one()
+    assert gcd(r.zero(), x1.scale(-3)) == x1
 
 
 def test_gcd_multiplicative_property(ring3):
@@ -144,18 +165,21 @@ def _whole_pair_off(monkeypatch):
     return entered
 
 
+def _double_resultant(g2, g3):
+    """The p addition relation with both tangents eliminated by generic
+    resultants: the square of the relation times contents, a large operand
+    whose repeated factors only gcd(q, dq/dv) splits off."""
+    r = VarRing(("L1", "x1", "y1", "tx", "ty"))
+    L1, x1, y1, tx, ty = (r.var(n) for n in r.names)
+    c = 4 * (x1 - y1) ** 2 * (L1 + x1 + y1) - (tx - ty) ** 2
+    fx = 4 * x1**3 - r.const(g2) * x1 - r.const(g3)
+    fy = 4 * y1**3 - r.const(g2) * y1 - r.const(g3)
+    return resultant(resultant(c, tx**2 - fx, "tx"), ty**2 - fy, "ty").normalized()
+
+
 def test_gcd_answers_by_the_whole_pair_step(pring, monkeypatch):
-    generation = []
-
-    def spy(p, depth=3):
-        generation.append((p, factor_candidates(p, depth)))
-        return generation[-1][1]
-
-    monkeypatch.setattr(generate, "_WP_CACHE", {})
-    monkeypatch.setattr(generate, "factor_candidates", spy)
-    g2, g3 = Fraction(8, 3), Fraction(-7)
-    generate.weierstrass_addition_poly(g2, g3, make_backend("weierstrass", {"g2": g2, "g3": g3}))
-    monkeypatch.undo()
+    r2 = _double_resultant(Fraction(8, 3), Fraction(-7))
+    on = factor_candidates(r2)
 
     def no_split(a, b):
         raise AssertionError("gcd() fell back to the content split")
@@ -165,9 +189,8 @@ def test_gcd_answers_by_the_whole_pair_step(pring, monkeypatch):
         for x, y, c in _planted_pairs(random.Random(38), pring, 20):
             assert divides(c, gcd(x, y))
     # the candidate pool does not depend on the route: same list, same order
-    (resultant_poly, on), = generation
     entered = _whole_pair_off(monkeypatch)
-    off = factor_candidates(resultant_poly)
+    off = factor_candidates(r2)
     assert 0 in entered  # the stubbed-off run took the content split
     assert [str(q) for q in off] == [str(q) for q in on] and len(on) > 1
 
@@ -329,3 +352,68 @@ def test_factor_candidates_splits_content_and_powers():
     assert "z" in cands
     assert "x^2 + 1" in cands
     assert "z - x" in cands
+
+
+def _planted_square_draws(rng, ring, count):
+    """(q, a) with q = a^2 * b * c, deg a >= 1, and c a product of two
+    contents, each free of one name."""
+    names = ring.names
+    out = []
+    while len(out) < count:
+        a, b, c1, c2 = (random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(4))
+        c1 = c1.subs_exact({rng.choice(names): 0})
+        c2 = c2.subs_exact({rng.choice(names): 0})
+        if a.is_constant() or b.is_zero() or c1.is_zero() or c2.is_zero():
+            continue
+        out.append((a * a * b * c1 * c2, a))
+    return out
+
+
+def _with_terms(pool):
+    return [(str(q), list(q.terms)) for q in pool]
+
+
+@pytest.mark.parametrize(
+    "variables, parameters, seed",
+    [(("x1", "x2", "x3"), (), 40), (("L1", "x1", "y1"), ("g2",), 41)],
+)
+def test_factor_candidates_matches_the_reference_pool(variables, parameters, seed, monkeypatch):
+    ring = VarRing(variables, parameters)
+    verdicts = []
+    real = euclid._squarefree_image
+
+    def spy(q, v):
+        verdicts.append(real(q, v))
+        return verdicts[-1]
+
+    monkeypatch.setattr(euclid, "_squarefree_image", spy)
+    rng = random.Random(seed)
+    draws = [q for q, _ in _planted_square_draws(rng, ring, 8)]
+    draws += [a * b for a, b, _ in _planted_pairs(rng, ring, 4)]
+    for q in draws:
+        assert _with_terms(factor_candidates(q)) == _with_terms(factor_candidates_reference(q))
+        for v in ring.names:
+            assert _with_terms([content_in(q, v)]) == _with_terms([content_in_reference(q, v)])
+    # both outcomes of the certificate were exercised
+    assert True in verdicts and False in verdicts
+
+
+def test_squarefree_certificate_never_passes_a_square(pring):
+    rings = [pring, VarRing(("x1", "x2", "x3")), VarRing(("L1", "x1", "y1"), ("g2",))]
+    rng = random.Random(42)
+    tried = 0
+    for ring in rings:
+        for q, a in _planted_square_draws(rng, ring, 25):
+            for v in a.names_present():
+                tried += 1
+                assert not euclid._squarefree_image(q, v), (q, v)
+    assert tried > 50
+    theta, x1, g2 = pring.var("theta"), pring.var("x1"), pring.var("g2")
+    assert euclid._squarefree_image(theta**2 - x1, "theta")
+    # a square in the content is no repeated v-factor
+    assert euclid._squarefree_image((theta**2 - x1) * (x1 + g2) ** 2, "theta")
+    assert not euclid._squarefree_image((theta - x1) ** 2, "theta")
+    # an image that loses the leading coefficient, or a coefficient with no image, proves nothing
+    point = euclid._POINT * (pring.index("x1") + 1) % euclid._P
+    assert not euclid._squarefree_image((x1 - point) * theta**2 + theta + 1, "theta")
+    assert not euclid._squarefree_image(theta**2 + x1.scale(Fraction(1, euclid._P)), "theta")

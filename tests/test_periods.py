@@ -8,7 +8,15 @@ import pytest
 from aat import naming
 from aat.backends import make_backend
 from aat import periods
-from aat.periods import _newton, _seed_text, _verify_periods, detect_period, is_integer_combination, reduce_candidates
+from aat.periods import (
+    _newton,
+    _seed_text,
+    _verify_periods,
+    detect_period,
+    integer_combinations,
+    is_integer_combination,
+    reduce_candidates,
+)
 from aat.sampling import draw_points
 
 CASE5 = ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
@@ -139,6 +147,49 @@ def test_reduce_candidates_dedupes_combinations():
     assert len(basis) == 2
     for c in cands:
         assert is_integer_combination(c, basis, tol=1e-9)
+
+
+def _integer_combination_one(p, basis, tol):
+    """One point at a time, one least-squares solve per reduction: the
+    reference for integer_combinations."""
+    def reduce(r):
+        A = np.array([[x for c in b for x in (c.real, c.imag)] for b in basis]).T
+        y = np.array([x for c in r for x in (c.real, c.imag)])
+        coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
+        for m, b in zip(coeffs, basis):
+            if round(float(m)):
+                r = [o - round(float(m)) * bb for o, bb in zip(r, b)]
+        return r
+
+    r = list(p)
+    for _ in range(5 if basis else 0):
+        r = reduce(r)
+    size = lambda v: max(abs(c) for c in v)  # noqa: E731
+    return size(r) <= tol * (1 + size(p))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integer_combinations_match_one_point_at_a_time(n):
+    rng = np.random.default_rng(7)
+    seen = []
+    for _ in range(20):
+        # up to two vectors more than the real rank 2n, so reductions repeat
+        size = rng.integers(1, 2 * n + 3)
+        basis = [tuple(rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(size)]
+        points = []
+        for _ in range(12):
+            p = sum(int(k) * np.array(b) for k, b in zip(rng.integers(-20, 21, len(basis)), basis))
+            if rng.random() < 0.5:  # off the lattice by a little or a lot
+                p = p + 10.0 ** rng.integers(-9, 0) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            points.append(tuple(complex(c) for c in p))
+        for tol in (1e-7, 1e-6):
+            expect = [_integer_combination_one(p, basis, tol) for p in points]
+            assert integer_combinations(points, basis, tol) == expect
+            assert [is_integer_combination(p, basis, tol) for p in points] == expect
+            seen += expect
+    assert seen.count(True) > 50 and seen.count(False) > 50
+    assert integer_combinations([], [(1 + 0j,)]) == []
+    assert integer_combinations([(0j,), (1e-3 + 0j,)], []) == [True, False]
 
 
 def test_determinism(wp_backend):
