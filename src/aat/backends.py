@@ -138,6 +138,8 @@ class ElementaryBackend(MappingBackend):
         super().__init__(family)
         self.kinds, self._period_box = _ELEMENTARY[family]
         self.c = Fraction(params.get("c", 1)) if family == "exp" else Fraction(1)
+        if self.c == 0:
+            raise StructuralError("exp needs c != 0; c = 0 is the constant map")
 
     def _map(self, u, bad):
         c = complex(self.c)

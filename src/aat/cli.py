@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .pipeline import STAGES, run_catalog, run_problem
-from .problem import ProblemError, load_problem
+from .problem import load_problem
 from .reporting import emit_report
 from .rings import AlgebraError
 
@@ -66,15 +66,6 @@ def _apply_overrides(spec, args) -> None:
     spec.options.check("command line")
 
 
-def _input_failure(report: dict, out_path: Path, stage: str, err: Exception) -> int:
-    """Write the report of unusable input and return exit status 2."""
-    report["failure"] = {"stage": stage, "error": type(err).__name__, "message": str(err)}
-    report["ok"] = False
-    emit_report(report, out_path)
-    print(f"error: {err}", file=sys.stderr)
-    return 2
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_path = _default_output(args)
@@ -95,12 +86,14 @@ def run(argv=None) -> int:
         spec = load_problem(args.problem)
         _apply_overrides(spec, args)
     except (FileNotFoundError, AlgebraError) as err:  # ProblemError is an AlgebraError
-        return _input_failure(report, out_path, "load", err)
+        # unusable input: every input check runs while the problem loads
+        report["failure"] = {"stage": "load", "error": type(err).__name__, "message": str(err)}
+        report["ok"] = False
+        emit_report(report, out_path)
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     report["seed"] = spec.options.seed
-    try:
-        section = run_problem(spec, [args.command], timings=args.timings)
-    except ProblemError as err:
-        return _input_failure(report, out_path, "run", err)
+    section = run_problem(spec, [args.command], timings=args.timings)
     report["problem"] = section
     report["ok"] = section["ok"]
     emit_report(report, out_path)

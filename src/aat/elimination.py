@@ -26,6 +26,7 @@ from .rings import MPoly, StructuralError, VarRing, rename
 from .sampling import DEFAULT_BOX, sequential_draws, vanishes
 
 SYMBOLIC_COST_LIMIT = 20_000  # term-count product beyond which H is not expanded symbolically
+SPECIALIZATION_ATTEMPTS = 8  # exact points, and numeric trials per candidate, tried before giving up
 
 
 class DegenerateSystemError(StructuralError):
@@ -52,10 +53,8 @@ class AATSystem:
                 raise StructuralError(f"G{k} must have positive degree in {naming.L(k)}")
             for name in g.variables_present():
                 cls = naming.classify(name)
-                if cls is None:
-                    continue
-                if cls[0] in ("z", "w", "theta"):
-                    raise StructuralError(f"G{k} must not contain derivative slot {name!r}")
+                if cls is not None and cls[0] in ("z", "w", "theta"):
+                    raise StructuralError(f"G{k} may only use the value slots (L, x, y), found {name!r}")
 
     def poly(self, k: int) -> MPoly:
         return self.polys[k - 1]
@@ -166,7 +165,6 @@ def specialize_v(
     sys: AATSystem,
     backend,
     *,
-    retries: int = 8,
     seed: int = 0,
     tol: float = 1e-7,
 ):
@@ -192,7 +190,7 @@ def specialize_v(
     attempts = 0
     for cand in cands:
         for point in backend.exact_points():
-            if attempts >= retries:
+            if attempts >= SPECIALIZATION_ATTEMPTS:
                 break
             attempts += 1
             h = cand.subs_exact(_exact_bindings(sys, point))
@@ -200,7 +198,7 @@ def specialize_v(
                 return h, SpecializationRecord("exact-point", point.label, attempts - 1)
     rng = random.Random(naming.stage_seed(seed, "spec-numeric"))
     for cand in cands:
-        for trial in range(retries):
+        for trial in range(SPECIALIZATION_ATTEMPTS):
             attempts += 1
             h = _numeric_specialize(cand, sys, backend, rng, tol=tol, seed=seed)
             if h is not None:
@@ -263,7 +261,7 @@ def _clean_relation(h: MPoly, backend, *, prefer_var: str | None, seed, tol) -> 
     return h.normalized()
 
 
-def _column_relations(sys, backend, p, *, retries, seed, tol, trace):
+def _column_relations(sys, backend, p, *, seed, tol, trace):
     """Specialized, cleaned relations h_{k p} for one direction p, all k."""
     out = {}
     for k in range(1, sys.n + 1):
@@ -276,9 +274,7 @@ def _column_relations(sys, backend, p, *, retries, seed, tol, trace):
             shared, H = gcd_and_eliminant(gk, delta, k)
             if H is None:
                 raise EliminationError(f"cross-difference for (k={k}, p={p}) carries no new relation")
-            h, record = specialize_v(
-                H, sys, backend, retries=retries, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol
-            )
+            h, record = specialize_v(H, sys, backend, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol)
         else:
             # the symbolic eliminant would blow up; fix v first (exact points),
             # and when those all degenerate, reconstruct the relation's
@@ -287,7 +283,7 @@ def _column_relations(sys, backend, p, *, retries, seed, tol, trace):
             H = None
             try:
                 shared, H, h, record = _specialize_then_eliminate(
-                    sys, backend, k, p, gk, delta, retries=retries, seed=seed, tol=tol
+                    sys, backend, k, p, gk, delta, seed=seed, tol=tol
                 )
                 notes.append("eliminant computed after exact specialization (size policy)")
             except EliminationError as err:
@@ -465,12 +461,12 @@ def _vector_to_poly(vec, basis, ring):
     return ring.poly(terms)
 
 
-def _specialize_then_eliminate(sys, backend, k, p, gk, delta, *, retries, seed, tol):
+def _specialize_then_eliminate(sys, backend, k, p, gk, delta, *, seed, tol):
     lvar = naming.L(k)
     attempts = 0
     last_error = "no exact points available"
     for point in backend.exact_points():
-        if attempts >= retries:
+        if attempts >= SPECIALIZATION_ATTEMPTS:
             break
         attempts += 1
         bindings = _exact_bindings(sys, point)
@@ -498,7 +494,6 @@ def derive_first_order(
     sys: AATSystem,
     backend,
     *,
-    retries: int = 8,
     seed: int = 0,
     tol: float = 1e-7,
 ):
@@ -508,9 +503,7 @@ def derive_first_order(
     trace = DerivationTrace()
     relations = []
     for p in range(1, sys.n + 1):
-        column = _column_relations(
-            sys, backend, p, retries=retries, seed=seed, tol=tol, trace=trace
-        )
+        column = _column_relations(sys, backend, p, seed=seed, tol=tol, trace=trace)
         for k in range(1, sys.n + 1):
             poly = _isolate(sys, backend, column, k, p, seed=seed, tol=tol)
             pres = naming.relation_ring(sys.n, k, p, sys.ring.parameters)

@@ -248,8 +248,6 @@ def is_integer_combination(p, basis, tol=1e-7) -> bool:
 def detect_period(
     backend,
     *,
-    box: float | None = None,
-    grid: int | None = None,
     tol: float = 1e-9,
     seed: int = 0,
     samples: int = 50,
@@ -257,11 +255,13 @@ def detect_period(
 ) -> list:
     """Period candidates of the mapping, reduced to lattice generators.
 
-    An empty result is a valid outcome: rational mappings have no period.
+    The Newton seeds span offsets of half-width `backend.period_box()` from
+    one base point.  An empty result is a valid outcome: rational mappings
+    have no period.
     """
     n = backend.n
-    box = box if box is not None else backend.period_box()
-    grid = grid if grid is not None else (13 if n == 1 else 9)
+    box = backend.period_box()
+    grid = 13 if n == 1 else 9  # Newton seeds per axis of the offset grid
     rng = random.Random(naming.stage_seed(seed, "period-base"))
     draws = draw_points(rng, 200, n, 0.8)
     val, jac, bad = backend.value_jacobian(draws)

@@ -32,7 +32,7 @@ from .derivatives import Recursion, taylor_match_check
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
 from .periods import detect_period, is_integer_combination
-from .problem import Options, ProblemError, ProblemSpec, parse_problem
+from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
 from .sampling import DEFAULT_BOX, SamplingError, residual_check, sequential_draws
@@ -80,8 +80,6 @@ class RunContext:
     trace: object = None
     vspec: object = None
     formula_outcome: object = None
-    negation: object = None
-    periods: list = None
 
     def verdict(self, vid: str, ok: bool, detail: str = "") -> bool:
         self.verdicts.append({"id": vid, "pass": bool(ok), "detail": detail})
@@ -117,11 +115,10 @@ class RunContext:
 def _spec_echo(ctx: RunContext) -> dict:
     spec = ctx.spec
     options = asdict(spec.options)
-    # the boxes actually sampled (family defaults unless overridden)
+    # the boxes actually sampled: the problem's box or the default, and the
+    # family's period box
     options["effective_box"] = ctx.box
-    options["effective_period_box"] = (
-        spec.options.period_box if spec.options.period_box is not None else ctx.backend.period_box()
-    )
+    options["effective_period_box"] = ctx.backend.period_box()
     return {
         "n": spec.n,
         "family": spec.family,
@@ -136,13 +133,7 @@ def stage_derive(ctx: RunContext) -> None:
     opts = spec.options
     ctx.sys = AATSystem(n=spec.n, ring=spec.ring, polys=spec.aat_polys)
     vet_tol = max(opts.tol, 1e-9)
-    ctx.relations, ctx.trace = derive_first_order(
-        ctx.sys,
-        ctx.backend,
-        retries=opts.retries,
-        seed=opts.seed,
-        tol=vet_tol,
-    )
+    ctx.relations, ctx.trace = derive_first_order(ctx.sys, ctx.backend, seed=opts.seed, tol=vet_tol)
     trace_json = {}
     for (k, p), entry in sorted(ctx.trace.entries.items()):
         trace_json[f"{k}_{p}"] = {
@@ -217,14 +208,14 @@ def stage_variety(ctx: RunContext) -> None:
 def stage_resolve(ctx: RunContext) -> None:
     spec = ctx.spec
     opts = spec.options
-    ctx.negation = derive_negation(ctx.sys, ctx.backend, seed=opts.seed, tol=max(opts.tol, 1e-9))
+    negation = derive_negation(ctx.sys, ctx.backend, seed=opts.seed, tol=max(opts.tol, 1e-9))
     ctx.section["negation"] = {
-        "modes": ctx.negation.modes,
-        "D": [None if d is None else poly_entry(d) for d in ctx.negation.D],
-        "E": [None if e is None else poly_entry(e) for e in ctx.negation.E],
-        "notes": ctx.negation.notes,
+        "modes": negation.modes,
+        "D": [None if d is None else poly_entry(d) for d in negation.D],
+        "E": [None if e is None else poly_entry(e) for e in negation.E],
+        "notes": negation.notes,
     }
-    for k, e in enumerate(ctx.negation.E, start=1):
+    for k, e in enumerate(negation.E, start=1):
         if e is not None:
             ctx.residual(e, f"E{k}", opts.tol, y_mode="neg")
     ctx.formula_outcome = resolve_addition(
@@ -427,14 +418,7 @@ def stage_period(ctx: RunContext) -> None:
     spec = ctx.spec
     opts = spec.options
     backend = ctx.backend
-    candidates = detect_period(
-        backend,
-        box=opts.period_box,
-        grid=opts.grid,
-        tol=max(opts.tol, 1e-9),
-        seed=opts.seed,
-    )
-    ctx.periods = candidates
+    candidates = detect_period(backend, tol=max(opts.tol, 1e-9), seed=opts.seed)
     section = {"generators": [c.to_json() for c in candidates]}
     shift_worst = backend.zeta_shift_worst(opts.seed)
     if shift_worst is not None:
@@ -507,10 +491,7 @@ def run_problem(spec: ProblemSpec, stages, *, timings: bool = False) -> dict:
 def _run_plan(spec: ProblemSpec, plan: list, *, timings: bool) -> dict:
     """Run the stages of `plan` in order; a stage error ends the run as a
     failed verdict plus a `failure` section."""
-    backend = spec.backend
-    if backend is None:
-        raise ProblemError("this problem declares no numeric family")
-    ctx = RunContext(spec=spec, backend=backend)
+    ctx = RunContext(spec=spec, backend=spec.backend)
     section = {
         "source": spec.source,
         "spec_echo": _spec_echo(ctx),
@@ -585,7 +566,6 @@ def run_catalog(*, seed: int = 42, timings: bool = False) -> dict:
                 family=family,
                 params=exact,
                 ring=naming.problem_ring(n),
-                aat_texts=[],
                 aat_polys=[],
                 options=Options(seed=seed),
                 source=f"catalog:{family}",

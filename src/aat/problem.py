@@ -2,7 +2,7 @@
 
     [mapping]
     n = 1
-    family = weierstrass        # exp, rational, weierstrass, singular2-case1..case5, none
+    family = weierstrass        # exp, rational, weierstrass, singular2-case1..case5
     param g2 = 4
     param g3 = 0
     [aat]
@@ -12,7 +12,9 @@
     samples = 100
     seed = 42
 
-`#` starts a comment; parameter values are exact rationals.  A concrete
+`#` starts a comment; parameter values are exact rationals.  `n`, `family`
+and one `G_k` per component are required, and no key may repeat within its
+section.  `[options]` takes `tol`, `samples`, `seed` and `box`.  The
 family's backend is built once, here, and kept on the spec; `G_k = auto`
 asks it for the family's addition polynomials (`addition_polys`).
 """
@@ -26,19 +28,15 @@ from pathlib import Path
 
 from . import naming
 from .backends import FAMILIES, make_backend
+from .elimination import AATSystem
 from .parsing import ParseError, parse_poly
 from .rings import StructuralError, VarRing
-
-_FAMILIES = (*FAMILIES, "none")  # "none": symbolic input without a numeric backend
 
 _OPTION_TYPES = {
     "tol": float,
     "samples": int,
     "seed": int,
     "box": float,
-    "period_box": float,
-    "grid": int,
-    "retries": int,
 }
 
 
@@ -46,14 +44,11 @@ def _finite_positive(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
-# option -> (requirement, test); None (the backend's default) always passes
+# option -> (requirement, test); an unset `box` (None) always passes
 _OPTION_RANGES = {
     "samples": ("at least 1", lambda v: v >= 1),
-    "grid": ("at least 2", lambda v: v >= 2),
-    "retries": ("at least 1", lambda v: v >= 1),
     "tol": ("finite and positive", _finite_positive),
     "box": ("finite and positive", _finite_positive),
-    "period_box": ("finite and positive", _finite_positive),
 }
 
 
@@ -67,9 +62,6 @@ class Options:
     samples: int = 100
     seed: int = 42
     box: float | None = None
-    period_box: float | None = None
-    grid: int | None = None
-    retries: int = 8
 
     def check(self, where: str) -> None:
         """Raise ProblemError, naming the option, for a value out of range."""
@@ -85,11 +77,10 @@ class ProblemSpec:
     family: str
     params: dict  # name -> Fraction
     ring: VarRing
-    aat_texts: list  # raw texts ('auto' resolved before storing)
     aat_polys: list  # MPoly with parameter values substituted
     options: Options
-    source: str = ""
-    backend: object = None  # the family's MappingBackend; None for family "none"
+    source: str
+    backend: object  # the family's MappingBackend
 
 
 def _parse_rational(text: str, where: str) -> Fraction:
@@ -104,6 +95,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
     mapping: dict = {"params": {}}
     aat_lines: dict = {}
     opts: dict = {}
+    first_line: dict = {}  # (section, key) -> line of its first definition
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,13 +122,16 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
                 name = key[len("param ") :].strip()
                 if not name.isidentifier():
                     raise ProblemError(f"{source}:{lineno}: bad parameter name {name!r}")
+                key = f"param {name}"
                 mapping["params"][name] = _parse_rational(value, f"{source}:{lineno}")
             else:
                 raise ProblemError(f"{source}:{lineno}: unknown mapping key {key!r}")
         elif section == "aat":
             if not (key.startswith("G") and key[1:].isdigit()):
                 raise ProblemError(f"{source}:{lineno}: addition polynomials are named G1, G2, ...")
-            aat_lines[int(key[1:])] = (value, lineno)
+            k = int(key[1:])
+            key = f"G{k}"
+            aat_lines[k] = (value, lineno)
         else:
             if key not in _OPTION_TYPES:
                 raise ProblemError(f"{source}:{lineno}: unknown option {key!r}")
@@ -144,20 +139,23 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
                 opts[key] = _OPTION_TYPES[key](value)
             except ValueError as err:
                 raise ProblemError(f"{source}:{lineno}: bad value for {key}") from err
-    if "n" not in mapping:
-        raise ProblemError(f"{source}: missing 'n' in [mapping]")
-    n = mapping["n"]
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ProblemError(f"{source}:{lineno}: {key} given twice (first at line {first})")
+    for key in ("n", "family"):
+        if key not in mapping:
+            raise ProblemError(f"{source}: missing {key!r} in [mapping]")
+    n, family = mapping["n"], mapping["family"]
     if n < 1:
         raise ProblemError(f"{source}: n must be positive")
-    family = mapping.get("family", "none")
-    if family not in _FAMILIES:
-        raise ProblemError(f"{source}: unknown family {family!r}")
-    if FAMILIES.get(family, n) != n:
+    if family not in FAMILIES:
+        raise ProblemError(f"{source}: unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if FAMILIES[family] != n:
         raise ProblemError(f"{source}: family {family} has n = {FAMILIES[family]}, not {n}")
     params = mapping["params"]
     options = Options(**opts)
     options.check(source)
-    backend = make_backend(family, params) if family in FAMILIES else None
+    backend = make_backend(family, params)
 
     ring = naming.problem_ring(n, tuple(sorted(params)))
     expected = set(range(1, n + 1))
@@ -166,40 +164,30 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         raise ProblemError(
             f"{source}: expected {n} addition polynomials G1..G{n}, got {sorted(given) or 'none'}"
         )
-    texts = []
     polys = []
     auto_polys = None
-    if any(aat_lines[k][0].strip() == "auto" for k in sorted(aat_lines)):
-        if backend is None:
-            raise ProblemError(f"{source}: 'auto' needs a concrete family")
-        auto_polys = backend.addition_polys(ring, seed=options.seed)
     for k in sorted(aat_lines):
         text, lineno = aat_lines[k]
-        if text.strip() == "auto":
+        if text == "auto":
+            if auto_polys is None:
+                auto_polys = backend.addition_polys(ring, seed=options.seed)
             poly = auto_polys[k - 1]
-            texts.append(str(poly))
         else:
             try:
                 poly = parse_poly(text, ring)
             except ParseError as err:
                 raise ProblemError(f"{source}:{lineno}: G{k}: {err}") from err
-            texts.append(text.strip())
-        poly = poly.subs_exact({name: value for name, value in params.items() if poly.degree_in(name) > 0})
-        if poly.degree_in(naming.L(k)) < 1:
-            raise ProblemError(f"{source}: G{k} must have positive degree in {naming.L(k)}")
-        for name in poly.variables_present():
-            cls = naming.classify(name)
-            if cls is not None and cls[0] in ("z", "w", "theta"):
-                raise ProblemError(
-                    f"{source}: G{k} may only use the value slots (L, x, y), found {name!r}"
-                )
-        polys.append(poly)
+        used = {name: value for name, value in params.items() if poly.degree_in(name) > 0}
+        polys.append(poly.subs_exact(used))
+    try:
+        AATSystem(n=n, ring=ring, polys=polys)
+    except StructuralError as err:
+        raise ProblemError(f"{source}: {err}") from err
     return ProblemSpec(
         n=n,
         family=family,
         params=params,
         ring=ring,
-        aat_texts=texts,
         aat_polys=polys,
         options=options,
         source=source,

@@ -87,6 +87,8 @@ def test_family_dimension_mismatch_exit_two(tmp_path, family, n, family_n):
             "G1 = L1 - x1 - y1\nG2 = L2 - x2 - y2\n",
             "epsilon must be 0 or 1",
         ),
+        # exp with c = 0 is the constant map f = 1
+        ("n = 1\nfamily = exp\nparam c = 0\n", "G1 = L1 - x1*y1\n", "c = 0 is the constant map"),
         # case 5 has no closed addition polynomials
         ("n = 2\nfamily = singular2-case5\nparam g2 = 4\nparam g3 = 0\n", "G1 = auto\nG2 = auto\n", "singular2-case5"),
     ],
@@ -136,8 +138,6 @@ def test_mode_option_is_rejected(tmp_path):
         ("lemniscatic", "samples = 0", []),
         ("exp", "samples = -3", []),
         ("exp", None, ["--samples", "0"]),
-        ("lemniscatic", "grid = 1", []),
-        ("exp", "retries = 0", []),
         ("exp", "tol = 0", []),
         ("lemniscatic", None, ["--tol", "0"]),
         # non-finite values used to reach the JSON writer, and a zero or
@@ -149,21 +149,55 @@ def test_mode_option_is_rejected(tmp_path):
         ("lemniscatic", "box = 1e400", []),
         ("exp", "box = 0", []),
         ("exp", "box = -1", []),
-        ("lemniscatic", "period_box = inf", []),
-        ("exp", "period_box = 0", []),
     ],
 )
 def test_out_of_range_option_exit_two(tmp_path, capsys, problem, option, args):
     # checked at load, before any stage can fail on it with a misleading reason
+    name = (option or args[0]).split()[0].lstrip("-")
+    lines = (REPO / f"problems/{problem}.aat").read_text().splitlines()
+    if option:
+        # a key may appear once, so the option replaces the file's own line
+        lines = [line for line in lines if line.split("=")[0].strip() != name] + [option]
     path = tmp_path / f"{problem}.aat"
-    path.write_text((REPO / f"problems/{problem}.aat").read_text() + (f"{option}\n" if option else ""))
+    path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "range.json"
     assert run(["all", str(path), "-o", str(out), *args]) == 2
-    name = (option or args[0]).split()[0].lstrip("-")
     failure = json.loads(out.read_text())["failure"]
     assert failure["stage"] == "load" and failure["error"] == "ProblemError"
     assert f"option {name} must be" in failure["message"]
     assert f"option {name} must be" in capsys.readouterr().err
+
+
+EXP_PROBLEM = "[mapping]\nn = 1\nfamily = exp\nparam c = 1\n[aat]\nG1 = L1 - x1*y1\n[options]\nseed = 42\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (EXP_PROBLEM.replace("family = exp\n", ""), "missing 'family' in [mapping]"),
+        (EXP_PROBLEM.replace("family = exp", "family = none"), "unknown family 'none'"),
+        # the options that were removed from the format
+        (EXP_PROBLEM + "grid = 5\n", "unknown option 'grid'"),
+        (EXP_PROBLEM + "period_box = 3\n", "unknown option 'period_box'"),
+        (EXP_PROBLEM + "retries = 4\n", "unknown option 'retries'"),
+        # a repeated key used to override the earlier one silently
+        (EXP_PROBLEM + "seed = 7\n", ":9: seed given twice (first at line 8)"),
+        (EXP_PROBLEM.replace("c = 1", "c = 1\nparam c = 0"), ":5: param c given twice (first at line 4)"),
+        (EXP_PROBLEM.replace("= exp", "= exp\nfamily = rational"), ":4: family given twice (first at line 3)"),
+        (EXP_PROBLEM.replace("n = 1", "n = 1\nn = 1"), ":3: n given twice (first at line 2)"),
+        (EXP_PROBLEM.replace("x1*y1", "x1*y1\nG1 = L1 - x1 - y1"), ":7: G1 given twice (first at line 6)"),
+        (EXP_PROBLEM.replace("G1 = L1 - x1*y1", "G1 = L1 - x1*y1 + z1_1"), "found 'z1_1'"),
+    ],
+)
+def test_unusable_problem_exit_two_at_load(tmp_path, capsys, text, message):
+    path = tmp_path / "p.aat"
+    path.write_text(text)
+    out = tmp_path / "p.json"
+    assert run(["all", str(path), "-o", str(out)]) == 2
+    failure = json.loads(out.read_text())["failure"]
+    assert failure["stage"] == "load" and failure["error"] == "ProblemError"
+    assert message in failure["message"]
+    assert message in capsys.readouterr().err
 
 
 def test_catalog_rejects_problem_options(tmp_path, capsys):

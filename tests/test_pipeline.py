@@ -106,20 +106,6 @@ def test_catalog_period_only_failure_is_reported(monkeypatch):
     assert all(s["ok"] for s in result["catalog"] if s is not case5)
 
 
-def test_family_none_cannot_run_numeric_stages():
-    text = """\
-[mapping]
-n = 1
-family = none
-[aat]
-G1 = L1 - x1*y1
-"""
-    spec = parse_problem(text)
-    with pytest.raises(Exception) as err:
-        run_problem(spec, ["derive"])
-    assert "family" in str(err.value)
-
-
 def test_generic_lattice_full_pipeline():
     # a non-lemniscatic lattice: nonzero g3 kills the square-lattice symmetry
     # and leaves only one rational branch value, forcing the reconstruction

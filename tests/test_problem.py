@@ -1,8 +1,14 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from aat import problem
+from aat.backends import FAMILIES
 from aat.problem import ProblemError, load_problem, parse_problem
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXP_TEXT = """\
 [mapping]
@@ -103,3 +109,22 @@ def test_bundled_problem_files_load():
     for name in ("exp", "lemniscatic", "equianharmonic", "additive", "zeta-drift"):
         spec = load_problem(f"problems/{name}.aat")
         assert spec.n in (1, 2)
+
+
+def test_readme_lists_the_problem_options():
+    text = README.read_text(encoding="utf-8")
+    taken = re.search(r"`\[options\]` takes (.*?), each optional", text, re.S).group(1)
+    assert re.findall(r"`(\w+)`", taken) == list(problem._OPTION_TYPES)
+    ranges = re.search(r"Options out of range \((.*?)\)", text, re.S).group(1)
+    assert re.findall(r"`(\w+)", ranges) == list(problem._OPTION_RANGES)
+    # the family comment of the format block; "a-case1..case5" stands for a range
+    comment = re.search(r"^family = \S+ +# (.*)$", text, re.M).group(1)
+    families = []
+    for item in comment.split(", "):
+        spread = re.fullmatch(r"(.*case)(\d+)\.\.case(\d+)", item)
+        if spread:
+            prefix, lo, hi = spread.groups()
+            families += [f"{prefix}{i}" for i in range(int(lo), int(hi) + 1)]
+        else:
+            families.append(item)
+    assert families == list(FAMILIES)
