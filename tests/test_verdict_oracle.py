@@ -6,8 +6,8 @@ specialization mode and point, the weights alpha, V and the slot expressions,
 the negation relations E and the addition formula R), the ordered
 (verdict id, pass) pairs, the residual
 (relation, samples, pole_skipped, verdict) tuples and the sample counts of
-the sampled checks (group-law triples, formula-agreement pairs,
-derivative-recursion points, period generators).  A change may move the
+the sampled checks (formula-agreement pairs, derivative-recursion points,
+period generators).  A change may move the
 last digits of residual statistics, but not these.  After a change that
 alters them on purpose, rewrite the file with
 
@@ -38,8 +38,7 @@ def _text(obj):
 
 
 def _digest(section: dict) -> dict:
-    group = section.get("group_law", {})
-    agreement = group.get("formula_agreement", {})
+    agreement = section.get("group_law", {}).get("formula_agreement", {})
     variety = section.get("variety", {})
     return {
         "relations": {key: _text(rel) for key, rel in section.get("relations", {}).items()},
@@ -55,7 +54,6 @@ def _digest(section: dict) -> dict:
         "verdicts": [[v["id"], v["pass"]] for v in section["verdicts"]],
         "residuals": [[r["relation"], r["samples"], r["pole_skipped"], r["verdict"]] for r in section["residuals"]],
         "counts": {
-            "triples": group.get("triples"),
             "agree": agreement.get("agree"),
             "tried": agreement.get("tried"),
             "derivative_points": section.get("derivative_recursion", {}).get("points"),
