@@ -20,17 +20,15 @@ and singular2-case5 (p with a sigma-quotient factor) share a `LatticeBackend`.
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import naming
 from .generate import weierstrass_addition_poly, zeta_drift_addition_poly
 from .parsing import parse_poly
 from .rings import StructuralError, rename
-from .sampling import draw_points
 from .weierstrass import Lattice
 
 # points closer than this to a lattice point count as poles
@@ -102,19 +100,14 @@ class MappingBackend:
     def exact_points(self) -> list:
         return []
 
-    def expected_periods(self):
+    def expected_periods(self) -> list:
         """The vectors the detected periods must generate up to integer
-        combinations: [] for a mapping without periods, None when the family
-        states no period lattice to check."""
-        return None
+        combinations, [] for a mapping without periods."""
+        raise NotImplementedError
 
     def values_at_zero(self):
         """Per-component exact value of f_k(0), or None where 0 is a pole."""
         return [None] * self.n
-
-    def zeta_shift_worst(self, seed: int):
-        """Worst gap of the zeta quasi-periodicity check, or None without a lattice."""
-        return None
 
 
 # family -> (kind of each component, period box), and each kind's addition
@@ -159,8 +152,12 @@ class ElementaryBackend(MappingBackend):
         return [ExactPoint("v=0", (0j,) * self.n, values, self._diagonal(slopes, Fraction(0)))]
 
     def expected_periods(self):
-        # additive components never repeat; exp components state no lattice to check
-        return [] if "exp" not in self.kinds else None
+        # exp(c*u_k) repeats under u_k -> u_k + 2*pi*i/c; additive components never repeat
+        step = 2j * math.pi / float(self.c)
+        return [
+            tuple(step if m == k else 0j for m in range(self.n))
+            for k, kind in enumerate(self.kinds) if kind == "exp"
+        ]
 
     def values_at_zero(self):
         return [Fraction(1) if kind == "exp" else Fraction(0) for kind in self.kinds]
@@ -201,21 +198,6 @@ class LatticeBackend(MappingBackend):
 
     def period_box(self) -> float:
         return 1.25 * max(abs(2 * self.lattice.omega1), abs(2 * self.lattice.omega2))
-
-    def zeta_shift_worst(self, seed: int):
-        """Worst relative gap of zeta(u + 2*omega_i) = zeta(u) + 2*eta_i on
-        ten draws, those 0.25 clear of the lattice."""
-        lat = self.lattice
-        rng = random.Random(naming.stage_seed(seed, "zeta-shift"))
-        us = draw_points(rng, 10, 1, 1.0)[:, 0]
-        us = us[np.abs(lat.reduce_many(us)[0]) >= 0.25]
-        _, _, zeta, _ = lat.eval_many(np.concatenate([us, us + 2 * lat.omega1, us + 2 * lat.omega2]))
-        base, *shifted = np.split(zeta, 3)
-        worst = 0.0
-        for got, eta in zip(shifted, (lat.eta1, lat.eta2)):
-            gaps = np.abs(got - base - 2 * eta) / (1 + abs(2 * eta))
-            worst = max(worst, float(gaps.max(initial=0.0)))
-        return worst
 
     def _weierstrass_poly(self, ring, seed):
         """G_1 of the p component, in `ring`."""
@@ -293,7 +275,7 @@ class ZetaDriftBackend(LatticeBackend):
 
 class SigmaQuotientBackend(LatticeBackend):
     """singular2-case5: (p(u1), exp(u2) * sigma(u1 - a)/sigma(u1)), a = param
-    a (default 1/2); no closed G, no exact points and no lattice to check."""
+    a (default 1/2); no closed G and no exact points."""
 
     def __init__(self, family: str, params: dict):
         super().__init__(family, params)
@@ -310,6 +292,13 @@ class SigmaQuotientBackend(LatticeBackend):
     def _lattice_args(self, u):
         # u1 - a: a zero of f2, where its log-derivative blows up
         return (u[0], u[0] - complex(self.a))
+
+    def expected_periods(self):
+        # sigma(u + 2*omega_i) = -exp(2*eta_i*(u + omega_i)) * sigma(u), so
+        # shifting u1 by 2*omega_i scales the sigma quotient by exp(-2*eta_i*a),
+        # which u2 -> u2 + 2*eta_i*a undoes; exp(u2) repeats under 2*pi*i
+        lat, a = self.lattice, float(self.a)
+        return [(2 * lat.omega1, 2 * lat.eta1 * a), (2 * lat.omega2, 2 * lat.eta2 * a), (0j, 2j * math.pi)]
 
 
 _LATTICE_BACKENDS = {

@@ -85,7 +85,7 @@ def run(argv=None) -> int:
     try:
         spec = load_problem(args.problem)
         _apply_overrides(spec, args)
-    except (FileNotFoundError, AlgebraError) as err:  # ProblemError is an AlgebraError
+    except (OSError, AlgebraError) as err:  # ProblemError is an AlgebraError; OSError an unreadable path
         # unusable input: every input check runs while the problem loads
         report["failure"] = {"stage": "load", "error": type(err).__name__, "message": str(err)}
         report["ok"] = False

@@ -5,10 +5,7 @@ Each relation P(z0; x1..xn) = 0 with z0 = df_k/du_p differentiates to
     d2f_k/du_p du_q = -(P_1 * df_1/du_q + ... + P_n * df_n/du_q) / P_0,
 
 with P_i the partial of P by its i-th slot, everything evaluated from the
-backend.  One more formal differentiation gives the third order.  The same
-recursion powers the executable periodicity criterion: if two points share
-values and first derivatives, their recursion-computed higher derivatives
-agree, so the Taylor expansions coincide.
+backend.  One more formal differentiation gives the third order.
 
 `Recursion` differentiates every relation's first and second partials once,
 then runs the recursion over arrays of points from the values and first
@@ -18,12 +15,10 @@ derivatives `value_jacobian` returns.  A point where some P_0 vanishes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import naming
-from .rings import DomainError, StructuralError
+from .rings import StructuralError
 
 _SINGULAR_FLOOR = 1e-12
 
@@ -94,47 +89,3 @@ class Recursion:
 def _rows(poly, values, rows):
     """poly over the bound arrays, broadcast to one entry per row (constants included)."""
     return np.broadcast_to(poly.eval_numeric(values), (rows,))
-
-
-@dataclass
-class TaylorCheck:
-    applicable: bool
-    matched: bool | None
-    detail: str
-
-    def to_json(self):
-        return {"applicable": self.applicable, "matched": self.matched, "detail": self.detail}
-
-
-def taylor_match_check(relations, backend, a, b, *, order: int = 3, tol: float = 1e-8) -> TaylorCheck:
-    """Executable periodicity content: when the mapping values and first
-    derivatives agree at a and b, the recursion forces every higher derivative
-    to agree, so the local expansions are identical."""
-    if order < 2 or order > 3:
-        raise DomainError("supported orders are 2 and 3")
-    n = backend.n
-    values, jac, bad = backend.value_jacobian([a, b])
-    if bad.any():
-        return TaylorCheck(False, None, "pole at a witness point")
-    (va, vb), (ja, jb) = values, jac
-    for ca, cb in zip(va, vb):
-        if abs(ca - cb) > tol * (1 + abs(ca)):
-            return TaylorCheck(False, None, "mapping values differ at a and b")
-    for ca, cb in zip(ja.ravel(), jb.ravel()):
-        if abs(ca - cb) > tol * (1 + abs(ca)):
-            return TaylorCheck(False, None, "first derivatives differ at a and b")
-    d2, d3, singular = Recursion(relations, n)(values, jac)
-    if singular.any():
-        return TaylorCheck(False, None, "recursion singular at a witness point")
-    for k in range(n):
-        for p in range(n):
-            for q in range(n):
-                da, db = d2[:, k, p, q]
-                if abs(da - db) > tol * (1 + abs(da)):
-                    return TaylorCheck(True, False, f"order-2 mismatch at (k,p,q)=({k + 1},{p + 1},{q + 1})")
-                if order >= 3:
-                    for r in range(n):
-                        ta, tb = d3[:, k, p, q, r]
-                        if abs(ta - tb) > tol * (1 + abs(ta)):
-                            return TaylorCheck(True, False, f"order-3 mismatch at ({k + 1},{p + 1},{q + 1},{r + 1})")
-    return TaylorCheck(True, True, f"derivatives agree through order {order}")

@@ -28,7 +28,6 @@ from .sampling import draw_points
 @dataclass
 class PeriodCandidate:
     p: tuple
-    witness: tuple  # (a, b) with p = b - a
     residual: float
     note: str = ""
 
@@ -300,16 +299,12 @@ def detect_period(
             continue
         seen.add(key)
         if match[i]:
-            pending.append((tuple(diffs[i]), tuple(solved[rows[i]])))
-    checked = _verify_periods(backend, [p for p, _ in pending], samples=samples, seed=seed, tol=tol, box=1.0)
-    raw = [PeriodCandidate(p=p, witness=(base, b), residual=r) for (p, b), r in zip(pending, checked) if r is not None]
+            pending.append(tuple(diffs[i]))
+    checked = _verify_periods(backend, pending, samples=samples, seed=seed, tol=tol, box=1.0)
+    raw = [PeriodCandidate(p=p, residual=r) for p, r in zip(pending, checked) if r is not None]
     generators = reduce_candidates([c.p for c in raw], tol=1e-6, max_rank=2 * n)
     checked = _verify_periods(backend, generators, samples=samples, seed=seed + 1, tol=tol, box=1.0)
-    out = [
-        PeriodCandidate(p=g, witness=(base, tuple(a + b for a, b in zip(base, g))), residual=r)
-        for g, r in zip(generators, checked)
-        if r is not None
-    ]
+    out = [PeriodCandidate(p=g, residual=r) for g, r in zip(generators, checked) if r is not None]
     out.sort(key=lambda c: _norm(c.p))
     raw.sort(key=lambda c: _norm(c.p))
     inside = integer_combinations([c.p for c in raw], [c.p for c in out], tol=1e-6)

@@ -18,7 +18,6 @@ import numpy as np
 from . import naming
 from .addition import (
     DivisorDegeneracyError,
-    backend_points,
     derive_negation,
     formula_value,
     pair_points,
@@ -28,7 +27,7 @@ from .addition import (
     variety_residual,
 )
 from .backends import FAMILIES, make_backend
-from .derivatives import Recursion, taylor_match_check
+from .derivatives import Recursion
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
 from .periods import detect_period, is_integer_combination
@@ -239,41 +238,13 @@ def stage_resolve(ctx: RunContext) -> None:
         ctx.skip("addition resolved", "outside symbolic scope (numeric verification only)")
 
 
-def _group_law_checks(ctx: RunContext) -> None:
-    spec = ctx.spec
-    opts = spec.options
-    backend = ctx.backend
+def _formula_agreement(ctx: RunContext, formula) -> None:
+    """Add pairs through the resolved formula and compare the sums with the
+    backend's points over u + v."""
+    opts = ctx.spec.options
     vspec = ctx.vspec
-    n = spec.n
-    # both loops draw from one stream; `sequential_draws` leaves it where a
-    # loop drawing one triple (one pair) at a time would
     rng = random.Random(naming.stage_seed(opts.seed, "group-law"))
     tol = max(opts.tol, 1e-8)
-
-    def triple_gaps(rows):
-        a, b, c = rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n :]
-        ab = a + b
-        us = [a, b, c, ab, b + a, a + (b + c), ab + c, ab - b, (a - b) + b]
-        pts = backend_points(backend, vspec, np.concatenate(us))
-        return map(_triple_gaps, *(pts[i : i + len(rows)] for i in range(0, len(pts), len(rows))))
-
-    gaps = sequential_draws(rng, 50, 2000, 3 * n, ctx.box, triple_gaps)
-    triples = len(gaps)
-    worst_comm, worst_assoc, worst_inv, worst_ident = [max(g) for g in zip(*gaps)] or [0.0] * 4
-    ctx.verdict("group commutativity", triples >= 50 and worst_comm < tol, f"worst gap {worst_comm:.3e} on {triples} triples")
-    ctx.verdict("group associativity", triples >= 50 and worst_assoc < tol, f"worst gap {worst_assoc:.3e}")
-    ctx.verdict("group inverse", worst_inv < tol, f"worst gap {worst_inv:.3e}")
-    ctx.verdict("group round-trip", worst_ident < tol, f"worst gap {worst_ident:.3e}")
-    ctx.section["group_law"] = {
-        "triples": triples,
-        "commutativity_gap": worst_comm,
-        "associativity_gap": worst_assoc,
-        "inverse_gap": worst_inv,
-        "round_trip_gap": worst_ident,
-    }
-    formula = ctx.formula_outcome.formula if ctx.formula_outcome else None
-    if formula is None:
-        return
 
     def agreement(p1, p2, want):
         if not (p1.is_finite() and p2.is_finite() and want.is_finite()):
@@ -285,8 +256,8 @@ def _group_law_checks(ctx: RunContext) -> None:
         return got.gap(want), variety_residual(vspec, got)
 
     pairs = sequential_draws(
-        rng, opts.samples, 40 * opts.samples, 2 * n, ctx.box,
-        lambda rows: map(agreement, *pair_points(backend, vspec, rows)),
+        rng, opts.samples, 40 * opts.samples, 2 * ctx.spec.n, ctx.box,
+        lambda rows: map(agreement, *pair_points(ctx.backend, vspec, rows)),
     )
     tried = len(pairs)
     agree = sum(gap < tol for gap, _ in pairs)
@@ -295,17 +266,7 @@ def _group_law_checks(ctx: RunContext) -> None:
     ok = tried >= min(opts.samples, 50) and agree >= int(0.95 * tried)
     ctx.verdict("formula/backend agreement", ok, f"{agree}/{tried} pairs within {tol:.1e}")
     ctx.verdict("formula closure", closure_worst < tol, f"worst |V| residual {closure_worst:.3e}")
-    ctx.section["group_law"]["formula_agreement"] = {"agree": agree, "tried": tried, "worst_gap": worst}
-
-
-def _triple_gaps(a, b, c, ab, ba, a_bc, ab_c, sub, back):
-    """(commutativity, associativity, inverse, round-trip) gaps of one
-    triple, or None where the triple is unusable; the points are those over
-    a, b, c, a+b, b+a, a+(b+c), (a+b)+c, (a+b)-b and (a-b)+b."""
-    if not all(p.is_finite() for p in (a, b, c, ab, ba, a_bc, ab_c, sub)):
-        return None
-    round_trip = back.gap(a) if back.is_finite() else 0.0
-    return ab.gap(ba), a_bc.gap(ab_c), sub.gap(a), round_trip
+    ctx.section["group_law"] = {"formula_agreement": {"agree": agree, "tried": tried, "worst_gap": worst}}
 
 
 def _derivative_checks(ctx: RunContext) -> None:
@@ -410,21 +371,16 @@ def stage_verify(ctx: RunContext) -> None:
             "theta-slot formula", len(gaps) >= want and worst < max(opts.tol, 1e-8),
             f"worst gap {worst:.3e} on {len(gaps)} pairs",
         )
-    _group_law_checks(ctx)
+        _formula_agreement(ctx, formula)
     _derivative_checks(ctx)
 
 
 def stage_period(ctx: RunContext) -> None:
-    spec = ctx.spec
-    opts = spec.options
+    opts = ctx.spec.options
     backend = ctx.backend
     candidates = detect_period(backend, tol=max(opts.tol, 1e-9), seed=opts.seed)
-    section = {"generators": [c.to_json() for c in candidates]}
-    shift_worst = backend.zeta_shift_worst(opts.seed)
-    if shift_worst is not None:
-        ctx.verdict("zeta quasi-periodicity", shift_worst < 1e-9, f"worst {shift_worst:.3e}")
-        section["zeta_shift_worst"] = shift_worst
     expected = backend.expected_periods()
+    section = {}
     if expected:
         basis = [c.p for c in candidates]
         ok = len(basis) == len(expected)
@@ -438,22 +394,9 @@ def stage_period(ctx: RunContext) -> None:
         for cand in candidates:
             if is_integer_combination(cand.p, expected, tol=1e-7):
                 cand.note = "integer combination of the quasi-period vectors"
-        section["generators"] = [c.to_json() for c in candidates]
-    elif expected is not None:
+    else:
         ctx.verdict("no period for rational mapping", not candidates, f"{len(candidates)} candidates")
-    for cand in candidates:
-        ctx.verdict(
-            f"period residual {_fmt_vec(cand.p)}", cand.residual < max(opts.tol, 1e-9),
-            f"residual {cand.residual:.3e}",
-        )
-    if candidates and ctx.relations is not None:
-        witness = candidates[0]
-        a = witness.witness[0]
-        b = tuple(x + y for x, y in zip(a, witness.p))
-        check = taylor_match_check(ctx.relations, backend, a, b, order=3, tol=max(opts.tol, 1e-7))
-        section["taylor_witness"] = check.to_json()
-        if check.applicable:
-            ctx.verdict("taylor expansion witness", bool(check.matched), check.detail)
+    section["generators"] = [c.to_json() for c in candidates]
     if candidates and ctx.vspec is not None:
         try:
             unique = uniqueness_witness(
@@ -463,16 +406,6 @@ def stage_period(ctx: RunContext) -> None:
         except StructuralError:
             section["uniqueness_witness"] = "no usable witness pair"
     ctx.section["periods"] = section
-
-
-def _fmt_vec(p) -> str:
-    """Verdict-id text of a period vector; parts that print as zero get a + sign."""
-
-    def part(x: float) -> str:
-        text = f"{x:+.4f}"
-        return "+0.0000" if text == "-0.0000" else text
-
-    return "(" + ", ".join(f"{part(c.real)}{part(c.imag)}j" for c in p) + ")"
 
 
 _STAGE_FUNCS = {
@@ -550,28 +483,31 @@ def catalog_problem_text(family: str, params: dict, *, seed: int = 42) -> str:
     return "\n".join(lines) + "\n"
 
 
+def catalog_spec(family: str, params: dict, plan, *, seed: int = 42) -> ProblemSpec:
+    """The problem of one `_CATALOG` entry at `seed`."""
+    if "derive" in plan:
+        return parse_problem(catalog_problem_text(family, params, seed=seed), source=f"catalog:{family}")
+    # no closed addition polynomials for this family; run the numeric layer
+    # only (backend invariants and period detection)
+    n = FAMILIES[family]
+    exact = {k: Fraction(v) for k, v in params.items()}
+    return ProblemSpec(
+        n=n,
+        family=family,
+        params=exact,
+        ring=naming.problem_ring(n),
+        aat_polys=[],
+        options=Options(seed=seed),
+        source=f"catalog:{family}",
+        backend=make_backend(family, exact),
+    )
+
+
 def run_catalog(*, seed: int = 42, timings: bool = False) -> dict:
-    sections = []
-    for family, params, plan in _CATALOG:
-        if "derive" in plan:
-            text = catalog_problem_text(family, params, seed=seed)
-            spec = parse_problem(text, source=f"catalog:{family}")
-        else:
-            # no closed addition polynomials for this family; run the numeric
-            # layer only (backend invariants and period detection)
-            n = FAMILIES[family]
-            exact = {k: Fraction(v) for k, v in params.items()}
-            spec = ProblemSpec(
-                n=n,
-                family=family,
-                params=exact,
-                ring=naming.problem_ring(n),
-                aat_polys=[],
-                options=Options(seed=seed),
-                source=f"catalog:{family}",
-                backend=make_backend(family, exact),
-            )
-        sections.append(_run_plan(spec, list(plan), timings=timings))
+    sections = [
+        _run_plan(catalog_spec(family, params, plan, seed=seed), list(plan), timings=timings)
+        for family, params, plan in _CATALOG
+    ]
     return {
         "catalog": sections,
         "ok": all(s["ok"] for s in sections),

@@ -85,9 +85,17 @@ class ProblemSpec:
 
 def _parse_rational(text: str, where: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as err:
         raise ProblemError(f"bad rational value in {where}: {text!r}") from err
+    # the backends evaluate in floats: a value that overflows or rounds to 0 cannot run
+    try:
+        lost = value != 0 and float(value) == 0
+    except OverflowError:
+        lost = True
+    if lost:
+        raise ProblemError(f"{where}: {text.strip()} is outside the float range")
+    return value
 
 
 def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
@@ -199,4 +207,8 @@ def load_problem(path) -> ProblemSpec:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"problem file not found: {path}")
-    return parse_problem(p.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ProblemError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
+    return parse_problem(text, source=str(path))

@@ -15,7 +15,7 @@ rows: the first `samples` usable draws in draw order count, and the unusable
 ones before them are the skips.  Counts and verdicts are those of a loop
 that draws and tests one sample at a time.
 
-`sequential_draws` gives every other sampled check (group law, formula
+`sequential_draws` gives every other sampled check (formula
 agreement, specialization, uniqueness) the same shape: chunks of draws, one
 batched evaluation per chunk, and a replay of the loop's stopping rule that
 leaves a shared rng exactly where the one-at-a-time loop would.

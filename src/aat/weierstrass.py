@@ -147,7 +147,12 @@ class Lattice:
         self.g2 = Fraction(g2)
         self.g3 = Fraction(g3)
         g2, g3 = complex(g2), complex(g3)
-        disc = g2**3 - 27 * g3**2
+        try:
+            disc = g2**3 - 27 * g3**2
+        except OverflowError as err:
+            raise DomainError(
+                f"invariants too large for float evaluation: g2 = {g2.real:g}, g3 = {g3.real:g}"
+            ) from err
         if abs(disc) < 1e-12 * max(1.0, abs(g2) ** 3, abs(g3) ** 2):
             raise DomainError(f"degenerate lattice: g2^3 - 27*g3^2 = {disc}")
         e1, e2, e3 = _cubic_roots(g2, g3)

@@ -19,6 +19,8 @@ from aat.addition import (
 from aat.backends import make_backend
 from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
+from aat.pipeline import catalog_problem_text
+from aat.problem import parse_problem
 from aat.ratfn import RatFn
 from aat.sampling import residual_check
 from aat.variety import QuotientContext, VarietySpec, find_primitive_element, variety_for_alpha
@@ -234,15 +236,33 @@ def test_wp_identity_and_inverse(wp_ctx):
     assert back.gap(p) <= 1e-9
 
 
-def test_group_axioms_spot(exp_ctx):
-    sys, backend, _, spec = exp_ctx
-    rng = random.Random(3)
-    a, b, c = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)] for _ in range(10)]).T
-    pts = backend_points(backend, spec, np.concatenate([a + b, b + a, (a + b) + c, a + (b + c)]))
-    ab, ba, abc1, abc2 = (pts[i : i + 10] for i in range(0, 40, 10))
-    for i in range(10):
+@pytest.fixture(scope="module")
+def case4_ctx():
+    spec = parse_problem(catalog_problem_text("singular2-case4", {"g2": "4", "g3": "0", "epsilon": "1"}))
+    sys = AATSystem(n=2, ring=spec.ring, polys=spec.aat_polys)
+    relations, _ = derive_first_order(sys, spec.backend, seed=42)
+    return sys, spec.backend, relations, find_primitive_element(relations, spec.backend, seed=42)
+
+
+@pytest.mark.parametrize("ctx", ["exp_ctx", "wp_ctx", "case4_ctx"])
+def test_group_axioms_spot(ctx, request):
+    # the group law through the parameters is a property of the backend: the
+    # variety points over a+b and b+a, (a+b)+c and a+(b+c), (a+b)-b, (a-b)+b and a agree
+    _, backend, _, spec = request.getfixturevalue(ctx)
+    rng = np.random.default_rng(3)
+    re, im = rng.uniform(-1, 1, (2, 3, 30, backend.n))
+    a, b, c = re + 1j * im
+    us = [a, a + b, b + a, (a + b) + c, a + (b + c), (a + b) - b, (a - b) + b]
+    clear = np.min([backend.pole_distance(u) for u in us], axis=0) >= 0.2
+    m = int(clear.sum())
+    assert m >= 10
+    pts = backend_points(backend, spec, np.concatenate([u[clear] for u in us]))
+    pa, ab, ba, abc1, abc2, sub, back = (pts[i : i + m] for i in range(0, 7 * m, m))
+    for i in range(m):
         assert ab[i].gap(ba[i]) <= 1e-10
         assert abc1[i].gap(abc2[i]) <= 1e-9
+        assert sub[i].gap(pa[i]) <= 1e-9
+        assert back[i].gap(pa[i]) <= 1e-9
 
 
 def test_uniqueness_witness_wp(wp_ctx):

@@ -125,17 +125,25 @@ def test_expected_periods(family, params):
     backend = make_backend(family, params)
     expected = backend.expected_periods()
     lat = getattr(backend, "lattice", None)
+    two_pi_i = 2j * cmath.pi
     if family in ("rational", "singular2-case1"):
         assert expected == []
+    elif family == "exp":
+        assert expected == [(two_pi_i / 2,)]  # c = 2
+    elif family == "singular2-case2":
+        assert expected == [(0, two_pi_i)]
+    elif family == "singular2-case3":
+        assert expected == [(two_pi_i, 0), (0, two_pi_i)]
     elif family == "weierstrass":
         assert expected == [(2 * lat.omega1,), (2 * lat.omega2,)]
     elif family == "singular2-case4":
         eps = backend.epsilon
         assert expected == [(2 * lat.omega1, eps * 2 * lat.eta1), (2 * lat.omega2, eps * 2 * lat.eta2)]
     else:
-        assert expected is None  # exp, cases 2, 3 and 5 state no lattice to check
+        a = float(backend.a)
+        assert expected == [(2 * lat.omega1, 2 * lat.eta1 * a), (2 * lat.omega2, 2 * lat.eta2 * a), (0, two_pi_i)]
     u = np.array((0.31 + 0.17j, 0.2 - 0.1j)[: backend.n])
-    values = backend.value_jacobian([u] + [u + np.array(vec) for vec in expected or []])[0]
+    values = backend.value_jacobian([u] + [u + np.array(vec) for vec in expected])[0]
     for shifted in values[1:]:
         assert np.all(abs(shifted - values[0]) < 1e-9 * (1 + abs(values[0])))
 

@@ -54,6 +54,23 @@ def test_derive_missing_file_exit_two(tmp_path):
     assert payload["failure"]["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize(
+    "make,error",
+    [
+        (lambda path: path.mkdir(), "IsADirectoryError"),
+        (lambda path: path.write_bytes(b"\xff\xfe[mapping]\n"), "ProblemError"),
+    ],
+    ids=["directory", "not-utf8"],
+)
+def test_unreadable_problem_exit_two(tmp_path, make, error):
+    problem = tmp_path / "unreadable.aat"
+    make(problem)
+    out = tmp_path / "unreadable.json"
+    assert run(["all", str(problem), "-o", str(out)]) == 2
+    failure = json.loads(out.read_text())["failure"]
+    assert failure["stage"] == "load" and failure["error"] == error
+
+
 def test_bad_problem_exit_two(tmp_path):
     bad = tmp_path / "bad.aat"
     bad.write_text("[mapping]\nn = 2\nfamily = exp\n[aat]\nG1 = L1 - x1*y1\n")
@@ -91,6 +108,9 @@ def test_family_dimension_mismatch_exit_two(tmp_path, family, n, family_n):
         ("n = 1\nfamily = exp\nparam c = 0\n", "G1 = L1 - x1*y1\n", "c = 0 is the constant map"),
         # case 5 has no closed addition polynomials
         ("n = 2\nfamily = singular2-case5\nparam g2 = 4\nparam g3 = 0\n", "G1 = auto\nG2 = auto\n", "singular2-case5"),
+        # the backends evaluate in floats, where 1e400 overflows
+        ("n = 1\nfamily = exp\nparam c = 1e400\n", "G1 = auto\n", "1e400 is outside the float range"),
+        ("n = 1\nfamily = weierstrass\nparam g2 = 1e400\nparam g3 = 0\n", "G1 = auto\n", "1e400 is outside the float range"),
     ],
 )
 def test_bad_family_params_exit_two_at_load(tmp_path, mapping, aat, message):

@@ -6,7 +6,7 @@ import pytest
 
 from aat import naming
 from aat.backends import make_backend
-from aat.derivatives import Recursion, taylor_match_check
+from aat.derivatives import Recursion
 from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
 from aat.ratfn import RatFn
@@ -113,30 +113,3 @@ def test_recursion_singular_at_half_period():
     backend, relations = _relations("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
     assert _recursion_at(relations, backend, (backend.lattice.omega1,))[2]
     assert not _recursion_at(relations, backend, (0.31 + 0.22j,))[2]
-
-
-def test_taylor_match_wp_period_pair():
-    backend, relations = _relations("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
-    a = (0.31 + 0.22j,)
-    b = (a[0] + 2 * backend.lattice.omega1,)
-    check = taylor_match_check(relations, backend, a, b, order=3)
-    assert check.applicable and check.matched
-
-
-def test_taylor_match_exp_2pi_pair():
-    backend, relations = _relations("exp", {"c": Fraction(1)}, ["L1 - x1*y1"])
-    import cmath
-
-    a = (0.2 + 0.1j,)
-    b = (a[0] + 2j * cmath.pi,)
-    check = taylor_match_check(relations, backend, a, b, order=3)
-    assert check.applicable and check.matched
-
-
-def test_taylor_match_not_applicable_for_even_pair():
-    backend, relations = _relations("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
-    a = (0.31 + 0.22j,)
-    b = (-a[0],)  # wp matches, wp' flips sign: precondition must fail
-    check = taylor_match_check(relations, backend, a, b, order=2)
-    assert not check.applicable
-    assert check.matched is None

@@ -59,6 +59,14 @@ def test_rational_param_values():
     assert spec.params["c"] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "1e-400"])
+def test_param_outside_float_range_rejected(value):
+    # 1e400 overflows a float and 1e-400 rounds to 0; neither can be evaluated
+    text = EXP_TEXT.replace("family = exp", f"family = exp\nparam c = {value}")
+    with pytest.raises(ProblemError, match="outside the float range"):
+        parse_problem(text)
+
+
 def test_arity_mismatch_rejected():
     text = """\
 [mapping]

@@ -114,6 +114,8 @@ def test_pole_and_degenerate_lattice(lem):
         Lattice(3, 1)  # g2^3 = 27 g3^2 exactly
     with pytest.raises(DomainError):
         Lattice(0, 0)
+    with pytest.raises(DomainError, match="too large"):
+        Lattice(Fraction(10**300), 0)  # g2^3 overflows a float
 
 
 def test_values_reproducible(lem):
