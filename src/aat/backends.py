@@ -110,16 +110,16 @@ class MappingBackend:
         return [None] * self.n
 
 
-# family -> (kind of each component, period box), and each kind's addition
-# polynomial.  An "add" component is f = u; an "exp" component is exp(c*u),
-# with c the parameter c of the exp family (default 1), else 1.
+# family -> kind of each component, and each kind's addition polynomial.  An
+# "add" component is f = u; an "exp" component is exp(c*u), with c the
+# parameter c of the exp family (default 1), else 1.
 _LAWS = {"add": "L{k} - x{k} - y{k}", "exp": "L{k} - x{k}*y{k}"}
 _ELEMENTARY = {
-    "exp": (("exp",), 7.0),  # the box covers 2*pi/|c| for the default rates
-    "rational": (("add",), 4.0),
-    "singular2-case1": (("add", "add"), 7.0),
-    "singular2-case2": (("add", "exp"), 7.0),
-    "singular2-case3": (("exp", "exp"), 7.0),
+    "exp": ("exp",),
+    "rational": ("add",),
+    "singular2-case1": ("add", "add"),
+    "singular2-case2": ("add", "exp"),
+    "singular2-case3": ("exp", "exp"),
 }
 
 
@@ -129,7 +129,7 @@ class ElementaryBackend(MappingBackend):
 
     def __init__(self, family: str, params: dict):
         super().__init__(family)
-        self.kinds, self._period_box = _ELEMENTARY[family]
+        self.kinds = _ELEMENTARY[family]
         self.c = Fraction(params.get("c", 1)) if family == "exp" else Fraction(1)
         if self.c == 0:
             raise StructuralError("exp needs c != 0; c = 0 is the constant map")
@@ -163,7 +163,11 @@ class ElementaryBackend(MappingBackend):
         return [Fraction(1) if kind == "exp" else Fraction(0) for kind in self.kinds]
 
     def period_box(self) -> float:
-        return self._period_box
+        # the Newton seeds reach past the longest period; 7.0 is the least box
+        periods = self.expected_periods()
+        if not periods:
+            return 4.0
+        return max(7.0, 1.1 * max(abs(c) for p in periods for c in p))
 
 
 class LatticeBackend(MappingBackend):

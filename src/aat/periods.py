@@ -57,13 +57,13 @@ def _solve(jac, rhs):
     return x / det[:, None], ok
 
 
-def _newton(backend, target, seeds, *, iters=40, tol=1e-12):
+def _newton(backend, target, seeds, *, iters=40, tol=1e-12, max_step=8.0):
     """Solve F(b) = target by damped Newton from every seed at once.
 
     Returns (b[N, n], jac[N, n, n], converged[N]).  Each row follows the
     rules of a single solve: it stops at a pole, at a singular derivative
-    matrix or a step longer than 8; a step is halved at most 5 times and is
-    taken only if it lowers the largest mismatch.
+    matrix or a step longer than `max_step`; a step is halved at most 5 times
+    and is taken only if it lowers the largest mismatch.
     """
     b = np.array(seeds, dtype=complex)
     val, jac, bad = backend.value_jacobian(b)
@@ -79,7 +79,7 @@ def _newton(backend, target, seeds, *, iters=40, tol=1e-12):
         if not len(rows):
             break
         step, ok = _solve(jac[rows], err[rows])
-        ok &= np.max(np.abs(step), axis=1) <= 8.0
+        ok &= np.max(np.abs(step), axis=1) <= max_step
         live[rows[~ok]] = False
         rows, step = rows[ok], step[ok]
         # backtracking keeps wildly overshooting steps inside the basin
@@ -283,7 +283,8 @@ def detect_period(
             for o1 in offsets_1d
             for o2 in offs
         ]
-    solved, jacs, converged = _newton(backend, target, seeds)
+    # a box wider than 8 has seeds farther than 8 from the nearest period
+    solved, jacs, converged = _newton(backend, target, seeds, max_step=max(8.0, box))
     rows = np.flatnonzero(converged)
     diffs = solved[rows] - np.array(base)
     far = np.max(np.abs(diffs), axis=1) >= 1e-6

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +32,17 @@ def test_single_stage_run_has_expected_sections():
     echo = section["spec_echo"]["options"]
     assert echo["effective_box"] == 1.2
     assert echo["effective_period_box"] == 7.0
+
+
+@pytest.mark.parametrize("c", ["1/1000", "1/10", "20"])
+def test_exp_period_recovered_at_any_rate(c):
+    # the seed box grows with the period 2*pi*i/c; faster rates keep the least box, 7
+    spec = parse_problem(catalog_problem_text("exp", {"c": c}))
+    section = run_problem(spec, ["period"])
+    passed = {v["id"]: v["pass"] for v in section["verdicts"]}
+    assert passed["period lattice recovered"] is True
+    period = 2 * math.pi / abs(float(Fraction(c)))
+    assert section["spec_echo"]["options"]["effective_period_box"] == max(7.0, 1.1 * period)
 
 
 def test_timings_flag_adds_section_and_breaks_nothing():
