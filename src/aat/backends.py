@@ -84,12 +84,16 @@ class MappingBackend:
         those with a non-finite entry (an evaluation that overflows).
         """
         pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
-        shape = (len(pts),)
-        bad = np.zeros(shape, dtype=bool)
+        bad = np.zeros(len(pts), dtype=bool)
         with np.errstate(all="ignore"):
-            vals, jac = self._map(tuple(pts.T), bad)
-        values = np.stack([np.broadcast_to(v, shape) for v in vals], axis=-1)
-        jac = np.stack([np.stack([np.broadcast_to(e, shape) for e in row], axis=-1) for row in jac], axis=-2)
+            vals, rows = self._map(tuple(pts.T), bad)
+        # an entry is an array over the rows or one scalar for all of them
+        values = np.empty((len(pts), self.n), dtype=complex)
+        jac = np.empty((len(pts), self.n, self.n), dtype=complex)
+        for k, (value, row) in enumerate(zip(vals, rows)):
+            values[:, k] = value
+            for p, entry in enumerate(row):
+                jac[:, k, p] = entry
         bad |= ~(np.isfinite(values).all(axis=1) & np.isfinite(jac).all(axis=(1, 2)))
         return values, jac, bad
 

@@ -12,6 +12,10 @@ Exit status: 0 when every verdict passes, 1 on any failed verdict or stage
 error, 2 for unusable input.  The JSON report is always written, also on
 failure.  Reports are byte-identical across reruns with the same seed;
 `--timings` adds wall-clock numbers at the cost of that guarantee.
+
+`aat catalog` runs its eight sections on up to min(8, CPUs) worker processes;
+the report is the same as with one.  Its `--timings` stage times are wall
+times within each section, which read higher when the sections share CPUs.
 """
 
 from __future__ import annotations

@@ -34,6 +34,23 @@ def test_exp_all_exit_zero_and_relation(tmp_path):
     assert payload["problem"]["relations"]["1_1"]["poly"] == "z1_1 - x1"
 
 
+def test_all_imports_no_process_pool(tmp_path):
+    # only `aat catalog` starts worker processes; every other command would
+    # pay for importing the pool modules at start-up
+    out = tmp_path / "exp.json"
+    check = (
+        "import sys, aat.cli\n"
+        f"assert aat.cli.run(['all', 'problems/exp.aat', '-o', {str(out)!r}]) == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, cwd=REPO, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_equianharmonic_all_exit_zero(tmp_path):
     # g2 = 0 leaves only every third Laurent coefficient nonzero
     out = tmp_path / "equianharmonic.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,33 @@ def test_catalog_period_only_failure_is_reported(monkeypatch):
     assert case5["failure"] == {"stage": "period", "error": "SamplingError", "message": "no usable sample points"}
     assert {"id": "stage period", "pass": False, "detail": "no usable sample points"} in case5["verdicts"]
     assert all(s["ok"] for s in result["catalog"] if s is not case5)
+
+
+def test_catalog_sections_do_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    parallel = run_catalog(seed=42)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    sequential = run_catalog(seed=42)
+    assert render_report(parallel) == render_report(sequential)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_catalog_uncaught_error_reaches_the_caller(monkeypatch, cpus):
+    # an error outside the stage loop's verdict errors is raised, not reported,
+    # with or without worker processes, and leaves no worker behind
+    detect = pipeline.detect_period
+
+    def failing(backend, **kwargs):
+        if backend.family == "singular2-case5":
+            raise RuntimeError("detector broke")
+        return detect(backend, **kwargs)
+
+    monkeypatch.setattr(pipeline, "detect_period", failing)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    with pytest.raises(RuntimeError, match="detector broke"):
+        run_catalog(seed=42)
+    assert multiprocessing.active_children() == []
 
 
 def test_generic_lattice_full_pipeline():
