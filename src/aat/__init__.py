@@ -11,6 +11,13 @@ catalog).
 
 __version__ = "0.1.0"
 
+import os
+
+# One OpenBLAS thread: the largest linear algebra here is a least-squares
+# solve with a few columns, and an idle pool busy-waits after every call.
+# Set before numpy is imported; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .rings import AlgebraError, DomainError, MPoly, PoleError, StructuralError, VarRing
 
 

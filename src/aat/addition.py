@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -228,7 +229,7 @@ def _discriminant_root(disc: MPoly, spec: VarietySpec, fring: VarRing):
     if lead is None or low is None or not lead.is_constant():
         return None
     # theta^2 = W(x) on the variety
-    w_x = rename(low.scale(-1 / lead.constant_value()), {naming.THETA: "x0"}, fring)
+    w_x = rename(low.scale(Fraction(-1, lead.constant_value())), {naming.THETA: "x0"}, fring)
     w_y = rename(w_x, {naming.x(1): naming.y(1)}, fring)
     quotient = RatFn(disc, w_x * w_y)
     s_num = poly_sqrt(quotient.num)
@@ -284,7 +285,7 @@ def _fold_theta_powers(p: MPoly, spec: VarietySpec, fring: VarRing) -> MPoly:
     lead = vc.get(spec.h)
     if lead is None or not lead.is_constant():
         return p
-    scale = -1 / lead.constant_value()
+    scale = Fraction(-1, lead.constant_value())
     for slot, xname in (("x0", naming.x(1)), ("y0", naming.y(1))):
         tail = {
             d: rename(c.scale(scale), {naming.THETA: slot, naming.x(1): xname}, fring)

@@ -189,12 +189,14 @@ class LatticeBackend(MappingBackend):
         """Arguments of the Weierstrass functions that must stay off the lattice."""
         return (u[0],)
 
-    def _weierstrass(self, w, bad):
-        """(p, p', zeta, sigma) at the array w, reduced once; the pole test
-        reads the same reduction the evaluation runs on."""
+    def _weierstrass(self, w, bad, count=4):
+        """The first `count` of (p, p', zeta, sigma) at the array w, reduced
+        once; the pole test reads the same reduction the evaluation runs on."""
         reduced = self.lattice.reduce_many(w)
         bad |= np.abs(reduced[0]) < _POLE_RADIUS
-        return self.lattice.eval_many(w, reduced)
+        if count < 4:
+            return self.lattice.eval_many(w, reduced, count)
+        return self.lattice.eval_many(w, reduced)  # all four: eval_many's default
 
     def pole_distance(self, points):
         """Per row of `points`, the nearest Weierstrass argument's distance from the lattice."""
@@ -216,7 +218,7 @@ class WeierstrassBackend(LatticeBackend):
     """f(u) = p(u)."""
 
     def _map(self, u, bad):
-        p, q, _, _ = self._weierstrass(u[0], bad)
+        p, q = self._weierstrass(u[0], bad, 2)
         return (p,), ((q,),)
 
     def addition_polys(self, ring, *, seed: int = 0) -> list:
@@ -249,7 +251,7 @@ class ZetaDriftBackend(LatticeBackend):
     def _map(self, u, bad):
         u1, u2 = u
         zero = 0j
-        p, q, zt, _ = self._weierstrass(u1, bad)
+        p, q, zt = self._weierstrass(u1, bad, 3)
         drift = zt if self.epsilon else zero
         # d/du1 of (u2 - eps*zeta(u1)) = eps*wp(u1)
         d21 = self.epsilon * p if self.epsilon else zero

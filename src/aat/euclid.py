@@ -12,21 +12,24 @@ the catalog and the benchmark inputs it has not given up once.
 Only when it gives up does the second route run: it splits off the contents
 in the main variable v (their gcd by recursion on variable count) and takes
 the gcd of the two v-primitive parts from the primitive-part subresultant
-remainder sequence in v.  It answers every case, past the packing limit
-below too, and is the reference the tests hold GCDHEU to.
+remainder sequence in v.  It answers every case, past _LIMIT below too,
+and is the reference the tests hold GCDHEU to.
 
-GCDHEU and the integer fast path of `exact_div` run on packed monomials,
-private to this module: an exponent tuple of a ring of width n becomes one
-int of n 16-bit fields, the first name in the most significant one, so int
-order is descending lex order and a monomial product is one addition.  The
-top bit of every field is a guard bit; one subtraction with every guard set
-tests divisibility, since a field that would go negative clears its guard.
-Polynomials with an exponent of 2^14 (a quarter of the field range) or more
-are not packed, so no sum of two fields ever carries: `exact_div` then takes
-its generic rational path, and `gcd` its content-split fallback.  A
-remainder term with a guard bit set proves a division inexact, and a lifted
-GCDHEU digit past 2^14 rejects that evaluation point.  A unit lift needs no
-trial division: it divides both inputs, so the gcd is their common content.
+GCDHEU and `exact_div` work on the packed monomial keys that `rings`
+stores: one 16-bit field per name, the first name in the most significant
+one, so int order is descending lex order and a monomial product is one
+addition.  The top bit of every field is a guard bit, clear in every
+stored key; one subtraction with every guard set tests divisibility, since
+a field that would go negative clears its guard, and a remainder term with
+a guard bit set proves a division inexact.  The quotient loop stops at the
+first quotient coefficient that is not an integer; `exact_div` then hands
+it the pair again as an integral dividend and an integer-primitive divisor
+(by Gauss's lemma their quotient is integral when it exists) and scales
+the result back.  The integer routes take only exponents below
+_LIMIT = 2^14, a quarter of the field range: past it `exact_div` takes the
+rescaled route and `gcd` its content-split fallback, and a lifted GCDHEU
+digit past it rejects that evaluation point.  A unit lift needs no trial division: it
+divides both inputs, so the gcd is their common content.
 
 Both routes emit the gcd in canonical (descending lex) term order, so that
 numeric evaluation, which sums in insertion order, does not depend on the
@@ -49,13 +52,12 @@ runs.
 from __future__ import annotations
 
 import heapq
-import struct
 from fractions import Fraction
 from functools import reduce
 from math import gcd as _int_gcd, isqrt, lcm
 from operator import or_
 
-from .rings import DomainError, MPoly, _check_same_ring
+from .rings import _FIELD, _MASK, DomainError, MPoly, _check_same_ring, _poly
 
 
 def exact_div(a: MPoly, b: MPoly) -> MPoly:
@@ -65,80 +67,50 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
         raise DomainError("division by the zero polynomial")
     if a.is_zero():
         return a
-    if a._is_int() and b._is_int():
-        fast = _exact_div_int(a, b)
-        if fast is not None:
-            return fast
-    ring = a.ring
-    bexps, bc = b.leading()
-    out = {}
-    rem = dict(a.terms)
-    while rem:
-        exps = max(rem)
-        c = rem[exps]
-        qexps = tuple(e - f for e, f in zip(exps, bexps))
-        if any(e < 0 for e in qexps):
-            raise DomainError("inexact polynomial division")
-        qc = c / bc
-        out[qexps] = qc
-        # rem -= (qc * x^qexps) * b
-        for e2, c2 in b.terms.items():
-            t = tuple(x + y for x, y in zip(qexps, e2))
-            s = rem.get(t, Fraction(0)) - qc * c2
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return MPoly(ring, out)
+    fast = _exact_div_int(a, b)
+    if fast is not None:
+        return fast
+    # the rational route: a = A / den and b = cb * B with A integral and B
+    # integer-primitive, so by Gauss's lemma A / B is integral when it exists
+    den = lcm(*(c.denominator for c in a._packed.values()))
+    A = {k: c.numerator * (den // c.denominator) for k, c in a._packed.items()}
+    B = _int_primitive(b._packed)
+    k = next(iter(B))
+    q = _packed_quo(A, B)
+    if q is None:
+        raise DomainError("inexact polynomial division")
+    return _poly(a.ring, q).scale(Fraction(B[k], den * b._packed[k]))
 
 
 def _exact_div_int(a: MPoly, b: MPoly):
-    """Integer-coefficient fast path on packed monomials; None when the
-    quotient is not integral or an exponent is too large to pack."""
-    pack = _Packing(len(a.ring.names))
-    A, B = pack.ints(a.terms), pack.ints(b.terms)
-    if A is None or B is None:
+    """The quotient when its coefficients are integers and no exponent of a
+    or b reaches _LIMIT, else None; DomainError when b does not divide a."""
+    if _reaches_limit(a.ring, a._packed, b._packed):
         return None
-    q = _packed_quo(A, B)
-    return None if q is None else MPoly(a.ring, {pack.unpack(k): Fraction(c) for k, c in q.items()})
+    q = _packed_quo(a._packed, b._packed)
+    return None if q is None else _poly(a.ring, q)
 
 
-# Packed monomials (see the module docstring).  Inputs whose exponents reach
-# _LIMIT are not packed: then every quotient or lifted candidate exponent
-# stays below 2 * _LIMIT, and adding a divisor's field never carries.
-_FIELD = 16
-_MASK = (1 << _FIELD) - 1
+# Exponents at _LIMIT (a field's bit below the guard) or past it take the
+# rational quotient and the content-split gcd (see the module docstring).
 _LIMIT = 1 << (_FIELD - 2)
 
 
-class _Packing:
-    """Packs and unpacks the exponent tuples of one ring width."""
-
-    __slots__ = ("_struct", "_nbytes")
-
-    def __init__(self, width: int):
-        self._struct = struct.Struct(f">{width}H")  # big-endian 16-bit fields, as _FIELD
-        self._nbytes = 2 * width
-
-    def ints(self, terms: dict):
-        """{packed: numerator} of a term map with integral values, or None
-        when an exponent reaches the packing limit."""
-        if max(map(max, terms)) >= _LIMIT:
-            return None
-        pack = self._struct.pack
-        return {int.from_bytes(pack(*e), "big"): c.numerator for e, c in terms.items()}
-
-    def unpack(self, key: int) -> tuple:
-        return self._struct.unpack(key.to_bytes(self._nbytes, "big"))
+def _reaches_limit(ring, a: dict, b: dict) -> bool:
+    """Whether a key of a or b has an exponent of _LIMIT or more: stored
+    exponents are below 2 * _LIMIT, so the field's bit for _LIMIT tells."""
+    return bool((reduce(or_, a) | reduce(or_, b)) & ring._guards >> 1)
 
 
 def _packed_quo(a: dict, b: dict):
-    """Quotient of packed integer term maps in descending order; None when it
-    leaves the integers, DomainError when b does not divide a over Q.
+    """Quotient of packed term maps in descending order when each of its
+    coefficients is an integer; None when one is not, DomainError when b
+    does not divide a over Q.
 
     A monomial divides another when subtracting it from the other with every
     guard bit set clears none of them.  A remainder term with a guard bit set
-    has an exponent past any of a's, which an exact quotient never makes.
+    has an exponent past any a ring stores, which an exact quotient never
+    makes.
     """
     blead = max(b)
     bc = b[blead]
@@ -204,7 +176,7 @@ def prem(a: MPoly, b: MPoly, v: str) -> MPoly:
 
 def content_in(a: MPoly, v: str) -> MPoly:
     """GCD of the coefficients of a viewed as univariate in v."""
-    coeffs = sorted(a.coeffs_in(v).values(), key=lambda c: len(c.terms))
+    coeffs = sorted(a.coeffs_in(v).values(), key=lambda c: len(c._packed))
     if not coeffs:
         return a.ring.zero()
     if any(c.is_constant() for c in coeffs):
@@ -241,7 +213,7 @@ def gcd(a: MPoly, b: MPoly) -> MPoly:
         if g is None:
             g = _gcd_rec(a, b)
         g = g.normalized()
-    return MPoly(g.ring, dict(g.sorted_terms()))
+    return _poly(g.ring, {k: g._packed[k] for k in sorted(g._packed, reverse=True)})
 
 
 def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
@@ -267,16 +239,13 @@ _HEU_MAX_BITS = 1 << 20  # give up before image coefficients pass a megabit
 
 def _heu_gcd(a: MPoly, b: MPoly):
     """Integer-primitive gcd of two polynomials by GCDHEU, or None when it
-    gives up; the fallback returns an associate of it.  It runs on
-    packed monomials, so it gives up on exponents past the packing limit."""
-    pack = _Packing(len(a.ring.names))
-    A, B = pack.ints(_int_primitive(a.terms)), pack.ints(_int_primitive(b.terms))
-    if A is None or B is None:
+    gives up; the fallback returns an associate of it.  It gives up on
+    exponents at _LIMIT or past it."""
+    A, B = _int_primitive(a._packed), _int_primitive(b._packed)
+    if _reaches_limit(a.ring, A, B):
         return None
     g = _heu_rec(A, B)
-    if g is None:
-        return None
-    return MPoly(a.ring, {pack.unpack(e): Fraction(k) for e, k in g.items()})
+    return None if g is None else _poly(a.ring, g)
 
 
 def _int_primitive(terms: dict) -> dict:
@@ -479,7 +448,7 @@ def poly_sqrt(p: MPoly):
         texps = tuple(a - b for a, b in zip(rexps, lexps))
         if any(e < 0 for e in texps):
             return None
-        term = MPoly(ring, {texps: rc / lc})
+        term = MPoly(ring, {texps: Fraction(rc, lc)})
         root = root + term
         rem = rem - lead2 * term - term * term
         lead2 = root.scale(2)
@@ -545,7 +514,7 @@ def factor_candidates(p: MPoly, depth: int = 3) -> list:
         q = q.normalized()
         if q.is_zero() or q.is_constant():
             return
-        key = frozenset(q.terms.items())
+        key = frozenset(q._packed.items())
         if key in seen:
             return
         seen[key] = q
@@ -569,5 +538,5 @@ def factor_candidates(p: MPoly, depth: int = 3) -> list:
                 visit(exact_div(q, g), d - 1)
 
     visit(p, depth)
-    out = sorted(seen.values(), key=lambda q: (q.total_degree(), len(q.terms), str(q)))
+    out = sorted(seen.values(), key=lambda q: (q.total_degree(), len(q._packed), str(q)))
     return out

@@ -9,10 +9,19 @@ declaration and must avoid this alphabet.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 from .rings import StructuralError, VarRing
+
+# sha256 from the interpreter's builtin module, as `random` takes sha512, so
+# that no process loads OpenSSL's libcrypto for the stage seeds
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _ZW = re.compile(r"^([zw])(\d+)_(\d+)$")
 _LXY = re.compile(r"^([Lxy])(\d+)$")
@@ -94,5 +103,5 @@ def formula_ring(n: int, parameters=()) -> VarRing:
 
 def stage_seed(seed: int, label: str) -> int:
     """Deterministic per-stage RNG seed (independent of PYTHONHASHSEED)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")

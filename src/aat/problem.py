@@ -30,7 +30,7 @@ from . import naming
 from .backends import FAMILIES, make_backend
 from .elimination import AATSystem
 from .parsing import ParseError, parse_poly
-from .rings import StructuralError, VarRing
+from .rings import DomainError, StructuralError, VarRing
 
 _OPTION_TYPES = {
     "tol": float,
@@ -183,7 +183,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
         else:
             try:
                 poly = parse_poly(text, ring)
-            except ParseError as err:
+            except (ParseError, DomainError) as err:
                 raise ProblemError(f"{source}:{lineno}: G{k}: {err}") from err
         used = {name: value for name, value in params.items() if poly.degree_in(name) > 0}
         polys.append(poly.subs_exact(used))

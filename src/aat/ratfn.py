@@ -35,8 +35,8 @@ class RatFn:
                 den = euclid.exact_div(den, g)
             _, lead = den.leading()
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                num = num.scale(Fraction(1, lead))
+                den = den.scale(Fraction(1, lead))
         self.num = num
         self.den = den
 
@@ -57,7 +57,7 @@ class RatFn:
     def as_poly(self) -> MPoly:
         if not self.is_poly():
             raise DomainError(f"not a polynomial: {self}")
-        return self.num.scale(1 / self.den.constant_value())
+        return self.num.scale(Fraction(1, self.den.constant_value()))
 
     def _coerce(self, other) -> "RatFn":
         if isinstance(other, RatFn):

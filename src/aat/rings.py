@@ -2,33 +2,49 @@
 
 A ring declares an ordered alphabet of *variables* (the symbols that are
 differentiated and eliminated) and *parameters* (symbols treated as
-transcendental constants, e.g. ``g2``, ``g3``).  Internally a polynomial is a
-map from exponent tuples (variables first, parameters last) to ``Fraction``
-coefficients; no zero coefficient is ever stored.
+transcendental constants, e.g. ``g2``, ``g3``).  Every name of the ring owns
+one 16-bit field of a packed monomial key, the first name in the most
+significant field, so int order is the canonical descending lex order and a
+monomial product is one integer addition (Monagan & Pearce, CASC 2007).  A
+polynomial stores one dict from packed keys to coefficients: a Python int
+when the coefficient is integral, a ``Fraction`` only otherwise, and never
+zero.  Every operation keeps that form, so the integer coefficients that
+most of the kernel handles never pay for ``Fraction`` arithmetic.
 
-The canonical term order is lexicographic in the declared name order,
-descending.  This is the order used for leading terms, for the canonical
+The top bit of each field is a guard: a stored exponent is below
+``_EXP_LIMIT`` = 2^15, so the sum of two fields never carries into the next
+one, and a product whose exponent would reach the guard raises
+``DomainError`` instead of being stored.  ``MPoly(ring, {exponent tuple: c})``
+and ``VarRing.poly`` pack their input, and ``MPoly.terms`` is a read-only
+view keyed by exponent tuples for callers outside the kernel.
+
+The canonical term order is used for leading terms, for the canonical
 textual form (see ``MPoly.__str__``), and for all unit normalizations, so
-every derived polynomial serializes byte-stably.
-
-``MPoly.terms`` always keys by exponent tuple; the gcd and division routines
-of ``euclid`` pack the tuples into ints for the length of one call and
-unpack their results.  Term order still matters to numeric evaluation (see
-``MPoly``), so ``subs_exact`` accumulates into one dict in exactly the order
-a running sum of ``MPoly`` additions would leave, and ``normalized`` returns
-a polynomial that is already canonical unchanged.
+every derived polynomial serializes byte-stably.  Term order still matters to
+numeric evaluation (see ``MPoly``): a product keeps each monomial in the slot
+where it first appeared, ``subs_exact`` accumulates into one dict in exactly
+the order a running sum of ``MPoly`` additions would leave, and
+``normalized`` returns a polynomial that is already canonical unchanged.
 """
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _int_gcd, lcm
-from operator import add
-from typing import Iterable, Mapping, Union
+from operator import or_
+from typing import Iterable, Union
 
 import numpy as np
 
 Coeff = Union[int, Fraction]
+
+# Packed monomials: one field of _FIELD bits per ring name, its top bit a guard.
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_EXP_LIMIT = 1 << (_FIELD - 1)  # the first exponent a ring cannot store
 
 
 class AlgebraError(Exception):
@@ -47,14 +63,29 @@ class PoleError(AlgebraError):
     """Numeric evaluation hit a vanishing denominator."""
 
 
+def _coeff(c) -> Coeff:
+    """A coefficient in stored form: an int when integral, else a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _canon(acc: dict) -> dict:
+    """acc without its zero values, its integral Fractions stored as ints."""
+    return {k: c if type(c) is int or c.denominator != 1 else c.numerator for k, c in acc.items() if c}
+
+
 class VarRing:
     """Ordered alphabet of variable and parameter names.
 
     The order is fixed for the ring's lifetime; it determines the canonical
-    term order of every polynomial owned by the ring.
+    term order of every polynomial owned by the ring and the layout of its
+    packed monomial keys.
     """
 
-    __slots__ = ("variables", "parameters", "names", "_index")
+    __slots__ = ("variables", "parameters", "names", "_index", "_shifts", "_guards", "_struct", "_nbytes")
 
     def __init__(self, variables: Iterable[str], parameters: Iterable[str] = ()):
         self.variables = tuple(variables)
@@ -69,6 +100,11 @@ class VarRing:
                 raise StructuralError(f"invalid name {name!r}")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        width = len(names)
+        self._shifts = tuple(_FIELD * (width - 1 - i) for i in range(width))
+        self._guards = sum(_EXP_LIMIT << s for s in self._shifts)
+        self._struct = struct.Struct(f">{width}H")  # big-endian fields of _FIELD bits
+        self._nbytes = 2 * width
 
     @property
     def arity(self) -> int:
@@ -80,6 +116,30 @@ class VarRing:
         except KeyError:
             raise StructuralError(f"unknown name {name!r} in ring {self.names}") from None
 
+    def pack(self, exps) -> int:
+        """The packed key of an exponent tuple; DomainError at an exponent
+        of _EXP_LIMIT or more."""
+        exps = tuple(exps)
+        if len(exps) != len(self.names) or min(exps) < 0:
+            raise StructuralError(f"bad exponent tuple {exps} for ring of width {len(self.names)}")
+        if max(exps) >= _EXP_LIMIT:
+            name = self.names[exps.index(max(exps))]
+            raise DomainError(f"exponent {max(exps)} of {name} reaches the limit {_EXP_LIMIT}")
+        return int.from_bytes(self._struct.pack(*exps), "big")
+
+    def unpack(self, key: int) -> tuple:
+        return self._struct.unpack(key.to_bytes(self._nbytes, "big"))
+
+    def _fits(self, packed: dict) -> dict:
+        """packed itself, or DomainError when a key has a guard bit set: an
+        exponent sum reached _EXP_LIMIT (fields are below it, so no sum of
+        two of them carries into the next field)."""
+        over = reduce(or_, packed, 0) & self._guards
+        if over:
+            name = next(n for n, s in zip(self.names, self._shifts) if over >> s & _MASK)
+            raise DomainError(f"an exponent of {name} reaches the limit {_EXP_LIMIT}")
+        return packed
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VarRing)
@@ -90,6 +150,9 @@ class VarRing:
     def __hash__(self) -> int:
         return hash((self.variables, self.parameters))
 
+    def __reduce__(self):
+        return VarRing, (self.variables, self.parameters)  # the packing struct does not pickle
+
     def __repr__(self) -> str:
         if self.parameters:
             return f"VarRing({list(self.variables)}, params={list(self.parameters)})"
@@ -98,34 +161,21 @@ class VarRing:
     # -- constructors -----------------------------------------------------
 
     def zero(self) -> "MPoly":
-        return MPoly(self, {})
+        return _poly(self, {})
 
     def one(self) -> "MPoly":
-        return self.const(1)
+        return _poly(self, {0: 1})
 
     def const(self, c: Coeff) -> "MPoly":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return MPoly(self, {(0,) * len(self.names): c})
+        c = _coeff(c)
+        return _poly(self, {0: c} if c else {})
 
     def var(self, name: str) -> "MPoly":
-        exps = [0] * len(self.names)
-        exps[self.index(name)] = 1
-        return MPoly(self, {tuple(exps): Fraction(1)})
+        return _poly(self, {1 << self._shifts[self.index(name)]: 1})
 
     def poly(self, terms: Mapping[tuple, Coeff]) -> "MPoly":
         """Build a polynomial from {exponent tuple: coefficient}."""
-        width = len(self.names)
-        out = {}
-        for exps, c in terms.items():
-            exps = tuple(exps)
-            if len(exps) != width or any(e < 0 for e in exps):
-                raise StructuralError(f"bad exponent tuple {exps} for ring of width {width}")
-            c = Fraction(c)
-            if c:
-                out[exps] = out.get(exps, Fraction(0)) + c
-        return MPoly(self, {e: c for e, c in out.items() if c})
+        return MPoly(self, terms)
 
 
 def _check_same_ring(a: "MPoly", b: "MPoly") -> None:
@@ -133,64 +183,93 @@ def _check_same_ring(a: "MPoly", b: "MPoly") -> None:
         raise StructuralError(f"ring mismatch: {a.ring!r} vs {b.ring!r}")
 
 
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples, in
+    the polynomial's term order."""
+
+    __slots__ = ("_ring", "_packed")
+
+    def __init__(self, ring: VarRing, packed: dict):
+        self._ring = ring
+        self._packed = packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self):
+        return map(self._ring.unpack, self._packed)
+
+    def __getitem__(self, exps) -> Coeff:
+        try:
+            return self._packed[self._ring.pack(exps)]
+        except (AlgebraError, TypeError, struct.error):
+            raise KeyError(exps) from None
+
+    def items(self):
+        return list(zip(self, self._packed.values()))
+
+    def values(self):
+        return self._packed.values()
+
+
 class MPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Equality and the canonical text ignore the order of ``terms``, but numeric
-    evaluation (``eval_terms``) sums in dict insertion order, so its last
-    digits depend on it.  Kernel routes that can compute one result in
+    Equality and the canonical text ignore the order of the terms, but
+    numeric evaluation (``eval_terms``) sums in dict insertion order, so its
+    last digits depend on it.  Kernel routes that can compute one result in
     several ways (the gcd routes in ``euclid``) must therefore emit canonical
     (descending lex) order, or reports would change with the route taken.
     """
 
-    __slots__ = ("ring", "terms", "_allint", "_numeric")
+    __slots__ = ("ring", "_packed", "_numeric")
 
-    def __init__(self, ring: VarRing, terms: dict):
+    def __init__(self, ring: VarRing, terms: Mapping[tuple, Coeff]):
+        """The polynomial of {exponent tuple: coefficient}; equal tuples add."""
+        pack = ring.pack
+        acc: dict = {}
+        for exps, c in terms.items():
+            k = pack(exps)
+            acc[k] = acc.get(k, 0) + _coeff(c)
         self.ring = ring
-        self.terms = terms  # {exponent tuple: nonzero Fraction}; treated as frozen
-        self._allint = None
+        self._packed = _canon(acc)  # {packed key: int or non-integral Fraction}; frozen
         self._numeric = None
 
-    def _is_int(self) -> bool:
-        # integer-coefficient polynomials take a fast arithmetic path
-        if self._allint is None:
-            self._allint = all(c.denominator == 1 for c in self.terms.values())
-        return self._allint
+    @property
+    def terms(self) -> Mapping:
+        """{exponent tuple: coefficient}, read-only, in term order."""
+        return _Terms(self.ring, self._packed)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._packed)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise DomainError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self._packed[0]
 
     def degree_in(self, name: str) -> int:
         """Degree in one name; -1 for the zero polynomial."""
-        i = self.ring.index(name)
-        if not self.terms:
+        s = self.ring._shifts[self.ring.index(name)]
+        if not self._packed:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(k >> s & _MASK for k in self._packed)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._packed:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, map(self.ring.unpack, self._packed)))
 
     def names_present(self) -> tuple:
-        present = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    present.add(i)
-        return tuple(self.ring.names[i] for i in sorted(present))
+        used = reduce(or_, self._packed, 0)
+        return tuple(n for n, s in zip(self.ring.names, self.ring._shifts) if used >> s & _MASK)
 
     def variables_present(self) -> tuple:
         arity = self.ring.arity
@@ -198,39 +277,33 @@ class MPoly:
 
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the canonical leading term."""
-        if not self.terms:
+        if not self._packed:
             raise DomainError("zero polynomial has no leading term")
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        k = max(self._packed)
+        return self.ring.unpack(k), self._packed[k]
 
     def sorted_terms(self):
-        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
+        unpack = self.ring.unpack
+        return [(unpack(k), self._packed[k]) for k in sorted(self._packed, reverse=True)]
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         _check_same_ring(self, other)
-        if self._is_int() and other._is_int():
-            acc = {e: c.numerator for e, c in self.terms.items()}
-            for exps, c in other.terms.items():
-                s = acc.get(exps, 0) + c.numerator
-                if s:
-                    acc[exps] = s
-                else:
-                    acc.pop(exps, None)
-            return MPoly(self.ring, {e: Fraction(v) for e, v in acc.items()})
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
+        out = dict(self._packed)
+        for k, c in other._packed.items():
+            s = out.get(k, 0) + c
             if s:
-                out[exps] = s
+                out[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
-                out.pop(exps, None)
-        return MPoly(self.ring, out)
+                del out[k]
+        return _poly(self.ring, out)
 
     def __neg__(self):
-        return MPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _poly(self.ring, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other):
         # term by term, without negating other first; the terms come in the
@@ -239,48 +312,29 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         _check_same_ring(self, other)
-        if self._is_int() and other._is_int():
-            acc = {e: c.numerator for e, c in self.terms.items()}
-            for exps, c in other.terms.items():
-                s = acc.get(exps, 0) - c.numerator
-                if s:
-                    acc[exps] = s
-                else:
-                    acc.pop(exps)
-            return MPoly(self.ring, {e: Fraction(v) for e, v in acc.items()})
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out[exps] - c if exps in out else -c
+        out = dict(self._packed)
+        for k, c in other._packed.items():
+            s = out.get(k, 0) - c
             if s:
-                out[exps] = s
+                out[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
-                out.pop(exps)
-        return MPoly(self.ring, out)
+                del out[k]
+        return _poly(self.ring, out)
 
     def __mul__(self, other):
+        # a monomial that cancels and comes back keeps its first slot
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         _check_same_ring(self, other)
-        if not self.terms or not other.terms:
-            return self.ring.zero()
-        if self._is_int() and other._is_int():
-            acc: dict = {}
-            right = [(e, c.numerator) for e, c in other.terms.items()]
-            for e1, c1 in self.terms.items():
-                n1 = c1.numerator
-                for e2, n2 in right:
-                    exps = tuple(map(add, e1, e2))
-                    acc[exps] = acc.get(exps, 0) + n1 * n2
-            return MPoly(self.ring, {e: Fraction(v) for e, v in acc.items() if v})
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return MPoly(self.ring, out)
+        acc: dict = {}
+        get = acc.get
+        right = list(other._packed.items())
+        for k1, c1 in self._packed.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        return _poly(self.ring, self.ring._fits(_canon(acc)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -308,18 +362,22 @@ class MPoly:
         return NotImplemented
 
     def scale(self, c: Coeff) -> "MPoly":
-        c = Fraction(c)
-        if c == 0:
+        c = _coeff(c)
+        if not c:
             return self.ring.zero()
-        return MPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+        out = {}
+        for k, v in self._packed.items():
+            v *= c
+            out[k] = v if type(v) is int or v.denominator != 1 else v.numerator
+        return _poly(self.ring, out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        return isinstance(other, MPoly) and self.ring == other.ring and self.terms == other.terms
+        return isinstance(other, MPoly) and self.ring == other.ring and self._packed == other._packed
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, tuple(sorted(self._packed.items()))))
 
     # -- calculus and substitution ------------------------------------------
 
@@ -328,37 +386,29 @@ class MPoly:
         i = self.ring.index(name)
         if i >= self.ring.arity:
             raise StructuralError(f"{name!r} is a parameter, not a variable")
+        s = self.ring._shifts[i]
+        one = 1 << s
         out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
+        for k, c in self._packed.items():
+            e = k >> s & _MASK
             if e:
-                nexps = exps[:i] + (e - 1,) + exps[i + 1 :]
-                s = out.get(nexps, Fraction(0)) + c * e
-                if s:
-                    out[nexps] = s
-                else:
-                    out.pop(nexps, None)
-        return MPoly(self.ring, out)
+                c *= e
+                out[k - one] = c if type(c) is int or c.denominator != 1 else c.numerator
+        return _poly(self.ring, out)
 
     def coeffs_in(self, name: str) -> dict:
         """View as univariate in `name`: {degree: coefficient MPoly}."""
-        i = self.ring.index(name)
+        s = self.ring._shifts[self.ring.index(name)]
         out: dict = {}
-        for exps, c in self.terms.items():
-            d = exps[i]
-            nexps = exps[:i] + (0,) + exps[i + 1 :]
-            bucket = out.setdefault(d, {})
-            bucket[nexps] = bucket.get(nexps, Fraction(0)) + c
-        return {d: MPoly(self.ring, {e: c for e, c in bucket.items() if c}) for d, bucket in out.items()}
+        for k, c in self._packed.items():
+            d = k >> s & _MASK
+            out.setdefault(d, {})[k - (d << s)] = c
+        return {d: _poly(self.ring, bucket) for d, bucket in out.items()}
 
     def coeff_of(self, name: str, degree: int) -> "MPoly":
-        i = self.ring.index(name)
-        bucket = {}
-        for exps, c in self.terms.items():
-            if exps[i] == degree:
-                nexps = exps[:i] + (0,) + exps[i + 1 :]
-                bucket[nexps] = bucket.get(nexps, Fraction(0)) + c
-        return MPoly(self.ring, {e: c for e, c in bucket.items() if c})
+        s = self.ring._shifts[self.ring.index(name)]
+        low = degree << s
+        return _poly(self.ring, {k - low: c for k, c in self._packed.items() if k >> s & _MASK == degree})
 
     def leading_coeff_in(self, name: str) -> "MPoly":
         d = self.degree_in(name)
@@ -380,33 +430,30 @@ class MPoly:
                 _check_same_ring(self, v)
             else:
                 v = ring.const(v)
-            vals[i] = v
+            vals[ring._shifts[i]] = v
         # one accumulator, updated term by term as `out = out + term * factor`
         # would be: a new monomial is appended, a cancelled one is removed
         out: dict = {}
         pow_cache: dict = {}
-        for exps, c in self.terms.items():
-            rest = list(exps)
+        for k, c in self._packed.items():
+            rest = k
             factor = None
-            for i, v in vals.items():
-                e = exps[i]
-                rest[i] = 0
+            for s, v in vals.items():
+                e = k >> s & _MASK
                 if e:
-                    key = (i, e)
+                    rest -= e << s
+                    key = (s, e)
                     if key not in pow_cache:
                         pow_cache[key] = v**e
                     factor = pow_cache[key] if factor is None else factor * pow_cache[key]
-            rest = tuple(rest)
-            products = [(rest, c)] if factor is None else [
-                (tuple(map(add, rest, e2)), c * c2) for e2, c2 in factor.terms.items()
-            ]
+            products = [(rest, c)] if factor is None else [(rest + k2, c * c2) for k2, c2 in factor._packed.items()]
             for t, tc in products:
                 s = out.get(t, 0) + tc
                 if s:
-                    out[t] = s
+                    out[t] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     out.pop(t, None)
-        return MPoly(ring, out)
+        return _poly(ring, ring._fits(out))
 
     def eval_numeric(self, values: Mapping[str, complex]) -> complex:
         """Evaluate in complex double precision; every present name must be bound."""
@@ -451,8 +498,9 @@ class MPoly:
     def _numeric_form(self) -> tuple:
         """(indices of the names present, [(coefficient, ((index, exponent), ...))])."""
         if self._numeric is None:
+            unpack = self.ring.unpack
             monomials = [
-                (complex(c), tuple((i, e) for i, e in enumerate(exps) if e)) for exps, c in self.terms.items()
+                (complex(c), tuple((i, e) for i, e in enumerate(unpack(k)) if e)) for k, c in self._packed.items()
             ]
             used = sorted({i for _, factors in monomials for i, _ in factors})
             self._numeric = (used, monomials)
@@ -462,24 +510,25 @@ class MPoly:
 
     def content_rational(self) -> Fraction:
         """Positive rational content: gcd of numerators over lcm of denominators."""
-        if not self.terms:
+        if not self._packed:
             return Fraction(0)
-        coeffs = self.terms.values()
+        coeffs = self._packed.values()
         return Fraction(_int_gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
 
     def normalized(self) -> "MPoly":
         """Canonical associate: integer-primitive with positive leading
         coefficient; the polynomial itself when it is one already."""
-        if not self.terms:
+        if not self._packed:
             return self
-        content = self.content_rational()
-        _, lead = self.leading()
-        if content == 1 and lead > 0:
+        coeffs = self._packed.values()
+        num = _int_gcd(*(c.numerator for c in coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        if self._packed[max(self._packed)] < 0:
+            num = -num
+        elif num == 1 and den == 1:
             return self
-        scale = 1 / content
-        if lead < 0:
-            scale = -scale
-        return self.scale(scale)
+        # c / (num / den), exactly: num divides every numerator
+        return _poly(self.ring, {k: c.numerator * (den // c.denominator) // num for k, c in self._packed.items()})
 
     # -- canonical text --------------------------------------------------------
 
@@ -499,7 +548,7 @@ class MPoly:
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for pos, (exps, c) in enumerate(self.sorted_terms()):
@@ -521,18 +570,34 @@ class MPoly:
         return f"MPoly({self})"
 
 
+_new = object.__new__
+
+
+def _poly(ring: VarRing, packed: dict) -> MPoly:
+    """An MPoly on a dict already in stored form, which it takes over."""
+    p = _new(MPoly)
+    p.ring = ring
+    p._packed = packed
+    p._numeric = None
+    return p
+
+
 def rename(p: MPoly, mapping: Mapping[str, str], ring: VarRing) -> MPoly:
     """Re-home a polynomial into another ring containing every name it uses,
     renaming the names in `mapping` on the way; StructuralError when a name
-    is absent."""
+    is absent or two names land on one."""
+    src = p.ring
+    used = reduce(or_, p._packed, 0)
+    moves = []
+    for name, s in zip(src.names, src._shifts):
+        if used >> s & _MASK:
+            moves.append((s, ring._shifts[ring.index(mapping.get(name, name))]))
+    if len({t for _, t in moves}) != len(moves):
+        raise StructuralError(f"renaming {src.names} into {ring.names} merges two names")
     out = {}
-    width = len(ring.names)
-    for exps, c in p.terms.items():
-        nexps = [0] * width
-        for i, e in enumerate(exps):
-            if e:
-                name = p.ring.names[i]
-                j = ring.index(mapping.get(name, name))
-                nexps[j] = e
-        out[tuple(nexps)] = c
-    return MPoly(ring, out)
+    for k, c in p._packed.items():
+        nk = 0
+        for s, t in moves:
+            nk |= (k >> s & _MASK) << t
+        out[nk] = c
+    return _poly(ring, out)

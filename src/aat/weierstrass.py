@@ -8,14 +8,16 @@ sits too close to the cell boundary.  No theta functions anywhere.
 
 There is one evaluator, `Lattice.eval_many`, and it works on numpy arrays:
 `reduce_many` moves every point into the fundamental cell, the series of p,
-p', zeta and log(sigma/u) are four coefficient rows per lattice summed by one
-Horner kernel in u^2, the duplication steps run masked by each point's
+p', zeta and log(sigma/u) are four coefficient rows per lattice summed by
+one Horner kernel in u^2, the duplication steps run masked by each point's
 halving count, and `_unreduce` applies the quasi-periodic shifts of zeta and
-sigma.  The number of terms comes from a tail bound, not from watching the
-terms: with c_k = (2k-1) G_{2k} and |G_{2k}| <= rho^(4-2k) * sum'|w|^-4
-(DLMF 23.9, rho the shortest period), the tail after K terms is geometric in
-(|u|/rho)^2, so K follows from the largest reduced |u| of the batch.  A
-lattice point comes back as nan, never as an exception.
+sigma.  A caller asks for the leading functions it reads (p and p' always,
+then zeta, then sigma), and only those are summed, doubled and shifted.  The
+number of terms comes from a tail bound, not from watching the terms: with
+c_k = (2k-1) G_{2k} and |G_{2k}| <= rho^(4-2k) * sum'|w|^-4 (DLMF 23.9, rho
+the shortest period), the tail after K terms is geometric in (|u|/rho)^2, so
+K follows from the largest reduced |u| of the batch.  A lattice point comes
+back as nan, never as an exception.
 
 Correctness is asserted through the lattice invariants (p(omega_i) = e_i, the
 zeta/sigma quasi-periodicity shifts), never through hard-coded constants.
@@ -68,29 +70,37 @@ def _cubic_roots(g2: complex, g3: complex):
 
 
 def _horner(coeffs, z):
-    """sum_j coeffs[j] * z^(len - 1 - j), highest power first."""
-    acc = 0
+    """sum_j coeffs[j] * z^(len - 1 - j), highest power first, in one buffer."""
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[1:], z.shape), dtype=complex)
     for c in coeffs:
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 
 def _laurent(u, z, sums):
-    """(p, p', zeta, log(sigma/u)) at u from the four Horner sums at z = u^2."""
-    hp, hq, hz, hs = sums
-    return 1.0 / z + z * hp, -2.0 / (z * u) + u * hq, 1.0 / u + u * z * hz, z * z * hs
+    """The first len(sums) of (p, p', zeta, sigma) at u from their Horner sums
+    at z = u^2 (sigma's sum is that of log(sigma/u))."""
+    out = [1.0 / z + z * sums[0], -2.0 / (z * u) + u * sums[1]]
+    if len(sums) > 2:
+        out.append(1.0 / u + u * z * sums[2])
+    if len(sums) > 3:
+        out.append(u * np.exp(z * z * sums[3]))
+    return out
 
 
-def _duplicate(p, q, zt, sg, g2):
-    """(p, p', zeta, sigma) at 2u from their values at u; needs p'(u) != 0."""
+def _duplicate(fs, g2):
+    """The same leading entries of (p, p', zeta, sigma) at 2u from their
+    values at u; needs p'(u) != 0."""
+    p, q = fs[:2]
     r = 6 * p * p - g2 / 2
     s3 = 12 * p * q
-    return (
-        -2 * p + (r / (2 * q)) ** 2,
-        -q + r * (s3 * q - r * r) / (4 * q**3),
-        2 * zt + r / (2 * q),
-        -(sg**4) * q,
-    )
+    out = [-2 * p + (r / (2 * q)) ** 2, -q + r * (s3 * q - r * r) / (4 * q**3)]
+    if len(fs) > 2:
+        out.append(2 * fs[2] + r / (2 * q))
+    if len(fs) > 3:
+        out.append(-(fs[3] ** 4) * q)
+    return out
 
 
 def _term_radii(tail_scale: float, rho: float) -> tuple:
@@ -172,7 +182,7 @@ class Lattice:
         self.eta1 = self.eta2 = 0j
         halves = np.array([omega1, omega2, omega1 + omega2])
         none = np.zeros(3, dtype=np.int64)
-        p, _, zt, _ = (f.tolist() for f in self.eval_many(halves, (halves, none, none)))
+        p, _, zt = (f.tolist() for f in self.eval_many(halves, (halves, none, none), 3))
         self.eta1, self.eta2 = zt[:2]
         roots = (e1, e2, e3)
         self.e_roots = tuple(min(roots, key=lambda r: abs(r - val)) for val in p)
@@ -213,12 +223,18 @@ class Lattice:
             return cand
         return None
 
-    def _unreduce(self, zt, sg, u0, m, n):
-        """zeta and sigma at u0 + 2m*omega1 + 2n*omega2 from their values at u0."""
+    def _unreduce(self, fs, u0, m, n):
+        """fs with zeta and sigma, where present, moved from u0 to
+        u0 + 2m*omega1 + 2n*omega2 by their quasi-periodic shifts."""
+        if len(fs) < 3:
+            return fs
         eta_p = 2 * m * self.eta1 + 2 * n * self.eta2
-        period = 2 * m * self.omega1 + 2 * n * self.omega2
-        sign = 1 - 2 * ((m + n + m * n) % 2)
-        return zt + eta_p, sign * np.exp(eta_p * (u0 + period / 2)) * sg
+        out = [fs[0], fs[1], fs[2] + eta_p]
+        if len(fs) > 3:
+            period = 2 * m * self.omega1 + 2 * n * self.omega2
+            sign = 1 - 2 * ((m + n + m * n) % 2)
+            out.append(sign * np.exp(eta_p * (u0 + period / 2)) * fs[3])
+        return out
 
     def reduce_many(self, us):
         """(u0, m, n) arrays with u = u0 + 2m*omega1 + 2n*omega2 and |u0| minimal.
@@ -236,14 +252,14 @@ class Lattice:
         u0, m, n = (np.take_along_axis(a, pick, axis=-1)[..., 0] for a in (cands, m, n))
         return u0, m.astype(np.int64), n.astype(np.int64)
 
-    def eval_many(self, us, reduced=None):
-        """(p, p', zeta, sigma) at every point of `us`, as complex arrays.
+    def eval_many(self, us, reduced=None, count=4):
+        """The first `count` (2 to 4) of (p, p', zeta, sigma) at every point of
+        `us`, as complex arrays; only those are summed and shifted.
 
         At a lattice point, or where a duplication step meets a critical
-        point, all four entries are nan; far from the origin sigma may
-        overflow to inf.  The term count is the one the largest reduced point
-        needs.  A caller that already holds `reduce_many(us)` passes it as
-        `reduced`.
+        point, all entries are nan; far from the origin sigma may overflow to
+        inf.  The term count is the one the largest reduced point needs.  A
+        caller that already holds `reduce_many(us)` passes it as `reduced`.
         """
         u0, m, n = self.reduce_many(us) if reduced is None else reduced
         pole = np.abs(u0) < 1e-12
@@ -258,13 +274,11 @@ class Lattice:
         z = v * v
         terms = bisect_left(self._radii, float(np.abs(v).max(initial=0.0))) + 1
         with np.errstate(all="ignore"):
-            p, q, zt, log_s = _laurent(v, z, _horner(self._rows[-terms:], z.ravel()).reshape((4,) + z.shape))
-            sg = v * np.exp(log_s)
+            fs = _laurent(v, z, _horner(self._rows[-terms:, :count], z.ravel()).reshape((count,) + z.shape))
             for step in range(int(halvings.max(initial=0))):
                 live = halvings > step
-                pole |= live & (np.abs(q) < 1e-280)
-                doubled = _duplicate(p, q, zt, sg, complex(self.g2))
-                p, q, zt, sg = (np.where(live, new, old) for new, old in zip(doubled, (p, q, zt, sg)))
-            zt, sg = self._unreduce(zt, sg, u0, m, n)
-            return tuple(np.where(pole, np.nan, f) for f in (p, q, zt, sg))
-
+                pole |= live & (np.abs(fs[1]) < 1e-280)
+                doubled = _duplicate(fs, complex(self.g2))
+                fs = [np.where(live, new, old) for new, old in zip(doubled, fs)]
+            fs = self._unreduce(fs, u0, m, n)
+            return tuple(np.where(pole, np.nan, f) for f in fs)

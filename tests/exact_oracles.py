@@ -1,10 +1,14 @@
 """Exact oracles that only the tests use: a Sylvester-determinant resultant
 (fraction-free Bareiss elimination), equality up to a rational factor,
 divisibility, a term-by-term substitution, the closed-form second
-derivative of a one-variable mapping, and the candidate-factor pool that
-runs every squarefree gcd."""
+derivative of a one-variable mapping, the candidate-factor pool that runs
+every squarefree gcd, and the kernel's term-map operations on plain dicts
+keyed by exponent tuples."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+from operator import add
 
 from aat import naming
 from aat.euclid import exact_div, gcd
@@ -159,3 +163,73 @@ def factor_candidates_reference(p: MPoly, depth: int = 3) -> list:
 
     visit(p, depth)
     return sorted(seen.values(), key=lambda q: (q.total_degree(), len(q.terms), str(q)))
+
+
+# Term maps: {exponent tuple: nonzero rational} in the order the kernel must
+# leave them.  A sum or difference updates the left operand's map term by
+# term, dropping a cancelled monomial; a product accumulates every term
+# product in turn, so a monomial that cancels and comes back keeps its
+# first slot, and drops the zeros at the end.
+
+
+def terms_of(p: MPoly) -> dict:
+    return dict(p.terms.items())
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    acc: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_diff(a: dict, i: int) -> dict:
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def ref_coeffs_in(a: dict, i: int) -> dict:
+    """{degree in name i: term map of its coefficient}, degrees in order of appearance."""
+    out: dict = {}
+    for e, c in a.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+    return out
+
+
+def ref_rename(a: dict, names: tuple, mapping: dict, target: tuple) -> dict:
+    out = {}
+    for e, c in a.items():
+        new = [0] * len(target)
+        for name, x in zip(names, e):
+            if x:
+                new[target.index(mapping.get(name, name))] = x
+        out[tuple(new)] = c
+    return out
+
+
+def ref_exact_div(a: dict, b: dict):
+    """The quotient in descending order, or None when b does not divide a."""
+    lead = max(b)
+    out = {}
+    rem = dict(a)
+    while rem:
+        e = max(rem)
+        q = tuple(x - y for x, y in zip(e, lead))
+        if min(q) < 0:
+            return None
+        qc = Fraction(rem[e]) / b[lead]
+        out[q] = qc
+        rem = ref_add(rem, {tuple(map(add, q, e2)): qc * c2 for e2, c2 in b.items()}, -1)
+    return out

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from aat import naming
 from aat.cli import run
 from aat.parsing import parse_poly
 from aat.rings import VarRing
@@ -49,6 +53,56 @@ def test_all_imports_no_process_pool(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _fresh(check: str, **env) -> str:
+    """The last line a fresh interpreter prints running `check` on this
+    checkout; `env` sets variables, or unsets those given as None."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    full = {**os.environ, "PYTHONPATH": path}
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, cwd=REPO, env=full)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def test_all_never_loads_openssl(tmp_path):
+    # the stage seeds take sha256 from the interpreter's builtin module
+    out = tmp_path / "exp.json"
+    check = (
+        "import sys, aat.cli\n"
+        f"assert aat.cli.run(['all', 'problems/exp.aat', '-o', {str(out)!r}]) == 0\n"
+        "print(sorted({'_hashlib', 'hashlib', 'ssl'} & set(sys.modules)))\n"
+    )
+    assert _fresh(check) == "[]"
+
+
+@pytest.mark.parametrize("seed,label", [(0, ""), (42, "spec-numeric-vet"), (7, "catalog:3"), (-5, "périodes")])
+def test_stage_seed_is_the_sha256_prefix(seed, label):
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    assert naming.stage_seed(seed, label) == int.from_bytes(digest[:8], "big")
+
+
+def test_import_sets_one_openblas_thread_unless_set():
+    check = "import aat, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(check, OPENBLAS_NUM_THREADS=None) == "1"
+    assert _fresh(check, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_exponent_past_the_field_limit_exits_two(tmp_path):
+    bad = tmp_path / "huge.aat"
+    bad.write_text("[mapping]\nn = 1\nfamily = exp\n[aat]\nG1 = L1 - x1*y1 + x1^40000 - x1^40000\n")
+    out = tmp_path / "huge.json"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(["all", str(bad), "-o", str(out)]) == 2
+    failure = json.loads(out.read_text())["failure"]
+    assert failure["stage"] == "load" and failure["error"] == "ProblemError"
+    assert "G1" in failure["message"] and "x1 reaches the limit 32768" in failure["message"]
+    assert "32768" in err.getvalue()
 
 
 def test_equianharmonic_all_exit_zero(tmp_path):

@@ -229,7 +229,7 @@ def test_gcd_heuristic_keeps_integer_content_of_inner_images(monkeypatch):
     assert gcd(g * (x + 3), g * (x - y + 1)) == g
     assert 2 in inner
     # the univariate level returns the gcd with its content, not its primitive part
-    pack = euclid._Packing(2).ints
+    pack = lambda terms: r.poly(terms)._packed  # noqa: E731
     assert real(pack({(1, 0): 4, (0, 0): 6}), pack({(1, 0): 8, (0, 0): 12})) == pack({(1, 0): 4, (0, 0): 6})
 
 

@@ -5,10 +5,12 @@ sympy up to associates; the packed-monomial integer quotient against the
 generic rational division; `subs_exact` against a term-by-term sum;
 `resultant` against the Sylvester-determinant oracle (not against sympy,
 which negates some resultants: 1.14 gives the wrong sign for
-2/3*x1^2*x2 + 4 and -4*x2^3 - 2 in x2).  Inputs have rational
-coefficients, ring parameters, planted common factors, and zero or constant
-operands.  The runs are derandomized and capped, so the suite is repeatable
-and cheap.
+2/3*x1^2*x2 + 4 and -4*x2^3 - 2 in x2); and every operation on packed
+monomials against the term maps of `exact_oracles`, keyed by exponent
+tuples, in value and in term order, with no integral Fraction stored.
+Inputs have rational or mixed integer and rational coefficients, ring
+parameters, planted common factors, and zero or constant operands.  The
+runs are derandomized and capped, so the suite is repeatable and cheap.
 """
 
 from fractions import Fraction
@@ -27,9 +29,20 @@ from aat.euclid import (  # noqa: E402
     squarefree_check,
     squarefree_in,
 )
-from aat.rings import DomainError, VarRing  # noqa: E402
+from aat.rings import DomainError, VarRing, rename  # noqa: E402
 
-from exact_oracles import divides, resultant_sylvester, subs_term_by_term  # noqa: E402
+from exact_oracles import (  # noqa: E402
+    divides,
+    ref_add,
+    ref_coeffs_in,
+    ref_diff,
+    ref_exact_div,
+    ref_mul,
+    ref_rename,
+    resultant_sylvester,
+    subs_term_by_term,
+    terms_of,
+)
 
 RINGS = (
     VarRing(("x1", "x2", "x3")),
@@ -343,3 +356,120 @@ def differences(draw):
 def test_sub_matches_adding_the_negation(case):
     a, b = case
     assert list((a - b).terms.items()) == list((a + (-b)).terms.items())
+
+
+mixed = st.one_of(st.integers(-6, 6).filter(bool), coefficients)
+
+
+def stored(p):
+    """p's terms in order, after checking that no integral Fraction is stored."""
+    for c in p.terms.values():
+        assert type(c) is int or c.denominator != 1, (p, c)
+    return list(p.terms.items())
+
+
+@st.composite
+def mixed_pairs(draw):
+    """(a, b) with mixed integer and rational coefficients; in some draws b
+    shares monomials with a, so that sums and products cancel terms."""
+    ring = draw(st.sampled_from(RINGS))
+    a = draw(st.one_of(polys(ring, coefficients=mixed), operands(ring)))
+    b = draw(polys(ring, coefficients=mixed))
+    if draw(st.booleans()):
+        b = b - a.scale(draw(st.sampled_from((1, -1, 2, Fraction(1, 2)))))
+    return a, b
+
+
+@SETTINGS
+@given(mixed_pairs())
+def test_arithmetic_matches_term_maps(pair):
+    a, b = pair
+    ta, tb = terms_of(a), terms_of(b)
+    assert stored(a * b) == list(ref_mul(ta, tb).items())
+    assert stored(a + b) == list(ref_add(ta, tb).items())
+    assert stored(a - b) == list(ref_add(ta, tb, -1).items())
+
+
+def test_product_keeps_the_first_slot_of_a_returning_monomial():
+    r = VarRing(("x", "y"))
+    x, y = r.var("x"), r.var("y")
+    a = x + y + 1
+    b = y - x + x * y
+    # x*y enters first, cancels at y*(-x) and comes back at 1*(x*y)
+    assert list((a * b).terms) == [(1, 1), (2, 0), (2, 1), (0, 2), (1, 2), (0, 1), (1, 0)]
+    assert list((a * b).terms.items()) == list(ref_mul(terms_of(a), terms_of(b)).items())
+
+
+@SETTINGS
+@given(st.sampled_from(RINGS).flatmap(lambda r: polys(r, max_degree=4, max_terms=6, coefficients=mixed)))
+def test_diff_coeffs_in_and_rename_match_term_maps(p):
+    ring = p.ring
+    tp = terms_of(p)
+    for i, name in enumerate(ring.variables):
+        assert stored(p.diff(name)) == list(ref_diff(tp, i).items())
+    for i, name in enumerate(ring.names):
+        got = {d: stored(c) for d, c in p.coeffs_in(name).items()}
+        assert list(got.items()) == [(d, list(c.items())) for d, c in ref_coeffs_in(tp, i).items()]
+    mapping = {ring.names[0]: "r0"}
+    target = VarRing(("extra",) + tuple(reversed(("r0",) + ring.variables[1:])), ring.parameters)
+    assert stored(rename(p, mapping, target)) == list(ref_rename(tp, ring.names, mapping, target.names).items())
+
+
+@SETTINGS
+@given(st.sampled_from(RINGS).flatmap(lambda r: st.tuples(polys(r, coefficients=mixed), polys(r, coefficients=mixed))))
+def test_exact_div_matches_term_map_division(pair):
+    q, b = pair
+    a = q * b
+    assert stored(exact_div(a, b)) == list(ref_exact_div(terms_of(a), terms_of(b)).items())
+    if not b.is_constant():
+        with pytest.raises(DomainError):
+            exact_div(a + 1, b)
+        assert ref_exact_div(terms_of(a + 1), terms_of(b)) is None
+
+
+@st.composite
+def mixed_substitutions(draw):
+    """(p, value): a mixed polynomial and a rational or polynomial value for its second name."""
+    ring = draw(st.sampled_from(RINGS))
+    value = draw(st.one_of(mixed, polys(ring, max_degree=2, coefficients=mixed)))
+    return draw(polys(ring, coefficients=mixed)), value
+
+
+@SETTINGS
+@given(mixed_substitutions())
+def test_subs_exact_with_mixed_coefficients_matches_term_by_term_sum(case):
+    p, value = case
+    bindings = {p.ring.names[1]: value}
+    assert stored(p.subs_exact(bindings)) == list(subs_term_by_term(p, bindings).terms.items())
+
+
+@SETTINGS
+@given(st.sampled_from(RINGS).flatmap(lambda r: st.tuples(*(polys(r, coefficients=mixed) for _ in range(3)))))
+def test_gcd_of_mixed_inputs_is_stored_in_canonical_order(case):
+    a, b, c = (p.scale(Fraction(k, 3)) for p, k in zip(case, (1, 2, 4)))
+    a, b = a * c, b * c
+    g = gcd(a, b)
+    terms = stored(g)
+    assert [e for e, _ in terms] == sorted(g.terms, reverse=True)
+    assert all(type(k) is int for _, k in terms)
+    for p in (a, b):
+        cofactor = ref_exact_div(terms_of(p), dict(terms))
+        assert cofactor is not None and ref_mul(dict(terms), cofactor) == terms_of(p)
+
+
+def test_an_exponent_reaching_the_guard_raises():
+    r = VarRing(("x", "y"), ("g2",))
+    x, y, g2 = r.var("x"), r.var("y"), r.var("g2")
+    top = 2**15 - 1  # the largest exponent a field stores
+    assert (y**top).degree_in("y") == top
+    assert (y**top * x).terms == {(1, top, 0): 1}
+    # a carry out of y's field would read as x; it raises instead
+    for build in (
+        lambda: y**top * y,
+        lambda: y ** (top + 1),
+        lambda: (g2 ** 20000) * (g2 ** 20000 + x),
+        lambda: (x**top * y).subs_exact({"y": x}),
+        lambda: r.poly({(0, top + 1, 0): 1}),
+    ):
+        with pytest.raises(DomainError):
+            build()

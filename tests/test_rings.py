@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -131,3 +132,21 @@ def test_transport_between_rings():
     assert str(q) == "b*a + t"
     with pytest.raises(StructuralError):
         rename(big.var("c"), {}, small)
+
+
+def test_rename_refuses_to_merge_names():
+    big = VarRing(("a", "b"), ("t",))
+    small = VarRing(("b", "a"), ("t",))
+    p = big.var("a") * big.var("b") ** 2
+    with pytest.raises(StructuralError):
+        rename(p, {"b": "a"}, small)
+    assert str(rename(big.var("b"), {"b": "a"}, small)) == "a"
+
+
+def test_polynomials_pickle():
+    ring = VarRing(("x", "y"), ("g2",))
+    x, y = ring.var("x"), ring.var("y")
+    p = x**3 * y - Fraction(2, 3) * ring.var("g2") + 5
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q.ring == ring and list(q.terms.items()) == list(p.terms.items())
+    assert q * x == p * x

@@ -188,6 +188,20 @@ def test_batch_points_reach_the_halving_region():
 
 
 @pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
+def test_eval_many_leading_functions_equal_the_full_set(g2, g3):
+    # asking for fewer functions skips the others' sums and shifts, and the
+    # ones it returns are the full evaluation's, bit for bit, nan included
+    lat = Lattice(g2, g3)
+    pts = _batch_points(lat, random.Random(f"leading:{g2}:{g3}")) + [0j, 2 * lat.omega1]
+    full = lat.eval_many(pts)
+    for count in (2, 3):
+        part = lat.eval_many(pts, count=count)
+        assert len(part) == count
+        for got, want in zip(part, full):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("g2,g3", BATCH_LATTICES)
 def test_eval_many_satisfies_the_cubic(g2, g3):
     lat = Lattice(g2, g3)
     pts = _clear_of_lattice(lat, _batch_points(lat, random.Random(f"cubic:{g2}:{g3}")), 0.25)
