@@ -2,9 +2,10 @@
 
 A backend evaluates a mapping u -> (f_1(u), ..., f_n(u)) together with its
 n x n first-derivative matrix, knows its pole set and the period lattice the
-period stage must recover, advertises special points where the mapping
-and its derivative take exact rational values (where the elimination engine
-specializes first), and builds the addition polynomials of `G = auto`.
+period stage must recover, lists the exact points where the elimination
+engine specializes (values of the mapping and its derivative in Q(sqrt(d))
+for a rational d, without the parameter v itself), and builds the addition
+polynomials of `G = auto`.
 
 There is one evaluator, `value_jacobian(points)`: each family writes its
 formula once, in `_map`, over numpy arrays (`np.exp` and
@@ -34,6 +35,9 @@ from .weierstrass import Lattice
 # points closer than this to a lattice point count as poles
 _POLE_RADIUS = 1e-6
 
+# p(v1) of the lattice families' exact points after the curve's rational roots
+_CURVE_Y = tuple(Fraction(y) for y in (0, 1, -1, 2, -2, Fraction(1, 2), 3, -3))
+
 FAMILIES = {
     "exp": 1,
     "rational": 1,
@@ -48,16 +52,17 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class ExactPoint:
-    """A base point v where the mapping and its derivative are exactly rational.
+    """The exact mapping values and derivative matrix at some base point v.
 
-    `v` is the numeric parameter value, `values` the exact mapping values and
-    `jac` the exact derivative matrix at v.
+    Every entry is rational except a `None` entry of `jac`, which stands for
+    sqrt(root); `root` is None when there is no such entry.  A point with a
+    root stands for both of its conjugates, which are both values at some v.
     """
 
     label: str
-    v: tuple
     values: tuple
     jac: tuple
+    root: Fraction | None = None
 
 
 class MappingBackend:
@@ -153,7 +158,7 @@ class ElementaryBackend(MappingBackend):
     def exact_points(self):
         slopes = [self.c if kind == "exp" else Fraction(1) for kind in self.kinds]
         values = tuple(self.values_at_zero())
-        return [ExactPoint("v=0", (0j,) * self.n, values, self._diagonal(slopes, Fraction(0)))]
+        return [ExactPoint("v=0", values, self._diagonal(slopes, Fraction(0)))]
 
     def expected_periods(self):
         # exp(c*u_k) repeats under u_k -> u_k + 2*pi*i/c; additive components never repeat
@@ -213,6 +218,25 @@ class LatticeBackend(MappingBackend):
         """G_1 of the p component, in `ring`."""
         return rename(weierstrass_addition_poly(self.g2, self.g3, self, seed=seed), {}, ring)
 
+    def _slots(self, y0: Fraction, w: Fraction | None) -> tuple:
+        """(values, jac) at a v with p(v1) = y0 and p'(v1) = w."""
+        raise NotImplementedError
+
+    def exact_points(self):
+        """Curve points: p(v1) = y0 rational, so p'(v1) = +-sqrt(d) with
+        d = 4*y0^3 - g2*y0 - g3 rational.  The curve's exact roots come first
+        (d = 0: the half-periods), then the values of _CURVE_Y with d != 0."""
+        def rhs(y0):
+            return 4 * y0**3 - self.g2 * y0 - self.g3
+
+        roots = [e for e in self.lattice.exact_e if e is not None]
+        out = []
+        for y0 in roots + [y for y in _CURVE_Y if rhs(y)]:
+            d = rhs(y0)
+            values, jac = self._slots(y0, None if d else Fraction(0))
+            out.append(ExactPoint(f"y1 = {y0}, w1_1 = {f'sqrt({d})' if d else 0}", values, jac, d or None))
+        return out
+
 
 class WeierstrassBackend(LatticeBackend):
     """f(u) = p(u)."""
@@ -224,14 +248,8 @@ class WeierstrassBackend(LatticeBackend):
     def addition_polys(self, ring, *, seed: int = 0) -> list:
         return [self._weierstrass_poly(ring, seed)]
 
-    def exact_points(self):
-        lat = self.lattice
-        out = []
-        halves = (lat.omega1, lat.omega2, lat.omega1 + lat.omega2)
-        for i, (h, e) in enumerate(zip(halves, lat.exact_e), start=1):
-            if e is not None:
-                out.append(ExactPoint(f"half-period {i}", (h,), (e,), ((Fraction(0),),)))
-        return out
+    def _slots(self, y0, w):
+        return (y0,), ((w,),)
 
     def expected_periods(self):
         lat = self.lattice
@@ -263,15 +281,10 @@ class ZetaDriftBackend(LatticeBackend):
             return [g1, parse_poly(_LAWS["add"].format(k=2), ring)]
         return [g1, rename(zeta_drift_addition_poly(self.g2, self.g3, self, seed=seed), {}, ring)]
 
-    def exact_points(self):
-        # v = (omega_i, eps*eta_i) makes f2(v) = 0 exactly
-        lat, eps, z, o = self.lattice, self.epsilon, Fraction(0), Fraction(1)
-        halves = ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2))
-        return [
-            ExactPoint(f"half-period {i}", (h, eps * eta + 0j), (e, z), ((z, z), (eps * e, o)))
-            for i, ((h, eta), e) in enumerate(zip(halves, lat.exact_e[:2]), start=1)
-            if e is not None
-        ]
+    def _slots(self, y0, w):
+        # v2 = eps*zeta(v1) makes f2(v) = 0
+        z = Fraction(0)
+        return (y0, z), ((w, z), (self.epsilon * y0, Fraction(1)))
 
     def expected_periods(self):
         # shifting u1 by 2*omega_i moves eps*zeta(u1) by 2*eps*eta_i; u2 follows
@@ -290,6 +303,9 @@ class SigmaQuotientBackend(LatticeBackend):
     def __init__(self, family: str, params: dict):
         super().__init__(family, params)
         self.a = Fraction(params.get("a", Fraction(1, 2)))
+
+    def exact_points(self):
+        return []
 
     def _map(self, u, bad):
         u1, u2 = u

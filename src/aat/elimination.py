@@ -4,11 +4,12 @@ differential relations.
 For each component k and direction p the engine forms the cross-difference of
 the differentiated addition theorem, strips the shared factor with the
 theorem itself, eliminates the value slot L_k by a resultant, fixes the
-second argument v at a point where the backend takes exact rational values
-(or reconstructs rational coefficients from a generic numeric point), and
-finally eliminates the other derivative slots, leaving one polynomial
-relation between df_k/du_p and the component values.  Every candidate factor
-is vetted numerically before it is kept.
+second argument v at one of the backend's exact points (values in Q(sqrt(d))
+for a rational d), and finally eliminates the other derivative slots, leaving
+one polynomial relation between df_k/du_p and the component values.  Every
+candidate factor is vetted numerically before it is kept.  The one numeric
+route left is the sample nullspace (`_relation_search`), for a heavy
+component whose pre-eliminant no exact point specializes.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import numpy as np
 
 from . import naming
 from .euclid import exact_div, factor_candidates, gcd, resultant
+from .generate import split_mod_square
 from .reconstruct import rational_reconstruct
 from .rings import MPoly, StructuralError, VarRing, rename
 from .sampling import DEFAULT_BOX, sequential_draws, vanishes
 
 SYMBOLIC_COST_LIMIT = 20_000  # term-count product beyond which H is not expanded symbolically
-SPECIALIZATION_ATTEMPTS = 8  # exact points, and numeric trials per candidate, tried before giving up
+SPECIALIZATION_ATTEMPTS = 8  # exact points tried before giving up
 
 
 class DegenerateSystemError(StructuralError):
@@ -139,14 +141,19 @@ def gcd_and_eliminant(gk: MPoly, delta: MPoly, k: int):
     return shared, (None if h.is_zero() else h)
 
 
-def _exact_bindings(sys: AATSystem, point) -> dict:
-    """y/w substitution map from one exact backend point."""
-    out = {}
+def _exact_bindings(sys: AATSystem, point) -> tuple:
+    """(y/w substitution map, the slot left symbolic for sqrt(point.root) or
+    None) of one exact backend point."""
+    out, slot = {}, None
     for i in range(1, sys.n + 1):
         out[naming.y(i)] = Fraction(point.values[i - 1])
         for p in range(1, sys.n + 1):
-            out[naming.w(i, p)] = Fraction(point.jac[i - 1][p - 1])
-    return out
+            c = point.jac[i - 1][p - 1]
+            if c is None:
+                slot = naming.w(i, p)
+            else:
+                out[naming.w(i, p)] = Fraction(c)
+    return out, slot
 
 
 def _is_usable_h(h: MPoly, backend, *, seed, tol) -> bool:
@@ -164,17 +171,19 @@ def specialize_v(
     H: MPoly,
     sys: AATSystem,
     backend,
+    k: int,
+    p: int,
     *,
     seed: int = 0,
     tol: float = 1e-7,
 ):
-    """Fix the second argument v, turning the eliminant into a relation in
-    the x and z variables only.
+    """Fix the second argument v at one of the backend's exact points,
+    turning the eliminant into a relation in the x and z variables only.
 
-    The backend's exact points come first: each substitutes exactly rational
-    values for v.  When every one degenerates, a generic v is fixed
-    numerically and the coefficients are lifted back to rationals by
-    continued fractions, then re-verified numerically.
+    At a point whose slot w holds sqrt(d), H becomes A + w*B modulo w^2 - d
+    with A, B free of w.  Both conjugates of sqrt(d) are values of the
+    mapping's derivative, so A and B both vanish on the image of u; A is
+    vetted first, then B.
     """
     # resultants carry extraneous factors; specialize the numerically
     # vanishing factors that still hold a derivative slot, smallest first
@@ -193,57 +202,13 @@ def specialize_v(
             if attempts >= SPECIALIZATION_ATTEMPTS:
                 break
             attempts += 1
-            h = cand.subs_exact(_exact_bindings(sys, point))
-            if _is_usable_h(h, backend, seed=naming.stage_seed(seed, f"spec:{point.label}"), tol=tol):
-                return h, SpecializationRecord("exact-point", point.label, attempts - 1)
-    rng = random.Random(naming.stage_seed(seed, "spec-numeric"))
-    for cand in cands:
-        for trial in range(SPECIALIZATION_ATTEMPTS):
-            attempts += 1
-            h = _numeric_specialize(cand, sys, backend, rng, tol=tol, seed=seed)
-            if h is not None:
-                return h, SpecializationRecord("numeric-reconstruct", f"trial {trial}", attempts - 1)
-    raise EliminationError("no generic specialization found")
-
-
-def _numeric_specialize(H: MPoly, sys: AATSystem, backend, rng, *, tol, seed):
-    found = sequential_draws(rng, 1, 30, sys.n, DEFAULT_BOX, lambda vs: _evaluations(backend, vs))
-    if not found:
-        return None
-    vals, jac = found[0]
-    numeric = {naming.y(i): vals[i - 1] for i in range(1, sys.n + 1)}
-    for i in range(1, sys.n + 1):
-        for p in range(1, sys.n + 1):
-            numeric[naming.w(i, p)] = jac[i - 1][p - 1]
-    ring = H.ring
-    yw_idx = {ring.index(n) for n in numeric}
-    buckets: dict = {}
-    for exps, c in H.terms.items():
-        factor = complex(c)
-        key = list(exps)
-        for i in yw_idx:
-            e = exps[i]
-            key[i] = 0
-            if e:
-                factor *= numeric[ring.names[i]] ** e
-        key = tuple(key)
-        buckets[key] = buckets.get(key, 0j) + factor
-    buckets = {k: c for k, c in buckets.items() if abs(c) > 1e-12}
-    if not buckets:
-        return None
-    lead = buckets[max(buckets)]
-    terms = {}
-    for exps, c in buckets.items():
-        c = c / lead
-        re = rational_reconstruct(c.real)
-        if re is None or rational_reconstruct(c.imag) != 0:
-            return None  # relation coefficients must be real rationals
-        if re:
-            terms[exps] = re
-    h = ring.poly(terms)
-    if _is_usable_h(h, backend, seed=naming.stage_seed(seed, "spec-numeric-vet"), tol=tol):
-        return h
-    return None
+            bindings, slot = _exact_bindings(sys, point)
+            h = cand.subs_exact(bindings)
+            parts = split_mod_square(h, slot, h.ring.const(point.root)) if slot else (h,)
+            for part in parts:
+                if _is_usable_h(part, backend, seed=naming.stage_seed(seed, f"spec:{point.label}"), tol=tol):
+                    return part, SpecializationRecord("exact-point", point.label, attempts - 1)
+    raise EliminationError(f"no exact point specializes the eliminant for (k={k}, p={p}) ({attempts} tried)")
 
 
 def _clean_relation(h: MPoly, backend, *, prefer_var: str | None, seed, tol) -> MPoly:
@@ -274,11 +239,10 @@ def _column_relations(sys, backend, p, *, seed, tol, trace):
             shared, H = gcd_and_eliminant(gk, delta, k)
             if H is None:
                 raise EliminationError(f"cross-difference for (k={k}, p={p}) carries no new relation")
-            h, record = specialize_v(H, sys, backend, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol)
+            h, record = specialize_v(H, sys, backend, k, p, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol)
         else:
             # the symbolic eliminant would blow up; fix v first (exact points),
-            # and when those all degenerate, reconstruct the relation's
-            # rational coefficients from backend samples
+            # and when none serves, find the relation from backend samples
             shared = sys.ring.one()
             H = None
             try:
@@ -466,10 +430,13 @@ def _specialize_then_eliminate(sys, backend, k, p, gk, delta, *, seed, tol):
     attempts = 0
     last_error = "no exact points available"
     for point in backend.exact_points():
+        bindings, slot = _exact_bindings(sys, point)
+        # a root slot left in G_k or delta would need the split inside the resultant
+        if slot and (gk.degree_in(slot) > 0 or delta.degree_in(slot) > 0):
+            continue
         if attempts >= SPECIALIZATION_ATTEMPTS:
             break
         attempts += 1
-        bindings = _exact_bindings(sys, point)
         gk_s = gk.subs_exact(bindings)
         delta_s = delta.subs_exact(bindings)
         if gk_s.degree_in(lvar) != gk.degree_in(lvar) or delta_s.degree_in(lvar) != delta.degree_in(lvar):

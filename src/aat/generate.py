@@ -39,7 +39,7 @@ def _curve_rhs(ring: VarRing, var: str, g2: Fraction, g3: Fraction) -> MPoly:
     return 4 * t**3 - ring.const(g2) * t - ring.const(g3)
 
 
-def _split_mod_square(c: MPoly, t: str, f: MPoly) -> tuple:
+def split_mod_square(c: MPoly, t: str, f: MPoly) -> tuple:
     """(c0, c1) with c = c0 + t*c1 modulo t^2 - f, both free of t."""
     parts = [c.ring.zero(), c.ring.zero()]
     for d, coeff in sorted(c.coeffs_in(t).items()):
@@ -53,8 +53,8 @@ def _eliminate_tangents(c: MPoly, g2: Fraction, g3: Fraction, lvar: str, backend
     same in y1), that involves lvar and vanishes on backend samples."""
     ring = c.ring
     fx, fy = _curve_rhs(ring, "x1", g2, g3), _curve_rhs(ring, "y1", g2, g3)
-    c0, c1 = _split_mod_square(c, "tx", fx)
-    d0, d1 = _split_mod_square(c0 * c0 - fx * c1 * c1, "ty", fy)
+    c0, c1 = split_mod_square(c, "tx", fx)
+    d0, d1 = split_mod_square(c0 * c0 - fx * c1 * c1, "ty", fy)
     r = d0 if d1.is_zero() else d0 * d0 - fy * d1 * d1
     for cand in factor_candidates(primitive_in(r.normalized(), lvar)):
         if cand.degree_in(lvar) > 0 and vanishes(cand, backend, seed=seed, tol=1e-7):

@@ -234,7 +234,7 @@ def stage_resolve(ctx: RunContext) -> None:
             }
         )
     ctx.section["formulas"] = section
-    if spec.n == 1 and ctx.sys.poly(1).degree_in(naming.L(1)) in (1, 2):
+    if out.in_scope:
         ctx.verdict("addition resolved", out.status == "resolved", out.reason or "rational formula found")
     else:
         ctx.skip("addition resolved", "outside symbolic scope (numeric verification only)")

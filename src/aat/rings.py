@@ -508,13 +508,6 @@ class MPoly:
 
     # -- normal forms ---------------------------------------------------------
 
-    def content_rational(self) -> Fraction:
-        """Positive rational content: gcd of numerators over lcm of denominators."""
-        if not self._packed:
-            return Fraction(0)
-        coeffs = self._packed.values()
-        return Fraction(_int_gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
-
     def normalized(self) -> "MPoly":
         """Canonical associate: integer-primitive with positive leading
         coefficient; the polynomial itself when it is one already."""

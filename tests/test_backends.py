@@ -157,14 +157,68 @@ def test_exp_values():
     assert pt.values == (1,) and pt.jac == ((1,),)
 
 
-def test_weierstrass_backend_half_period_values():
+def _curve_v(lattice, y0, multiplicity):
+    """A v1 with p(v1) = y0, found by Newton on p(v) - y0 from fixed starts;
+    a zero of multiplicity 2 (a root of the curve, where p' = 0) takes the
+    doubled step that keeps the convergence quadratic."""
+    for start in (0.31 + 0.17j, 0.7 - 0.4j, -0.5 + 0.9j, 1.1 + 0.05j):
+        v = start
+        for _ in range(60):
+            p, q = (f[0] for f in lattice.eval_many(np.array([v]), count=2))
+            if abs(p - y0) < 1e-13 * (1 + abs(y0)):
+                return v
+            if q == 0:
+                break
+            v -= multiplicity * (p - y0) / q
+    raise AssertionError(f"Newton found no v with p(v) = {y0}")
+
+
+LATTICE_CASES = [
+    ("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)}),
+    ("weierstrass", {"g2": Fraction(7), "g3": Fraction(-3)}),
+    ("weierstrass", {"g2": Fraction(-2), "g3": Fraction(1)}),
+    ("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)}),
+    ("singular2-case4", {"g2": Fraction(6), "g3": Fraction(1)}),
+    ("singular2-case4", {"g2": Fraction(7), "g3": Fraction(-3), "epsilon": Fraction(0)}),
+]
+
+
+@pytest.mark.parametrize("family,params", LATTICE_CASES)
+def test_curve_points_match_the_backend(family, params):
+    # each point is checked at a v found here, not at one the backend names:
+    # p(v1) = y0 by Newton, and v2 = eps*zeta(v1) puts f2(v) at 0
+    b = make_backend(family, params)
+    lat = b.lattice
+    pts = b.exact_points()
+    roots = [e for e in lat.exact_e if e is not None]
+    rest = [Fraction(y) for y in (0, 1, -1, 2, -2, Fraction(1, 2), 3, -3) if Fraction(y) not in roots]
+    assert [pt.values[0] for pt in pts] == roots + rest
+    for pt in pts:
+        y0 = pt.values[0]
+        d = 4 * y0**3 - b.g2 * y0 - b.g3
+        assert pt.root == (d or None) and (d == 0) == (y0 in roots)
+        v1 = _curve_v(lat, complex(y0), 1 if d else 2)
+        v = (v1,) if b.n == 1 else (v1, b.epsilon * lat.eval_many(np.array([v1]), count=3)[2][0])
+        values, jac, bad = b.value_jacobian([v])
+        assert not bad[0]
+        for got, exact in zip(values[0], pt.values):
+            assert abs(got - complex(exact)) < 1e-9
+        for grow, erow in zip(jac[0], pt.jac):
+            for got, exact in zip(grow, erow):
+                if exact is None:  # the slot of sqrt(root): either sign is a value
+                    assert abs(got**2 - complex(pt.root)) < 1e-8 * (1 + abs(pt.root))
+                else:
+                    assert abs(got - complex(exact)) < (1e-6 if d == 0 and exact == 0 else 1e-9)
+
+
+def test_weierstrass_backend_half_period_value_and_pole():
     b = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
     lat = b.lattice
     values, jac, bad = b.value_jacobian([(lat.omega1,), (0j,)])
     assert abs(values[0, 0] - 1) < 1e-10
     assert abs(jac[0, 0, 0]) < 1e-9
-    labels = {pt.values[0] for pt in b.exact_points()}
-    assert labels == {Fraction(1), Fraction(-1), Fraction(0)}
+    labels = [pt.label for pt in b.exact_points()]
+    assert labels[:4] == ["y1 = 1, w1_1 = 0", "y1 = -1, w1_1 = 0", "y1 = 0, w1_1 = 0", "y1 = 2, w1_1 = sqrt(24)"]
     assert bad.tolist() == [False, True]
 
 
@@ -178,7 +232,7 @@ def test_exact_roots_survive_an_invariant_denominator_past_a_million():
     assert b.exact_points()
 
 
-def test_case4_periodicity_and_exact_points():
+def test_case4_periodicity():
     b = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
     lat = b.lattice
     rng = random.Random(77)
@@ -193,15 +247,6 @@ def test_case4_periodicity_and_exact_points():
                 continue
             assert abs(v0[i, 0] - v1[i, 0]) < 1e-9 * (1 + abs(v0[i, 0]))
             assert abs(v0[i, 1] - v1[i, 1]) < 1e-9 * (1 + abs(v0[i, 1]))
-    pts = b.exact_points()
-    assert pts, "case4 should expose exact half-period points"
-    values, jacs, _ = b.value_jacobian([pt.v for pt in pts])
-    for pt, val, jac in zip(pts, values, jacs):
-        for got, exact in zip(val, pt.values):
-            assert abs(got - complex(exact)) < 1e-9
-        for grow, erow in zip(jac, pt.jac):
-            for got, exact in zip(grow, erow):
-                assert abs(got - complex(exact)) < 1e-9
 
 
 def test_case5_pole_predicate():

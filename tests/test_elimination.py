@@ -1,22 +1,32 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from aat import euclid, naming
+from aat import backends, euclid, naming
 from aat.backends import make_backend
+from aat.cli import run
 from aat.elimination import (
     AATSystem,
     DegenerateSystemError,
+    EliminationError,
     cross_difference,
     derive_first_order,
     gcd_and_eliminant,
     specialize_v,
 )
 from aat.parsing import parse_poly
+from aat.pipeline import catalog_problem_text, run_problem
+from aat.problem import parse_problem
 from aat.rings import StructuralError
 from aat.sampling import residual_check
 
 from exact_oracles import is_associate
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _system(n, texts, params=()):
@@ -88,18 +98,25 @@ def test_eliminant_strips_shared_factor(exp_sys):
 def test_specialize_exp_at_zero(exp_sys, exp_backend):
     delta = cross_difference(exp_sys, 1, 1)
     _, h = gcd_and_eliminant(exp_sys.poly(1), delta, 1)
-    hh, record = specialize_v(h, exp_sys, exp_backend, seed=3)
+    hh, record = specialize_v(h, exp_sys, exp_backend, 1, 1, seed=3)
     assert record.mode == "exact-point"
     assert is_associate(hh, parse_poly("x1 - z1_1", exp_sys.ring))
 
 
-def test_specialize_numeric_reconstruct_mode(exp_sys, exp_backend, monkeypatch):
+def test_no_exact_point_fails_the_run_naming_the_relation(exp_sys, exp_backend, monkeypatch, tmp_path):
     delta = cross_difference(exp_sys, 1, 1)
     _, h = gcd_and_eliminant(exp_sys.poly(1), delta, 1)
     monkeypatch.setattr(exp_backend, "exact_points", lambda: [])
-    hh, record = specialize_v(h, exp_sys, exp_backend, seed=3)
-    assert record.mode == "numeric-reconstruct"
-    assert is_associate(hh, parse_poly("x1 - z1_1", exp_sys.ring))
+    with pytest.raises(EliminationError, match=r"\(k=1, p=1\)"):
+        specialize_v(h, exp_sys, exp_backend, 1, 1, seed=3)
+    # the whole run exits 1, and its report names (k, p)
+    monkeypatch.setattr(backends.ElementaryBackend, "exact_points", lambda self: [])
+    out = tmp_path / "exp.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["all", str(REPO / "problems" / "exp.aat"), "-o", str(out)]) == 1
+    failure = json.loads(out.read_text())["problem"]["failure"]
+    assert failure["stage"] == "derive" and failure["error"] == "EliminationError"
+    assert "(k=1, p=1)" in failure["message"]
 
 
 def test_derive_exp(exp_sys, exp_backend):
@@ -132,6 +149,53 @@ def test_derive_weierstrass(wp_sys, wp_backend):
         relations[0].poly, wp_backend, relation_id="P11", samples=100, seed=9, tol=1e-9
     )
     assert rep.ok
+
+
+_FOUND = (Fraction(11603921581, 322346116), Fraction(-1615785, 322346116))
+
+
+@pytest.mark.parametrize(
+    "family,g2,g3",
+    [
+        ("weierstrass", Fraction(3), Fraction(0)),  # g3 = 0
+        ("weierstrass", Fraction(-2), Fraction(1)),  # complex roots
+        ("weierstrass", Fraction(-5), Fraction(-3)),  # negative invariants
+        ("weierstrass", Fraction(7), Fraction(-3)),  # three rational roots
+        ("weierstrass", *_FOUND),  # denominators past 10^6
+        ("singular2-case4", Fraction(6), Fraction(1)),  # no rational root
+    ],
+)
+def test_lattice_relations_come_from_exact_curve_points(family, g2, g3):
+    backend = make_backend(family, {"g2": g2, "g3": g3})
+    ring = naming.problem_ring(backend.n)
+    sys = AATSystem(n=backend.n, ring=ring, polys=backend.addition_polys(ring, seed=0))
+    relations, trace = derive_first_order(sys, backend, seed=42)
+    for rel in relations:
+        mode = trace.entry(rel.k, rel.p).record.mode
+        # case 4's 2_1 is the one relation found from samples (the sample nullspace)
+        numeric = family == "singular2-case4" and (rel.k, rel.p) == (2, 1)
+        assert mode == "numeric-reconstruct" if numeric else mode.startswith("exact-point"), (rel.k, rel.p, mode)
+        r = rel.poly.ring
+        z, x1 = r.var(rel.zvar), r.var("x1")
+        closed = {
+            (1, 1): z * z - 4 * x1**3 + r.const(g2) * x1 + r.const(g3),
+            (1, 2): z,
+            (2, 1): z - x1,  # d/du1 of u2 - zeta(u1) is p(u1)
+            (2, 2): z - 1,
+        }[rel.k, rel.p]
+        assert is_associate(rel.poly, closed), (rel.k, rel.p, str(rel.poly))
+
+
+def test_found_lattice_addition_resolves_from_an_exact_relation():
+    # the continued-fraction lift once gave this lattice a wrong P_11 that
+    # still passed its residual; the exact curve point gives the curve itself
+    g2, g3 = _FOUND
+    section = run_problem(parse_problem(catalog_problem_text("weierstrass", {"g2": g2, "g3": g3})), ["resolve"])
+    entry = section["trace"]["1_1"]
+    assert entry["specialization"]["mode"] == "exact-point"
+    assert section["relations"]["1_1"]["poly"] == "322346116*z1_1^2 - 1289384464*x1^3 + 11603921581*x1 - 1615785"
+    verdicts = {v["id"]: v["pass"] for v in section["verdicts"]}
+    assert verdicts["addition resolved"] is True
 
 
 def test_lemniscatic_squarefree_probes_skip_the_prs(wp_sys, monkeypatch):
