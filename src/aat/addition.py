@@ -171,12 +171,12 @@ def resolve_addition(sys, spec: VarietySpec, backend, *, seed: int = 0, tol: flo
     """Solve the addition polynomial for the value at u+v as a rational function
     on the variety (one component, value-slot degree one or two)."""
     if sys.n != 1:
-        return ResolveOutcome("unresolved", None, "symbolic resolution is limited to one component", False)
+        return ResolveOutcome("unresolved", None, "symbolic resolution is limited to one component", in_scope=False)
     g = sys.poly(1)
     lvar = naming.L(1)
     deg = g.degree_in(lvar)
     if deg not in (1, 2):
-        return ResolveOutcome("unresolved", None, f"value-slot degree {deg} not in (1, 2)", False)
+        return ResolveOutcome("unresolved", None, f"value-slot degree {deg} not in (1, 2)", in_scope=False)
     fring = naming.formula_ring(1, sys.ring.parameters)
     coeffs = {d: rename(c, {}, fring) for d, c in g.coeffs_in(lvar).items()}
     a = coeffs.get(deg, fring.zero())

@@ -431,8 +431,9 @@ def _specialize_then_eliminate(sys, backend, k, p, gk, delta, *, seed, tol):
     last_error = "no exact points available"
     for point in backend.exact_points():
         bindings, slot = _exact_bindings(sys, point)
-        # a root slot left in G_k or delta would need the split inside the resultant
-        if slot and (gk.degree_in(slot) > 0 or delta.degree_in(slot) > 0):
+        # G_k holds no w slot; a sqrt(d) slot left in delta would have to be
+        # split inside the resultant, which costs seconds on case 4's G2
+        if slot and delta.degree_in(slot) > 0:
             continue
         if attempts >= SPECIALIZATION_ATTEMPTS:
             break

@@ -103,6 +103,17 @@ def test_specialize_exp_at_zero(exp_sys, exp_backend):
     assert is_associate(hh, parse_poly("x1 - z1_1", exp_sys.ring))
 
 
+def test_specialize_keeps_the_sqrt_d_part_of_a_curve_point(wp_sys, wp_backend):
+    # H = w*C + (w^2 - fy) vanishes on the image; at y1 = 2, w1_1 = sqrt(24)
+    # its w-free part A is 0 and the relation C is the part B beside w
+    ring = wp_sys.ring
+    curve = parse_poly("z1_1^2 - 4*x1^3 + 4*x1", ring)
+    H = ring.var("w1_1") * curve + parse_poly("w1_1^2 - 4*y1^3 + 4*y1", ring)
+    h, record = specialize_v(H, wp_sys, wp_backend, 1, 1, seed=3)
+    assert (record.mode, record.point) == ("exact-point", "y1 = 2, w1_1 = sqrt(24)")
+    assert is_associate(h, curve)
+
+
 def test_no_exact_point_fails_the_run_naming_the_relation(exp_sys, exp_backend, monkeypatch, tmp_path):
     delta = cross_difference(exp_sys, 1, 1)
     _, h = gcd_and_eliminant(exp_sys.poly(1), delta, 1)
