@@ -208,7 +208,9 @@ def test_curve_points_match_the_backend(family, params):
                 if exact is None:  # the slot of sqrt(root): either sign is a value
                     assert abs(got**2 - complex(pt.root)) < 1e-8 * (1 + abs(pt.root))
                 else:
-                    assert abs(got - complex(exact)) < (1e-6 if d == 0 and exact == 0 else 1e-9)
+                    # at a root p(v) - y0 < 1e-13 leaves v off by its square
+                    # root, so p'(v) (an exact 0 there) reads about 1e-6
+                    assert abs(got - complex(exact)) < (1e-5 if d == 0 and exact == 0 else 1e-9)
 
 
 def test_weierstrass_backend_half_period_value_and_pole():
