@@ -1,15 +1,16 @@
 """The elimination pipeline: from addition-theorem polynomials to first-order
 differential relations.
 
-For each component k and direction p the engine forms the cross-difference of
-the differentiated addition theorem, strips the shared factor with the
-theorem itself, eliminates the value slot L_k by a resultant, fixes the
+For each component k and direction p there is one route (`specialize_v`).  It
+forms the cross-difference of the differentiated addition theorem, fixes the
 second argument v at one of the backend's exact points (values in Q(sqrt(d))
-for a rational d), and finally eliminates the other derivative slots, leaving
-one polynomial relation between df_k/du_p and the component values.  Every
+for a rational d, the sqrt(d) slot kept as a variable), strips the shared
+factor with the theorem itself and eliminates the value slot L_k by a
+resultant.  Finally the other derivative slots are eliminated, leaving one
+polynomial relation between df_k/du_p and the component values.  Every
 candidate factor is vetted numerically before it is kept.  The one numeric
-route left is the sample nullspace (`_relation_search`), for a heavy
-component whose pre-eliminant no exact point specializes.
+route left is the sample nullspace (`_relation_search`), for a heavy G_k
+(degree above 2 in L_k) that no exact point serves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .reconstruct import rational_reconstruct
 from .rings import MPoly, StructuralError, VarRing, rename
 from .sampling import DEFAULT_BOX, sequential_draws, vanishes
 
-SYMBOLIC_COST_LIMIT = 20_000  # term-count product beyond which H is not expanded symbolically
 SPECIALIZATION_ATTEMPTS = 8  # exact points tried before giving up
 
 
@@ -167,48 +167,65 @@ def _is_usable_h(h: MPoly, backend, *, seed, tol) -> bool:
     return vanishes(h, backend, seed=seed, tol=tol)
 
 
-def specialize_v(
-    H: MPoly,
-    sys: AATSystem,
-    backend,
-    k: int,
-    p: int,
-    *,
-    seed: int = 0,
-    tol: float = 1e-7,
-):
-    """Fix the second argument v at one of the backend's exact points,
-    turning the eliminant into a relation in the x and z variables only.
+def specialize_v(sys: AATSystem, backend, k: int, p: int, *, seed: int = 0, tol: float = 1e-7) -> TraceEntry:
+    """The trace entry of (k, p): fix the second argument v at one of the
+    backend's exact points, then eliminate L_k.
 
-    At a point whose slot w holds sqrt(d), H becomes A + w*B modulo w^2 - d
-    with A, B free of w.  Both conjugates of sqrt(d) are values of the
-    mapping's derivative, so A and B both vanish on the image of u; A is
-    vetted first, then B.
+    The point's rational slots go into G_k and the cross-difference; where
+    both keep their degree in L_k, the resultant commutes with that
+    substitution.  At a point whose slot w holds sqrt(d), the eliminant is
+    A + w*B modulo w^2 - d with A, B free of w.  Both conjugates of sqrt(d)
+    are values of the mapping's derivative, so A and B both vanish on the
+    image of u; A is vetted first, then B.
     """
-    # resultants carry extraneous factors; specialize the numerically
-    # vanishing factors that still hold a derivative slot, smallest first
-    cands = []
-    for i, cand in enumerate(factor_candidates(H)):
-        kinds = {naming.classify(n)[0] for n in cand.variables_present() if naming.classify(n)}
-        if "z" not in kinds:
+    gk, delta = sys.poly(k), cross_difference(sys, k, p)
+    lvar = naming.L(k)
+    # A heavy G_k (case 4's G2: 78 terms, degree 4 in L2) skips the sqrt(d)
+    # points whose slot delta holds: carrying sqrt(d) through its resultant
+    # raises the whole derive on (4, 0) from 36 ms to 0.49 s (2 vCPUs) and
+    # gives a quartic in place of P_21 = z2_1 - x1.  When no other point
+    # serves, it falls back to the sample nullspace.  Elsewhere such points go
+    # first, since the slot is 0 at a root of the curve and kills the relation.
+    heavy = gk.degree_in(lvar) > 2
+    points = []
+    for point in backend.exact_points():
+        bindings, slot = _exact_bindings(sys, point)
+        held = slot is not None and delta.degree_in(slot) > 0
+        if not (heavy and held):
+            points.append((not held, point, bindings, slot))
+    points.sort(key=lambda item: item[0])
+    H, notes, attempts = None, [], 0
+    for _, point, bindings, slot in points:
+        if attempts >= SPECIALIZATION_ATTEMPTS:
+            break
+        attempts += 1
+        gk_s, delta_s = gk.subs_exact(bindings), delta.subs_exact(bindings)
+        if gk_s.degree_in(lvar) != gk.degree_in(lvar) or delta_s.degree_in(lvar) != delta.degree_in(lvar):
             continue
-        if vanishes(cand, backend, seed=naming.stage_seed(seed, f"spec-factor:{i}"), tol=tol):
-            cands.append(cand)
-    if not cands:
-        cands = [H.normalized()]
-    attempts = 0
-    for cand in cands:
-        for point in backend.exact_points():
-            if attempts >= SPECIALIZATION_ATTEMPTS:
-                break
-            attempts += 1
-            bindings, slot = _exact_bindings(sys, point)
-            h = cand.subs_exact(bindings)
-            parts = split_mod_square(h, slot, h.ring.const(point.root)) if slot else (h,)
-            for part in parts:
-                if _is_usable_h(part, backend, seed=naming.stage_seed(seed, f"spec:{point.label}"), tol=tol):
-                    return part, SpecializationRecord("exact-point", point.label, attempts - 1)
-    raise EliminationError(f"no exact point specializes the eliminant for (k={k}, p={p}) ({attempts} tried)")
+        try:
+            shared, h = gcd_and_eliminant(gk_s, delta_s, k)
+        except EliminationError:
+            continue
+        if h is None:
+            continue
+        parts = split_mod_square(h, slot, h.ring.const(point.root)) if slot else (h,)
+        vet_seed = naming.stage_seed(seed, f"spec{k}{p}:{point.label}")
+        H = next((part for part in parts if _is_usable_h(part, backend, seed=vet_seed, tol=tol)), None)
+        if H is not None:
+            h, record = H, SpecializationRecord("exact-point", point.label, attempts - 1)
+            break
+    if H is None:
+        err = f"no exact point specializes the eliminant for (k={k}, p={p}) ({attempts} tried)"
+        if not heavy:
+            raise EliminationError(err)
+        shared = sys.ring.one()
+        h, record = _relation_search(sys, backend, k, p, seed=naming.stage_seed(seed, f"nullspace{k}{p}"), tol=tol)
+        notes = [f"exact specialization unavailable ({err})", "coefficients reconstructed from samples (numeric-reconstruct)"]
+    specialized = _clean_relation(
+        h, backend, prefer_var=naming.z(k, p), seed=naming.stage_seed(seed, f"hc{k}{p}"), tol=tol
+    )
+    bound = max(1, gk.degree_in(lvar)) * max(1, delta.total_degree())
+    return TraceEntry(k, p, delta, shared, H, specialized, record, None, bound, notes)
 
 
 def _clean_relation(h: MPoly, backend, *, prefer_var: str | None, seed, tol) -> MPoly:
@@ -224,61 +241,6 @@ def _clean_relation(h: MPoly, backend, *, prefer_var: str | None, seed, tol) -> 
             if vanishes(cand, backend, seed=naming.stage_seed(seed, f"clean:{i}"), tol=tol):
                 return cand.normalized()
     return h.normalized()
-
-
-def _column_relations(sys, backend, p, *, seed, tol, trace):
-    """Specialized, cleaned relations h_{k p} for one direction p, all k."""
-    out = {}
-    for k in range(1, sys.n + 1):
-        gk = sys.poly(k)
-        delta = cross_difference(sys, k, p)
-        lvar = naming.L(k)
-        cost = (len(gk.terms) * len(delta.terms)) * (gk.degree_in(lvar) + delta.degree_in(lvar) + 1)
-        notes = []
-        if cost <= SYMBOLIC_COST_LIMIT:
-            shared, H = gcd_and_eliminant(gk, delta, k)
-            if H is None:
-                raise EliminationError(f"cross-difference for (k={k}, p={p}) carries no new relation")
-            h, record = specialize_v(H, sys, backend, k, p, seed=naming.stage_seed(seed, f"h{k}{p}"), tol=tol)
-        else:
-            # the symbolic eliminant would blow up; fix v first (exact points),
-            # and when none serves, find the relation from backend samples
-            shared = sys.ring.one()
-            H = None
-            try:
-                shared, H, h, record = _specialize_then_eliminate(
-                    sys, backend, k, p, gk, delta, seed=seed, tol=tol
-                )
-                notes.append("eliminant computed after exact specialization (size policy)")
-            except EliminationError as err:
-                notes.append(f"exact specialization unavailable ({err})")
-                h, record = _relation_search(
-                    sys,
-                    backend,
-                    k,
-                    p,
-                    seed=naming.stage_seed(seed, f"nullspace{k}{p}"),
-                    tol=tol,
-                )
-                notes.append("coefficients reconstructed from samples (numeric-reconstruct)")
-        h_clean = _clean_relation(
-            h, backend, prefer_var=naming.z(k, p), seed=naming.stage_seed(seed, f"hc{k}{p}"), tol=tol
-        )
-        bound = max(1, gk.degree_in(lvar)) * max(1, delta.total_degree())
-        trace.entries[(k, p)] = TraceEntry(
-            k=k,
-            p=p,
-            delta=delta,
-            shared=shared,
-            eliminant=H,
-            specialized=h_clean,
-            record=record,
-            relation=None,
-            degree_bound=bound,
-            notes=notes,
-        )
-        out[k] = h_clean
-    return out
 
 
 def _monomials(names, total_degree):
@@ -425,39 +387,6 @@ def _vector_to_poly(vec, basis, ring):
     return ring.poly(terms)
 
 
-def _specialize_then_eliminate(sys, backend, k, p, gk, delta, *, seed, tol):
-    lvar = naming.L(k)
-    attempts = 0
-    last_error = "no exact points available"
-    for point in backend.exact_points():
-        bindings, slot = _exact_bindings(sys, point)
-        # G_k holds no w slot; a sqrt(d) slot left in delta would have to be
-        # split inside the resultant, which costs seconds on case 4's G2
-        if slot and delta.degree_in(slot) > 0:
-            continue
-        if attempts >= SPECIALIZATION_ATTEMPTS:
-            break
-        attempts += 1
-        gk_s = gk.subs_exact(bindings)
-        delta_s = delta.subs_exact(bindings)
-        if gk_s.degree_in(lvar) != gk.degree_in(lvar) or delta_s.degree_in(lvar) != delta.degree_in(lvar):
-            last_error = f"leading coefficient vanished at {point.label}"
-            continue
-        try:
-            shared, h = gcd_and_eliminant(gk_s, delta_s, k)
-        except EliminationError as err:
-            last_error = str(err)
-            continue
-        if h is None:
-            last_error = f"specialized eliminant vanished at {point.label}"
-            continue
-        if _is_usable_h(h, backend, seed=naming.stage_seed(seed, f"ste:{k}{p}:{point.label}"), tol=tol):
-            record = SpecializationRecord("exact-point/pre-eliminant", point.label, attempts - 1)
-            return shared, None, h, record
-        last_error = f"specialized eliminant failed numeric vetting at {point.label}"
-    raise EliminationError(f"no generic specialization found for (k={k}, p={p}): {last_error}")
-
-
 def derive_first_order(
     sys: AATSystem,
     backend,
@@ -471,7 +400,10 @@ def derive_first_order(
     trace = DerivationTrace()
     relations = []
     for p in range(1, sys.n + 1):
-        column = _column_relations(sys, backend, p, seed=seed, tol=tol, trace=trace)
+        column = {}
+        for k in range(1, sys.n + 1):
+            trace.entries[(k, p)] = specialize_v(sys, backend, k, p, seed=seed, tol=tol)
+            column[k] = trace.entries[(k, p)].specialized
         for k in range(1, sys.n + 1):
             poly = _isolate(sys, backend, column, k, p, seed=seed, tol=tol)
             pres = naming.relation_ring(sys.n, k, p, sys.ring.parameters)

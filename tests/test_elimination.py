@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aat import backends, euclid, naming
+from aat import backends, elimination, euclid, naming
 from aat.backends import make_backend
 from aat.cli import run
 from aat.elimination import (
@@ -96,30 +96,28 @@ def test_eliminant_strips_shared_factor(exp_sys):
 
 
 def test_specialize_exp_at_zero(exp_sys, exp_backend):
-    delta = cross_difference(exp_sys, 1, 1)
-    _, h = gcd_and_eliminant(exp_sys.poly(1), delta, 1)
-    hh, record = specialize_v(h, exp_sys, exp_backend, 1, 1, seed=3)
-    assert record.mode == "exact-point"
-    assert is_associate(hh, parse_poly("x1 - z1_1", exp_sys.ring))
+    entry = specialize_v(exp_sys, exp_backend, 1, 1, seed=3)
+    assert (entry.record.mode, entry.record.point) == ("exact-point", "v=0")
+    assert is_associate(entry.eliminant, parse_poly("x1 - z1_1", exp_sys.ring))
 
 
-def test_specialize_keeps_the_sqrt_d_part_of_a_curve_point(wp_sys, wp_backend):
-    # H = w*C + (w^2 - fy) vanishes on the image; at y1 = 2, w1_1 = sqrt(24)
-    # its w-free part A is 0 and the relation C is the part B beside w
+def test_specialize_keeps_the_sqrt_d_part_of_a_curve_point(wp_sys, wp_backend, monkeypatch):
+    # an L-free cross-difference is its own eliminant.  H = w*C + (w^2 - fy)
+    # vanishes on the image; at y1 = 2, w1_1 = sqrt(24) its w-free part A is
+    # 0 and the relation C is the part B beside w
     ring = wp_sys.ring
     curve = parse_poly("z1_1^2 - 4*x1^3 + 4*x1", ring)
     H = ring.var("w1_1") * curve + parse_poly("w1_1^2 - 4*y1^3 + 4*y1", ring)
-    h, record = specialize_v(H, wp_sys, wp_backend, 1, 1, seed=3)
-    assert (record.mode, record.point) == ("exact-point", "y1 = 2, w1_1 = sqrt(24)")
-    assert is_associate(h, curve)
+    monkeypatch.setattr(elimination, "cross_difference", lambda sys, k, p: H)
+    entry = specialize_v(wp_sys, wp_backend, 1, 1, seed=3)
+    assert (entry.record.mode, entry.record.point) == ("exact-point", "y1 = 2, w1_1 = sqrt(24)")
+    assert is_associate(entry.eliminant, curve)
 
 
 def test_no_exact_point_fails_the_run_naming_the_relation(exp_sys, exp_backend, monkeypatch, tmp_path):
-    delta = cross_difference(exp_sys, 1, 1)
-    _, h = gcd_and_eliminant(exp_sys.poly(1), delta, 1)
     monkeypatch.setattr(exp_backend, "exact_points", lambda: [])
     with pytest.raises(EliminationError, match=r"\(k=1, p=1\)"):
-        specialize_v(h, exp_sys, exp_backend, 1, 1, seed=3)
+        specialize_v(exp_sys, exp_backend, 1, 1, seed=3)
     # the whole run exits 1, and its report names (k, p)
     monkeypatch.setattr(backends.ElementaryBackend, "exact_points", lambda self: [])
     out = tmp_path / "exp.json"
@@ -182,10 +180,13 @@ def test_lattice_relations_come_from_exact_curve_points(family, g2, g3):
     sys = AATSystem(n=backend.n, ring=ring, polys=backend.addition_polys(ring, seed=0))
     relations, trace = derive_first_order(sys, backend, seed=42)
     for rel in relations:
-        mode = trace.entry(rel.k, rel.p).record.mode
+        entry = trace.entry(rel.k, rel.p)
         # case 4's 2_1 is the one relation found from samples (the sample nullspace)
         numeric = family == "singular2-case4" and (rel.k, rel.p) == (2, 1)
-        assert mode == "numeric-reconstruct" if numeric else mode.startswith("exact-point"), (rel.k, rel.p, mode)
+        assert entry.record.mode == ("numeric-reconstruct" if numeric else "exact-point"), (rel.k, rel.p)
+        if not numeric:  # v is fixed before L_k goes: no y or w slot is left
+            kinds = {naming.classify(v)[0] for v in entry.eliminant.variables_present() if naming.classify(v)}
+            assert kinds <= {"x", "z"}, (rel.k, rel.p, str(entry.eliminant))
         r = rel.poly.ring
         z, x1 = r.var(rel.zvar), r.var("x1")
         closed = {
