@@ -88,7 +88,7 @@ def compare(a: Path, b: Path) -> None:
         reports = [json.loads((d / name).read_text()) if (d / name).exists() else {} for d in (a, b)]
         old, new = (dict(_sections(r)) for r in reports)
         for label in sorted(set(old) | set(new)):
-            leaves = [dict(_leaves(side.get(label, {}))) for side in (old, new)]
+            leaves = [dict(_leaves(side[label])) if label in side else {} for side in (old, new)]
             for path in sorted(set(leaves[0]) | set(leaves[1])):
                 x, y = (side.get(path, _ABSENT) for side in leaves)
                 if x == y:
