@@ -466,7 +466,8 @@ class MPoly:
         `values` binds names to numbers for one point, or to equal-length
         complex arrays for many points at once (numbers then act as constants
         on every row); the results are then arrays too.  Either way the
-        monomials are summed in term order.
+        monomials are summed in packed-key order, so one polynomial gives the
+        same digits however its terms were built.
         """
         ring = self.ring
         used, monomials = self._numeric_form()
@@ -500,7 +501,8 @@ class MPoly:
         if self._numeric is None:
             unpack = self.ring.unpack
             monomials = [
-                (complex(c), tuple((i, e) for i, e in enumerate(unpack(k)) if e)) for k, c in self._packed.items()
+                (complex(c), tuple((i, e) for i, e in enumerate(unpack(k)) if e))
+                for k, c in sorted(self._packed.items())
             ]
             used = sorted({i for _, factors in monomials for i, _ in factors})
             self._numeric = (used, monomials)

@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aat.rings import DomainError, StructuralError, VarRing, rename
@@ -150,3 +151,16 @@ def test_polynomials_pickle():
     q = pickle.loads(pickle.dumps(p))
     assert q == p and q.ring == ring and list(q.terms.items()) == list(p.terms.items())
     assert q * x == p * x
+
+
+def test_numeric_evaluation_ignores_term_order():
+    # one polynomial, built with its terms in two orders, sums its monomials
+    # in one order: same digits, bit for bit
+    ring = VarRing(("z", "x"))
+    terms = {(2, 0): 1, (0, 3): -4, (0, 1): Fraction(7, 3)}
+    p, q = ring.poly(terms), ring.poly(dict(reversed(list(terms.items()))))
+    assert p == q and list(p.terms) != list(q.terms)
+    rng = np.random.default_rng(5)
+    values = {name: rng.normal(size=200) + 1j * rng.normal(size=200) for name in ring.names}
+    (pt, pb), (qt, qb) = p.eval_terms(values), q.eval_terms(values)
+    assert pt.tobytes() == qt.tobytes() and pb.tobytes() == qb.tobytes()
