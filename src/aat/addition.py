@@ -116,7 +116,7 @@ def derive_negation(sys, backend, *, seed: int = 0, tol: float = 1e-7) -> Negati
             modes.append(mode)
             notes.append(f"component {k}: degenerate substitution ({mode})")
             continue
-        if not vanishes(d, backend, seed=naming.stage_seed(seed, f"negD{k}"), tol=tol, y_mode="neg"):
+        if not vanishes(d, backend, seed=seed, tol=tol, y_mode="neg"):
             D.append(None)
             modes.append(mode)
             notes.append(f"component {k}: relation failed numeric vetting ({mode})")
@@ -151,17 +151,11 @@ def _negation_consequence(sys, backend, D, k, *, seed, tol):
         r = resultant(r, partners[0], vj).normalized()
         if r.is_zero():
             return None
-    best = None
-    for i, cand in enumerate(factor_candidates(r)):
-        if cand.degree_in(yk) < 1:
-            continue
-        if vanishes(cand, backend, seed=naming.stage_seed(seed, f"negE{k}:{i}"), tol=tol, y_mode="neg"):
-            best = cand
-            break
-    if best is None:
-        return None
-    ring = naming.negation_ring(sys.n, k, sys.ring.parameters)
-    return rename(best, {}, ring).normalized()
+    for cand in factor_candidates(r):
+        if cand.degree_in(yk) > 0 and vanishes(cand, backend, seed=seed, tol=tol, y_mode="neg"):
+            ring = naming.negation_ring(sys.n, k, sys.ring.parameters)
+            return rename(cand, {}, ring).normalized()
+    return None
 
 
 # -- the rational addition formula ---------------------------------------------------

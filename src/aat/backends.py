@@ -57,12 +57,15 @@ class ExactPoint:
     Every entry is rational except a `None` entry of `jac`, which stands for
     sqrt(root); `root` is None when there is no such entry.  A point with a
     root stands for both of its conjugates, which are both values at some v.
+    `curve` is the (k, p) of the entry p'(v1) = +-sqrt(d) of a curve point:
+    the entry of sqrt(root), or 0 at a root of the curve.
     """
 
     label: str
     values: tuple
     jac: tuple
     root: Fraction | None = None
+    curve: tuple | None = None
 
 
 class MappingBackend:
@@ -71,6 +74,7 @@ class MappingBackend:
     def __init__(self, family: str):
         self.family = family
         self.n = FAMILIES[family]
+        self.probe_banks = {}  # seed -> the sampling.ProbeBank of `vanishes`
 
     def _map(self, u, bad):
         """(values, jacobian rows) at the points whose coordinates are the
@@ -234,7 +238,7 @@ class LatticeBackend(MappingBackend):
         for y0 in roots + [y for y in _CURVE_Y if rhs(y)]:
             d = rhs(y0)
             values, jac = self._slots(y0, None if d else Fraction(0))
-            out.append(ExactPoint(f"y1 = {y0}, w1_1 = {f'sqrt({d})' if d else 0}", values, jac, d or None))
+            out.append(ExactPoint(f"y1 = {y0}, w1_1 = {f'sqrt({d})' if d else 0}", values, jac, d or None, (1, 1)))
         return out
 
 

@@ -10,7 +10,10 @@ resultant.  Finally the other derivative slots are eliminated, leaving one
 polynomial relation between df_k/du_p and the component values.  Every
 candidate factor is vetted numerically before it is kept.  The one numeric
 route left is the sample nullspace (`_relation_search`), for a heavy G_k
-(degree above 2 in L_k) that no exact point serves.
+(degree above 2 in L_k) that no exact point serves.  A heavy G_k tries no
+point whose curve slot p'(v1) the cross-difference holds: that slot is
+sqrt(d), too costly to carry through the resultant, or 0 at a root of the
+curve, which kills the relation.
 """
 
 from __future__ import annotations
@@ -180,19 +183,21 @@ def specialize_v(sys: AATSystem, backend, k: int, p: int, *, seed: int = 0, tol:
     """
     gk, delta = sys.poly(k), cross_difference(sys, k, p)
     lvar = naming.L(k)
-    # A heavy G_k (case 4's G2: 78 terms, degree 4 in L2) skips the sqrt(d)
-    # points whose slot delta holds: carrying sqrt(d) through its resultant
-    # raises the whole derive on (4, 0) from 36 ms to 0.49 s (2 vCPUs) and
-    # gives a quartic in place of P_21 = z2_1 - x1.  When no other point
-    # serves, it falls back to the sample nullspace.  Elsewhere such points go
-    # first, since the slot is 0 at a root of the curve and kills the relation.
+    # A heavy G_k (case 4's G2: 78 terms) skips the points whose curve slot
+    # delta holds: carrying sqrt(d) through its resultant raises the whole
+    # derive on (4, 0) from 36 ms to 0.49 s (2 vCPUs) and gives a quartic in
+    # place of P_21 = z2_1 - x1.  Elsewhere the sqrt(d) points whose slot
+    # delta holds go first, since the roots kill such a relation.
     heavy = gk.degree_in(lvar) > 2
-    points = []
+    points, skipped = [], None
     for point in backend.exact_points():
         bindings, slot = _exact_bindings(sys, point)
-        held = slot is not None and delta.degree_in(slot) > 0
-        if not (heavy and held):
-            points.append((not held, point, bindings, slot))
+        curve = naming.w(*point.curve) if point.curve else None
+        held = curve is not None and delta.degree_in(curve) > 0
+        if heavy and held:
+            skipped = curve
+        else:
+            points.append((not (held and slot), point, bindings, slot))
     points.sort(key=lambda item: item[0])
     H, notes, attempts = None, [], 0
     for _, point, bindings, slot in points:
@@ -209,8 +214,7 @@ def specialize_v(sys: AATSystem, backend, k: int, p: int, *, seed: int = 0, tol:
         if h is None:
             continue
         parts = split_mod_square(h, slot, h.ring.const(point.root)) if slot else (h,)
-        vet_seed = naming.stage_seed(seed, f"spec{k}{p}:{point.label}")
-        H = next((part for part in parts if _is_usable_h(part, backend, seed=vet_seed, tol=tol)), None)
+        H = next((part for part in parts if _is_usable_h(part, backend, seed=seed, tol=tol)), None)
         if H is not None:
             h, record = H, SpecializationRecord("exact-point", point.label, attempts - 1)
             break
@@ -218,12 +222,17 @@ def specialize_v(sys: AATSystem, backend, k: int, p: int, *, seed: int = 0, tol:
         err = f"no exact point specializes the eliminant for (k={k}, p={p}) ({attempts} tried)"
         if not heavy:
             raise EliminationError(err)
+        if skipped and not attempts:
+            err = (
+                f"no exact point tried: G{k} has degree {gk.degree_in(lvar)} in {lvar}, and the cross-difference "
+                f"holds the curve slot {skipped}, which is sqrt(d) or 0 at every curve point"
+            )
+        else:
+            err = f"exact specialization unavailable ({err})"
         shared = sys.ring.one()
-        h, record = _relation_search(sys, backend, k, p, seed=naming.stage_seed(seed, f"nullspace{k}{p}"), tol=tol)
-        notes = [f"exact specialization unavailable ({err})", "coefficients reconstructed from samples (numeric-reconstruct)"]
-    specialized = _clean_relation(
-        h, backend, prefer_var=naming.z(k, p), seed=naming.stage_seed(seed, f"hc{k}{p}"), tol=tol
-    )
+        h, record = _relation_search(sys, backend, k, p, seed=seed, tol=tol)
+        notes = [err, "coefficients reconstructed from samples (numeric-reconstruct)"]
+    specialized = _clean_relation(h, backend, prefer_var=naming.z(k, p), seed=seed, tol=tol)
     bound = max(1, gk.degree_in(lvar)) * max(1, delta.total_degree())
     return TraceEntry(k, p, delta, shared, H, specialized, record, None, bound, notes)
 
@@ -235,10 +244,8 @@ def _clean_relation(h: MPoly, backend, *, prefer_var: str | None, seed, tol) -> 
     keep = [c for c in cands if prefer_var is None or c.degree_in(prefer_var) > 0]
     pools = [keep, cands] if keep else [cands]
     for pool in pools:
-        for i, cand in enumerate(pool):
-            if cand.is_constant():
-                continue
-            if vanishes(cand, backend, seed=naming.stage_seed(seed, f"clean:{i}"), tol=tol):
+        for cand in pool:
+            if not cand.is_constant() and vanishes(cand, backend, seed=seed, tol=tol):
                 return cand.normalized()
     return h.normalized()
 
@@ -269,7 +276,7 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     target = naming.z(k, p)
     names = [naming.z(i, p) for i in range(1, sys.n + 1)]
     names += [naming.x(i) for i in range(1, sys.n + 1)]
-    rng = random.Random(naming.stage_seed(seed, "search-samples"))
+    rng = random.Random(naming.stage_seed(naming.stage_seed(seed, f"nullspace{k}{p}"), "search-samples"))
 
     def monomial_row(evaluation):
         if evaluation is None:
@@ -303,9 +310,7 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
             cand = _vector_to_poly(vec, basis, ring)
             if cand is None or cand.is_zero() or cand.degree_in(target) < 1:
                 continue
-            if vanishes(
-                cand, backend, seed=naming.stage_seed(seed, f"search-vet:{degree}"), tol=tol
-            ):
+            if vanishes(cand, backend, seed=seed, tol=tol):
                 record = SpecializationRecord(
                     "numeric-reconstruct", f"sample nullspace, degree {degree}", 0
                 )
@@ -427,13 +432,11 @@ def _isolate(sys, backend, column, k, p, *, seed, tol):
         if column[i].degree_in(var) <= 0:
             raise EliminationError(f"no relation available to eliminate {var} for (k={k}, p={p})")
         r = resultant(r, column[i], var).normalized()
-        r = _clean_relation(
-            r, backend, prefer_var=target, seed=naming.stage_seed(seed, f"iso{k}{p}{i}"), tol=tol
-        )
+        r = _clean_relation(r, backend, prefer_var=target, seed=seed, tol=tol)
         if r.is_zero():
             raise EliminationError("chain collapsed to zero")
     if r.is_zero() or r.degree_in(target) < 1:
         raise EliminationError(f"dependent eliminant chain for (k={k}, p={p})")
-    if not vanishes(r, backend, seed=naming.stage_seed(seed, f"iso-final{k}{p}"), tol=tol):
+    if not vanishes(r, backend, seed=seed, tol=tol):
         raise EliminationError(f"relation for (k={k}, p={p}) failed numeric vetting")
     return r

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import naming
 from .euclid import factor_candidates, primitive_in
 from .rings import MPoly, StructuralError, VarRing
 from .sampling import vanishes
@@ -73,7 +72,7 @@ def weierstrass_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int 
     L1, x1, y1 = scratch.var("L1"), scratch.var("x1"), scratch.var("y1")
     tx, ty = scratch.var("tx"), scratch.var("ty")
     c = 4 * (x1 - y1) ** 2 * (L1 + x1 + y1) - (tx - ty) ** 2
-    return _eliminate_tangents(c, g2, g3, "L1", backend, seed=naming.stage_seed(seed, "gen-wp"), name="p")
+    return _eliminate_tangents(c, g2, g3, "L1", backend, seed=seed, name="p")
 
 
 def zeta_drift_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int = 0) -> MPoly:
@@ -89,6 +88,4 @@ def zeta_drift_addition_poly(g2: Fraction, g3: Fraction, backend, *, seed: int =
     y1, y2 = scratch.var("y1"), scratch.var("y2")
     tx, ty = scratch.var("tx"), scratch.var("ty")
     c = 2 * (x1 - y1) * (L2 - x2 - y2) + tx - ty
-    return _eliminate_tangents(
-        c, g2, g3, "L2", backend, seed=naming.stage_seed(seed, "gen-zeta"), name="zeta-drift"
-    )
+    return _eliminate_tangents(c, g2, g3, "L2", backend, seed=seed, name="zeta-drift")

@@ -3,17 +3,23 @@
 Every symbolic claim the pipeline makes is vetted here: a relation's
 variables are bound to backend quantities by name (x_k -> f_k(u),
 z{k}_{p} -> df_k/du_p(u), y_k -> f_k(v) or f_k(-u), L_k -> f_k(u+v),
-theta -> sum of alpha-weighted derivatives) and the scaled residual
-|relation| / (1 + largest monomial magnitude) is collected over seeded
-samples drawn from a box in C^n.
+theta -> sum of alpha-weighted derivatives; `_residuals`) and the scaled
+residual |relation| / (1 + largest monomial magnitude) is collected over
+seeded samples drawn from a box in C^n.
 
-A check draws its samples in chunks from one seeded stream.  Each chunk's
-points (u, and v, -u or u+v as the relation needs them) go through one
-`value_jacobian` call and the relation through one array evaluation
-(`MPoly.eval_terms`); the sequential accept rule is then replayed on the
-rows: the first `samples` usable draws in draw order count, and the unusable
-ones before them are the skips.  Counts and verdicts are those of a loop
-that draws and tests one sample at a time.
+A reported check (`residual_check`) draws its samples in chunks from its
+own seeded stream.  Each chunk's points (u, and v, -u or u+v as the
+relation needs them) go through one `value_jacobian` call and the relation
+through one array evaluation (`MPoly.eval_terms`); the sequential accept
+rule is then replayed on the rows: the first `samples` usable draws in draw
+order count, and the unusable ones before them are the skips.  Counts and
+verdicts are those of a loop that draws and tests one sample at a time.
+
+Vetting a candidate factor (`vanishes`) applies that rule to the backend's
+`ProbeBank` for the run seed instead.  The candidates come from exact
+algebra and the draws do not depend on them, so one shared draw set is as
+sound as fresh draws per candidate (Schwartz, J. ACM 27, 1980; Zippel,
+EUROSAM 1979).
 
 `sequential_draws` gives every other sampled check (formula
 agreement, specialization, uniqueness) the same shape: chunks of draws, one
@@ -117,26 +123,14 @@ def residual_check(
     """Scaled residual statistics of one relation over seeded backend samples.
 
     y/w names are fed from v when y_mode == 'v', and from -u when
-    y_mode == 'neg'; L names need u+v.  A draw is skipped when u, v, u+v or
+    y_mode == 'neg'; L names need u+v, so y_mode 'v'.  A draw is skipped when u, v, u+v or
     -u (as the mode needs them) is on the pole set, or when a bound value
     exceeds _VALUE_CAP.  The first `samples` usable draws count; SamplingError
     ends a check that skips 10*samples draws before that.
     """
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    names = relation.names_present()
-    kinds = set()
-    for name in names:
-        cls = naming.classify(name)
-        if cls is None:
-            raise StructuralError(f"no binding for {name!r}")
-        kinds.add(cls[0])
-    if "theta" in kinds and alpha is None:
-        raise StructuralError("relation uses theta but no alpha weights were given")
-    pair = bool(kinds & {"y", "w", "L"})
-    if pair and y_mode not in ("v", "neg"):
-        raise StructuralError("relation needs a second sample point v")
+    names, pair = _needs(relation, alpha, y_mode)
     needs_v = pair and y_mode == "v"
-    needs_sum = needs_v or "L" in kinds
     n = backend.n
     cap = 10 * samples
     residuals = []
@@ -146,7 +140,7 @@ def residual_check(
         rows = draw_points(rng, chunk, 2 * n if needs_v else n, box)
         us = rows[:, :n]
         vs = rows[:, n:] if needs_v else -us if y_mode == "neg" else None
-        res, ok = _chunk_residuals(relation, backend, us, vs, needs_sum, names, alpha)
+        res, ok = _chunk_residuals(relation, backend, us, vs, needs_v, names, alpha)
         residuals.extend(res.tolist())
         good.extend(ok.tolist())
         counted = np.cumsum(good)
@@ -165,8 +159,7 @@ def residual_check(
         )
     residuals = sorted(r for r, g in zip(residuals[: last + 1], good) if g)
     count = len(residuals)
-    idx95 = min(count - 1, max(0, -(-95 * count // 100) - 1))
-    p95 = residuals[idx95]
+    p95 = _p95(residuals)
     return ResidualReport(
         relation_id=relation_id,
         samples=count,
@@ -179,48 +172,122 @@ def residual_check(
     )
 
 
-def _chunk_residuals(relation, backend, us, vs, needs_sum, names, alpha):
+def _p95(residuals):
+    """The ceil(0.95 * count)-th of `count` sorted residuals."""
+    count = len(residuals)
+    return residuals[min(count - 1, max(0, -(-95 * count // 100) - 1))]
+
+
+def _needs(relation, alpha, y_mode) -> tuple:
+    """(names to bind, whether a second point is read) of a relation;
+    StructuralError when a name has no binding in this mode (L names need v:
+    at -u, u+v would be the constant 0)."""
+    names = relation.names_present()
+    kinds = set()
+    for name in names:
+        cls = naming.classify(name)
+        if cls is None:
+            raise StructuralError(f"no binding for {name!r}")
+        kinds.add(cls[0])
+    if "theta" in kinds and alpha is None:
+        raise StructuralError("relation uses theta but no alpha weights were given")
+    pair = bool(kinds & {"y", "w", "L"})
+    if pair and y_mode not in ("v", "neg") or "L" in kinds and y_mode != "v":
+        raise StructuralError("relation needs a second sample point v")
+    return names, pair
+
+
+def _chunk_residuals(relation, backend, us, vs, needs_v, names, alpha):
     """(scaled residual, usable) at every row of the draws `us`.
 
-    u, the second point `vs` (v or -u, when given) and u+v are evaluated in
-    one `value_jacobian` call; a draw is unusable where one of them is
-    rejected or a bound value exceeds _VALUE_CAP.
+    u, the second point `vs` (v or -u, when given) and u+v (with v) are
+    evaluated in one `value_jacobian` call; a draw is unusable where one of
+    them is rejected or a bound value exceeds _VALUE_CAP.
     """
     n = backend.n
     points = [us]
     if vs is not None:
         points.append(vs)
-    if needs_sum:
+    if needs_v:
         points.append(us + vs)
     val, jac, bad = backend.value_jacobian(np.concatenate(points))
-    size = len(us)
-    val = val.reshape(len(points), size, n)
-    jac = jac.reshape(len(points), size, n, n)
-    bad = bad.reshape(len(points), size).any(axis=0)
+    shape = (len(points), len(us))
+    return _residuals(relation, names, alpha, val.reshape(*shape, n), jac.reshape(*shape, n, n), bad.reshape(shape))
+
+
+def _residuals(relation, names, alpha, val, jac, bad):
+    """(scaled residual, usable) at every row: x, z and theta names read u's
+    val[0], jac[0], y and w names the second point's val[1], jac[1], and L
+    names u+v's val[2]; a row is unusable where `bad` marks one of its
+    points or a bound value exceeds _VALUE_CAP."""
+    usable = ~bad.any(axis=0)
     values = {}
-    with np.errstate(all="ignore"):  # rows with non-finite entries are already bad
+    with np.errstate(all="ignore"):  # rows with non-finite entries are already unusable
         for name in names:
             cls = naming.classify(name)
             kind = cls[0]
             if kind == "theta":
-                col = sum(complex(alpha[k][p]) * jac[0, :, k, p] for k in range(n) for p in range(n))
+                n = len(alpha)
+                col = sum(complex(alpha[k][p]) * jac[0][:, k, p] for k in range(n) for p in range(n))
             elif kind in ("x", "y", "L"):
-                col = val["xyL".index(kind), :, cls[1] - 1]
+                col = val["xyL".index(kind)][:, cls[1] - 1]
             else:
-                col = jac["zw".index(kind), :, cls[1] - 1, cls[2] - 1]
-            bad |= ~(np.abs(col) <= _VALUE_CAP)
+                col = jac["zw".index(kind)][:, cls[1] - 1, cls[2] - 1]
+            usable &= np.abs(col) <= _VALUE_CAP
             values[name] = col
         total, biggest = relation.eval_terms(values)
-        res = np.broadcast_to(np.abs(total) / (1.0 + biggest), (size,))
-    return res, ~bad
+        res = np.broadcast_to(np.abs(total) / (1.0 + biggest), usable.shape)
+    return res, usable
+
+
+PROBE_SAMPLES = 24  # usable draws a probe reads; 10 times as many skips mean False
+
+
+class ProbeBank:
+    """The draws of every `vanishes` probe with one (backend, seed): one
+    seeded stream of (u, v) rows, each evaluated at u, v, u+v and -u, and
+    the verdicts given, keyed by (relation, tol, y_mode, alpha)."""
+
+    def __init__(self, backend, seed: int):
+        n, self.backend, self.verdicts = backend.n, backend, {}
+        self.rng = random.Random(naming.stage_seed(seed, "probe-bank"))
+        self.val, self.jac = np.empty((4, 0, n), complex), np.empty((4, 0, n, n), complex)
+        self.bad = np.empty((4, 0), bool)
+        self.extend(PROBE_SAMPLES)
+
+    def extend(self, count: int) -> None:
+        """Draw `count` more rows and evaluate them in one `value_jacobian` call."""
+        us, vs = np.split(draw_points(self.rng, count, 2 * self.backend.n, DEFAULT_BOX), 2, axis=1)
+        new = self.backend.value_jacobian(np.concatenate([us, vs, us + vs, -us]))
+        self.val, self.jac, self.bad = (
+            np.concatenate([old, a.reshape(4, count, *a.shape[1:])], axis=1)
+            for old, a in zip((self.val, self.jac, self.bad), new)
+        )
+
+    def probe(self, relation, tol, alpha, y_mode) -> bool:
+        """The accept rule of a PROBE_SAMPLES-sample `residual_check`, on rows
+        added in draw order until it decides."""
+        names, pair = _needs(relation, alpha, y_mode)
+        slots = [0, 1 if y_mode == "v" else 3, 2]  # u, the second point, u+v
+        limit = 11 * PROBE_SAMPLES - 1
+        while True:
+            bad = self.bad[slots[: 1 + pair + (pair and y_mode == "v")]]
+            res, ok = _residuals(relation, names, alpha, self.val[slots], self.jac[slots], bad)
+            found = int(ok.sum())
+            if found >= PROBE_SAMPLES:
+                return bool(_p95(np.sort(res[ok][:PROBE_SAMPLES])) < tol)
+            if len(ok) >= limit:
+                return False
+            self.extend(min(2 * (PROBE_SAMPLES - found), limit - len(ok)))
 
 
 def vanishes(relation, backend, *, seed=0, tol=1e-7, alpha=None, y_mode="v") -> bool:
-    """Quick boolean residual test used during factor selection."""
-    try:
-        rep = residual_check(
-            relation, backend, relation_id="probe", samples=24, seed=seed, tol=tol, alpha=alpha, y_mode=y_mode
-        )
-    except SamplingError:
-        return False
-    return rep.ok
+    """Quick boolean residual test used during factor selection: a probe of
+    the backend's bank for `seed`, made once per relation."""
+    bank = backend.probe_banks.get(seed)
+    if bank is None:
+        bank = backend.probe_banks[seed] = ProbeBank(backend, seed)
+    key = (relation, tol, y_mode, alpha and tuple(map(tuple, alpha)))
+    if key not in bank.verdicts:
+        bank.verdicts[key] = bank.probe(relation, tol, alpha, y_mode)
+    return bank.verdicts[key]

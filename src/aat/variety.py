@@ -285,10 +285,8 @@ def _select_minimal_polynomial(R, backend, alpha_rows, n, *, seed, tol):
             continue
         cands.append(cand_v)
     cands.sort(key=lambda q: (q.degree_in(naming.THETA), q.total_degree(), len(q.terms), str(q)))
-    for i, cand in enumerate(cands):
-        if not squarefree_check(cand, naming.THETA):
-            continue
-        if vanishes(cand, backend, seed=naming.stage_seed(seed, f"vsel:{i}"), tol=tol, alpha=alpha_rows):
+    for cand in cands:
+        if squarefree_check(cand, naming.THETA) and vanishes(cand, backend, seed=seed, tol=tol, alpha=alpha_rows):
             return cand.normalized()
     return None
 

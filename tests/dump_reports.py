@@ -2,7 +2,7 @@
 and the reports of the benchmark's pool draws.
 
     PYTHONPATH=src python tests/dump_reports.py OUTDIR
-    python tests/dump_reports.py --compare OUTDIR_A OUTDIR_B
+    python tests/dump_reports.py --compare OUTDIR_A OUTDIR_B [--show PATH]
 
 Runs `aat all` on each bundled problem and `aat catalog`, in this process and
 without `--timings`, and writes `OUTDIR/<problem>.report.json` and
@@ -18,8 +18,10 @@ should agree are compared with one `diff -r` of their OUTDIRs.
 changed, the relations that changed, the verdicts whose pass value changed
 (or that one side lacks), and a count of differing values per report-key
 path.  In a path, a (k, p) key such as `1_2` reads `*`, and a verdict or
-residual reads by its id without the object index (`residual H_`).  Not a
-test: pytest collects only `test_*.py`.
+residual reads by its id without the object index (`residual H_`).  With
+`--show PATH` it then prints both sides' values at every difference under
+one such path (`--show 'trace/*/notes'`).  Not a test: pytest collects only
+`test_*.py`.
 """
 
 from __future__ import annotations
@@ -75,14 +77,14 @@ def _general(path) -> str:
     return "/".join(parts)
 
 
-def compare(a: Path, b: Path) -> None:
+def compare(a: Path, b: Path, show: str | None = None) -> None:
     codes = [json.loads((d / "exit_codes.json").read_text()) for d in (a, b)]
     exits = [
         f"  {name}: {codes[0].get(name, _ABSENT)} -> {codes[1].get(name, _ABSENT)}"
         for name in sorted(set(codes[0]) | set(codes[1]))
         if codes[0].get(name) != codes[1].get(name)
     ]
-    relations, verdicts, paths = [], [], collections.Counter()
+    relations, verdicts, shown, paths = [], [], [], collections.Counter()
     names = sorted({str(p.relative_to(d)) for d in (a, b) for p in d.rglob("*.report.json")})
     for name in names:
         reports = [json.loads((d / name).read_text()) if (d / name).exists() else {} for d in (a, b)]
@@ -94,6 +96,8 @@ def compare(a: Path, b: Path) -> None:
                 if x == y:
                     continue
                 paths[_general(path)] += 1
+                if _general(path) == show:
+                    shown.append(f"  {name}{label} {'/'.join(path)}:\n    - {x}\n    + {y}")
                 if path[0] == "relations" and path[-1] == "poly":
                     relations.append(f"  {name}{label} {path[1]}: {x} -> {y}")
                 if path[0] == "verdicts" and path[-1] == "pass":
@@ -104,14 +108,18 @@ def compare(a: Path, b: Path) -> None:
     print("differing values per report-key path:")
     for path, count in sorted(paths.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {count:5d}  {path}")
+    if show is not None:
+        print(f"values at {show}:")
+        print("\n".join(shown) if shown else "  none")
 
 
 def main(argv) -> int:
-    if len(argv) == 3 and argv[0] == "--compare":
-        compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) in (3, 5) and argv[0] == "--compare" and argv[3:4] in ([], ["--show"]):
+        compare(Path(argv[1]), Path(argv[2]), argv[4] if len(argv) == 5 else None)
         return 0
     if len(argv) != 1:
-        print("usage: python tests/dump_reports.py OUTDIR | --compare OUTDIR_A OUTDIR_B", file=sys.stderr)
+        usage = "usage: python tests/dump_reports.py OUTDIR | --compare OUTDIR_A OUTDIR_B [--show PATH]"
+        print(usage, file=sys.stderr)
         return 2
     outdir = Path(argv[0]).resolve()
     outdir.mkdir(parents=True, exist_ok=True)

@@ -272,3 +272,20 @@ def test_derive_rejects_three_components():
     backend = make_backend("rational", {})
     with pytest.raises(StructuralError):
         derive_first_order(sys, backend, seed=1)
+
+
+@pytest.mark.parametrize("g2,g3", [(Fraction(4), Fraction(0)), (Fraction(6), Fraction(1))])  # 3 rational roots, none
+def test_heavy_relation_tries_no_point_whose_curve_slot_it_holds(g2, g3, monkeypatch):
+    # case 4's G2 has degree 4 in L2 and its (2, 1) cross-difference holds
+    # w1_1, which is sqrt(d) or 0 at every curve point: no point is tried
+    backend = make_backend("singular2-case4", {"g2": g2, "g3": g3})
+    ring = naming.problem_ring(2)
+    sys = AATSystem(n=2, ring=ring, polys=backend.addition_polys(ring, seed=0))
+    tried = []
+    real = elimination.gcd_and_eliminant
+    monkeypatch.setattr(elimination, "gcd_and_eliminant", lambda *args: tried.append(args) or real(*args))
+    entry = specialize_v(sys, backend, 2, 1, seed=42)
+    assert not tried
+    assert entry.record.mode == "numeric-reconstruct"
+    assert entry.notes[0].startswith("no exact point tried: G2 has degree 4 in L2")
+    assert is_associate(entry.specialized, ring.var("z2_1") - ring.var("x1"))

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 
 from aat import naming
 from aat.backends import make_backend
+from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
 from aat.rings import PoleError, StructuralError
 from aat.sampling import (
     _VALUE_CAP,
     DEFAULT_BOX,
+    PROBE_SAMPLES,
+    ProbeBank,
     ResidualReport,
     SamplingError,
     draw_points,
@@ -264,3 +268,94 @@ def test_residual_check_makes_no_point_evaluation(monkeypatch):
     calls.clear()
     assert not vanishes(parse_poly("x1*y1 - 1", ring), backend, y_mode="neg")  # p(u) p(-u) is not 1
     assert 0 < len(calls) <= 3
+
+
+# (family, params, alpha, y_mode, true relation, the same relation perturbed)
+_PROBES = [
+    ("exp", {"c": Fraction(3)}, None, "v", "L1 - x1*y1", "L1 - x1*y1 + 1/10*x1"),
+    ("exp", {"c": Fraction(3)}, None, "v", "z1_1 - 3*x1", "z1_1 - 3*x1 - 1/10"),
+    ("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)}, None, "v",
+     "w1_1^2 - 4*y1^3 + 4*y1", "w1_1^2 - 4*y1^3 + 5*y1"),
+    ("weierstrass", {"g2": Fraction(-2), "g3": Fraction(1)}, None, "neg", "x1 - y1", "x1 - y1 - 1/10"),
+    ("weierstrass", {"g2": Fraction(-2), "g3": Fraction(1)}, None, "neg", "z1_1 + w1_1", "z1_1 + w1_1 + 1/10*x1"),
+    # theta = z1_1 + z2_2 = p'(u1) + 1 on case 4
+    ("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)}, ((1, 0), (0, 1)), "v",
+     "theta^2 - 2*theta + 1 - 4*x1^3 + 4*x1", "theta^2 - 2*theta + 1 - 4*x1^3 + 5*x1"),
+]
+
+
+@pytest.mark.parametrize("family,params,alpha,y_mode,true,perturbed", _PROBES)
+def test_bank_probe_agrees_with_a_fresh_residual_check(family, params, alpha, y_mode, true, perturbed):
+    backend = make_backend(family, params)
+    ring = naming.problem_ring(backend.n)
+    for seed in (0, 42):
+        for text, want in ((true, True), (perturbed, False)):
+            relation = parse_poly(text, ring)
+            fresh = residual_check(
+                relation, backend, relation_id="fresh", samples=24, seed=seed, tol=1e-7, alpha=alpha, y_mode=y_mode
+            )
+            got = vanishes(relation, backend, seed=seed, tol=1e-7, alpha=alpha, y_mode=y_mode)
+            assert got == fresh.ok == want, (text, seed)
+
+
+def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
+    # generation and the whole derive of zeta-drift vet on one bank per seed:
+    # one `value_jacobian` call from the sampling module, however many probes
+    backend = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
+    reads, probes = [], []
+    evaluate, probe = backend.value_jacobian, ProbeBank.probe
+
+    def spy(points):
+        if sys._getframe(1).f_globals["__name__"] == "aat.sampling":
+            reads.append(len(points))
+        return evaluate(points)
+
+    monkeypatch.setattr(backend, "value_jacobian", spy)
+    monkeypatch.setattr(ProbeBank, "probe", lambda self, *args: probes.append(args) or probe(self, *args))
+    ring = naming.problem_ring(2)
+    system = AATSystem(n=2, ring=ring, polys=backend.addition_polys(ring, seed=42))
+    relations, _ = derive_first_order(system, backend, seed=42)
+    assert [str(r.poly) for r in relations] == ["z1_1^2 - 4*x1^3 + 4*x1", "z2_1 - x1", "z1_2", "z2_2 - 1"]
+    assert reads == [4 * PROBE_SAMPLES] and len(probes) > 5
+    derive_first_order(system, backend, seed=7)
+    assert reads == [4 * PROBE_SAMPLES] * 2 and sorted(backend.probe_banks) == [7, 42]
+
+
+class _MarkedBackend(type(make_backend("rational"))):
+    """The identity map whose bank rows before `first_good` (in draw order)
+    are all unusable; it reads the bank's calls as four blocks of rows."""
+
+    def __init__(self, first_good):
+        super().__init__("rational", {})
+        self.first_good, self.seen, self.calls = first_good, 0, []
+
+    def value_jacobian(self, points):
+        val, jac, bad = super().value_jacobian(points)
+        count = len(points) // 4
+        self.calls.append(count)
+        bad |= np.tile(self.seen + np.arange(count) < self.first_good, 4)
+        self.seen += count
+        return val, jac, bad
+
+
+def test_bank_extends_in_draw_order():
+    # most rows unusable: the bank grows in several calls, and its rows are
+    # the seeded stream drawn in one go
+    ring = naming.problem_ring(1)
+    backend = _MarkedBackend(first_good=100)
+    assert vanishes(parse_poly("z1_1 - 1", ring), backend, seed=3)
+    assert not vanishes(parse_poly("z1_1 - 1 - 1/10*x1", ring), backend, seed=3)
+    bank = backend.probe_banks[3]
+    size = sum(backend.calls)
+    assert len(backend.calls) > 2 and 100 + PROBE_SAMPLES <= size
+    stream = draw_points(random.Random(naming.stage_seed(3, "probe-bank")), size, 2, DEFAULT_BOX)
+    assert np.array_equal(bank.val[0, :, 0], stream[:, 0]) and np.array_equal(bank.val[1, :, 0], stream[:, 1])
+    assert np.array_equal(bank.val[2, :, 0], stream[:, 0] + stream[:, 1])
+
+
+@pytest.mark.parametrize("first_good,want", [(10 * PROBE_SAMPLES - 1, True), (10 * PROBE_SAMPLES, False)])
+def test_bank_gives_false_after_ten_times_the_samples_in_skips(first_good, want):
+    ring = naming.problem_ring(1)
+    backend = _MarkedBackend(first_good)
+    assert vanishes(parse_poly("z1_1 - 1", ring), backend) is want
+    assert sum(backend.calls) <= 11 * PROBE_SAMPLES - 1

@@ -173,6 +173,7 @@ class _TwoWeierstrassBackend:
         from aat.weierstrass import Lattice
 
         self.lattice = Lattice(4, 0)
+        self.probe_banks = {}
 
     def value_jacobian(self, points):
         import numpy as np
