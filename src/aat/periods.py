@@ -5,7 +5,9 @@ matrices force a period (their whole Taylor expansions coincide).  The
 detector seeds Newton iterations on F(b) = F(a) over a grid of offsets,
 keeps solutions whose derivative matrices also match, verifies each candidate
 difference on independent samples, and reduces the verified candidates to a
-small generator set by integer-combination sweeps.
+small generator set by integer-combination sweeps.  Each generator is then
+divided by the primes up to 7 while the quotient verifies: the grid may find
+only multiples of a short period (exp at large |c|).
 
 All seeds share one array Newton over the backend's `value_jacobian`.  The
 candidates are verified together, and then the generators: each period
@@ -244,6 +246,29 @@ def is_integer_combination(p, basis, tol=1e-7) -> bool:
     return integer_combinations([p], basis, tol)[0]
 
 
+def _saturate(backend, generators, *, samples, seed, tol) -> tuple:
+    """(generators, residual of each or None): every generator g verified
+    together with its quotients g/m by the primes m <= 7, and divided by the
+    first m that passes, round by round while one does.  A g/m that failed
+    fails for good, so a round tries only the primes that passed before.
+    """
+    gens, result = list(generators), [None] * len(generators)
+    trials = [(i, m) for i in range(len(gens)) for m in (1, 2, 3, 5, 7)]
+    while trials:
+        quotients = [tuple(c / m for c in gens[i]) for i, m in trials]
+        passed: dict = {}
+        for (i, m), r in zip(trials, _verify_periods(backend, quotients, samples=samples, seed=seed, tol=tol, box=1.0)):
+            if m == 1:
+                result[i] = r
+            elif r is not None:
+                passed.setdefault(i, []).append((m, r))
+        for i, hits in passed.items():
+            m, result[i] = hits[0]
+            gens[i] = tuple(c / m for c in gens[i])
+        trials = [(i, m) for i, hits in passed.items() for m, _ in hits]
+    return gens, result
+
+
 def detect_period(
     backend,
     *,
@@ -304,7 +329,7 @@ def detect_period(
     checked = _verify_periods(backend, pending, samples=samples, seed=seed, tol=tol, box=1.0)
     raw = [PeriodCandidate(p=p, residual=r) for p, r in zip(pending, checked) if r is not None]
     generators = reduce_candidates([c.p for c in raw], tol=1e-6, max_rank=2 * n)
-    checked = _verify_periods(backend, generators, samples=samples, seed=seed + 1, tol=tol, box=1.0)
+    generators, checked = _saturate(backend, generators, samples=samples, seed=seed + 1, tol=tol)
     out = [PeriodCandidate(p=g, residual=r) for g, r in zip(generators, checked) if r is not None]
     out.sort(key=lambda c: _norm(c.p))
     raw.sort(key=lambda c: _norm(c.p))

@@ -116,6 +116,14 @@ def test_exp_period_is_2pi_i():
     assert abs(p - 2j * cmath.pi) < 1e-8 or abs(p + 2j * cmath.pi) < 1e-8
 
 
+def test_a_generator_found_as_a_multiple_is_divided_down():
+    # exp with c = 22 at seed 42: the Newton grid finds only 4*omega; the
+    # verified quotients 2*omega and omega replace it
+    omega = 2j * cmath.pi / 22
+    found = detect_period(make_backend("exp", {"c": Fraction(22)}), tol=1e-9, seed=42)
+    assert len(found) == 1 and abs(abs(found[0].p[0]) - abs(omega)) < 1e-9
+
+
 def test_case4_periods_match_quasi_period_vectors():
     backend = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
     lat = backend.lattice
