@@ -246,18 +246,24 @@ def is_integer_combination(p, basis, tol=1e-7) -> bool:
     return integer_combinations([p], basis, tol)[0]
 
 
-def _saturate(backend, generators, *, samples, seed, tol) -> tuple:
+def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple:
     """(generators, residual of each or None): every generator g verified
     together with its quotients g/m by the primes m <= 7, and divided by the
     first m that passes, round by round while one does.  A g/m that failed
-    fails for good, so a round tries only the primes that passed before.
+    fails for good, so a round tries only the primes that passed before.  A
+    g/m whose F(base + g/m) is not near F(base) = target fails unverified.
     """
     gens, result = list(generators), [None] * len(generators)
     trials = [(i, m) for i in range(len(gens)) for m in (1, 2, 3, 5, 7)]
     while trials:
         quotients = [tuple(c / m for c in gens[i]) for i, m in trials]
+        val, _, bad = backend.value_jacobian(np.add(base, quotients))
+        near = ~bad & (np.max(np.abs(val - target), axis=1) <= 1e-6 * (1 + np.max(np.abs(target))))
+        keep = [k for k, (_, m) in enumerate(trials) if m == 1 or near[k]]
+        verified = _verify_periods(backend, [quotients[k] for k in keep], samples=samples, seed=seed, tol=tol, box=1.0)
+        checked = dict(zip(keep, verified))
         passed: dict = {}
-        for (i, m), r in zip(trials, _verify_periods(backend, quotients, samples=samples, seed=seed, tol=tol, box=1.0)):
+        for (i, m), r in zip(trials, map(checked.get, range(len(trials)))):
             if m == 1:
                 result[i] = r
             elif r is not None:
@@ -329,7 +335,7 @@ def detect_period(
     checked = _verify_periods(backend, pending, samples=samples, seed=seed, tol=tol, box=1.0)
     raw = [PeriodCandidate(p=p, residual=r) for p, r in zip(pending, checked) if r is not None]
     generators = reduce_candidates([c.p for c in raw], tol=1e-6, max_rank=2 * n)
-    generators, checked = _saturate(backend, generators, samples=samples, seed=seed + 1, tol=tol)
+    generators, checked = _saturate(backend, generators, base, target, samples=samples, seed=seed + 1, tol=tol)
     out = [PeriodCandidate(p=g, residual=r) for g, r in zip(generators, checked) if r is not None]
     out.sort(key=lambda c: _norm(c.p))
     raw.sort(key=lambda c: _norm(c.p))
