@@ -238,7 +238,8 @@ class LatticeBackend(MappingBackend):
         for y0 in roots + [y for y in _CURVE_Y if rhs(y)]:
             d = rhs(y0)
             values, jac = self._slots(y0, None if d else Fraction(0))
-            out.append(ExactPoint(f"y1 = {y0}, w1_1 = {f'sqrt({d})' if d else 0}", values, jac, d or None, (1, 1)))
+            label = f"y1 = {y0}, w1_1 = {f'sqrt({d})' if d else 0}"
+            out.append(ExactPoint(label, values, jac, d or None, curve=(1, 1)))
         return out
 
 

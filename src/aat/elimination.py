@@ -271,7 +271,7 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     """Numeric-reconstruct route for heavy components: find the lowest-degree
     polynomial in (z{k}_{p}, column-p slots, x) that vanishes along the
     mapping, by sampling, nullspace extraction, and continued-fraction lifts.
-    Every candidate is re-verified on fresh samples before it is accepted."""
+    Every candidate is vetted (`vanishes`) before it is accepted."""
     ring = sys.ring
     target = naming.z(k, p)
     names = [naming.z(i, p) for i in range(1, sys.n + 1)]

@@ -257,17 +257,19 @@ def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple
     trials = [(i, m) for i in range(len(gens)) for m in (1, 2, 3, 5, 7)]
     while trials:
         quotients = [tuple(c / m for c in gens[i]) for i, m in trials]
+        # a loose screen at one point: a g/m that is no period fails it at
+        # once, without the first chunk of verification draws
         val, _, bad = backend.value_jacobian(np.add(base, quotients))
         near = ~bad & (np.max(np.abs(val - target), axis=1) <= 1e-6 * (1 + np.max(np.abs(target))))
         keep = [k for k, (_, m) in enumerate(trials) if m == 1 or near[k]]
         verified = _verify_periods(backend, [quotients[k] for k in keep], samples=samples, seed=seed, tol=tol, box=1.0)
         checked = dict(zip(keep, verified))
         passed: dict = {}
-        for (i, m), r in zip(trials, map(checked.get, range(len(trials)))):
+        for k, (i, m) in enumerate(trials):
             if m == 1:
-                result[i] = r
-            elif r is not None:
-                passed.setdefault(i, []).append((m, r))
+                result[i] = checked[k]
+            elif checked.get(k) is not None:
+                passed.setdefault(i, []).append((m, checked[k]))
         for i, hits in passed.items():
             m, result[i] = hits[0]
             gens[i] = tuple(c / m for c in gens[i])

@@ -3,23 +3,23 @@
 Every symbolic claim the pipeline makes is vetted here: a relation's
 variables are bound to backend quantities by name (x_k -> f_k(u),
 z{k}_{p} -> df_k/du_p(u), y_k -> f_k(v) or f_k(-u), L_k -> f_k(u+v),
-theta -> sum of alpha-weighted derivatives; `_residuals`) and the scaled
-residual |relation| / (1 + largest monomial magnitude) is collected over
-seeded samples drawn from a box in C^n.
+theta -> sum of alpha-weighted derivatives) and the scaled residual
+|relation| / (1 + largest monomial magnitude) is collected over seeded
+samples drawn from a box in C^n.
 
-A reported check (`residual_check`) draws its samples in chunks from its
-own seeded stream.  Each chunk's points (u, and v, -u or u+v as the
-relation needs them) go through one `value_jacobian` call and the relation
-through one array evaluation (`MPoly.eval_terms`); the sequential accept
-rule is then replayed on the rows: the first `samples` usable draws in draw
-order count, and the unusable ones before them are the skips.  Counts and
-verdicts are those of a loop that draws and tests one sample at a time.
+A check draws its samples in chunks from one seeded stream.  Each chunk's
+points (u, and v, -u or u+v as the relation needs them) go through one
+`value_jacobian` call and the relation through one array evaluation
+(`MPoly.eval_terms`); the sequential accept rule is then replayed on the
+rows: the first `samples` usable draws in draw order count, and the unusable
+ones before them are the skips.  Counts and verdicts are those of a loop
+that draws and tests one sample at a time.
 
-Vetting a candidate factor (`vanishes`) applies that rule to the backend's
-`ProbeBank` for the run seed instead.  The candidates come from exact
-algebra and the draws do not depend on them, so one shared draw set is as
-sound as fresh draws per candidate (Schwartz, J. ACM 27, 1980; Zippel,
-EUROSAM 1979).
+Vetting a candidate factor (`vanishes`) applies that rule to one bank per
+run instead: the backend's `ProbeBank` for the run seed.  The candidates
+come from exact algebra and the draws do not depend on them, so one shared
+draw set is as sound as fresh draws per candidate (Schwartz, J. ACM 27,
+1980; Zippel, EUROSAM 1979).  Both bind names to columns in `_residuals`.
 
 `sequential_draws` gives every other sampled check (formula
 agreement, specialization, uniqueness) the same shape: chunks of draws, one
@@ -123,24 +123,28 @@ def residual_check(
     """Scaled residual statistics of one relation over seeded backend samples.
 
     y/w names are fed from v when y_mode == 'v', and from -u when
-    y_mode == 'neg'; L names need u+v, so y_mode 'v'.  A draw is skipped when u, v, u+v or
-    -u (as the mode needs them) is on the pole set, or when a bound value
-    exceeds _VALUE_CAP.  The first `samples` usable draws count; SamplingError
-    ends a check that skips 10*samples draws before that.
+    y_mode == 'neg'; L names need u+v, so y_mode 'v'.  A draw is skipped
+    when u, v, u+v or -u (as the mode needs them) is on the pole set, or
+    when a bound value exceeds _VALUE_CAP.  The first `samples` usable draws
+    count; SamplingError ends a check that skips 10*samples draws before
+    that.
     """
     rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    names, pair = _needs(relation, alpha, y_mode)
-    needs_v = pair and y_mode == "v"
+    names, reads = _needs(relation, alpha, y_mode)
     n = backend.n
     cap = 10 * samples
     residuals = []
     good = []
     chunk = samples
     while True:
-        rows = draw_points(rng, chunk, 2 * n if needs_v else n, box)
+        rows = draw_points(rng, chunk, 2 * n if reads == 3 else n, box)
         us = rows[:, :n]
-        vs = rows[:, n:] if needs_v else -us if y_mode == "neg" else None
-        res, ok = _chunk_residuals(relation, backend, us, vs, needs_v, names, alpha)
+        points = [us, rows[:, n:], us + rows[:, n:]] if reads == 3 else [us, -us][:reads]
+        val, jac, bad = backend.value_jacobian(np.concatenate(points))
+        shape = (reads, chunk)
+        res, ok = _residuals(
+            relation, names, alpha, val.reshape(*shape, n), jac.reshape(*shape, n, n), bad.reshape(shape)
+        )
         residuals.extend(res.tolist())
         good.extend(ok.tolist())
         counted = np.cumsum(good)
@@ -179,9 +183,9 @@ def _p95(residuals):
 
 
 def _needs(relation, alpha, y_mode) -> tuple:
-    """(names to bind, whether a second point is read) of a relation;
-    StructuralError when a name has no binding in this mode (L names need v:
-    at -u, u+v would be the constant 0)."""
+    """(names to bind, points a draw reads: u; u and -u; or u, v and u+v) of
+    a relation; StructuralError when a name has no binding in this mode (L
+    names need v: at -u, u+v would be the constant 0)."""
     names = relation.names_present()
     kinds = set()
     for name in names:
@@ -194,25 +198,7 @@ def _needs(relation, alpha, y_mode) -> tuple:
     pair = bool(kinds & {"y", "w", "L"})
     if pair and y_mode not in ("v", "neg") or "L" in kinds and y_mode != "v":
         raise StructuralError("relation needs a second sample point v")
-    return names, pair
-
-
-def _chunk_residuals(relation, backend, us, vs, needs_v, names, alpha):
-    """(scaled residual, usable) at every row of the draws `us`.
-
-    u, the second point `vs` (v or -u, when given) and u+v (with v) are
-    evaluated in one `value_jacobian` call; a draw is unusable where one of
-    them is rejected or a bound value exceeds _VALUE_CAP.
-    """
-    n = backend.n
-    points = [us]
-    if vs is not None:
-        points.append(vs)
-    if needs_v:
-        points.append(us + vs)
-    val, jac, bad = backend.value_jacobian(np.concatenate(points))
-    shape = (len(points), len(us))
-    return _residuals(relation, names, alpha, val.reshape(*shape, n), jac.reshape(*shape, n, n), bad.reshape(shape))
+    return names, 3 if pair and y_mode == "v" else 2 if y_mode == "neg" else 1
 
 
 def _residuals(relation, names, alpha, val, jac, bad):
@@ -267,12 +253,11 @@ class ProbeBank:
     def probe(self, relation, tol, alpha, y_mode) -> bool:
         """The accept rule of a PROBE_SAMPLES-sample `residual_check`, on rows
         added in draw order until it decides."""
-        names, pair = _needs(relation, alpha, y_mode)
+        names, reads = _needs(relation, alpha, y_mode)
         slots = [0, 1 if y_mode == "v" else 3, 2]  # u, the second point, u+v
         limit = 11 * PROBE_SAMPLES - 1
         while True:
-            bad = self.bad[slots[: 1 + pair + (pair and y_mode == "v")]]
-            res, ok = _residuals(relation, names, alpha, self.val[slots], self.jac[slots], bad)
+            res, ok = _residuals(relation, names, alpha, self.val[slots], self.jac[slots], self.bad[slots[:reads]])
             found = int(ok.sum())
             if found >= PROBE_SAMPLES:
                 return bool(_p95(np.sort(res[ok][:PROBE_SAMPLES])) < tol)
@@ -287,7 +272,7 @@ def vanishes(relation, backend, *, seed=0, tol=1e-7, alpha=None, y_mode="v") -> 
     bank = backend.probe_banks.get(seed)
     if bank is None:
         bank = backend.probe_banks[seed] = ProbeBank(backend, seed)
-    key = (relation, tol, y_mode, alpha and tuple(map(tuple, alpha)))
+    key = (relation, tol, y_mode, alpha if alpha is None else tuple(map(tuple, alpha)))
     if key not in bank.verdicts:
         bank.verdicts[key] = bank.probe(relation, tol, alpha, y_mode)
     return bank.verdicts[key]
