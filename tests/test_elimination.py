@@ -274,10 +274,11 @@ def test_derive_rejects_three_components():
         derive_first_order(sys, backend, seed=1)
 
 
-@pytest.mark.parametrize("g2,g3", [(Fraction(4), Fraction(0)), (Fraction(6), Fraction(1))])  # 3 rational roots, none
+@pytest.mark.parametrize("g2,g3", [(Fraction(4), Fraction(0)), (Fraction(6), Fraction(1))])
 def test_heavy_relation_tries_no_point_whose_curve_slot_it_holds(g2, g3, monkeypatch):
     # case 4's G2 has degree 4 in L2 and its (2, 1) cross-difference holds
-    # w1_1, which is sqrt(d) or 0 at every curve point: no point is tried
+    # w1_1, which is sqrt(d) or 0 at every curve point: no point is tried,
+    # on (4, 0) with its three rational roots as on (6, 1) without one
     backend = make_backend("singular2-case4", {"g2": g2, "g3": g3})
     ring = naming.problem_ring(2)
     sys = AATSystem(n=2, ring=ring, polys=backend.addition_polys(ring, seed=0))
