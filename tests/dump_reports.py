@@ -35,8 +35,6 @@ import re
 import sys
 from pathlib import Path
 
-from aat.cli import run
-
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
@@ -44,6 +42,8 @@ import workloads  # noqa: E402  (perfbench/ is not a package)
 
 
 def _run(args, outdir: Path, name: str, codes: dict) -> None:
+    from aat.cli import run  # imported here: `--compare` needs no `aat`
+
     with contextlib.redirect_stdout(io.StringIO()):
         codes[name] = run([*args, "-o", str(outdir / name)])
     print(f"{name}: exit {codes[name]}")
