@@ -317,6 +317,9 @@ def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
     relations, _ = derive_first_order(system, backend, seed=42)
     assert [str(r.poly) for r in relations] == ["z1_1^2 - 4*x1^3 + 4*x1", "z2_1 - x1", "z1_2", "z2_2 - 1"]
     assert reads == [4 * PROBE_SAMPLES] and len(probes) > 5
+    made = len(probes)
+    derive_first_order(system, backend, seed=42)  # the bank remembers every verdict
+    assert reads == [4 * PROBE_SAMPLES] and len(probes) == made
     derive_first_order(system, backend, seed=7)
     assert reads == [4 * PROBE_SAMPLES] * 2 and sorted(backend.probe_banks) == [7, 42]
 
