@@ -74,7 +74,7 @@ class MappingBackend:
     def __init__(self, family: str):
         self.family = family
         self.n = FAMILIES[family]
-        self.probe_banks = {}  # seed -> the sampling.ProbeBank of `vanishes`
+        self.banks = {}  # (label, seed, box) -> the sampling.DrawBank of that stream
 
     def _map(self, u, bad):
         """(values, jacobian rows) at the points whose coordinates are the

@@ -7,21 +7,19 @@ theta -> sum of alpha-weighted derivatives) and the scaled residual
 |relation| / (1 + largest monomial magnitude) is collected over seeded
 samples drawn from a box in C^n.
 
-A check draws its samples in chunks from one seeded stream.  Each chunk's
-points (u, and v, -u or u+v as the relation needs them) go through one
-`value_jacobian` call and the relation through one array evaluation
-(`MPoly.eval_terms`); the sequential accept rule is then replayed on the
-rows: the first `samples` usable draws in draw order count, and the unusable
-ones before them are the skips.  Counts and verdicts are those of a loop
-that draws and tests one sample at a time.
+The draws live in banks on the backend (`DrawBank`): one seeded stream of
+(u, v) rows per (label, seed, box), each row evaluated at u, v, u+v and -u
+in one `value_jacobian` call, and extended in draw order only when a check
+finds too few usable rows.  One routine, `DrawBank.first_usable`, decides
+every check: the first N usable rows in draw order count, and 10*N skips
+before them end it.  Vetting a candidate factor (`vanishes`, N = 24) reads
+the vetting bank of the run seed; a reported residual (`residual_check`)
+reads the report bank of the run seed and box.  The relations come from
+exact algebra and the draws do not depend on them, so one shared draw set
+is as sound as fresh draws per relation (Schwartz, J. ACM 27, 1980;
+Zippel, EUROSAM 1979).
 
-Vetting a candidate factor (`vanishes`) applies that rule to one bank per
-run instead: the backend's `ProbeBank` for the run seed.  The candidates
-come from exact algebra and the draws do not depend on them, so one shared
-draw set is as sound as fresh draws per candidate (Schwartz, J. ACM 27,
-1980; Zippel, EUROSAM 1979).  Both bind names to columns in `_residuals`.
-
-`sequential_draws` gives every other sampled check (formula
+`sequential_draws` gives the pair and derivative checks (formula
 agreement, specialization, uniqueness) the same shape: chunks of draws, one
 batched evaluation per chunk, and a replay of the loop's stopping rule that
 leaves a shared rng exactly where the one-at-a-time loop would.
@@ -120,60 +118,22 @@ def residual_check(
     alpha=None,
     y_mode: str = "v",
 ) -> ResidualReport:
-    """Scaled residual statistics of one relation over seeded backend samples.
+    """Scaled residual statistics of one relation over the first `samples`
+    usable draws of the backend's report bank for (seed, box).
 
     y/w names are fed from v when y_mode == 'v', and from -u when
-    y_mode == 'neg'; L names need u+v, so y_mode 'v'.  A draw is skipped
-    when u, v, u+v or -u (as the mode needs them) is on the pole set, or
-    when a bound value exceeds _VALUE_CAP.  The first `samples` usable draws
-    count; SamplingError ends a check that skips 10*samples draws before
-    that.
+    y_mode == 'neg'; L names need u+v, so y_mode 'v'.  SamplingError ends a
+    check that skips 10*samples draws before its samples.
     """
-    rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
-    names, reads = _needs(relation, alpha, y_mode)
-    n = backend.n
-    cap = 10 * samples
-    residuals = []
-    good = []
-    chunk = samples
-    while True:
-        rows = draw_points(rng, chunk, 2 * n if reads == 3 else n, box)
-        us = rows[:, :n]
-        points = [us, rows[:, n:], us + rows[:, n:]] if reads == 3 else [us, -us][:reads]
-        val, jac, bad = backend.value_jacobian(np.concatenate(points))
-        shape = (reads, chunk)
-        res, ok = _residuals(
-            relation, names, alpha, val.reshape(*shape, n), jac.reshape(*shape, n, n), bad.reshape(shape)
-        )
-        residuals.extend(res.tolist())
-        good.extend(ok.tolist())
-        counted = np.cumsum(good)
-        if counted[-1] >= samples:
-            last = int(np.searchsorted(counted, samples))
-            skipped = last + 1 - samples
-            break
-        skipped = len(good) - int(counted[-1])
-        if skipped >= cap:
-            break
-        chunk = 2 * (samples - int(counted[-1]))
-    if skipped >= cap:
+    found = _bank(backend, "residual", seed, box).first_usable(relation, samples, alpha, y_mode)
+    if found is None:
         raise SamplingError(
             f"pole-dominated sampling region for {relation_id}: "
-            f"{cap} skips before {samples} samples"
+            f"{10 * samples} skips before {samples} samples"
         )
-    residuals = sorted(r for r, g in zip(residuals[: last + 1], good) if g)
-    count = len(residuals)
+    residuals, skipped = found
     p95 = _p95(residuals)
-    return ResidualReport(
-        relation_id=relation_id,
-        samples=count,
-        max=residuals[-1],
-        mean=sum(residuals) / count,
-        p95=p95,
-        skipped=skipped,
-        tol=tol,
-        ok=p95 < tol,
-    )
+    return ResidualReport(relation_id, samples, residuals[-1], sum(residuals) / samples, p95, skipped, tol, p95 < tol)
 
 
 def _p95(residuals):
@@ -226,53 +186,68 @@ def _residuals(relation, names, alpha, val, jac, bad):
     return res, usable
 
 
-PROBE_SAMPLES = 24  # usable draws a probe reads; 10 times as many skips mean False
+PROBE_SAMPLES = 24  # usable draws a vetting probe reads
 
 
-class ProbeBank:
-    """The draws of every `vanishes` probe with one (backend, seed): one
-    seeded stream of (u, v) rows, each evaluated at u, v, u+v and -u, and
-    the verdicts given, keyed by (relation, tol, y_mode, alpha)."""
+class DrawBank:
+    """One seeded stream of (u, v) rows drawn from a box, each row evaluated
+    at u, v, u+v and -u, and extended in draw order only when a check finds
+    too few usable rows.  The vetting bank also keeps the verdicts given,
+    keyed by (relation, tol, y_mode, alpha)."""
 
-    def __init__(self, backend, seed: int):
-        n, self.backend, self.verdicts = backend.n, backend, {}
-        self.rng = random.Random(naming.stage_seed(seed, "probe-bank"))
+    def __init__(self, backend, label: str, seed: int, box: float):
+        n, self.backend, self.box, self.verdicts = backend.n, backend, box, {}
+        self.rng = random.Random(naming.stage_seed(seed, label))
         self.val, self.jac = np.empty((4, 0, n), complex), np.empty((4, 0, n, n), complex)
         self.bad = np.empty((4, 0), bool)
-        self.extend(PROBE_SAMPLES)
 
     def extend(self, count: int) -> None:
         """Draw `count` more rows and evaluate them in one `value_jacobian` call."""
-        us, vs = np.split(draw_points(self.rng, count, 2 * self.backend.n, DEFAULT_BOX), 2, axis=1)
+        us, vs = np.split(draw_points(self.rng, count, 2 * self.backend.n, self.box), 2, axis=1)
         new = self.backend.value_jacobian(np.concatenate([us, vs, us + vs, -us]))
         self.val, self.jac, self.bad = (
             np.concatenate([old, a.reshape(4, count, *a.shape[1:])], axis=1)
             for old, a in zip((self.val, self.jac, self.bad), new)
         )
 
-    def probe(self, relation, tol, alpha, y_mode) -> bool:
-        """The accept rule of a PROBE_SAMPLES-sample `residual_check`, on rows
-        added in draw order until it decides."""
+    def first_usable(self, relation, samples: int, alpha, y_mode: str):
+        """(sorted scaled residuals of the first `samples` usable rows, rows
+        skipped before them), or None when the first 11*samples - 1 rows,
+        that is 10*samples skips, hold fewer.  A row is unusable when u, v,
+        u+v or -u (as the relation needs them) is on the pole set, or when a
+        bound value exceeds _VALUE_CAP."""
         names, reads = _needs(relation, alpha, y_mode)
         slots = [0, 1 if y_mode == "v" else 3, 2]  # u, the second point, u+v
-        limit = 11 * PROBE_SAMPLES - 1
+        limit = 11 * samples - 1
+        if not self.bad.shape[1]:
+            self.extend(samples)
         while True:
-            res, ok = _residuals(relation, names, alpha, self.val[slots], self.jac[slots], self.bad[slots[:reads]])
-            found = int(ok.sum())
-            if found >= PROBE_SAMPLES:
-                return bool(_p95(np.sort(res[ok][:PROBE_SAMPLES])) < tol)
-            if len(ok) >= limit:
-                return False
-            self.extend(min(2 * (PROBE_SAMPLES - found), limit - len(ok)))
+            size = min(self.bad.shape[1], limit)
+            res, ok = _residuals(
+                relation, names, alpha, self.val[slots, :size], self.jac[slots, :size], self.bad[slots[:reads], :size]
+            )
+            rows = np.flatnonzero(ok)
+            if len(rows) >= samples:
+                return np.sort(res[rows[:samples]]).tolist(), int(rows[samples - 1]) + 1 - samples
+            if size >= limit:
+                return None
+            self.extend(min(2 * (samples - len(rows)), limit - size))
+
+
+def _bank(backend, *key) -> DrawBank:
+    """The backend's bank for key = (label, seed, box), made on first use."""
+    if key not in backend.banks:
+        backend.banks[key] = DrawBank(backend, *key)
+    return backend.banks[key]
 
 
 def vanishes(relation, backend, *, seed=0, tol=1e-7, alpha=None, y_mode="v") -> bool:
-    """Quick boolean residual test used during factor selection: a probe of
-    the backend's bank for `seed`, made once per relation."""
-    bank = backend.probe_banks.get(seed)
-    if bank is None:
-        bank = backend.probe_banks[seed] = ProbeBank(backend, seed)
+    """Quick boolean residual test used during factor selection: the first
+    PROBE_SAMPLES usable rows of the backend's vetting bank for `seed` have
+    p95 below tol.  Made once per relation."""
+    bank = _bank(backend, "probe-bank", seed, DEFAULT_BOX)
     key = (relation, tol, y_mode, alpha if alpha is None else tuple(map(tuple, alpha)))
     if key not in bank.verdicts:
-        bank.verdicts[key] = bank.probe(relation, tol, alpha, y_mode)
+        found = bank.first_usable(relation, PROBE_SAMPLES, alpha, y_mode)
+        bank.verdicts[key] = found is not None and _p95(found[0]) < tol
     return bank.verdicts[key]

@@ -9,12 +9,14 @@ from aat import naming
 from aat.backends import make_backend
 from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
+from aat.pipeline import run_problem
+from aat.problem import load_problem
 from aat.rings import PoleError, StructuralError
 from aat.sampling import (
     _VALUE_CAP,
     DEFAULT_BOX,
     PROBE_SAMPLES,
-    ProbeBank,
+    DrawBank,
     ResidualReport,
     SamplingError,
     draw_points,
@@ -107,7 +109,7 @@ def test_sequential_draws_replays_a_one_at_a_time_loop(want, limit, width, thres
     assert rng.random() == after
 
 
-# -- the batched check against the sequential loop it replaced ------------------------
+# -- the report bank against a loop that tests one row at a time ---------------------
 
 
 _POINT_OF = {"x": "u", "z": "u", "theta": "u", "y": "v", "w": "v", "L": "sum"}
@@ -138,16 +140,18 @@ def _bind_one(relation, backend, at, alpha):
 
 def sequential_residual_check(relation, backend, *, relation_id, samples, seed, tol, box=DEFAULT_BOX, alpha=None,
                               y_mode="v"):
-    """The one-draw-at-a-time residual check: the reference for the batched
-    one.  Every draw the loop may take is evaluated in one call up front."""
-    rng = random.Random(naming.stage_seed(seed, f"residual:{relation_id}"))
+    """The one-row-at-a-time residual check on the report stream of (seed,
+    box): rows of (u, v) drawn in order, the second point v (or -u in mode
+    'neg').  The reference for the bank; every row the loop may take is
+    evaluated in one call up front."""
+    rng = random.Random(naming.stage_seed(seed, "residual"))
     kinds = {naming.classify(n)[0] for n in relation.names_present() if naming.classify(n)}
     needs_v = bool(kinds & {"y", "w", "L"}) and y_mode == "v"
     n = backend.n
-    draws = draw_points(rng, 11 * samples, 2 * n if needs_v else n, box)
+    draws = draw_points(rng, 11 * samples, 2 * n, box)
     us = draws[:, :n]
-    vs = draws[:, n:] if needs_v else -us
-    evaluated = (a.tolist() for a in backend.value_jacobian(np.concatenate([us, vs, us + vs])))
+    vs = draws[:, n:] if y_mode == "v" else -us
+    evaluated = (a.tolist() for a in backend.value_jacobian(np.concatenate([us, vs, us + draws[:, n:]])))
     rows = list(zip(*evaluated))
     size = len(us)
     residuals = []
@@ -243,7 +247,7 @@ def test_batched_residual_check_raises_at_the_same_cap():
 
 
 def test_residual_check_makes_no_point_evaluation(monkeypatch):
-    # a check evaluates whole chunks of draws: fewer backend calls than samples
+    # a check evaluates the bank's rows in chunks: fewer backend calls than samples
     from aat.backends import MappingBackend
 
     calls = []
@@ -264,7 +268,7 @@ def test_residual_check_makes_no_point_evaluation(monkeypatch):
     alpha = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     rep = residual_check(relation, backend, relation_id="spy", samples=50, seed=2, tol=1e-9, alpha=alpha)
     assert rep.samples == 50
-    assert 0 < len(calls) <= 3 and calls[0] == 3 * 50  # u, v and u+v of the first chunk
+    assert 0 < len(calls) <= 3 and calls[0] == 4 * 50  # u, v, u+v and -u of the first rows
     calls.clear()
     assert not vanishes(parse_poly("x1*y1 - 1", ring), backend, y_mode="neg")  # p(u) p(-u) is not 1
     assert 0 < len(calls) <= 3
@@ -303,7 +307,7 @@ def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
     # one `value_jacobian` call from the sampling module, however many probes
     backend = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
     reads, probes = [], []
-    evaluate, probe = backend.value_jacobian, ProbeBank.probe
+    evaluate, first_usable = backend.value_jacobian, DrawBank.first_usable
 
     def spy(points):
         if sys._getframe(1).f_globals["__name__"] == "aat.sampling":
@@ -311,7 +315,7 @@ def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
         return evaluate(points)
 
     monkeypatch.setattr(backend, "value_jacobian", spy)
-    monkeypatch.setattr(ProbeBank, "probe", lambda self, *args: probes.append(args) or probe(self, *args))
+    monkeypatch.setattr(DrawBank, "first_usable", lambda self, *args: probes.append(args) or first_usable(self, *args))
     ring = naming.problem_ring(2)
     system = AATSystem(n=2, ring=ring, polys=backend.addition_polys(ring, seed=42))
     relations, _ = derive_first_order(system, backend, seed=42)
@@ -321,7 +325,45 @@ def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
     derive_first_order(system, backend, seed=42)  # the bank remembers every verdict
     assert reads == [4 * PROBE_SAMPLES] and len(probes) == made
     derive_first_order(system, backend, seed=7)
-    assert reads == [4 * PROBE_SAMPLES] * 2 and sorted(backend.probe_banks) == [7, 42]
+    assert reads == [4 * PROBE_SAMPLES] * 2
+    assert sorted(backend.banks) == [("probe-bank", 7, DEFAULT_BOX), ("probe-bank", 42, DEFAULT_BOX)]
+
+
+def test_reported_residuals_read_the_backend_only_through_the_report_bank(monkeypatch):
+    # a whole zeta-drift run: its reported residuals share one report bank
+    # for (seed, box), a stream apart from the vetting bank of the same seed
+    from aat import pipeline
+
+    spec = load_problem("problems/zeta-drift.aat")
+    backend = spec.backend
+    reads, checks, evaluate, check = [], [], backend.value_jacobian, pipeline.residual_check
+
+    def spy(points):
+        caller = sys._getframe(1)
+        bank = caller.f_locals.get("self") if caller.f_globals["__name__"] == "aat.sampling" else None
+        reads.append((bool(checks), next((k for k, b in backend.banks.items() if b is bank), caller.f_code.co_name)))
+        return evaluate(points)
+
+    def counted(*args, **kwargs):
+        checks.append(kwargs["relation_id"])
+        try:
+            return check(*args, **kwargs)
+        finally:
+            checks.pop()
+
+    monkeypatch.setattr(backend, "value_jacobian", spy)
+    monkeypatch.setattr(pipeline, "residual_check", counted)
+    section = run_problem(spec, ["all"])
+    assert section["ok"] and len(section["residuals"]) == 15
+    report = ("residual", 42, DEFAULT_BOX)
+    assert [key for inside, key in reads if inside] == [report]  # fifteen checks, one read
+    assert report not in [key for inside, key in reads if not inside]
+    vetting, bank = backend.banks["probe-bank", 42, DEFAULT_BOX], backend.banks[report]
+    rng = random.Random(naming.stage_seed(42, "residual"))
+    draw_points(rng, bank.bad.shape[1], 4, DEFAULT_BOX)
+    assert rng.getstate() == bank.rng.getstate() != vetting.rng.getstate()
+    rows = min(bank.bad.shape[1], vetting.bad.shape[1])
+    assert not np.isclose(bank.val[0, :rows], vetting.val[0, :rows]).all(axis=1).any()
 
 
 class _MarkedBackend(type(make_backend("rational"))):
@@ -348,7 +390,7 @@ def test_bank_extends_in_draw_order():
     backend = _MarkedBackend(first_good=100)
     assert vanishes(parse_poly("z1_1 - 1", ring), backend, seed=3)
     assert not vanishes(parse_poly("z1_1 - 1 - 1/10*x1", ring), backend, seed=3)
-    bank = backend.probe_banks[3]
+    bank = backend.banks["probe-bank", 3, DEFAULT_BOX]
     size = sum(backend.calls)
     assert len(backend.calls) > 2 and 100 + PROBE_SAMPLES <= size
     stream = draw_points(random.Random(naming.stage_seed(3, "probe-bank")), size, 2, DEFAULT_BOX)

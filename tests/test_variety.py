@@ -173,7 +173,7 @@ class _TwoWeierstrassBackend:
         from aat.weierstrass import Lattice
 
         self.lattice = Lattice(4, 0)
-        self.probe_banks = {}
+        self.banks = {}
 
     def value_jacobian(self, points):
         import numpy as np
