@@ -137,13 +137,13 @@ def _verify_periods(backend, periods, *, samples, seed, tol, box):
     """Worst relative |F(u + p) - F(u)| of each period p over `samples` usable
     draws, or None for a p that fails.
 
-    Every p has its own seeded stream of draws u and reads it in chunks, as
-    `residual_check` does: `samples` draws first, then twice the usable draws
-    still missing, up to 12*samples in all.  Each round evaluates the chunks
-    of all open periods, at u and at u + p, in calls of at most _VERIFY_ROWS
-    points.  The accept rule replays the draws in order (`_draw_gaps`): a p
-    fails once a counted draw sees the running worst above tol.  Since the
-    running worst only grows, a p fails as soon as it passes tol.
+    Every p has its own seeded stream of draws u and reads it in chunks:
+    `samples` draws first, then twice the usable draws still missing, up to
+    12*samples in all.  Each round evaluates the chunks of all open periods,
+    at u and at u + p, in calls of at most _VERIFY_ROWS points.  The accept
+    rule replays the draws in order (`_draw_gaps`): a p fails once a counted
+    draw sees the running worst above tol.  Since the running worst only
+    grows, a p fails as soon as it passes tol.
     """
     n, limit, step = backend.n, 12 * samples, _VERIFY_ROWS // 2
     rngs = [random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}")) for p in periods]
@@ -240,10 +240,6 @@ def integer_combinations(points, basis, tol=1e-7) -> list:
             left = _reduce_rows(left, basis)
     size = np.max(np.abs(start), axis=1)
     return (np.max(np.abs(left), axis=1) <= tol * (1 + size)).tolist()
-
-
-def is_integer_combination(p, basis, tol=1e-7) -> bool:
-    return integer_combinations([p], basis, tol)[0]
 
 
 def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple:

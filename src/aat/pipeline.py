@@ -32,7 +32,7 @@ from .backends import FAMILIES, make_backend
 from .derivatives import Recursion
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
-from .periods import detect_period, integer_combinations, is_integer_combination
+from .periods import detect_period, integer_combinations
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
@@ -386,15 +386,16 @@ def stage_period(ctx: RunContext) -> None:
     if expected:
         basis = [c.p for c in candidates]
         missing = [e for e, hit in zip(expected, integer_combinations(expected, basis, tol=1e-7)) if not hit]
-        ok = len(basis) == len(expected) and not missing and all(integer_combinations(basis, expected, tol=1e-7))
+        inside = integer_combinations(basis, expected, tol=1e-7)
+        ok = len(basis) == len(expected) and not missing and all(inside)
         detail = f"{len(candidates)} generators match the quasi-period vectors up to integer combinations"
         if not ok:
             shown = ", ".join("(" + ", ".join(f"{c:.6g}" for c in e) + ")" for e in missing) or "none"
             detail = f"{len(basis)} generators found for {len(expected)} quasi-period vectors; not covered: {shown}"
         ctx.verdict("period lattice recovered", ok, detail)
         section["expected"] = [[complex_entry(c) for c in e] for e in expected]
-        for cand in candidates:
-            if is_integer_combination(cand.p, expected, tol=1e-7):
+        for cand, hit in zip(candidates, inside):
+            if hit:
                 cand.note = "integer combination of the quasi-period vectors"
     else:
         ctx.verdict("no period for rational mapping", not candidates, f"{len(candidates)} candidates")

@@ -14,12 +14,15 @@ from aat.periods import (
     _verify_periods,
     detect_period,
     integer_combinations,
-    is_integer_combination,
     reduce_candidates,
 )
 from aat.sampling import draw_points
 
 CASE5 = ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
+
+
+def is_integer_combination(p, basis, tol):
+    return integer_combinations([p], basis, tol)[0]
 
 
 def _at(backend, point):
