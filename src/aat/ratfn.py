@@ -1,9 +1,9 @@
-"""Rational functions (quotients of MPoly) and symbolic substitution."""
+"""Rational functions: quotients of MPoly."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from . import euclid
 from .rings import DomainError, MPoly, PoleError, VarRing, _check_same_ring
@@ -141,38 +141,3 @@ class RatFn:
 
 def _is_atomic(text: str) -> bool:
     return not any(op in text for op in (" + ", " - ")) and not text.startswith("-")
-
-
-SubsValue = Union[int, Fraction, MPoly, RatFn]
-
-
-def substitute_symbolic(p: MPoly, bindings: Mapping[str, SubsValue]) -> RatFn:
-    """p with rationals, polynomials or rational functions bound to any subset
-    of its names; numeric values go through `MPoly.eval_numeric` instead."""
-    ring = p.ring
-    vals: dict = {}
-    for name, v in bindings.items():
-        i = ring.index(name)
-        if isinstance(v, RatFn):
-            _check_same_ring(v.num, p)
-            vals[i] = v
-        elif isinstance(v, MPoly):
-            _check_same_ring(v, p)
-            vals[i] = RatFn(v)
-        else:
-            vals[i] = RatFn(ring.const(v))
-    out = RatFn(ring.zero())
-    pow_cache: dict = {}
-    for exps, c in p.terms.items():
-        rest = list(exps)
-        factor = RatFn(ring.const(c))
-        for i, v in vals.items():
-            e = exps[i]
-            rest[i] = 0
-            if e:
-                key = (i, e)
-                if key not in pow_cache:
-                    pow_cache[key] = v**e
-                factor = factor * pow_cache[key]
-        out = out + factor * MPoly(ring, {tuple(rest): Fraction(1)})
-    return out

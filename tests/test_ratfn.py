@@ -1,6 +1,6 @@
 import pytest
 
-from aat.ratfn import RatFn, substitute_symbolic
+from aat.ratfn import RatFn
 from aat.rings import DomainError, PoleError, VarRing
 
 
@@ -47,12 +47,3 @@ def test_eval_and_pole(ring):
     assert abs(r.eval_numeric({"x1": 3.0}) - 0.5) < 1e-15
     with pytest.raises(PoleError):
         r.eval_numeric({"x1": -1.0})
-
-
-def test_substitute_returns_ratfn(ring):
-    x1, y1 = ring.var("x1"), ring.var("y1")
-    p = x1 * y1 + 1
-    out = substitute_symbolic(p, {"x1": RatFn(ring.one(), y1)})
-    assert out == RatFn(ring.const(2))
-    num, den = (substitute_symbolic(q, {"x1": y1**2}) for q in (x1, y1))
-    assert num / den == RatFn(y1)

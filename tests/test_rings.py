@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from aat.rings import DomainError, StructuralError, VarRing, rename
-from aat.ratfn import RatFn, substitute_symbolic
 
 from conftest import random_poly
 from exact_oracles import is_associate
@@ -93,11 +92,9 @@ def test_degree_drop_under_differentiation(ring3):
             assert p.diff("x1").degree_in("x1") == d - 1
 
 
-def test_substitute_symbolic_and_numeric(pring):
+def test_eval_numeric_binds_parameters(pring):
     theta, x1 = pring.var("theta"), pring.var("x1")
     g2, g3 = pring.var("g2"), pring.var("g3")
-    xy = theta * x1
-    assert substitute_symbolic(xy, {"x1": 1}) == RatFn(theta)
     v = theta**2 - 4 * x1**3 + g2 * x1 + g3
     val = v.eval_numeric({"theta": 0.0, "x1": 1.0, "g2": 4.0, "g3": 0.0})
     assert abs(val) == 0.0  # e-value root of the lemniscatic cubic
@@ -111,7 +108,7 @@ def test_numeric_matches_exact_then_eval(ring3):
         p = random_poly(rng, ring3)
         b1 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         b2 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        exact = substitute_symbolic(p, {"x1": b1, "x2": b2})
+        exact = p.subs_exact({"x1": b1, "x2": b2})
         sym = exact.eval_numeric({"x3": 0.7}) if not exact.is_zero() else 0.0
         direct = p.eval_numeric({"x1": complex(b1), "x2": complex(b2), "x3": 0.7})
         assert abs(sym - direct) <= 1e-12 * (1 + abs(direct))
