@@ -11,7 +11,8 @@ from pinning the value slot of the addition polynomial at u + v = 0.
 (theta, x) through one `value_jacobian` call, so the group law through the
 parameters is plain arithmetic on u before that call: the point of a + b is
 the point over u_a + u_b.  `point_add` is the other group law, through the
-resolved formula.
+resolved formula.  The checks that compare the two read the (u, v) rows of a
+draw bank (`scan_pairs`), whose points at u, v and u+v are already evaluated.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import naming
 from .euclid import factor_candidates, poly_sqrt, resultant, squarefree_in
 from .ratfn import RatFn
 from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, rename
-from .sampling import DEFAULT_BOX, draw_points, sequential_draws, vanishes
+from .sampling import DEFAULT_BOX, VALUE_CAP, draw_bank, draw_points, vanishes
 from .variety import VarietySpec
 
 _INF = None  # infinity marker for point coordinates
@@ -311,16 +312,22 @@ def _excluded_divisors(r1: RatFn) -> list:
 
 
 def _verify_formula(formula: AdditionFormula, spec: VarietySpec, backend, *, seed, tol, samples=20):
-    rng = random.Random(naming.stage_seed(seed, "formula-verify"))
+    """(ok, reason): R_1 matches the backend's value at u+v on 90% of the
+    first `samples` usable pairs of the vetting bank."""
 
     def value_pair(p1, p2, p12):
-        got = formula_value(formula, 1, p1, p2)
-        return None if got is None or p12.x[0] is _INF else (got, p12.x[0])
+        # R_1 and the backend's value, off the pole set, 1e-6 clear of the
+        # excluded divisor and where no denominator vanishes
+        values = _formula_bindings(formula, p1, p2, tol=1e-6)
+        if values is None or p12.x[0] is _INF:
+            return None
+        try:
+            return formula.R[1].eval_numeric(values), p12.x[0]
+        except PoleError:
+            return None
 
-    pairs = sequential_draws(
-        rng, samples, 40 * samples, 2 * backend.n, DEFAULT_BOX,
-        lambda rows: map(value_pair, *pair_points(backend, spec, rows)),
-    )
+    bank = draw_bank(backend, "probe-bank", seed, DEFAULT_BOX)
+    pairs = scan_pairs(bank, spec, samples, 40 * samples, value_pair)
     good = 0
     reason = ""
     for tried, (got, want) in enumerate(pairs, start=1):
@@ -331,18 +338,6 @@ def _verify_formula(formula: AdditionFormula, spec: VarietySpec, backend, *, see
     if not pairs:
         return False, "no usable verification samples"
     return good >= max(1, int(0.9 * len(pairs))), reason or f"{good}/{len(pairs)} samples matched"
-
-
-def formula_value(formula: AdditionFormula, slot: int, p1: VarietyPoint, p2: VarietyPoint):
-    """R[slot] at two finite points, or None where a point is infinite, the
-    pair is within 1e-6 of the excluded divisor or a denominator vanishes."""
-    values = _formula_bindings(formula, p1, p2, tol=1e-6)
-    if values is None:
-        return None
-    try:
-        return formula.R[slot].eval_numeric(values)
-    except PoleError:
-        return None
 
 
 def _formula_bindings(formula: AdditionFormula, p1: VarietyPoint, p2: VarietyPoint, tol: float):
@@ -362,14 +357,11 @@ def _formula_bindings(formula: AdditionFormula, p1: VarietyPoint, p2: VarietyPoi
 # -- points and the group operations ------------------------------------------------
 
 
-_BIG = 1e8
-
-
-def backend_points(backend, spec: VarietySpec, us) -> list:
-    """The variety points over the rows of `us`, with infinity markers where
-    `value_jacobian` marks the row bad or a coordinate reaches _BIG."""
-    vals, jac, bad = backend.value_jacobian(us)
-    n = backend.n
+def array_points(spec: VarietySpec, vals, jac, bad) -> list:
+    """The variety points of evaluated rows (`value_jacobian`'s arrays), with
+    infinity markers where `bad` marks the row or a coordinate reaches
+    VALUE_CAP."""
+    n = vals.shape[1]
     with np.errstate(all="ignore"):  # bad rows carry nan
         thetas = sum(complex(spec.alpha[k][p]) * jac[:, k, p] for k in range(n) for p in range(n))
     out = []
@@ -377,18 +369,25 @@ def backend_points(backend, spec: VarietySpec, us) -> list:
         if pole:
             out.append(VarietyPoint(theta=_INF, x=(_INF,) * n))
             continue
-        xs = tuple(c if abs(c) < _BIG else _INF for c in xs)
-        out.append(VarietyPoint(theta=theta if abs(theta) < _BIG else _INF, x=xs))
+        xs = tuple(c if abs(c) < VALUE_CAP else _INF for c in xs)
+        out.append(VarietyPoint(theta=theta if abs(theta) < VALUE_CAP else _INF, x=xs))
     return out
 
 
-def pair_points(backend, spec: VarietySpec, rows) -> tuple:
-    """(points at u, points at v, points at u+v) for the rows (u, v) of `rows`."""
-    n = backend.n
-    us, vs = rows[:, :n], rows[:, n:]
-    pts = backend_points(backend, spec, np.concatenate([us, vs, us + vs]))
-    size = len(rows)
-    return pts[:size], pts[size : 2 * size], pts[2 * size :]
+def backend_points(backend, spec: VarietySpec, us) -> list:
+    """The variety points over the rows of `us`, through one `value_jacobian` call."""
+    return array_points(spec, *backend.value_jacobian(us))
+
+
+def scan_pairs(bank, spec: VarietySpec, want: int, limit: int, check) -> list:
+    """The first `want` results that are not None of check(point at u, point
+    at v, point at u+v) over the first `limit` (u, v) rows of a draw bank."""
+
+    def evaluate(val, jac, bad):
+        points = [array_points(spec, val[s], jac[s], bad[s]) for s in range(3)]  # u, v, u+v
+        return map(check, *points)
+
+    return bank.scan(want, limit, evaluate)
 
 
 def point_add(p1: VarietyPoint, p2: VarietyPoint, formula: AdditionFormula) -> VarietyPoint:

@@ -21,10 +21,9 @@ from . import naming
 from .addition import (
     DivisorDegeneracyError,
     derive_negation,
-    formula_value,
-    pair_points,
     point_add,
     resolve_addition,
+    scan_pairs,
     uniqueness_witness,
     variety_residual,
 )
@@ -36,7 +35,7 @@ from .periods import detect_period, integer_combinations
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import DEFAULT_BOX, SamplingError, residual_check, sequential_draws
+from .sampling import DEFAULT_BOX, SamplingError, draw_bank, residual_check, sequential_draws
 from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
@@ -240,32 +239,31 @@ def stage_resolve(ctx: RunContext) -> None:
         ctx.skip("addition resolved", "outside symbolic scope (numeric verification only)")
 
 
-def _formula_agreement(ctx: RunContext, formula) -> None:
-    """Add pairs through the resolved formula and compare the sums with the
-    backend's points over u + v."""
+def _formula_checks(ctx: RunContext, formula) -> None:
+    """Add the report bank's (u, v) pairs through the resolved formula and
+    compare each sum with the backend's point over u + v: its theta slot,
+    the whole point, and its |V| residual."""
     opts = ctx.spec.options
     vspec = ctx.vspec
-    rng = random.Random(naming.stage_seed(opts.seed, "group-law"))
     tol = max(opts.tol, 1e-8)
 
-    def agreement(p1, p2, want):
+    def gaps(p1, p2, want):
         if not (p1.is_finite() and p2.is_finite() and want.is_finite()):
             return None
         try:
             got = point_add(p1, p2, formula=formula)
         except (DivisorDegeneracyError, PoleError):
             return None
-        return got.gap(want), variety_residual(vspec, got)
+        return abs(got.theta - want.theta) / (1 + abs(want.theta)), got.gap(want), variety_residual(vspec, got)
 
-    pairs = sequential_draws(
-        rng, opts.samples, 40 * opts.samples, 2 * ctx.spec.n, ctx.box,
-        lambda rows: map(agreement, *pair_points(ctx.backend, vspec, rows)),
-    )
+    bank = draw_bank(ctx.backend, "residual", opts.seed, ctx.box)
+    pairs = scan_pairs(bank, vspec, opts.samples, 40 * opts.samples, gaps)
     tried = len(pairs)
-    agree = sum(gap < tol for gap, _ in pairs)
-    worst = max((gap for gap, _ in pairs), default=0.0)
-    closure_worst = max((res for _, res in pairs), default=0.0)
-    ok = tried >= min(opts.samples, 50) and agree >= int(0.95 * tried)
+    theta_worst, worst, closure_worst = [max(column) for column in zip(*pairs)] or [0.0] * 3
+    agree = sum(gap < tol for _, gap, _ in pairs)
+    enough = tried >= min(opts.samples, 50)
+    ctx.verdict("theta-slot formula", enough and theta_worst < tol, f"worst gap {theta_worst:.3e} on {tried} pairs")
+    ok = enough and agree >= int(0.95 * tried)
     ctx.verdict("formula/backend agreement", ok, f"{agree}/{tried} pairs within {tol:.1e}")
     ctx.verdict("formula closure", closure_worst < tol, f"worst |V| residual {closure_worst:.3e}")
     ctx.section["group_law"] = {"formula_agreement": {"agree": agree, "tried": tried, "worst_gap": worst}}
@@ -347,33 +345,14 @@ def _recursion_gaps(recursion, backend, us, h):
 
 
 def stage_verify(ctx: RunContext) -> None:
-    spec = ctx.spec
-    opts = spec.options
+    opts = ctx.spec.options
     for (k, p), entry in sorted(ctx.trace.entries.items()):
         if entry.eliminant is not None:
             ctx.residual(entry.eliminant, f"H_{k}{p}", max(opts.tol, 1e-8))
         ctx.residual(entry.specialized, f"h_{k}{p}", max(opts.tol, 1e-8))
     formula = ctx.formula_outcome.formula if ctx.formula_outcome else None
     if formula is not None:
-        rng = random.Random(naming.stage_seed(opts.seed, "theta-slot"))
-
-        def theta_gap(p1, p2, p12):
-            got = formula_value(formula, 0, p1, p2)
-            if got is None or not p12.is_finite():
-                return None
-            return abs(got - p12.theta) / (1 + abs(p12.theta))
-
-        want = min(50, opts.samples)
-        gaps = sequential_draws(
-            rng, want, 2000, 2 * spec.n, ctx.box,
-            lambda rows: map(theta_gap, *pair_points(ctx.backend, ctx.vspec, rows)),
-        )
-        worst = max(gaps, default=0.0)
-        ctx.verdict(
-            "theta-slot formula", len(gaps) >= want and worst < max(opts.tol, 1e-8),
-            f"worst gap {worst:.3e} on {len(gaps)} pairs",
-        )
-        _formula_agreement(ctx, formula)
+        _formula_checks(ctx, formula)
     _derivative_checks(ctx)
 
 

@@ -10,23 +10,26 @@ samples drawn from a box in C^n.
 The draws live in banks on the backend (`DrawBank`): one seeded stream of
 (u, v) rows per (label, seed, box), each row evaluated at u, v, u+v and -u
 in one `value_jacobian` call, and extended in draw order only when a check
-finds too few usable rows.  One routine, `DrawBank.first_usable`, decides
-every check: the first N usable rows in draw order count, and 10*N skips
-before them end it.  Vetting a candidate factor (`vanishes`, N = 24) reads
-the vetting bank of the run seed; a reported residual (`residual_check`)
-reads the report bank of the run seed and box.  The relations come from
-exact algebra and the draws do not depend on them, so one shared draw set
-is as sound as fresh draws per relation (Schwartz, J. ACM 27, 1980;
-Zippel, EUROSAM 1979).
+finds too few usable rows.  `DrawBank.scan` keeps the first usable results
+of a check over the bank's rows in draw order; `DrawBank.first_usable`
+reads residuals through it, and the first N usable rows count, with 10*N
+skips before them ending the check.  Vetting a candidate factor (`vanishes`,
+N = 24) and the choice of the group law's root branch read the vetting bank
+of the run seed; a reported residual (`residual_check`) and the group-law
+checks read the report bank of the run seed and box.  The relations and
+formulas come from exact algebra and the draws do not depend on them, so one
+shared draw set is as sound as fresh draws per check (Schwartz, J. ACM 27,
+1980; Zippel, EUROSAM 1979).
 
-`sequential_draws` gives the pair and derivative checks (formula
-agreement, specialization, uniqueness) the same shape: chunks of draws, one
-batched evaluation per chunk, and a replay of the loop's stopping rule that
-leaves a shared rng exactly where the one-at-a-time loop would.
+`sequential_draws` serves the derivative checks and the sample nullspace
+search, which draw single points u: chunks of draws, one batched evaluation
+per chunk, and a replay of the loop's stopping rule that leaves a shared rng
+exactly where the one-at-a-time loop would.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -76,7 +79,9 @@ def draw_points(rng: random.Random, count: int, n: int, box: float) -> np.ndarra
 
 def sequential_draws(rng: random.Random, want: int, limit: int, width: int, box: float, evaluate) -> list:
     """The results a loop that draws one row of `width` coordinates at a time
-    keeps, when it stops after `want` usable rows or `limit` rows.
+    keeps, when it stops after `want` usable rows or `limit` rows.  Only the
+    derivative checks and the sample nullspace search draw this way; checks
+    on (u, v) pairs read a `DrawBank`.
 
     Rows are drawn in chunks; `evaluate(rows)` yields one result per row of a
     chunk, in order, with None for an unusable row, and may evaluate the
@@ -102,7 +107,7 @@ def sequential_draws(rng: random.Random, want: int, limit: int, width: int, box:
     return kept
 
 
-_VALUE_CAP = 1e8  # treat enormous values as pole-adjacent and skip the sample
+VALUE_CAP = 1e8  # treat enormous values as pole-adjacent and skip the sample
 DEFAULT_BOX = 1.2  # half-width of the sampling box when a problem sets no `box`
 
 
@@ -125,7 +130,7 @@ def residual_check(
     y_mode == 'neg'; L names need u+v, so y_mode 'v'.  SamplingError ends a
     check that skips 10*samples draws before its samples.
     """
-    found = _bank(backend, "residual", seed, box).first_usable(relation, samples, alpha, y_mode)
+    found = draw_bank(backend, "residual", seed, box).first_usable(relation, samples, alpha, y_mode)
     if found is None:
         raise SamplingError(
             f"pole-dominated sampling region for {relation_id}: "
@@ -165,7 +170,7 @@ def _residuals(relation, names, alpha, val, jac, bad):
     """(scaled residual, usable) at every row: x, z and theta names read u's
     val[0], jac[0], y and w names the second point's val[1], jac[1], and L
     names u+v's val[2]; a row is unusable where `bad` marks one of its
-    points or a bound value exceeds _VALUE_CAP."""
+    points or a bound value exceeds VALUE_CAP."""
     usable = ~bad.any(axis=0)
     values = {}
     with np.errstate(all="ignore"):  # rows with non-finite entries are already unusable
@@ -179,7 +184,7 @@ def _residuals(relation, names, alpha, val, jac, bad):
                 col = val["xyL".index(kind)][:, cls[1] - 1]
             else:
                 col = jac["zw".index(kind)][:, cls[1] - 1, cls[2] - 1]
-            usable &= np.abs(col) <= _VALUE_CAP
+            usable &= np.abs(col) <= VALUE_CAP
             values[name] = col
         total, biggest = relation.eval_terms(values)
         res = np.broadcast_to(np.abs(total) / (1.0 + biggest), usable.shape)
@@ -210,31 +215,46 @@ class DrawBank:
             for old, a in zip((self.val, self.jac, self.bad), new)
         )
 
+    def scan(self, want: int, limit: int, evaluate) -> list:
+        """The first `want` results that are not None of `evaluate(val, jac,
+        bad)`, which yields one result per row of the arrays it gets, lazily,
+        over the bank's first `limit` rows in draw order.  The bank is extended
+        by twice the missing results only when its rows run out first."""
+        kept, done = [], 0
+        while len(kept) < want and done < limit:
+            if done == self.bad.shape[1]:
+                self.extend(min(2 * (want - len(kept)), limit - done))
+            size = min(self.bad.shape[1], limit)
+            results = evaluate(self.val[:, done:size], self.jac[:, done:size], self.bad[:, done:size])
+            kept += itertools.islice((r for r in results if r is not None), want - len(kept))
+            done = size
+        return kept
+
     def first_usable(self, relation, samples: int, alpha, y_mode: str):
         """(sorted scaled residuals of the first `samples` usable rows, rows
         skipped before them), or None when the first 11*samples - 1 rows,
         that is 10*samples skips, hold fewer.  A row is unusable when u, v,
         u+v or -u (as the relation needs them) is on the pole set, or when a
-        bound value exceeds _VALUE_CAP."""
+        bound value exceeds VALUE_CAP.  A first read of the bank draws
+        `samples` rows."""
         names, reads = _needs(relation, alpha, y_mode)
         slots = [0, 1 if y_mode == "v" else 3, 2]  # u, the second point, u+v
-        limit = 11 * samples - 1
+        read = 0  # rows the scan has checked
+
+        def residuals(val, jac, bad):
+            nonlocal read
+            res, ok = _residuals(relation, names, alpha, val[slots], jac[slots], bad[slots[:reads]])
+            for r, usable in zip(res.tolist(), ok.tolist()):
+                read += 1
+                yield r if usable else None
+
         if not self.bad.shape[1]:
             self.extend(samples)
-        while True:
-            size = min(self.bad.shape[1], limit)
-            res, ok = _residuals(
-                relation, names, alpha, self.val[slots, :size], self.jac[slots, :size], self.bad[slots[:reads], :size]
-            )
-            rows = np.flatnonzero(ok)
-            if len(rows) >= samples:
-                return np.sort(res[rows[:samples]]).tolist(), int(rows[samples - 1]) + 1 - samples
-            if size >= limit:
-                return None
-            self.extend(min(2 * (samples - len(rows)), limit - size))
+        found = self.scan(samples, 11 * samples - 1, residuals)
+        return (sorted(found), read - samples) if len(found) == samples else None
 
 
-def _bank(backend, *key) -> DrawBank:
+def draw_bank(backend, *key) -> DrawBank:
     """The backend's bank for key = (label, seed, box), made on first use."""
     if key not in backend.banks:
         backend.banks[key] = DrawBank(backend, *key)
@@ -245,7 +265,7 @@ def vanishes(relation, backend, *, seed=0, tol=1e-7, alpha=None, y_mode="v") -> 
     """Quick boolean residual test used during factor selection: the first
     PROBE_SAMPLES usable rows of the backend's vetting bank for `seed` have
     p95 below tol.  Made once per relation."""
-    bank = _bank(backend, "probe-bank", seed, DEFAULT_BOX)
+    bank = draw_bank(backend, "probe-bank", seed, DEFAULT_BOX)
     key = (relation, tol, y_mode, alpha if alpha is None else tuple(map(tuple, alpha)))
     if key not in bank.verdicts:
         found = bank.first_usable(relation, PROBE_SAMPLES, alpha, y_mode)

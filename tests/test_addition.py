@@ -10,7 +10,6 @@ from aat.addition import (
     DivisorDegeneracyError,
     backend_points,
     derive_negation,
-    pair_points,
     point_add,
     resolve_addition,
     uniqueness_witness,
@@ -199,9 +198,11 @@ def test_wp_formula_backend_agreement(wp_ctx):
     formula = resolve_addition(sys, spec, backend, seed=3).formula
     rng = random.Random(12)
     rows = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)] for _ in range(200)])
-    dist = backend.pole_distance(np.concatenate([rows[:, :1], rows[:, 1:], rows[:, :1] + rows[:, 1:]])).reshape(3, -1)
+    us = np.concatenate([rows[:, :1], rows[:, 1:], rows[:, :1] + rows[:, 1:]])
+    dist = backend.pole_distance(us).reshape(3, -1)
+    pts = backend_points(backend, spec, us)
     checked = 0
-    for i, (p1, p2, want) in enumerate(zip(*pair_points(backend, spec, rows))):
+    for i, (p1, p2, want) in enumerate(zip(pts[:200], pts[200:400], pts[400:])):
         if dist[:, i].min() < 0.2:
             continue
         try:

@@ -13,9 +13,9 @@ from aat.pipeline import run_problem
 from aat.problem import load_problem
 from aat.rings import PoleError, StructuralError
 from aat.sampling import (
-    _VALUE_CAP,
     DEFAULT_BOX,
     PROBE_SAMPLES,
+    VALUE_CAP,
     DrawBank,
     ResidualReport,
     SamplingError,
@@ -173,7 +173,7 @@ def sequential_residual_check(relation, backend, *, relation_id, samples, seed, 
             if y_mode == "neg" and at["v"][2]:
                 raise PoleError("-u on pole set")
             values = _bind_one(relation, backend, at, alpha)
-            if any(abs(c) > _VALUE_CAP for c in values.values()):
+            if any(abs(c) > VALUE_CAP for c in values.values()):
                 raise PoleError("value overflow near pole")
             total, biggest = relation.eval_terms(values)
         except PoleError:
@@ -404,3 +404,74 @@ def test_bank_gives_false_after_ten_times_the_samples_in_skips(first_good, want)
     backend = _MarkedBackend(first_good)
     assert vanishes(parse_poly("z1_1 - 1", ring), backend) is want
     assert sum(backend.calls) <= 11 * PROBE_SAMPLES - 1
+
+
+def test_scan_keeps_the_first_usable_rows_in_draw_order():
+    # rows before 30 are unusable: the scan reads 20 rows, then twice the 10
+    # missing results, and keeps rows 30-39 of the seeded stream
+    backend = _MarkedBackend(first_good=30)
+    bank = DrawBank(backend, "scan", 5, DEFAULT_BOX)
+    checked = []
+
+    def first_coordinate(val, jac, bad):
+        for u, pole in zip(val[0, :, 0].tolist(), bad[0].tolist()):
+            checked.append(u)
+            yield None if pole else u
+
+    stream = draw_points(random.Random(naming.stage_seed(5, "scan")), 40, 2, DEFAULT_BOX)[:, 0].tolist()
+    assert bank.scan(10, 100, first_coordinate) == stream[30:40]
+    assert backend.calls == [20, 20] and checked == stream
+    assert bank.scan(5, 100, first_coordinate) == stream[30:35]  # read from the bank, evaluated lazily
+    assert backend.calls == [20, 20] and checked == stream + stream[:35]
+
+
+def test_scan_stops_at_the_limit():
+    # chunks of 20 rows, and a last one of 10 that ends at the limit
+    backend = _MarkedBackend(first_good=85)
+    bank = DrawBank(backend, "scan", 5, DEFAULT_BOX)
+    kept = bank.scan(10, 90, lambda val, jac, bad: (None if pole else u for u, pole in zip(val[0, :, 0], bad[0])))
+    assert len(kept) == 5 and backend.calls == [20, 20, 20, 20, 10] and bank.bad.shape[1] == 90
+
+
+def test_formula_checks_read_the_backend_only_through_the_banks(monkeypatch):
+    # resolve and verify of lemniscatic: the branch choice scans the vetting
+    # bank, the three group-law verdicts one scan of the report bank; the
+    # only other reads are the derivative checks' difference quotients
+    from aat import pipeline
+
+    spec = load_problem("problems/lemniscatic.aat")
+    backend = spec.backend
+    reads, scans, stage, evaluate, scan = [], [], [None], backend.value_jacobian, DrawBank.scan
+
+    def key_of(bank):
+        return next((k for k, b in backend.banks.items() if b is bank), None)
+
+    def spy(points):
+        caller = sys._getframe(1)
+        bank = caller.f_locals.get("self") if caller.f_globals["__name__"] == "aat.sampling" else None
+        reads.append((stage[0], key_of(bank) or caller.f_code.co_name))
+        return evaluate(points)
+
+    def spied_scan(self, *args):
+        if sys._getframe(1).f_globals["__name__"] == "aat.addition":
+            scans.append((stage[0], key_of(self)))
+        return scan(self, *args)
+
+    def staged(name, run):
+        def run_staged(ctx):
+            stage[0] = name
+            run(ctx)
+
+        return run_staged
+
+    monkeypatch.setattr(backend, "value_jacobian", spy)
+    monkeypatch.setattr(DrawBank, "scan", spied_scan)
+    for name, run in pipeline._STAGE_FUNCS.items():
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, name, staged(name, run))
+    section = run_problem(spec, ["all"])
+    assert section["ok"] and section["formulas"]["status"] == "resolved"
+    vetting, report = ("probe-bank", 42, DEFAULT_BOX), ("residual", 42, DEFAULT_BOX)
+    assert set(scans) == {("resolve", vetting), ("verify", report)}
+    assert [key for name, key in scans if name == "verify"] == [report]  # one scan, three verdicts
+    assert {key for name, key in reads if name in ("resolve", "verify")} <= {vetting, report, "_recursion_gaps"}
+    assert section["group_law"]["formula_agreement"]["tried"] == 100
