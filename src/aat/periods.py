@@ -244,13 +244,13 @@ def integer_combinations(points, basis, tol=1e-7) -> list:
 
 def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple:
     """(generators, residual of each or None): every generator g verified
-    together with its quotients g/m by the primes m <= 7, and divided by the
+    together with its quotients g/m by the primes m <= 31, and divided by the
     first m that passes, round by round while one does.  A g/m that failed
     fails for good, so a round tries only the primes that passed before.  A
     g/m whose F(base + g/m) is not near F(base) = target fails unverified.
     """
     gens, result = list(generators), [None] * len(generators)
-    trials = [(i, m) for i in range(len(gens)) for m in (1, 2, 3, 5, 7)]
+    trials = [(i, m) for i in range(len(gens)) for m in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
     while trials:
         quotients = [tuple(c / m for c in gens[i]) for i, m in trials]
         # a loose screen at one point: a g/m that is no period fails it at

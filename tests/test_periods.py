@@ -119,11 +119,13 @@ def test_exp_period_is_2pi_i():
     assert abs(p - 2j * cmath.pi) < 1e-8 or abs(p + 2j * cmath.pi) < 1e-8
 
 
-def test_a_generator_found_as_a_multiple_is_divided_down():
+@pytest.mark.parametrize("c,seed", [(22, 42), (-30, 279652)])
+def test_a_generator_found_as_a_multiple_is_divided_down(c, seed):
     # exp with c = 22 at seed 42: the Newton grid finds only 4*omega; the
-    # verified quotients 2*omega and omega replace it
-    omega = 2j * cmath.pi / 22
-    found = detect_period(make_backend("exp", {"c": Fraction(22)}), tol=1e-9, seed=42)
+    # verified quotients 2*omega and omega replace it.  With c = -30 at seed
+    # 279652 it finds 17*omega, which only the prime 17 divides down
+    omega = 2j * cmath.pi / c
+    found = detect_period(make_backend("exp", {"c": Fraction(c)}), tol=1e-9, seed=seed)
     assert len(found) == 1 and abs(abs(found[0].p[0]) - abs(omega)) < 1e-9
 
 
