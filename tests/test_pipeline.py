@@ -268,7 +268,7 @@ def test_derivative_check_skips_when_no_point_clears_the_poles(monkeypatch):
 
 
 def test_theta_slot_formula_sized_by_samples():
-    # fewer samples than the loop's cap of 50 pairs: every drawn pair counts
+    # fewer samples than the rule's 50 pairs: the `samples` pairs scanned suffice
     spec = load_problem("problems/lemniscatic.aat")
     spec.options.samples = 5
     section = run_problem(spec, ["verify"])
