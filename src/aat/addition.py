@@ -383,7 +383,8 @@ def scan_pairs(bank, spec: VarietySpec, want: int, limit: int, check) -> list:
     """The first `want` results that are not None of check(point at u, point
     at v, point at u+v) over the first `limit` (u, v) rows of a draw bank."""
 
-    def evaluate(val, jac, bad):
+    def evaluate(rows):
+        val, jac, bad = bank.val[:, rows], bank.jac[:, rows], bank.bad[:, rows]
         points = [array_points(spec, val[s], jac[s], bad[s]) for s in range(3)]  # u, v, u+v
         return map(check, *points)
 

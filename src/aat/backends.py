@@ -1,11 +1,11 @@
 """Numeric mapping backends: the concrete function families used as oracles.
 
 A backend evaluates a mapping u -> (f_1(u), ..., f_n(u)) together with its
-n x n first-derivative matrix, knows its pole set and the period lattice the
-period stage must recover, lists the exact points where the elimination
-engine specializes (values of the mapping and its derivative in Q(sqrt(d))
-for a rational d, without the parameter v itself), and builds the addition
-polynomials of `G = auto`.
+n x n first-derivative matrix, knows its pole set, its exponential rate and
+the period lattice the period stage must recover, lists the exact points
+where the elimination engine specializes (values of the mapping and its
+derivative in Q(sqrt(d)) for a rational d, without the parameter v itself),
+and builds the addition polynomials of `G = auto`.
 
 There is one evaluator, `value_jacobian(points)`: each family writes its
 formula once, in `_map`, over numpy arrays (`np.exp` and
@@ -70,6 +70,8 @@ class ExactPoint:
 
 class MappingBackend:
     """Numeric evaluator for one concrete family."""
+
+    growth = 0.0  # the rate |c| of exponential components exp(c*u_k), 0 without one
 
     def __init__(self, family: str):
         self.family = family
@@ -146,6 +148,7 @@ class ElementaryBackend(MappingBackend):
         self.c = Fraction(params.get("c", 1)) if family == "exp" else Fraction(1)
         if self.c == 0:
             raise StructuralError("exp needs c != 0; c = 0 is the constant map")
+        self.growth = abs(float(self.c)) if "exp" in self.kinds else 0.0
 
     def _map(self, u, bad):
         c = complex(self.c)

@@ -60,16 +60,6 @@ def _default_output(args) -> Path:
     return Path(args.problem).with_suffix(".report.json")
 
 
-def _apply_overrides(spec, args) -> None:
-    if args.tol is not None:
-        spec.options.tol = args.tol
-    if args.samples is not None:
-        spec.options.samples = args.samples
-    if args.seed is not None:
-        spec.options.seed = args.seed
-    spec.options.check("command line")
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_path = _default_output(args)
@@ -86,9 +76,10 @@ def run(argv=None) -> int:
             print(f"[{status}] {section['source']}: {passed}/{len(section['verdicts'])} verdicts{skipped}")
         print(f"report: {out_path}")
         return 0 if result["ok"] else 1
+    # the overrides apply before `G = auto` is built, which vets on the run's seed
+    overrides = {key: getattr(args, key) for key in ("tol", "samples", "seed") if getattr(args, key) is not None}
     try:
-        spec = load_problem(args.problem)
-        _apply_overrides(spec, args)
+        spec = load_problem(args.problem, overrides)
     except (OSError, AlgebraError) as err:  # ProblemError is an AlgebraError; OSError an unreadable path
         # unusable input: every input check runs while the problem loads
         report["failure"] = {"stage": "load", "error": type(err).__name__, "message": str(err)}

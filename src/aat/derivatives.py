@@ -11,9 +11,18 @@ backend.  One more formal differentiation gives the third order.
 then runs the recursion over arrays of points from the values and first
 derivatives `value_jacobian` returns.  A point where some P_0 vanishes
 (relative to its bindings) is marked singular instead of evaluated.
+
+`cauchy_partials` gives the same derivatives without the relations, from
+Cauchy integrals of the Jacobian by the trapezoid rule on circles (Lyness &
+Moler, SIAM J. Numer. Anal. 4, 1967; Bornemann, Found. Comput. Math. 11,
+2011).  Its error is rounding over r^m plus (r/R)^NODES, R the distance to
+the nearest singularity: no step balances truncation against rounding.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -43,49 +52,71 @@ class Recursion:
 
         d2[:, k, p, q] is d2f_k/du_p du_q and d3[:, k, p, q, r] the third
         derivative (indices from 0).  Entries of singular rows are meaningless.
+        With slots (z0, x_1..x_n) moving at v[:, a, q] along u_q,
+        d3 = -(sum_ab P_ab v_aq v_br + sum_i P_i d2f_i/du_q du_r) / P_0.
         """
-        n = self.n
-        rows = len(x)
+        n, rows = self.n, len(x)
         singular = np.zeros(rows, dtype=bool)
-        first, second = {}, {}
+        d2 = np.empty((rows, n, n, n), dtype=complex)
+        d3 = np.empty((rows, n, n, n, n), dtype=complex)
+        parts = {}
         with np.errstate(all="ignore"):
             for (k, p), (zvar, polys1, polys2) in self._partials.items():
-                values = {zvar: jac[:, k - 1, p - 1]}
-                for i in range(1, n + 1):
-                    values[naming.x(i)] = x[:, i - 1]
-                first[k, p] = [_rows(d, values, rows) for d in polys1]
-                second[k, p] = [[_rows(d, values, rows) for d in row] for row in polys2]
+                values = {zvar: jac[:, k - 1, p - 1], **{naming.x(i): x[:, i - 1] for i in range(1, n + 1)}}
+                g = np.array([_rows(d, values, rows) for d in polys1])  # [slot, row]
+                h = np.array([[_rows(d, values, rows) for d in row] for row in polys2])  # [slot, slot, row]
                 scale = 1 + np.maximum.reduce([np.abs(v) for v in values.values()])
-                singular |= np.abs(first[k, p][0]) < _SINGULAR_FLOOR * scale
-            d2 = np.empty((rows, n, n, n), dtype=complex)
-            for (k, p), parts in first.items():
-                for q in range(n):
-                    acc = 0j
-                    for i in range(1, n + 1):
-                        acc = acc + parts[i] * jac[:, i - 1, q]
-                    d2[:, k - 1, p - 1, q] = -acc / parts[0]
-            d3 = np.empty((rows, n, n, n, n), dtype=complex)
-            for (k, p), parts in first.items():
-                p0 = parts[0]
-                for r in range(n):
-                    f_r = d2[:, k - 1, p - 1, r]
-                    # d/du_r of P_j along u: P_{j,0} * d2f_k/du_p du_r + sum_m P_{j,m} * z_{m r}
-                    rates = []
-                    for row in second[k, p]:
-                        out = row[0] * f_r
-                        for m in range(1, n + 1):
-                            out = out + row[m] * jac[:, m - 1, r]
-                        rates.append(out)
-                    for q in range(n):
-                        num = 0j
-                        for i in range(1, n + 1):
-                            num = num + rates[i] * jac[:, i - 1, q]
-                            num = num + parts[i] * d2[:, i - 1, q, r]
-                        f_q = d2[:, k - 1, p - 1, q]
-                        d3[:, k - 1, p - 1, q, r] = -(num * p0 - (-f_q * p0) * rates[0]) / (p0 * p0)
+                singular |= np.abs(g[0]) < _SINGULAR_FLOOR * scale
+                d2[:, k - 1, p - 1] = -np.einsum("ir,riq->rq", g[1:], jac) / g[0][:, None]
+                parts[k, p] = g, h
+            for (k, p), (g, h) in parts.items():
+                v = np.concatenate([d2[:, k - 1, p - 1][:, None], jac], axis=1)
+                num = np.einsum("abr,raq,rbs->rqs", h, v, v) + np.einsum("ir,riqs->rqs", g[1:], d2)
+                d3[:, k - 1, p - 1] = -num / g[0][:, None, None]
         return d2, d3, singular
 
 
 def _rows(poly, values, rows):
     """poly over the bound arrays, broadcast to one entry per row (constants included)."""
     return np.broadcast_to(poly.eval_numeric(values), (rows,))
+
+
+NODES = 32  # trapezoid nodes on each circle
+_POLE_SHARE = 0.3  # circle radius over the distance of the nearest pole
+# e^(-2 pi i j m / NODES) / NODES: the trapezoid sums of the t^1 and t^2 coefficients
+_WEIGHTS = np.exp(-2j * np.pi * np.outer([1, 2], np.arange(NODES)) / NODES) / NODES
+
+
+def cauchy_partials(backend, us, jac):
+    """(d2, d3, usable) at the rows of `us`, whose Jacobians are `jac`, laid
+    out as `Recursion` lays them out.
+
+    Around each u, NODES nodes u + r*e^(i phi)*d in each direction d of
+    e_1..e_n and (e_q +- e_r)/sqrt(2), q < r, all in one `value_jacobian`
+    call.  The t and t^2 coefficients of J(u + t*d) - J(u) are D_d J and
+    D_d^2 J / 2; a mixed third partial is D^2 along (e_q + e_r)/sqrt(2) less
+    D^2 along (e_q - e_r)/sqrt(2), halved (polarization).  The radius
+    r = min(0.3 * pole distance, 1 / (1 + backend.growth)) keeps clear of the
+    poles and of exponential growth.  A row with a rejected node or r = 0 is
+    not usable.
+    """
+    n, rows = backend.n, len(us)
+    eye = np.eye(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    dirs = np.array([*eye, *((eye[q] + s * eye[r]) / math.sqrt(2) for q, r in pairs for s in (1, -1))])
+    radius = np.minimum(_POLE_SHARE * backend.pole_distance(us), 1 / (1 + backend.growth))
+    ring = radius[:, None, None, None] * np.exp(2j * np.pi * np.arange(NODES) / NODES)[:, None]
+    _, on, bad = backend.value_jacobian((us[:, None, None] + ring * dirs[:, None]).reshape(-1, n))
+    with np.errstate(all="ignore"):
+        # less J(u): an entry that is constant along a circle gives exact zeros
+        change = on.reshape(rows, len(dirs), NODES, n, n) - jac[:, None, None]
+        coef = np.tensordot(_WEIGHTS, change, axes=(1, 2))
+        scale = radius[:, None, None, None]
+        first, second = coef[0] / scale, 2 * coef[1] / scale**2  # D_d J and D_d^2 J, [row, d, k, p]
+    d2 = np.moveaxis(first[:, :n], 1, -1)
+    d3 = np.empty((rows, n, n, n, n), dtype=complex)
+    for q in range(n):
+        d3[..., q, q] = second[:, q]
+    for i, (q, r) in enumerate(pairs):
+        d3[..., q, r] = d3[..., r, q] = (second[:, n + 2 * i] - second[:, n + 2 * i + 1]) / 2
+    return d2, d3, (radius > 0) & ~bad.reshape(rows, -1).any(axis=1)

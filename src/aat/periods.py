@@ -99,6 +99,7 @@ def _newton(backend, target, seeds, *, iters=40, tol=1e-12, max_step=8.0):
     return b, jac, converged
 
 
+_MIN_PERIOD = 1e-6  # a shorter difference or quotient is no period candidate
 _SEED_DIGITS = 10  # significant digits of a period in its verification seed
 
 
@@ -174,17 +175,27 @@ def _verify_periods(backend, periods, *, samples, seed, tol, box):
     return result
 
 
-def _reduce_rows(points, basis):
-    """Each row of the complex array `points` minus its best integer
-    combination of the basis: the rounded least-squares coefficients, from
-    one solve with a matrix right-hand side."""
+def _coefficients(points, basis):
+    """The rounded least-squares coefficients of the rows of the complex
+    array `points` in the basis, one column per row, from one solve."""
     vecs = np.array(basis, dtype=complex)
     A = np.stack([vecs.real, vecs.imag], axis=-1).reshape(len(vecs), -1).T
     rhs = np.stack([points.real, points.imag], axis=-1).reshape(len(points), -1).T
     coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    for m, b in zip(np.round(coeffs), vecs):
+    return np.round(coeffs)
+
+
+def _reduce_rows(points, basis):
+    """Each row of `points` minus its best integer combination of the basis."""
+    for m, b in zip(_coefficients(points, basis), np.array(basis, dtype=complex)):
         points = points - m[:, None] * b
     return points
+
+
+def lattice_index(points, basis) -> int:
+    """The index of the lattice of as many `points` as basis vectors, each an
+    integer combination of them, in the basis's: |det| of the coefficients."""
+    return abs(round(np.linalg.det(_coefficients(np.array(points, dtype=complex), basis))))
 
 
 def _reduce_against(p, basis):
@@ -247,8 +258,8 @@ def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple
     together with its quotients g/m by the primes m <= 31, and divided by the
     first m that passes, round by round while one does.  A g/m that failed
     fails for good, so a round tries only the primes that passed before.  A
-    g/m whose F(base + g/m) is not near F(base) = target fails unverified.
-    """
+    g/m shorter than _MIN_PERIOD or with F(base + g/m) not near F(base) =
+    target fails unverified."""
     gens, result = list(generators), [None] * len(generators)
     trials = [(i, m) for i in range(len(gens)) for m in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
     while trials:
@@ -257,7 +268,7 @@ def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple
         # once, without the first chunk of verification draws
         val, _, bad = backend.value_jacobian(np.add(base, quotients))
         near = ~bad & (np.max(np.abs(val - target), axis=1) <= 1e-6 * (1 + np.max(np.abs(target))))
-        keep = [k for k, (_, m) in enumerate(trials) if m == 1 or near[k]]
+        keep = [k for k, (_, m) in enumerate(trials) if m == 1 or near[k] and _norm(quotients[k]) >= _MIN_PERIOD]
         verified = _verify_periods(backend, [quotients[k] for k in keep], samples=samples, seed=seed, tol=tol, box=1.0)
         checked = dict(zip(keep, verified))
         passed: dict = {}
@@ -316,20 +327,15 @@ def detect_period(
     solved, jacs, converged = _newton(backend, target, seeds, max_step=max(8.0, box))
     rows = np.flatnonzero(converged)
     diffs = solved[rows] - np.array(base)
-    far = np.max(np.abs(diffs), axis=1) >= 1e-6
+    far = np.max(np.abs(diffs), axis=1) >= _MIN_PERIOD
     jac_bound = jac_tol * (1 + np.max(np.abs(jac_a)))
     match = np.max(np.abs(jacs[rows] - jac_a), axis=(1, 2)) <= jac_bound
     # dedupe keys: the real and imaginary parts of p rounded to 6 places
     keys = np.round(np.stack([diffs.real, diffs.imag], axis=-1), 6).reshape(len(rows), -1).tolist()
-    pending = []
-    seen = set()
+    firsts = {}  # key -> the first far row with it
     for i in np.flatnonzero(far):
-        key = tuple(keys[i])
-        if key in seen:
-            continue
-        seen.add(key)
-        if match[i]:
-            pending.append(tuple(diffs[i]))
+        firsts.setdefault(tuple(keys[i]), i)
+    pending = [tuple(diffs[i]) for i in firsts.values() if match[i]]
     checked = _verify_periods(backend, pending, samples=samples, seed=seed, tol=tol, box=1.0)
     raw = [PeriodCandidate(p=p, residual=r) for p, r in zip(pending, checked) if r is not None]
     generators = reduce_candidates([c.p for c in raw], tol=1e-6, max_rank=2 * n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import os
-import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -28,14 +27,14 @@ from .addition import (
     variety_residual,
 )
 from .backends import FAMILIES, make_backend
-from .derivatives import Recursion
+from .derivatives import Recursion, cauchy_partials
 from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
 from .euclid import squarefree_check
-from .periods import detect_period, integer_combinations
+from .periods import detect_period, integer_combinations, lattice_index
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import DEFAULT_BOX, SamplingError, draw_bank, residual_check, sequential_draws
+from .sampling import DEFAULT_BOX, SamplingError, draw_bank, residual_check
 from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
@@ -269,79 +268,41 @@ def _formula_checks(ctx: RunContext, formula) -> None:
     ctx.section["group_law"] = {"formula_agreement": {"agree": agree, "tried": tried, "worst_gap": worst}}
 
 
+DERIVATIVE_POINTS = 20  # base points of the derivative checks
+DERIVATIVE_TOL = 1e-10  # bound on the relative gap of either order
+
+
 def _derivative_checks(ctx: RunContext) -> None:
-    spec = ctx.spec
-    opts = spec.options
+    """The recursion's second and third derivatives against `cauchy_partials`
+    at the first DERIVATIVE_POINTS usable rows u of the report bank (u off the
+    pole set, every circle node accepted, the recursion not singular); a gap
+    is the largest relative difference over every (k, p, q[, r])."""
     backend = ctx.backend
-    rng = random.Random(naming.stage_seed(opts.seed, "derivative-check"))
-    box = min(ctx.box, 0.95)
-    h = 1e-5
-    recursion = Recursion(ctx.relations, spec.n)
-    cleared = 0  # draws that pass the pole-distance filter
+    recursion = Recursion(ctx.relations, ctx.spec.n)
+    bank = draw_bank(backend, "residual", ctx.spec.options.seed, ctx.box)
 
-    def point_gaps(us):
-        # the difference quotients divide by h^2; stay well clear of poles so
-        # the evaluator's noise floor cannot swamp the 1e-6 comparison
-        nonlocal cleared
-        out = [None] * len(us)
-        clear = np.flatnonzero(backend.pole_distance(us) >= 0.5)
-        cleared += len(clear)
-        if len(clear):
-            gap2, gap3, usable = _recursion_gaps(recursion, backend, us[clear], h)
-            for i, g2, g3, ok in zip(clear.tolist(), gap2.tolist(), gap3.tolist(), usable.tolist()):
-                if ok:
-                    out[i] = (g2, g3)
-        return out
+    def gaps(rows):
+        # u off the pole set, one evaluation per DERIVATIVE_POINTS rows: usually one in all
+        candidates = rows.start + np.flatnonzero(~bank.bad[0, rows])
+        for start in range(0, len(candidates), DERIVATIVE_POINTS):
+            block = candidates[start : start + DERIVATIVE_POINTS]
+            val, jac = bank.val[0, block], bank.jac[0, block]
+            d2, d3, singular = recursion(val, jac)
+            want2, want3, usable = cauchy_partials(backend, bank.u[block], jac)
+            with np.errstate(all="ignore"):
+                gap2 = (np.abs(d2 - want2) / (1 + np.abs(want2))).reshape(len(block), -1).max(axis=1)
+                gap3 = (np.abs(d3 - want3) / (1 + np.abs(want3))).reshape(len(block), -1).max(axis=1)
+            for g2, g3, ok in zip(gap2.tolist(), gap3.tolist(), (usable & ~singular).tolist()):
+                yield (g2, g3) if ok else None
 
-    gaps = sequential_draws(rng, 20, 800, spec.n, box, point_gaps)
-    done = len(gaps)
-    worst2, worst3 = [max(g) for g in zip(*gaps)] or [0.0] * 2
-    if not cleared:
-        for order in (2, 3):
-            ctx.skip(f"derivative recursion order {order}", f"box {box:g} leaves no point 0.5 from a pole")
-    else:
-        ctx.verdict("derivative recursion order 2", done >= 20 and worst2 < 1e-6, f"worst {worst2:.3e} at {done} points")
-        ctx.verdict("derivative recursion order 3", done >= 20 and worst3 < 1e-6, f"worst {worst3:.3e}")
+    # as for a residual, ten skips per point end the check
+    found = bank.scan(DERIVATIVE_POINTS, 11 * DERIVATIVE_POINTS - 1, gaps)
+    done = len(found)
+    worst2, worst3 = [max(g) for g in zip(*found)] or [0.0] * 2
+    enough = done == DERIVATIVE_POINTS
+    ctx.verdict("derivative recursion order 2", enough and worst2 < DERIVATIVE_TOL, f"worst {worst2:.3e} at {done} points")
+    ctx.verdict("derivative recursion order 3", enough and worst3 < DERIVATIVE_TOL, f"worst {worst3:.3e}")
     ctx.section["derivative_recursion"] = {"points": done, "worst_order2": worst2, "worst_order3": worst3}
-
-
-def _recursion_gaps(recursion, backend, us, h):
-    """(order-2 gap, order-3 gap, usable) at every row of `us`.
-
-    A gap is the largest relative difference, over every (k, p, q[, r]),
-    between the recursion's derivative and a central difference of the
-    Jacobian with step h.  The base points and all 2n + 4n^2 shifts are
-    evaluated in one `value_jacobian` call; a row is unusable where one of
-    them is rejected or the recursion is singular.
-    """
-    n = backend.n
-    rows = len(us)
-    shifted = []
-    for q in range(n):
-        for s in (h, -h):
-            w = us.copy()
-            w[:, q] += s
-            shifted.append(w)
-    for q in range(n):
-        for r in range(n):
-            for sq, sr in ((h, h), (h, -h), (-h, h), (-h, -h)):
-                w = us.copy()
-                w[:, q] += sq
-                w[:, r] += sr
-                shifted.append(w)
-    values, jac, bad = backend.value_jacobian(np.concatenate([us] + shifted))
-    jac = jac.reshape(-1, rows, n, n)
-    bad = bad.reshape(-1, rows).any(axis=0)
-    d2, d3, singular = recursion(values[:rows], jac[0])
-    with np.errstate(all="ignore"):
-        # want2[:, k, p, q] and want3[:, k, p, q, r], as d2 and d3 are laid out
-        want2 = np.stack([(jac[1 + 2 * q] - jac[2 + 2 * q]) / (2 * h) for q in range(n)], axis=-1)
-        cross = jac[1 + 2 * n :].reshape(n, n, 4, rows, n, n)
-        want3 = (cross[:, :, 0] - cross[:, :, 1] - cross[:, :, 2] + cross[:, :, 3]) / (4 * h * h)
-        want3 = want3.transpose(2, 3, 4, 0, 1)
-        gap2 = (np.abs(d2 - want2) / (1 + np.abs(want2))).reshape(rows, -1).max(axis=1)
-        gap3 = (np.abs(d3 - want3) / (1 + np.abs(want3))).reshape(rows, -1).max(axis=1)
-    return gap2, gap3, ~(bad | singular)
 
 
 def stage_verify(ctx: RunContext) -> None:
@@ -371,6 +332,8 @@ def stage_period(ctx: RunContext) -> None:
         if not ok:
             shown = ", ".join("(" + ", ".join(f"{c:.6g}" for c in e) + ")" for e in missing) or "none"
             detail = f"{len(basis)} generators found for {len(expected)} quasi-period vectors; not covered: {shown}"
+            if len(basis) == len(expected) and all(inside):
+                detail += f"; index {lattice_index(basis, expected)}"
         ctx.verdict("period lattice recovered", ok, detail)
         section["expected"] = [[complex_entry(c) for c in e] for e in expected]
         for cand, hit in zip(candidates, inside):

@@ -14,9 +14,10 @@
 
 `#` starts a comment; parameter values are exact rationals.  `n`, `family`
 and one `G_k` per component are required, and no key may repeat within its
-section.  `[options]` takes `tol`, `samples`, `seed` and `box`.  The
-family's backend is built once, here, and kept on the spec; `G_k = auto`
-asks it for the family's addition polynomials (`addition_polys`).
+section.  `[options]` takes `tol`, `samples`, `seed` and `box`; the loader's
+`overrides` (the command line's) replace the file's values before `G = auto`
+is built.  The family's backend is built once, here, and kept on the spec;
+`G_k = auto` asks it for the family's addition polynomials (`addition_polys`).
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _parse_rational(text: str, where: str) -> Fraction:
     return value
 
 
-def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
+def parse_problem(text: str, source: str = "<string>", overrides=None) -> ProblemSpec:
     section = None
     mapping: dict = {"params": {}}
     aat_lines: dict = {}
@@ -161,7 +162,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
     if FAMILIES[family] != n:
         raise ProblemError(f"{source}: family {family} has n = {FAMILIES[family]}, not {n}")
     params = mapping["params"]
-    options = Options(**opts)
+    options = Options(**{**opts, **(overrides or {})})
     options.check(source)
     backend = make_backend(family, params)
 
@@ -203,7 +204,7 @@ def parse_problem(text: str, source: str = "<string>") -> ProblemSpec:
     )
 
 
-def load_problem(path) -> ProblemSpec:
+def load_problem(path, overrides=None) -> ProblemSpec:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"problem file not found: {path}")
@@ -211,4 +212,4 @@ def load_problem(path) -> ProblemSpec:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ProblemError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
-    return parse_problem(text, source=str(path))
+    return parse_problem(text, source=str(path), overrides=overrides)

@@ -15,16 +15,16 @@ of a check over the bank's rows in draw order; `DrawBank.first_usable`
 reads residuals through it, and the first N usable rows count, with 10*N
 skips before them ending the check.  Vetting a candidate factor (`vanishes`,
 N = 24) and the choice of the group law's root branch read the vetting bank
-of the run seed; a reported residual (`residual_check`) and the group-law
-checks read the report bank of the run seed and box.  The relations and
-formulas come from exact algebra and the draws do not depend on them, so one
-shared draw set is as sound as fresh draws per check (Schwartz, J. ACM 27,
-1980; Zippel, EUROSAM 1979).
+of the run seed; a reported residual (`residual_check`), the group-law
+checks and the derivative checks (around each row's u) read the report bank
+of the run seed and box.  The relations and formulas come from exact algebra
+and the draws do not depend on them, so one shared draw set is as sound as
+fresh draws per check (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).
 
-`sequential_draws` serves the derivative checks and the sample nullspace
-search, which draw single points u: chunks of draws, one batched evaluation
-per chunk, and a replay of the loop's stopping rule that leaves a shared rng
-exactly where the one-at-a-time loop would.
+`sequential_draws` serves only the sample nullspace search, which draws
+single points u: chunks of draws, one batched evaluation per chunk, and a
+replay of the loop's stopping rule that leaves a shared rng exactly where the
+one-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def draw_points(rng: random.Random, count: int, n: int, box: float) -> np.ndarra
 def sequential_draws(rng: random.Random, want: int, limit: int, width: int, box: float, evaluate) -> list:
     """The results a loop that draws one row of `width` coordinates at a time
     keeps, when it stops after `want` usable rows or `limit` rows.  Only the
-    derivative checks and the sample nullspace search draw this way; checks
-    on (u, v) pairs read a `DrawBank`.
+    sample nullspace search draws this way; the other checks read a
+    `DrawBank`.
 
     Rows are drawn in chunks; `evaluate(rows)` yields one result per row of a
     chunk, in order, with None for an unusable row, and may evaluate the
@@ -197,12 +197,14 @@ PROBE_SAMPLES = 24  # usable draws a vetting probe reads
 class DrawBank:
     """One seeded stream of (u, v) rows drawn from a box, each row evaluated
     at u, v, u+v and -u, and extended in draw order only when a check finds
-    too few usable rows.  The vetting bank also keeps the verdicts given,
-    keyed by (relation, tol, y_mode, alpha)."""
+    too few usable rows.  `u` holds each row's u, and `val`, `jac` and `bad`
+    the evaluations at the four points.  The vetting bank also keeps the
+    verdicts given, keyed by (relation, tol, y_mode, alpha)."""
 
     def __init__(self, backend, label: str, seed: int, box: float):
         n, self.backend, self.box, self.verdicts = backend.n, backend, box, {}
         self.rng = random.Random(naming.stage_seed(seed, label))
+        self.u = np.empty((0, n), complex)
         self.val, self.jac = np.empty((4, 0, n), complex), np.empty((4, 0, n, n), complex)
         self.bad = np.empty((4, 0), bool)
 
@@ -210,23 +212,23 @@ class DrawBank:
         """Draw `count` more rows and evaluate them in one `value_jacobian` call."""
         us, vs = np.split(draw_points(self.rng, count, 2 * self.backend.n, self.box), 2, axis=1)
         new = self.backend.value_jacobian(np.concatenate([us, vs, us + vs, -us]))
+        self.u = np.concatenate([self.u, us])
         self.val, self.jac, self.bad = (
             np.concatenate([old, a.reshape(4, count, *a.shape[1:])], axis=1)
             for old, a in zip((self.val, self.jac, self.bad), new)
         )
 
     def scan(self, want: int, limit: int, evaluate) -> list:
-        """The first `want` results that are not None of `evaluate(val, jac,
-        bad)`, which yields one result per row of the arrays it gets, lazily,
-        over the bank's first `limit` rows in draw order.  The bank is extended
-        by twice the missing results only when its rows run out first."""
+        """The first `want` results that are not None of `evaluate(rows)`,
+        which yields results for the bank rows in the slice `rows`, lazily, in
+        row order, over the bank's first `limit` rows.  The bank is extended by
+        twice the missing results only when its rows run out first."""
         kept, done = [], 0
         while len(kept) < want and done < limit:
             if done == self.bad.shape[1]:
                 self.extend(min(2 * (want - len(kept)), limit - done))
             size = min(self.bad.shape[1], limit)
-            results = evaluate(self.val[:, done:size], self.jac[:, done:size], self.bad[:, done:size])
-            kept += itertools.islice((r for r in results if r is not None), want - len(kept))
+            kept += itertools.islice((r for r in evaluate(slice(done, size)) if r is not None), want - len(kept))
             done = size
         return kept
 
@@ -241,8 +243,9 @@ class DrawBank:
         slots = [0, 1 if y_mode == "v" else 3, 2]  # u, the second point, u+v
         read = 0  # rows the scan has checked
 
-        def residuals(val, jac, bad):
+        def residuals(rows):
             nonlocal read
+            val, jac, bad = self.val[:, rows], self.jac[:, rows], self.bad[:, rows]
             res, ok = _residuals(relation, names, alpha, val[slots], jac[slots], bad[slots[:reads]])
             for r, usable in zip(res.tolist(), ok.tolist()):
                 read += 1

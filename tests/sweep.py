@@ -1,18 +1,22 @@
 """Run seeded random problems through the whole pipeline and record each
 input's verdicts, offline.
 
-    PYTHONPATH=src python tests/sweep.py --runs N --out FILE
+    PYTHONPATH=src python tests/sweep.py --runs N --out FILE [--options]
     python tests/sweep.py --compare FILE_A FILE_B
 
 One seeded generator draws N (family, params, seed) inputs: Weierstrass and
 singular2-case4 lattices (invariants with numerators up to 20 in size and
 denominators 1-3, g2^3 != 27 g3^2), exp with a rational rate c = a/b, and
-singular2-case2.  Each input runs `aat all` in process (`catalog_problem_text`,
-`parse_problem`, `run_problem`) on a fork pool over the usable CPUs.  FILE
-gets, per input, its verdicts as (id, pass) pairs and its residuals as
-(relation, pole_skipped, verdict) entries, or the exception that ended the
-run; every input that is not ok is printed.  The same N draws the same
-inputs in any checkout, so two FILEs from two checkouts line up.
+singular2-case2.  With `--options` a second seeded generator gives each
+input overrides of the options `samples`, `box` and `tol` (the catalog's
+value is one of each axis's equally likely choices); the (family, params,
+seed) draws stay the same.  Each input runs `aat all` in process
+(`catalog_problem_text`, `parse_problem`, `run_problem`) on a fork pool over
+the usable CPUs.  FILE gets, per input, its option overrides, its verdicts
+as (id, pass) pairs and its residuals as (relation, pole_skipped, verdict)
+entries, or the exception that ended the run; every input that is not ok is
+printed.  The same N draws the same inputs in any checkout, so two FILEs
+from two checkouts line up.
 
 `--compare` lists the inputs whose verdicts differ between two FILEs, and
 counts the inputs whose residual entries differ.  Not a test: pytest
@@ -30,15 +34,23 @@ import traceback
 from fractions import Fraction
 
 _DRAWS = "sweep"  # the generator's seed: input i is the same in every run
+_OPTION_DRAWS = "sweep-options"  # the seed of the option axes' own generator
+# each option axis: None (the catalog's value) or an override
+_OPTION_AXES = {
+    "samples": (None, 20, 50, 200),
+    "box": (None, 0.3, 0.6, 2.0, 3.0),
+    "tol": (None, 1e-6, 1e-8, 1e-10),
+}
 
 
 def _invariant(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-20, 20), rng.randint(1, 3))
 
 
-def draw_inputs(runs: int) -> list:
-    """[(family, {param: text}, seed)] of the first `runs` draws."""
-    rng = random.Random(_DRAWS)
+def draw_inputs(runs: int, options: bool = False) -> list:
+    """[(family, {param: text}, seed, {option: override})] of the first
+    `runs` draws; the overrides are empty without `options`."""
+    rng, axes = random.Random(_DRAWS), random.Random(_OPTION_DRAWS)
     inputs = []
     for _ in range(runs):
         family = rng.choices(("weierstrass", "singular2-case4", "exp", "singular2-case2"), (4, 3, 3, 1))[0]
@@ -52,7 +64,11 @@ def draw_inputs(runs: int) -> list:
                 if g2**3 != 27 * g3**2:
                     break
             params = {"g2": str(g2), "g3": str(g3)}
-        inputs.append((family, params, rng.randint(1, 999_999)))
+        overrides = {}
+        if options:
+            picks = {name: axes.choice(values) for name, values in _OPTION_AXES.items()}
+            overrides = {name: value for name, value in picks.items() if value is not None}
+        inputs.append((family, params, rng.randint(1, 999_999), overrides))
     return inputs
 
 
@@ -60,10 +76,11 @@ def run_input(item) -> dict:
     from aat.pipeline import catalog_problem_text, run_problem
     from aat.problem import parse_problem
 
-    family, params, seed = item
-    entry = {"family": family, "params": params, "seed": seed}
+    family, params, seed, overrides = item
+    entry = {"family": family, "params": params, "seed": seed, "options": overrides}
     try:
-        section = run_problem(parse_problem(catalog_problem_text(family, params, seed=seed)), ["all"])
+        spec = parse_problem(catalog_problem_text(family, params, seed=seed), overrides=overrides)
+        section = run_problem(spec, ["all"])
     except Exception:  # an exception is itself a finding; keep the rest of the sweep
         entry["error"] = traceback.format_exc(limit=3)
         return entry
@@ -75,11 +92,12 @@ def run_input(item) -> dict:
 
 def _label(entry) -> str:
     params = ", ".join(f"{k} = {v}" for k, v in entry["params"].items())
-    return f"{entry['family']} ({params}) --seed {entry['seed']}"
+    overrides = ", ".join(f"{k} = {v}" for k, v in entry.get("options", {}).items())
+    return f"{entry['family']} ({params}) --seed {entry['seed']}" + (f" [{overrides}]" if overrides else "")
 
 
-def sweep(runs: int, out: str) -> int:
-    inputs = draw_inputs(runs)
+def sweep(runs: int, out: str, options: bool) -> int:
+    inputs = draw_inputs(runs, options)
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -122,9 +140,10 @@ def compare(a: str, b: str) -> int:
 def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(argv[1], argv[2])
-    if len(argv) == 4 and argv[0] == "--runs" and argv[2] == "--out" and argv[1].isdigit():
-        return sweep(int(argv[1]), argv[3])
-    print("usage: python tests/sweep.py --runs N --out FILE | --compare FILE_A FILE_B", file=sys.stderr)
+    options = argv[4:] == ["--options"]
+    if len(argv) == 4 + options and argv[0] == "--runs" and argv[2] == "--out" and argv[1].isdigit():
+        return sweep(int(argv[1]), argv[3], options)
+    print("usage: python tests/sweep.py --runs N --out FILE [--options] | --compare FILE_A FILE_B", file=sys.stderr)
     return 2
 
 

@@ -197,7 +197,7 @@ def test_criterion_6_derivative_recursion(exp_run, lem_run, case4_run, wp_ctx):
     ok = ok and sym == RatFn(parse_poly("6*x1^2 - 2", ring))
     _verdict_line(
         6, ok,
-        "recursion matches central differences to 1e-6 at 20 points (" + ", ".join(worsts)
+        "recursion matches Cauchy estimates to 1e-10 at 20 points (" + ", ".join(worsts)
         + f"); symbolic second derivative = {sym}",
     )
 

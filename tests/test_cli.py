@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import aat.cli
 from aat import naming
 from aat.cli import run
 from aat.parsing import parse_poly
@@ -316,6 +317,22 @@ def test_seed_override_changes_report(tmp_path):
     assert _run(["derive", "problems/exp.aat", "-o", str(out2), "--seed", "2"]).returncode == 0
     assert json.loads(out1.read_text())["seed"] == 1
     assert json.loads(out2.read_text())["seed"] == 2
+
+
+def test_seed_override_reaches_the_auto_build(tmp_path, monkeypatch):
+    # G = auto is built, and vetted, on the command line's seed: no bank of
+    # the file's seed 42 is made and left unread
+    specs, run_problem = [], aat.cli.run_problem
+
+    def recorded(spec, *args, **kw):
+        specs.append(spec)
+        return run_problem(spec, *args, **kw)
+
+    monkeypatch.setattr(aat.cli, "run_problem", recorded)
+    assert run(["all", str(REPO / "problems/lemniscatic.aat"), "-o", str(tmp_path / "lem.json"), "--seed", "7"]) == 0
+    [spec] = specs
+    assert spec.options.seed == 7 and spec.backend.banks
+    assert {seed for _, seed, _ in spec.backend.banks} == {7}
 
 
 def _walk_poly_entries(node):

@@ -6,10 +6,11 @@ import pytest
 
 from aat import naming
 from aat.backends import make_backend
-from aat.derivatives import Recursion
+from aat.derivatives import Recursion, cauchy_partials
 from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
 from aat.ratfn import RatFn
+from aat.sampling import draw_points
 
 from exact_oracles import symbolic_second_derivative
 
@@ -113,3 +114,65 @@ def test_recursion_singular_at_half_period():
     backend, relations = _relations("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
     assert _recursion_at(relations, backend, (backend.lattice.omega1,))[2]
     assert not _recursion_at(relations, backend, (0.31 + 0.22j,))[2]
+
+
+# -- Cauchy estimates on circles against closed forms ------------------------------
+
+
+def _circles(backend, count=50, box=1.2, seed=5):
+    """(values, jac, d2, d3) of `cauchy_partials` at `count` seeded draws from
+    the box, all of them usable."""
+    us = draw_points(random.Random(seed), count, backend.n, box)
+    values, jac, bad = backend.value_jacobian(us)
+    assert not bad.any()
+    d2, d3, usable = cauchy_partials(backend, us, jac)
+    assert usable.all()
+    return values, jac, d2, d3
+
+
+def _gap(got, want):
+    return np.max(np.abs(got - want) / (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "g2,g3", [("4", "0"), ("18", "-2"), ("11603921581/322346116", "-1615785/322346116")]
+)
+def test_circles_give_the_derivatives_of_wp(g2, g3):
+    # p'' = 6 p^2 - g2/2 and p''' = 12 p p', on draws that come as near the
+    # pole at 0 as the box allows
+    backend = make_backend("weierstrass", {"g2": Fraction(g2), "g3": Fraction(g3)})
+    values, jac, d2, d3 = _circles(backend)
+    p, dp = values[:, 0], jac[:, 0, 0]
+    assert _gap(d2[:, 0, 0, 0], 6 * p**2 - float(Fraction(g2)) / 2) < 1e-12
+    assert _gap(d3[:, 0, 0, 0, 0], 12 * p * dp) < 1e-12
+
+
+@pytest.mark.parametrize("c", ["5/7", "-6/7", "30", "1/1000"])
+def test_circles_give_the_derivatives_of_exp(c):
+    # (e^(cu))^(m) = c^m e^(cu) for m = 2, 3
+    backend = make_backend("exp", {"c": Fraction(c)})
+    values, _, d2, d3 = _circles(backend)
+    rate = float(Fraction(c))
+    assert _gap(d2[:, 0, 0, 0], rate**2 * values[:, 0]) < 1e-12
+    assert _gap(d3[:, 0, 0, 0, 0], rate**3 * values[:, 0]) < 1e-12
+
+
+def test_circles_match_the_recursion_of_case_4():
+    # every second and third partial, the mixed ones by polarization
+    backend, relations = _relations("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)}, n=2)
+    values, jac, d2, d3 = _circles(backend)
+    want2, want3, singular = Recursion(relations, 2)(values, jac)
+    assert not singular.any()
+    assert _gap(d2, want2) < 1e-12 and _gap(d3, want3) < 1e-12
+
+
+def test_circles_polarize_a_mixed_partial():
+    # f2 = exp(u2) * sigma(u1 - a) / sigma(u1) of case 5 is its own u2
+    # derivative, so its mixed third partials are its second partials in u1,
+    # d3[1, p, 0, 1] = d2[1, p, 0], and d3[1, p, 1, 1] = jac[1, p]
+    backend = make_backend("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
+    _, jac, d2, d3 = _circles(backend, box=0.9)
+    assert np.abs(d2[:, 1, :, 0]).min() > 1e-3  # the u1 partials do not vanish
+    assert _gap(d3[:, 1, :, 0, 1], d2[:, 1, :, 0]) < 1e-12
+    assert _gap(d3[:, 1, :, 1, 0], d2[:, 1, :, 0]) < 1e-12
+    assert _gap(d3[:, 1, :, 1, 1], jac[:, 1, :]) < 1e-12

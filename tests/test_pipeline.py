@@ -208,13 +208,15 @@ def _derivative_ctx(family, params, seed):
     ],
 )
 def test_derivative_recursion_passes_on_seeds_0_to_9(family, params):
-    # the h = 1e-5 third difference sits at up to 75% of its 1e-6 bound from
-    # rounding alone, so the margin is checked on more than one seed
+    # the Cauchy estimates leave only rounding: every seed's worst gap stays
+    # a hundredth of the bound
     for seed in range(10):
         ctx = _derivative_ctx(family, params, seed)
         pipeline._derivative_checks(ctx)
         assert [v["pass"] for v in ctx.verdicts] == [True, True], (seed, ctx.verdicts)
-        assert ctx.section["derivative_recursion"]["points"] == 20
+        section = ctx.section["derivative_recursion"]
+        assert section["points"] == 20
+        assert max(section["worst_order2"], section["worst_order3"]) < pipeline.DERIVATIVE_TOL / 100, (seed, section)
 
 
 def test_derivative_check_ignores_rejected_points(monkeypatch):
@@ -237,27 +239,26 @@ def test_derivative_check_ignores_rejected_points(monkeypatch):
     section = ctx.section["derivative_recursion"]
     assert FirstPointSingular.calls >= 1
     assert section["points"] == 20
-    assert section["worst_order2"] < 1e-6 and section["worst_order3"] < 1e-6
+    assert max(section["worst_order2"], section["worst_order3"]) < pipeline.DERIVATIVE_TOL
     assert all(v["pass"] for v in ctx.verdicts)
 
 
-def test_derivative_check_skips_when_no_point_clears_the_poles(monkeypatch):
+def test_derivative_check_runs_in_a_box_around_a_pole(monkeypatch):
+    # every draw lies within 0.015 of the pole at 0; the circles shrink with
+    # the pole distance, and the check still passes at 20 points
     ctx = _derivative_ctx("weierstrass", {"g2": "4", "g3": "0"}, 42)
     monkeypatch.setattr(ctx.spec.options, "box", 0.01)
     pipeline._derivative_checks(ctx)
-    assert ctx.verdicts == []
-    reason = "box 0.01 leaves no point 0.5 from a pole"
-    assert ctx.skipped == [
-        {"id": "derivative recursion order 2", "reason": reason},
-        {"id": "derivative recursion order 3", "reason": reason},
-    ]
+    assert not ctx.skipped
+    assert [v["pass"] for v in ctx.verdicts] == [True, True], ctx.verdicts
+    assert ctx.section["derivative_recursion"]["points"] == 20
 
     class AllSingular(pipeline.Recursion):
         def __call__(self, x, jac):
             d2, d3, singular = super().__call__(x, jac)
             return d2, d3, singular | True
 
-    # points clear the poles but none is usable: a failure, not a skip
+    # no point is usable: a failure, not a skip
     monkeypatch.setattr(pipeline, "Recursion", AllSingular)
     monkeypatch.setattr(ctx.spec.options, "box", None)
     ctx = _derivative_ctx("weierstrass", {"g2": "4", "g3": "0"}, 42)

@@ -413,8 +413,8 @@ def test_scan_keeps_the_first_usable_rows_in_draw_order():
     bank = DrawBank(backend, "scan", 5, DEFAULT_BOX)
     checked = []
 
-    def first_coordinate(val, jac, bad):
-        for u, pole in zip(val[0, :, 0].tolist(), bad[0].tolist()):
+    def first_coordinate(rows):
+        for u, pole in zip(bank.val[0, rows, 0].tolist(), bank.bad[0, rows].tolist()):
             checked.append(u)
             yield None if pole else u
 
@@ -429,14 +429,14 @@ def test_scan_stops_at_the_limit():
     # chunks of 20 rows, and a last one of 10 that ends at the limit
     backend = _MarkedBackend(first_good=85)
     bank = DrawBank(backend, "scan", 5, DEFAULT_BOX)
-    kept = bank.scan(10, 90, lambda val, jac, bad: (None if pole else u for u, pole in zip(val[0, :, 0], bad[0])))
+    kept = bank.scan(10, 90, lambda rows: (None if pole else u for u, pole in zip(bank.val[0, rows, 0], bank.bad[0, rows])))
     assert len(kept) == 5 and backend.calls == [20, 20, 20, 20, 10] and bank.bad.shape[1] == 90
 
 
 def test_formula_checks_read_the_backend_only_through_the_banks(monkeypatch):
     # resolve and verify of lemniscatic: the branch choice scans the vetting
     # bank, the three group-law verdicts one scan of the report bank; the
-    # only other reads are the derivative checks' difference quotients
+    # only other reads are the derivative checks' Cauchy circles
     from aat import pipeline
 
     spec = load_problem("problems/lemniscatic.aat")
@@ -473,5 +473,5 @@ def test_formula_checks_read_the_backend_only_through_the_banks(monkeypatch):
     vetting, report = ("probe-bank", 42, DEFAULT_BOX), ("residual", 42, DEFAULT_BOX)
     assert set(scans) == {("resolve", vetting), ("verify", report)}
     assert [key for name, key in scans if name == "verify"] == [report]  # one scan, three verdicts
-    assert {key for name, key in reads if name in ("resolve", "verify")} <= {vetting, report, "_recursion_gaps"}
+    assert {key for name, key in reads if name in ("resolve", "verify")} <= {vetting, report, "cauchy_partials"}
     assert section["group_law"]["formula_agreement"]["tried"] == 100

@@ -206,3 +206,19 @@ def test_every_verdict_has_a_row():
     sections = [s for runs in oracle.values() for s in (runs if isinstance(runs, list) else [runs])]
     reported = {prefix(vid) for s in sections for vid, _ in s["verdicts"]}
     assert {row[0] for row in ROWS} == reported
+
+
+def test_period_detail_names_the_index_of_a_sublattice(monkeypatch):
+    # twice the first generator and the second span a lattice of index 2
+    ctx = dataclasses.replace(_base(LEM), verdicts=[], skipped=[], residuals=[], section={})
+
+    def doubled(found):
+        first = found[0]
+        return [dataclasses.replace(first, p=tuple(2 * c for c in first.p)), *found[1:]]
+
+    _detect_gives(ctx, functools.partial(monkeypatch.setattr, pipeline), doubled)
+    pipeline.stage_period(ctx)
+    [verdict] = _matching(ctx, "period lattice recovered")
+    assert not verdict["pass"]
+    assert verdict["detail"].startswith("2 generators found for 2 quasi-period vectors; not covered: (")
+    assert verdict["detail"].endswith("; index 2"), verdict
