@@ -17,7 +17,6 @@ draw bank (`scan_pairs`), whose points at u, v and u+v are already evaluated.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from . import naming
 from .euclid import factor_candidates, poly_sqrt, resultant, squarefree_in
 from .ratfn import RatFn
 from .rings import DomainError, MPoly, PoleError, StructuralError, VarRing, rename
-from .sampling import DEFAULT_BOX, VALUE_CAP, draw_bank, draw_points, vanishes
+from .sampling import DEFAULT_BOX, VALUE_CAP, draw_bank, vanishes
 from .variety import VarietySpec
 
 _INF = None  # infinity marker for point coordinates
@@ -362,15 +361,17 @@ def array_points(spec: VarietySpec, vals, jac, bad) -> list:
     infinity markers where `bad` marks the row or a coordinate reaches
     VALUE_CAP."""
     n = vals.shape[1]
-    with np.errstate(all="ignore"):  # bad rows carry nan
+    with np.errstate(all="ignore"):  # bad rows carry nan; |c| may overflow a float
         thetas = sum(complex(spec.alpha[k][p]) * jac[:, k, p] for k in range(n) for p in range(n))
+        coords = np.column_stack([thetas, vals])
+        capped = ~(np.abs(coords) < VALUE_CAP)
     out = []
-    for xs, theta, pole in zip(vals.tolist(), thetas.tolist(), bad.tolist()):
+    for row, pole, cap in zip(coords.tolist(), bad.tolist(), capped.tolist()):
         if pole:
             out.append(VarietyPoint(theta=_INF, x=(_INF,) * n))
             continue
-        xs = tuple(c if abs(c) < VALUE_CAP else _INF for c in xs)
-        out.append(VarietyPoint(theta=theta if abs(theta) < VALUE_CAP else _INF, x=xs))
+        theta, *xs = (_INF if big else c for c, big in zip(row, cap))
+        out.append(VarietyPoint(theta=theta, x=tuple(xs)))
     return out
 
 
@@ -412,30 +413,30 @@ def variety_residual(spec: VarietySpec, point: VarietyPoint) -> float:
     return abs(total) / (1.0 + biggest)
 
 
-def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, tol=1e-8, shifts=5):
+def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, box=DEFAULT_BOX, tol=1e-8, shifts=5):
     """Two distinct parameters with the same variety point stay indistinguishable
-    under arbitrary shifts: the executable content of formula-mode soundness."""
-    rng = random.Random(naming.stage_seed(seed, "uniqueness"))
-    n = backend.n
+    under arbitrary shifts: the executable content of formula-mode soundness.
+
+    The pair is u1 and u2 = u1 + period at the first of the first 60 rows u1
+    of the report bank of (seed, box) whose points are finite and within
+    tol; its shifts are the u of the `shifts` rows after it.  The bank holds
+    the points at u1, so only u2 and the shifted points are evaluated.
+    """
+    bank = draw_bank(backend, "residual", seed, box)
     attempts = 60
-    # attempt i draws u1 = draws[i]; the shifts of the first pair that
-    # qualifies are the draws after it
-    draws = draw_points(rng, attempts + shifts, n, DEFAULT_BOX)
-    u1 = draws[:attempts]
+    if len(bank.u) < attempts + shifts:
+        bank.extend(attempts + shifts - len(bank.u))
+    u1 = bank.u[:attempts]
     u2 = u1 + np.asarray(period, dtype=complex)
-    pts = backend_points(backend, spec, np.concatenate([u1, u2]))
-    for i, (pt1, pt2) in enumerate(zip(pts[:attempts], pts[attempts:])):
+    pts1 = array_points(spec, bank.val[0, :attempts], bank.jac[0, :attempts], bank.bad[0, :attempts])
+    for i, (pt1, pt2) in enumerate(zip(pts1, backend_points(backend, spec, u2))):
         if pt1.is_finite() and pt2.is_finite() and pt1.gap(pt2) <= tol:
             break
     else:
         raise StructuralError("no usable witness pair found")
-    b = draws[i + 1 : i + 1 + shifts]
+    b = bank.u[i + 1 : i + 1 + shifts]
     vals, _, bad = backend.value_jacobian(np.concatenate([u1[i] + b, u2[i] + b]))
-    vals, bad = vals.tolist(), bad.tolist()
-    for f1, f2, bad1, bad2 in zip(vals[:shifts], vals[shifts:], bad[:shifts], bad[shifts:]):
-        if bad1 or bad2:
-            continue
-        for c1, c2 in zip(f1, f2):
-            if abs(c1 - c2) > tol * (1 + abs(c1)):
-                return False
-    return True
+    f1, f2 = vals[:shifts], vals[shifts:]
+    with np.errstate(all="ignore"):
+        apart = np.abs(f1 - f2) > tol * (1 + np.abs(f1))
+    return not apart[~(bad[:shifts] | bad[shifts:])].any()

@@ -4,27 +4,29 @@ Two distinct points with equal mapping values and equal first-derivative
 matrices force a period (their whole Taylor expansions coincide).  The
 detector seeds Newton iterations on F(b) = F(a) over a grid of offsets,
 keeps solutions whose derivative matrices also match, verifies each candidate
-difference on independent samples, and reduces the verified candidates to a
-small generator set by integer-combination sweeps.  Each generator is then
-divided by the primes up to 7 while the quotient verifies: the grid may find
+difference on the run's report bank, and reduces the verified candidates to
+a small generator set by integer-combination sweeps.  Each generator is then
+divided by the primes up to 31 while the quotient verifies: the grid may find
 only multiples of a short period (exp at large |c|).
 
 All seeds share one array Newton over the backend's `value_jacobian`.  The
-candidates are verified together, and then the generators: each period
-reads its own seeded draws in chunks, only as many as its accept rule needs,
-and each round evaluates the chunks of every open period in a few calls.
+candidates are verified together, and then the generators: every period
+reads the same rows u of the report bank in draw order, only as many as its
+accept rule needs.  F(u) is the bank's, so each round evaluates u + p alone
+for the rows of every open period, in a few calls.  The candidates come from
+the Newton base draw, not from the bank, so one shared draw set is as sound
+as fresh draws per candidate (see `sampling`).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import naming
-from .sampling import draw_points
+from .sampling import DEFAULT_BOX, draw_bank, draw_points
 
 
 @dataclass
@@ -100,75 +102,60 @@ def _newton(backend, target, seeds, *, iters=40, tol=1e-12, max_step=8.0):
 
 
 _MIN_PERIOD = 1e-6  # a shorter difference or quotient is no period candidate
-_SEED_DIGITS = 10  # significant digits of a period in its verification seed
-
-
-def _seed_text(p) -> str:
-    """Seed label of a period: its real and imaginary parts as plain floats,
-    rounded to _SEED_DIGITS significant digits of the largest part, so the
-    draws depend neither on numpy's repr nor on the last bits of p."""
-    parts = [float(x) for z in p for x in (z.real, z.imag)]
-    top = max(map(abs, parts))
-    places = _SEED_DIGITS - 1 - math.floor(math.log10(top)) if top else 0
-    return ",".join(repr(round(x, places) + 0.0) for x in parts)  # + 0.0 folds -0.0
-
-
 _VERIFY_ROWS = 600  # points per evaluator call when verifying; bounds its temporaries
 
 
-def _draw_gaps(backend, us, shifts):
-    """(worst relative gap, counted) of each draw u, from F at u and u + p.
+def _row_gaps(bank, rows, periods):
+    """(worst relative gap, counted), one row per period and one column per
+    bank row u of the slice `rows`, from F at u (the bank's) and at u + p,
+    evaluated in calls of at most _VERIFY_ROWS points.
 
-    A draw near a pole (at u or u + p) contributes nothing and is not
-    counted; a component above 1e6 ends the draw's comparison, and the draw
+    A row near a pole (at u or u + p) contributes nothing and is not
+    counted; a component above 1e6 ends the row's comparison, and the row
     is not counted.
     """
-    values, _, bad = backend.value_jacobian(np.concatenate([us, us + shifts]))
-    v0, v1 = values[: len(us)], values[len(us) :]
-    usable = ~(bad[: len(us)] | bad[len(us) :])
+    n = bank.u.shape[1]
+    us = (bank.u[rows][None] + np.array(periods, dtype=complex)[:, None]).reshape(-1, n)
+    shifted = [bank.backend.value_jacobian(us[k : k + _VERIFY_ROWS]) for k in range(0, len(us), _VERIFY_ROWS)]
+    v0, v1 = bank.val[0, rows], np.concatenate([val for val, _, _ in shifted]).reshape(len(periods), -1, n)
+    usable = ~(bank.bad[0, rows] | np.concatenate([bad for _, _, bad in shifted]).reshape(len(periods), -1))
     big = np.abs(v0) > 1e6
     with np.errstate(invalid="ignore"):
         rel = np.abs(v0 - v1) / (1 + np.abs(v0))
-    # components before a draw's first big one enter the worst
-    seen = usable[:, None] & (np.cumsum(big, axis=1) == 0)
-    return np.where(seen, rel, 0.0).max(axis=1), usable & ~big.any(axis=1)
+    # components before a row's first big one enter the worst
+    seen = usable[..., None] & (np.cumsum(big, axis=1) == 0)
+    return np.where(seen, rel, 0.0).max(axis=2), usable & ~big.any(axis=1)
 
 
-def _verify_periods(backend, periods, *, samples, seed, tol, box):
-    """Worst relative |F(u + p) - F(u)| of each period p over `samples` usable
-    draws, or None for a p that fails.
+def _verify_periods(bank, periods, *, samples, tol):
+    """Worst relative |F(u + p) - F(u)| of each period p over the first
+    `samples` usable rows u of a draw bank, or None for a p that fails.
 
-    Every p has its own seeded stream of draws u and reads it in chunks:
-    `samples` draws first, then twice the usable draws still missing, up to
-    12*samples in all.  Each round evaluates the chunks of all open periods,
-    at u and at u + p, in calls of at most _VERIFY_ROWS points.  The accept
-    rule replays the draws in order (`_draw_gaps`): a p fails once a counted
-    draw sees the running worst above tol.  Since the running worst only
-    grows, a p fails as soon as it passes tol.
+    The open periods read the bank's rows in draw order, together, in
+    chunks: `samples` rows first, then twice the most usable rows that an
+    open period still misses, up to 12*samples in all.  F(u) is the bank's; each round
+    evaluates u + p alone (`_row_gaps`), and extends the bank only when the
+    chunk runs past its rows.  The accept rule replays the rows in order: a
+    p fails once a counted row sees the running worst above tol.  Since the
+    running worst only grows, a p fails as soon as it passes tol.
     """
-    n, limit, step = backend.n, 12 * samples, _VERIFY_ROWS // 2
-    rngs = [random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}")) for p in periods]
-    drawn = [0] * len(periods)
-    good = [0] * len(periods)
-    worst = [0.0] * len(periods)
-    result = [None] * len(periods)
-    open_ = list(range(len(periods)))
+    limit = 12 * samples
+    good, worst, result = [0] * len(periods), [0.0] * len(periods), [None] * len(periods)
+    open_, read = list(range(len(periods))), 0
     while open_:
-        counts = [min(samples if not drawn[i] else 2 * (samples - good[i]), limit - drawn[i]) for i in open_]
-        us = np.concatenate([draw_points(rngs[i], c, n, box) for i, c in zip(open_, counts)])
-        shifts = np.repeat(np.array([periods[i] for i in open_], dtype=complex), counts, axis=0)
-        gaps = [_draw_gaps(backend, us[k : k + step], shifts[k : k + step]) for k in range(0, len(us), step)]
-        row_worst = np.concatenate([w for w, _ in gaps])
-        counted = np.concatenate([c for _, c in gaps])
+        count = min(max(2 * (samples - good[i]) for i in open_) if read else samples, limit - read)
+        if read + count > len(bank.u):
+            bank.extend(read + count - len(bank.u))
+        row_worst, counted = _row_gaps(bank, slice(read, read + count), [periods[i] for i in open_])
+        read += count
         still = []
-        for i, lo, hi in zip(open_, np.cumsum([0, *counts[:-1]]), np.cumsum(counts)):
-            run = np.maximum.accumulate(np.maximum(row_worst[lo:hi], worst[i]))
-            total = good[i] + np.cumsum(counted[lo:hi])
-            drawn[i] += hi - lo
+        for i, gaps, kept in zip(open_, row_worst, counted):
+            run = np.maximum.accumulate(np.maximum(gaps, worst[i]))
+            total = good[i] + np.cumsum(kept)
             if total[-1] >= samples:
                 last = float(run[np.searchsorted(total, samples)])
                 result[i] = None if last > tol else last
-            elif run[-1] <= tol and drawn[i] < limit:
+            elif run[-1] <= tol and read < limit:
                 good[i], worst[i] = int(total[-1]), float(run[-1])
                 still.append(i)
         open_ = still
@@ -253,7 +240,7 @@ def integer_combinations(points, basis, tol=1e-7) -> list:
     return (np.max(np.abs(left), axis=1) <= tol * (1 + size)).tolist()
 
 
-def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple:
+def _saturate(bank, generators, base, target, *, samples, tol) -> tuple:
     """(generators, residual of each or None): every generator g verified
     together with its quotients g/m by the primes m <= 31, and divided by the
     first m that passes, round by round while one does.  A g/m that failed
@@ -265,11 +252,11 @@ def _saturate(backend, generators, base, target, *, samples, seed, tol) -> tuple
     while trials:
         quotients = [tuple(c / m for c in gens[i]) for i, m in trials]
         # a loose screen at one point: a g/m that is no period fails it at
-        # once, without the first chunk of verification draws
-        val, _, bad = backend.value_jacobian(np.add(base, quotients))
+        # once, without a chunk of verification rows
+        val, _, bad = bank.backend.value_jacobian(np.add(base, quotients))
         near = ~bad & (np.max(np.abs(val - target), axis=1) <= 1e-6 * (1 + np.max(np.abs(target))))
         keep = [k for k, (_, m) in enumerate(trials) if m == 1 or near[k] and _norm(quotients[k]) >= _MIN_PERIOD]
-        verified = _verify_periods(backend, [quotients[k] for k in keep], samples=samples, seed=seed, tol=tol, box=1.0)
+        verified = _verify_periods(bank, [quotients[k] for k in keep], samples=samples, tol=tol)
         checked = dict(zip(keep, verified))
         passed: dict = {}
         for k, (i, m) in enumerate(trials):
@@ -289,17 +276,19 @@ def detect_period(
     *,
     tol: float = 1e-9,
     seed: int = 0,
+    box: float = DEFAULT_BOX,
     samples: int = 50,
     jac_tol: float = 1e-8,
 ) -> list:
-    """Period candidates of the mapping, reduced to lattice generators.
+    """Period candidates of the mapping, reduced to lattice generators, each
+    verified on the report bank of (seed, box).
 
     The Newton seeds span offsets of half-width `backend.period_box()` from
     one base point.  An empty result is a valid outcome: rational mappings
     have no period.
     """
     n = backend.n
-    box = backend.period_box()
+    span = backend.period_box()
     grid = 13 if n == 1 else 9  # Newton seeds per axis of the offset grid
     rng = random.Random(naming.stage_seed(seed, "period-base"))
     draws = draw_points(rng, 200, n, 0.8)
@@ -309,7 +298,7 @@ def detect_period(
         return []
     first = int(np.argmax(usable))
     base, target, jac_a = tuple(complex(c) for c in draws[first]), val[first], jac[first]
-    steps = [(-box + (2 * box) * i / (grid - 1)) for i in range(grid)]
+    steps = [(-span + (2 * span) * i / (grid - 1)) for i in range(grid)]
     offsets_1d = [complex(re, im) for re in steps for im in steps]
     if n == 1:
         seeds = [(base[0] + off,) for off in offsets_1d]
@@ -323,8 +312,8 @@ def detect_period(
             for o1 in offsets_1d
             for o2 in offs
         ]
-    # a box wider than 8 has seeds farther than 8 from the nearest period
-    solved, jacs, converged = _newton(backend, target, seeds, max_step=max(8.0, box))
+    # a period box wider than 8 has seeds farther than 8 from the nearest period
+    solved, jacs, converged = _newton(backend, target, seeds, max_step=max(8.0, span))
     rows = np.flatnonzero(converged)
     diffs = solved[rows] - np.array(base)
     far = np.max(np.abs(diffs), axis=1) >= _MIN_PERIOD
@@ -336,10 +325,11 @@ def detect_period(
     for i in np.flatnonzero(far):
         firsts.setdefault(tuple(keys[i]), i)
     pending = [tuple(diffs[i]) for i in firsts.values() if match[i]]
-    checked = _verify_periods(backend, pending, samples=samples, seed=seed, tol=tol, box=1.0)
+    bank = draw_bank(backend, "residual", seed, box)
+    checked = _verify_periods(bank, pending, samples=samples, tol=tol)
     raw = [PeriodCandidate(p=p, residual=r) for p, r in zip(pending, checked) if r is not None]
     generators = reduce_candidates([c.p for c in raw], tol=1e-6, max_rank=2 * n)
-    generators, checked = _saturate(backend, generators, base, target, samples=samples, seed=seed + 1, tol=tol)
+    generators, checked = _saturate(bank, generators, base, target, samples=samples, tol=tol)
     out = [PeriodCandidate(p=g, residual=r) for g, r in zip(generators, checked) if r is not None]
     out.sort(key=lambda c: _norm(c.p))
     raw.sort(key=lambda c: _norm(c.p))

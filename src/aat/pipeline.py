@@ -28,14 +28,14 @@ from .addition import (
 )
 from .backends import FAMILIES, make_backend
 from .derivatives import Recursion, cauchy_partials
-from .elimination import AATSystem, DegenerateSystemError, EliminationError, derive_first_order
+from .elimination import AATSystem, derive_first_order
 from .euclid import squarefree_check
 from .periods import detect_period, integer_combinations, lattice_index
 from .problem import Options, ProblemSpec, parse_problem
 from .reporting import complex_entry, poly_entry, ratfn_entry
 from .rings import AlgebraError, PoleError, StructuralError
-from .sampling import DEFAULT_BOX, SamplingError, draw_bank, residual_check
-from .variety import PrimitiveElementError, build_pij, find_primitive_element, differential_system
+from .sampling import DEFAULT_BOX, draw_bank, residual_check
+from .variety import build_pij, find_primitive_element, differential_system
 
 STAGES = ("derive", "variety", "resolve", "verify", "period")
 _DEPS = {
@@ -320,7 +320,7 @@ def stage_verify(ctx: RunContext) -> None:
 def stage_period(ctx: RunContext) -> None:
     opts = ctx.spec.options
     backend = ctx.backend
-    candidates = detect_period(backend, tol=max(opts.tol, 1e-9), seed=opts.seed)
+    candidates = detect_period(backend, tol=max(opts.tol, 1e-9), seed=opts.seed, box=ctx.box)
     expected = backend.expected_periods()
     section = {}
     if expected:
@@ -345,7 +345,7 @@ def stage_period(ctx: RunContext) -> None:
     if candidates and ctx.vspec is not None:
         try:
             unique = uniqueness_witness(
-                backend, ctx.vspec, candidates[0].p, seed=opts.seed, tol=max(opts.tol, 1e-8)
+                backend, ctx.vspec, candidates[0].p, seed=opts.seed, box=ctx.box, tol=max(opts.tol, 1e-8)
             )
             ctx.verdict("uniqueness witness", unique, "shifted values agree on a period pair")
         except StructuralError:
@@ -367,7 +367,8 @@ def run_problem(spec: ProblemSpec, stages, *, timings: bool = False) -> dict:
 
 
 def _run_plan(spec: ProblemSpec, plan: list, *, timings: bool) -> dict:
-    """Run the stages of `plan` in order; a stage error ends the run as a
+    """Run the stages of `plan` in order; a stage error (an algebra or
+    sampling error, or a float overflow or zero division) ends the run as a
     failed verdict plus a `failure` section."""
     ctx = RunContext(spec=spec, backend=spec.backend)
     section = {
@@ -382,8 +383,7 @@ def _run_plan(spec: ProblemSpec, plan: list, *, timings: bool) -> dict:
         t0 = time.monotonic()
         try:
             _STAGE_FUNCS[stage](ctx)
-        except (AlgebraError, SamplingError, EliminationError, PrimitiveElementError,
-                DegenerateSystemError) as err:
+        except (AlgebraError, ArithmeticError) as err:
             failure = {"stage": stage, "error": type(err).__name__, "message": str(err)}
             ctx.verdict(f"stage {stage}", False, str(err))
             break

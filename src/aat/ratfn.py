@@ -44,10 +44,6 @@ class RatFn:
     def ring(self) -> VarRing:
         return self.num.ring
 
-    @classmethod
-    def const(cls, ring: VarRing, c) -> "RatFn":
-        return cls(ring.const(c))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -91,27 +87,6 @@ class RatFn:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise DomainError("rational function power must be an integer")
-        if n < 0:
-            return RatFn(self.den, self.num) ** (-n)
-        return RatFn(self.num**n, self.den**n)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, MPoly)):
-            other = self._coerce(other)
-        return isinstance(other, RatFn) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def diff(self, name: str) -> "RatFn":
         """Formal partial derivative (quotient rule)."""

@@ -16,7 +16,7 @@ The top bit of each field is a guard: a stored exponent is below
 one, and a product whose exponent would reach the guard raises
 ``DomainError`` instead of being stored.  ``MPoly(ring, {exponent tuple: c})``
 and ``VarRing.poly`` pack their input, and ``MPoly.terms`` is a read-only
-view keyed by exponent tuples for callers outside the kernel.
+view of (exponent tuple, coefficient) items for callers outside the kernel.
 
 The canonical term order is used for leading terms, for the canonical
 textual form (see ``MPoly.__str__``), and for all unit normalizations, so
@@ -183,9 +183,10 @@ def _check_same_ring(a: "MPoly", b: "MPoly") -> None:
         raise StructuralError(f"ring mismatch: {a.ring!r} vs {b.ring!r}")
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms keyed by exponent tuples, in
-    the polynomial's term order."""
+class _Terms:
+    """Read-only view of a polynomial's terms: their count, their exponent
+    tuples and their (exponent tuple, coefficient) items, in the
+    polynomial's term order."""
 
     __slots__ = ("_ring", "_packed")
 
@@ -199,17 +200,8 @@ class _Terms(Mapping):
     def __iter__(self):
         return map(self._ring.unpack, self._packed)
 
-    def __getitem__(self, exps) -> Coeff:
-        try:
-            return self._packed[self._ring.pack(exps)]
-        except (AlgebraError, TypeError, struct.error):
-            raise KeyError(exps) from None
-
     def items(self):
         return list(zip(self, self._packed.values()))
-
-    def values(self):
-        return self._packed.values()
 
 
 class MPoly:
@@ -236,8 +228,8 @@ class MPoly:
         self._numeric = None
 
     @property
-    def terms(self) -> Mapping:
-        """{exponent tuple: coefficient}, read-only, in term order."""
+    def terms(self) -> _Terms:
+        """The terms, read-only, in term order."""
         return _Terms(self.ring, self._packed)
 
     # -- basic queries -----------------------------------------------------
@@ -338,9 +330,6 @@ class MPoly:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

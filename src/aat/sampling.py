@@ -16,10 +16,12 @@ reads residuals through it, and the first N usable rows count, with 10*N
 skips before them ending the check.  Vetting a candidate factor (`vanishes`,
 N = 24) and the choice of the group law's root branch read the vetting bank
 of the run seed; a reported residual (`residual_check`), the group-law
-checks and the derivative checks (around each row's u) read the report bank
-of the run seed and box.  The relations and formulas come from exact algebra
-and the draws do not depend on them, so one shared draw set is as sound as
-fresh draws per check (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).
+checks, the derivative checks (around each row's u), period verification
+(at each row's u + p) and the uniqueness witness read the report bank of the
+run seed and box.  The relations, formulas and period candidates come from
+exact algebra or from draws of their own, and the bank's draws do not depend
+on them, so one shared draw set is as sound as fresh draws per check
+(Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).
 
 `sequential_draws` serves only the sample nullspace search, which draws
 single points u: chunks of draws, one batched evaluation per chunk, and a

@@ -156,6 +156,8 @@ class Lattice:
     def __init__(self, g2, g3):
         self.g2 = Fraction(g2)
         self.g3 = Fraction(g3)
+        if self.g2**3 == 27 * self.g3**2:
+            raise DomainError(f"degenerate lattice: g2^3 = 27*g3^2 at g2 = {self.g2}, g3 = {self.g3}")
         g2, g3 = complex(g2), complex(g3)
         try:
             disc = g2**3 - 27 * g3**2
@@ -163,8 +165,10 @@ class Lattice:
             raise DomainError(
                 f"invariants too large for float evaluation: g2 = {g2.real:g}, g3 = {g3.real:g}"
             ) from err
-        if abs(disc) < 1e-12 * max(1.0, abs(g2) ** 3, abs(g3) ** 2):
-            raise DomainError(f"degenerate lattice: g2^3 - 27*g3^2 = {disc}")
+        # relative, so a scaled copy of a lattice (invariants c^-4 g2, c^-6 g3,
+        # DLMF 23.10(iv)) passes or fails with it
+        if abs(disc) < 1e-12 * max(abs(g2) ** 3, abs(g3) ** 2):
+            raise DomainError(f"near-degenerate lattice: g2^3 - 27*g3^2 = {disc}")
         e1, e2, e3 = _cubic_roots(g2, g3)
         s13 = cmath.sqrt(e1 - e3)
         kp2 = (e1 - e2) / (e1 - e3)  # complementary modulus squared

@@ -8,6 +8,7 @@ import pytest
 from aat import naming
 from aat.addition import (
     DivisorDegeneracyError,
+    array_points,
     backend_points,
     derive_negation,
     point_add,
@@ -21,7 +22,7 @@ from aat.parsing import parse_poly
 from aat.pipeline import catalog_problem_text
 from aat.problem import parse_problem
 from aat.ratfn import RatFn
-from aat.sampling import residual_check
+from aat.sampling import draw_bank, residual_check
 from aat.variety import QuotientContext, VarietySpec, find_primitive_element, variety_for_alpha
 
 
@@ -87,8 +88,7 @@ def test_resolve_exp(exp_ctx):
     out = resolve_addition(sys, spec, backend, seed=3)
     assert out.status == "resolved"
     fring = out.formula.R[1].ring
-    assert out.formula.R[1] == RatFn(fring.var("x1") * fring.var("y1"))
-    assert out.formula.R[0] == RatFn(fring.var("x1") * fring.var("y1"))
+    assert str(out.formula.R[1]) == str(out.formula.R[0]) == "x1*y1"
     assert out.formula.excluded == []
 
 
@@ -270,3 +270,27 @@ def test_uniqueness_witness_wp(wp_ctx):
     _, backend, _, spec = wp_ctx
     lat = backend.lattice
     assert uniqueness_witness(backend, spec, (2 * lat.omega1,), seed=5)
+
+
+def test_uniqueness_witness_reads_the_report_bank(wp_ctx, monkeypatch):
+    # the points at u1 come from the report bank: one call evaluates u1 + p
+    # at the bank's first 60 rows u1, and one the 5 shifts of the pair
+    _, backend, _, spec = wp_ctx
+    period = 2 * backend.lattice.omega1
+    bank = draw_bank(backend, "residual", 5, 0.9)
+    bank.extend(100)
+    evaluate, calls = backend.value_jacobian, []
+    monkeypatch.setattr(backend, "value_jacobian", lambda points: calls.append(np.array(points)) or evaluate(points))
+    assert uniqueness_witness(backend, spec, (period,), seed=5, box=0.9)
+    assert len(bank.u) == 100 and [len(c) for c in calls] == [60, 10]
+    assert np.array_equal(calls[0], bank.u[:60] + period)
+
+
+def test_array_points_cap_values_too_large_for_abs():
+    # |c| of 1e308 + 1e308j overflows a float: the coordinate is at infinity
+    spec = VarietySpec(alpha=((1,),), V=None, h=1, qc=None, reps={}, degree_bound=1)
+    vals = np.array([[1e308 + 1e308j], [2.0 + 0j]])
+    jac = np.array([[[1.0 + 0j]], [[1e308 + 1e308j]]])
+    big, theta_big = array_points(spec, vals, jac, np.array([False, False]))
+    assert big.x == (None,) and big.theta == 1.0
+    assert theta_big.x == (2.0,) and theta_big.theta is None

@@ -170,7 +170,13 @@ def test_family_dimension_mismatch_exit_two(tmp_path, family, n, family_n):
     "mapping,aat,message",
     [
         ("n = 1\nfamily = weierstrass\n", "G1 = L1 - x1 - y1\n", "needs params g2 and g3"),
-        ("n = 1\nfamily = weierstrass\nparam g2 = 3\nparam g3 = 1\n", "G1 = L1 - x1 - y1\n", "degenerate lattice"),
+        # g2^3 = 27 g3^2 exactly, decided on the rational invariants
+        ("n = 1\nfamily = weierstrass\nparam g2 = 3\nparam g3 = 1\n", "G1 = L1 - x1 - y1\n", "degenerate lattice: g2^3 = 27*g3^2"),
+        (
+            "n = 2\nfamily = singular2-case4\nparam g2 = 3\nparam g3 = 1\nparam epsilon = 1\n",
+            "G1 = auto\nG2 = auto\n",
+            "degenerate lattice: g2^3 = 27*g3^2",
+        ),
         (
             "n = 2\nfamily = singular2-case4\nparam g2 = 4\nparam g3 = 0\nparam epsilon = 2\n",
             "G1 = L1 - x1 - y1\nG2 = L2 - x2 - y2\n",

@@ -9,7 +9,6 @@ from aat.backends import make_backend
 from aat.derivatives import Recursion, cauchy_partials
 from aat.elimination import AATSystem, derive_first_order
 from aat.parsing import parse_poly
-from aat.ratfn import RatFn
 from aat.sampling import draw_points
 
 from exact_oracles import symbolic_second_derivative
@@ -106,8 +105,7 @@ def test_additive_second_derivative_is_zero():
 def test_wp_symbolic_second_derivative():
     backend, relations = _relations("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
     sym = symbolic_second_derivative(relations[0])
-    ring = relations[0].poly.ring
-    assert sym == RatFn(parse_poly("6*x1^2 - 2", ring))
+    assert str(sym) == "6*x1^2 - 2"
 
 
 def test_recursion_singular_at_half_period():

@@ -214,7 +214,7 @@ def int_division_cases(draw):
         return kind, q * b + 1, b
     if kind == "non-integral":
         d = draw(st.sampled_from((2, 3)))
-        assume(any(c.numerator % d for c in q.terms.values()))
+        assume(any(c.numerator % d for _, c in q.terms.items()))
         return kind, q * b, b.scale(d)
     return kind, q * b, b
 
@@ -363,7 +363,7 @@ mixed = st.one_of(st.integers(-6, 6).filter(bool), coefficients)
 
 def stored(p):
     """p's terms in order, after checking that no integral Fraction is stored."""
-    for c in p.terms.values():
+    for _, c in p.terms.items():
         assert type(c) is int or c.denominator != 1, (p, c)
     return list(p.terms.items())
 
@@ -462,7 +462,7 @@ def test_an_exponent_reaching_the_guard_raises():
     x, y, g2 = r.var("x"), r.var("y"), r.var("g2")
     top = 2**15 - 1  # the largest exponent a field stores
     assert (y**top).degree_in("y") == top
-    assert (y**top * x).terms == {(1, top, 0): 1}
+    assert (y**top * x).terms.items() == [((1, top, 0), 1)]
     # a carry out of y's field would read as x; it raises instead
     for build in (
         lambda: y**top * y,

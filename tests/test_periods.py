@@ -5,18 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aat import naming
 from aat.backends import make_backend
 from aat import periods
 from aat.periods import (
     _newton,
-    _seed_text,
     _verify_periods,
     detect_period,
     integer_combinations,
     reduce_candidates,
 )
-from aat.sampling import draw_points
+from aat.sampling import DEFAULT_BOX, DrawBank, draw_bank, draw_points
 
 CASE5 = ("singular2-case5", {"g2": Fraction(4), "g3": Fraction(0), "a": Fraction(1, 2)})
 
@@ -63,21 +61,20 @@ def _newton_one(backend, target, b0, *, iters=40, tol=1e-12):
     return None
 
 
-def _verify_one(backend, p, *, samples, seed, tol, box):
-    """Draw by draw: the reference for _verify_periods, as (worst or None,
-    draws read).  The values of every draw come from one call up front; the
-    loop reads them in draw order."""
-    rng = random.Random(naming.stage_seed(seed, f"period-verify:{_seed_text(p)}"))
-    us = draw_points(rng, 12 * samples, backend.n, box)
-    values, _, bad = backend.value_jacobian(np.concatenate([us, us + np.array(p)]))
-    values, bad = values.reshape(2, len(us), -1).tolist(), bad.reshape(2, -1).tolist()
+def _verify_one(bank, p, *, samples, tol):
+    """Row by row: the reference for _verify_periods, as (worst or None,
+    rows read).  Each row u of the bank is read in draw order, F(u) from the
+    bank and F(u + p) from a one-row call."""
+    if len(bank.u) < 12 * samples:
+        bank.extend(12 * samples - len(bank.u))
     worst, good, trials = 0.0, 0, 0
     while good < samples and trials < 12 * samples:
         i = trials
         trials += 1
-        if bad[0][i] or bad[1][i]:
+        values, _, bad = bank.backend.value_jacobian([bank.u[i] + np.array(p)])
+        if bank.bad[0, i] or bad[0]:
             continue
-        for c0, c1 in zip(values[0][i], values[1][i]):
+        for c0, c1 in zip(bank.val[0, i].tolist(), values[0].tolist()):
             if abs(c0) > 1e6:
                 break
             worst = max(worst, abs(c0 - c1) / (1 + abs(c0)))
@@ -267,7 +264,7 @@ def test_batched_verification_replays_the_sequential_rules(monkeypatch):
             ((2 * lat.omega1, 0j), False),
         ],
         case3: [
-            # with box 20 about 15% of the draws have a component above 1e6
+            # with box 20 about 15% of the rows have a component above 1e6
             ((2j * cmath.pi, -2j * cmath.pi), True),
             ((2j * cmath.pi, 1e-3), False),
         ],
@@ -275,25 +272,28 @@ def test_batched_verification_replays_the_sequential_rules(monkeypatch):
     for backend, cases in checks.items():
         for box in (1.0, 3.0, 20.0):
             # one batched call over all candidates of the backend, and each
-            # candidate on its own
-            together = _verify_periods(backend, [p for p, _ in cases], samples=50, seed=5, tol=1e-9, box=box)
+            # candidate on its own; a new bank grows as the rows are read,
+            # and the reference's bank holds all 12*samples rows up front
+            reference = DrawBank(backend, "residual", 5, box)
+            together = _verify_periods(DrawBank(backend, "residual", 5, box), [p for p, _ in cases], samples=50, tol=1e-9)
             for (p, is_period), got in zip(cases, together):
-                want, _ = _verify_one(backend, p, samples=50, seed=5, tol=1e-9, box=box)
+                want, _ = _verify_one(reference, p, samples=50, tol=1e-9)
                 assert (want is not None) == is_period, (p, box)
-                assert _verify_periods(backend, [p], samples=50, seed=5, tol=1e-9, box=box) == [got]
+                assert _verify_periods(reference, [p], samples=50, tol=1e-9) == [got]
                 assert (got is None) == (want is None), (p, box)
                 if want is not None:
                     assert got == pytest.approx(want, rel=1e-12, abs=0)
     # at box 20 the case-3 batch has a period that reads past its first
-    # chunk and a non-period that fails on its first counted draw: one round
-    # draws both first chunks, the next only the period's refill
+    # chunk and a non-period that fails on its first counted row: one round
+    # evaluates both first chunks, the next only the period's refill
     period, other = (p for p, _ in checks[case3])
-    assert _verify_one(case3, period, samples=50, seed=5, tol=1e-9, box=20.0)[1] > 50
-    assert _verify_one(case3, other, samples=50, seed=5, tol=1e-9, box=20.0) == (None, 1)
-    draw, drawn = periods.draw_points, []
-    monkeypatch.setattr(periods, "draw_points", lambda rng, count, n, box: drawn.append(count) or draw(rng, count, n, box))
-    _verify_periods(case3, [period, other], samples=50, seed=5, tol=1e-9, box=20.0)
-    assert drawn[:2] == [50, 50] and len(drawn) == 3
+    bank = DrawBank(case3, "residual", 5, 20.0)
+    assert _verify_one(bank, period, samples=50, tol=1e-9)[1] > 50
+    assert _verify_one(bank, other, samples=50, tol=1e-9) == (None, 1)
+    evaluate, calls = case3.value_jacobian, []
+    monkeypatch.setattr(case3, "value_jacobian", lambda points: calls.append(len(points)) or evaluate(points))
+    _verify_periods(bank, [period, other], samples=50, tol=1e-9)
+    assert calls[0] == 100 and len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -301,32 +301,44 @@ def test_batched_verification_replays_the_sequential_rules(monkeypatch):
     [("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)}), CASE5],
 )
 def test_verification_evaluates_only_the_draws_it_reads(monkeypatch, family, params):
-    # the catalog's weierstrass and case-5 backends: every candidate draws
-    # `samples` points first and refills only the usable draws it misses,
-    # and each round evaluates all open candidates in calls of at most
-    # _VERIFY_ROWS points, so a return to 12*samples draws per candidate, or
-    # to one evaluator call per candidate, fails here
+    # the catalog's weierstrass and case-5 backends: F(u) comes from the
+    # bank, so every point a round evaluates is u + p for a candidate p and
+    # a row u that the bank already holds or has just been extended by, and
+    # the bank grows only as far as some candidate reads
     backend = make_backend(family, params)
-    samples = 50
-    batches, drawn, calls = [], [], []
-    verify, draw, evaluate = periods._verify_periods, periods.draw_points, backend.value_jacobian
+    bank = draw_bank(backend, "residual", 42, DEFAULT_BOX)
+    verify, evaluate, extend = periods._verify_periods, backend.value_jacobian, bank.extend
+    # (points, the candidates, the bank's rows u) of every evaluator call
+    # that does not extend the bank
+    rounds, current, extending = [], [], []
 
-    def spy_verify(backend, ps, **kw):
-        batches.append(len(ps))
-        monkeypatch.setattr(periods, "draw_points", lambda rng, count, n, box: drawn.append(count) or draw(rng, count, n, box))
-        monkeypatch.setattr(backend, "value_jacobian", lambda points: calls.append(len(points)) or evaluate(points))
+    def spy_extend(count):
+        extending.append(count)
         try:
-            return verify(backend, ps, **kw)
+            extend(count)
         finally:
-            monkeypatch.setattr(periods, "draw_points", draw)
+            extending.pop()
+
+    def spy_evaluate(points):
+        if not extending:
+            rounds.append((np.array(points), np.array(current[-1], dtype=complex), bank.u.copy()))
+        return evaluate(points)
+
+    def spy_verify(bank, ps, **kw):
+        current.append(ps)
+        monkeypatch.setattr(backend, "value_jacobian", spy_evaluate)
+        try:
+            return verify(bank, ps, **kw)
+        finally:
             monkeypatch.setattr(backend, "value_jacobian", evaluate)
 
+    monkeypatch.setattr(bank, "extend", spy_extend)
     monkeypatch.setattr(periods, "_verify_periods", spy_verify)
-    found = detect_period(backend, seed=42, tol=1e-9, samples=samples)
-    assert len(batches) == 2 and found
-    first = samples * sum(batches)
-    refill = sum(drawn) - first
-    assert 0 <= refill <= first // 4
-    assert sum(calls) == 2 * (first + refill)
-    assert max(calls) <= periods._VERIFY_ROWS
-    assert len(calls) <= 2 * len(batches) + sum(calls) // periods._VERIFY_ROWS < sum(batches)
+    assert detect_period(backend, seed=42, tol=1e-9) and rounds
+    read = set()
+    for points, ps, us in rounds:
+        # the distance of each point from each u + p
+        gaps = np.abs(points[:, None, None, :] - us[None, :, None, :] - ps[None, None, :, :]).max(axis=-1)
+        assert (gaps.min(axis=(1, 2)) < 1e-12).all()
+        read |= set(np.flatnonzero((gaps < 1e-12).any(axis=(0, 2))).tolist())
+    assert max(read) == len(bank.u) - 1

@@ -120,6 +120,18 @@ def test_catalog_period_only_failure_is_reported(monkeypatch):
     assert all(s["ok"] for s in result["catalog"] if s is not case5)
 
 
+def test_a_float_error_in_a_stage_is_a_failed_verdict(monkeypatch):
+    # exp c = 1000 at seed 623016 once raised this from the witness's caps
+    def overflowing(*args, **kwargs):
+        raise OverflowError("absolute value too large")
+
+    monkeypatch.setattr(pipeline, "uniqueness_witness", overflowing)
+    section = run_problem(load_problem("problems/lemniscatic.aat"), ["variety", "period"])
+    assert section["ok"] is False
+    assert section["failure"] == {"stage": "period", "error": "OverflowError", "message": "absolute value too large"}
+    assert section["verdicts"][-1] == {"id": "stage period", "pass": False, "detail": "absolute value too large"}
+
+
 def test_catalog_sections_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     parallel = run_catalog(seed=42)

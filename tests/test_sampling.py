@@ -1,6 +1,8 @@
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +477,38 @@ def test_formula_checks_read_the_backend_only_through_the_banks(monkeypatch):
     assert [key for name, key in scans if name == "verify"] == [report]  # one scan, three verdicts
     assert {key for name, key in reads if name in ("resolve", "verify")} <= {vetting, report, "cauchy_partials"}
     assert section["group_law"]["formula_agreement"]["tried"] == 100
+
+
+# the private draw streams left outside `sampling.py`, as (module, function,
+# callee): each entry goes with the stream it names
+PRIVATE_DRAWS = {
+    ("periods.py", "detect_period", "random.Random"),  # the Newton base draw
+    ("periods.py", "detect_period", "draw_points"),
+    ("elimination.py", "_relation_search", "random.Random"),  # the sample nullspace search
+}
+
+
+def _draw_calls(path):
+    """(module, enclosing function, callee) of every `random.Random(` and
+    `draw_points(` call in a module."""
+    calls = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee in ("random.Random", "Random", "draw_points") or callee.endswith(".draw_points"):
+                    calls.add((path.name, scope, callee))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return calls
+
+
+def test_sampled_checks_draw_only_through_sampling():
+    # every other sampled check reads a `DrawBank`; a new private stream
+    # fails here, and so does a listed one that is gone
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "aat").glob("*.py"))
+    found = set().union(*(_draw_calls(path) for path in sources if path.name != "sampling.py"))
+    assert found == PRIVATE_DRAWS

@@ -24,6 +24,9 @@ FOUND = [
     ("weierstrass", {"g2": "7", "g3": "-3"}, 532381, ["period lattice recovered"], "`--seed 532381`"),
     ("weierstrass", {"g2": "7", "g3": "-3"}, 529829, ["period lattice recovered"], "`--seed 529829`"),
     ("exp", {"c": "100000"}, 42, ["period lattice recovered"], "reports false periods for exp at |c| >= 1e5"),
+    ("exp", {"c": "1000"}, 623016, ["period lattice recovered"], "exp c = 1000 at `--seed 623016`"),
+    ("singular2-case4", {"g2": "7/7473045", "g3": "0"}, 620704, ["period lattice recovered"],
+     "singular2-case4 (7/7473045, 0) at `--seed 620704`"),
 ]
 
 # inputs that a CHANGES.md line names as mended, and the text of that line

@@ -114,7 +114,7 @@ def test_quotient_inverse_roundtrip():
     expected = RatFn(
         parse_poly("theta", vring), parse_poly("4*x1^3 - 4*x1", vring)
     )
-    assert disp == expected
+    assert (disp.num, disp.den) == (expected.num, expected.den)
 
 
 def test_build_pij_small_cases():
@@ -143,7 +143,7 @@ def test_differential_system_lines(exp_setup, wp_setup):
     spec = find_primitive_element(relations, backend, seed=1)
     entries, lines = differential_system(spec, build_pij(1))
     assert lines == ["du_1 = (1/x1) dx_1"]
-    assert entries[0][0] == RatFn(spec.V.ring.one(), spec.V.ring.var("x1"))
+    assert str(entries[0][0]) == "1/x1"
 
     _, backend, relations = wp_setup
     spec = find_primitive_element(relations, backend, seed=1)

@@ -116,6 +116,17 @@ def test_pole_and_degenerate_lattice(lem):
         Lattice(0, 0)
     with pytest.raises(DomainError, match="too large"):
         Lattice(Fraction(10**300), 0)  # g2^3 overflows a float
+    with pytest.raises(DomainError, match="near-degenerate"):
+        Lattice(3 + Fraction(1, 10**20), 1)  # nonzero, but 0 in floats
+
+
+def test_small_invariants_are_a_scaled_lattice():
+    # (7/7473045, 0) is a scaled lemniscatic lattice (DLMF 23.10(iv)): its
+    # exact discriminant is nonzero, and the degeneracy guard is relative
+    g2 = Fraction(7, 7473045)
+    small = Lattice(g2, 0)
+    omega = Lattice(4, 0).omega1 * (4 / g2) ** 0.25
+    assert abs(small.omega1 - omega) < 1e-12 * abs(omega)
 
 
 def test_values_reproducible(lem):
