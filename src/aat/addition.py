@@ -421,6 +421,10 @@ def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, box=DEFAUL
     of the report bank of (seed, box) whose points are finite and within
     tol; its shifts are the u of the `shifts` rows after it.  The bank holds
     the points at u1, so only u2 and the shifted points are evaluated.
+
+    Returns (agree, worst gap, shift): whether the relative gap
+    |f(u1 + b) - f(u2 + b)| / (1 + |f(u1 + b)|) stays within tol at every
+    shift b off the pole set, the largest such gap, and the b where it is.
     """
     bank = draw_bank(backend, "residual", seed, box)
     attempts = 60
@@ -437,6 +441,8 @@ def uniqueness_witness(backend, spec: VarietySpec, period, *, seed=0, box=DEFAUL
     b = bank.u[i + 1 : i + 1 + shifts]
     vals, _, bad = backend.value_jacobian(np.concatenate([u1[i] + b, u2[i] + b]))
     f1, f2 = vals[:shifts], vals[shifts:]
+    usable = ~(bad[:shifts] | bad[shifts:])
     with np.errstate(all="ignore"):
-        apart = np.abs(f1 - f2) > tol * (1 + np.abs(f1))
-    return not apart[~(bad[:shifts] | bad[shifts:])].any()
+        gaps = np.where(usable[:, None], np.abs(f1 - f2) / (1 + np.abs(f1)), 0.0).max(axis=1)
+    worst = int(np.argmax(gaps))
+    return bool(gaps[worst] <= tol), float(gaps[worst]), tuple(complex(c) for c in b[worst])

@@ -10,7 +10,8 @@ resultant.  Finally the other derivative slots are eliminated, leaving one
 polynomial relation between df_k/du_p and the component values.  Every
 candidate factor is vetted numerically before it is kept.  The one numeric
 route left is the sample nullspace (`_relation_search`), for a heavy G_k
-(degree above 2 in L_k) that no exact point serves.  A heavy G_k tries no
+(degree above 2 in L_k) that no exact point serves; it fits monomial rows to
+the run's "nullspace" draw bank (`sampling.DrawBank`).  A heavy G_k tries no
 point whose curve slot p'(v1) the cross-difference holds: that slot is
 sqrt(d), too costly to carry through the resultant, or 0 at a root of the
 curve, which kills the relation.
@@ -18,7 +19,6 @@ curve, which kills the relation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +29,7 @@ from .euclid import exact_div, factor_candidates, gcd, resultant
 from .generate import split_mod_square
 from .reconstruct import rational_reconstruct
 from .rings import MPoly, StructuralError, VarRing, rename
-from .sampling import DEFAULT_BOX, sequential_draws, vanishes
+from .sampling import DEFAULT_BOX, draw_bank, vanishes
 
 SPECIALIZATION_ATTEMPTS = 8  # exact points tried before giving up
 
@@ -271,30 +271,31 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     """Numeric-reconstruct route for heavy components: find the lowest-degree
     polynomial in (z{k}_{p}, column-p slots, x) that vanishes along the
     mapping, by sampling, nullspace extraction, and continued-fraction lifts.
-    Every candidate is vetted (`vanishes`) before it is accepted."""
+
+    The samples are the usable rows u of the run's "nullspace" bank, read in
+    draw order from its first row at every degree; a row is usable off the
+    pole set with every bound value within 50.  Every candidate is vetted
+    (`vanishes`) on the vetting bank before it is accepted, so no fit is
+    vetted on the rows it came from."""
     ring = sys.ring
     target = naming.z(k, p)
     names = [naming.z(i, p) for i in range(1, sys.n + 1)]
     names += [naming.x(i) for i in range(1, sys.n + 1)]
-    rng = random.Random(naming.stage_seed(naming.stage_seed(seed, f"nullspace{k}{p}"), "search-samples"))
+    bank = draw_bank(backend, "nullspace", seed, DEFAULT_BOX)
 
-    def monomial_row(evaluation):
-        if evaluation is None:
-            return None
-        vals, jac = evaluation
-        values = {naming.x(i): vals[i - 1] for i in range(1, sys.n + 1)}
-        for i in range(1, sys.n + 1):
-            values[naming.z(i, p)] = jac[i - 1][p - 1]
-        if any(abs(c) > 50 for c in values.values()):
-            return None
-        return [_eval_monomial(m, values) for m in basis]
+    def monomial_rows(rows):
+        for vals, jac, bad in zip(*(a[0, rows].tolist() for a in (bank.val, bank.jac, bank.bad))):
+            values = {naming.x(i): vals[i - 1] for i in range(1, sys.n + 1)}
+            for i in range(1, sys.n + 1):
+                values[naming.z(i, p)] = jac[i - 1][p - 1]
+            if bad or any(abs(c) > 50 for c in values.values()):
+                yield None
+            else:
+                yield [_eval_monomial(m, values) for m in basis]
 
     for degree in range(1, max_degree + 1):
         basis = _monomials(names, degree)
-        rows = sequential_draws(
-            rng, 2 * len(basis) + 10, 40 * len(basis), sys.n, DEFAULT_BOX,
-            lambda us: map(monomial_row, _evaluations(backend, us)),
-        )
+        rows = bank.scan(2 * len(basis) + 10, 40 * len(basis), monomial_rows)
         if len(rows) < len(basis) + 4:
             continue
         matrix = np.array(rows, dtype=complex)
@@ -318,12 +319,6 @@ def _relation_search(sys, backend, k, p, *, seed, tol, max_degree=6):
     raise EliminationError(
         f"no vanishing relation for (k={k}, p={p}) found up to degree {max_degree}"
     )
-
-
-def _evaluations(backend, us) -> list:
-    """(values, jacobian) as nested lists per row of `us`, None for a bad row."""
-    vals, jac, bad = backend.value_jacobian(us)
-    return [None if b else (v, j) for v, j, b in zip(vals.tolist(), jac.tolist(), bad.tolist())]
 
 
 def _eval_monomial(mono, values):

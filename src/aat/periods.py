@@ -13,20 +13,19 @@ All seeds share one array Newton over the backend's `value_jacobian`.  The
 candidates are verified together, and then the generators: every period
 reads the same rows u of the report bank in draw order, only as many as its
 accept rule needs.  F(u) is the bank's, so each round evaluates u + p alone
-for the rows of every open period, in a few calls.  The candidates come from
-the Newton base draw, not from the bank, so one shared draw set is as sound
+for the rows of every open period, in a few calls.  The Newton base point is
+the first usable u of a bank of its own ("period-base"), so the candidates
+do not come from the report bank's rows, and one shared draw set is as sound
 as fresh draws per candidate (see `sampling`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import naming
-from .sampling import DEFAULT_BOX, draw_bank, draw_points
+from .sampling import DEFAULT_BOX, draw_bank
 
 
 @dataclass
@@ -284,20 +283,25 @@ def detect_period(
     verified on the report bank of (seed, box).
 
     The Newton seeds span offsets of half-width `backend.period_box()` from
-    one base point.  An empty result is a valid outcome: rational mappings
+    one base point: the first u among the first 200 rows of the
+    "period-base" bank (box 0.8) that is off the pole set with every
+    |f_k(u)| <= 1e4.  An empty result is a valid outcome: rational mappings
     have no period.
     """
     n = backend.n
     span = backend.period_box()
     grid = 13 if n == 1 else 9  # Newton seeds per axis of the offset grid
-    rng = random.Random(naming.stage_seed(seed, "period-base"))
-    draws = draw_points(rng, 200, n, 0.8)
-    val, jac, bad = backend.value_jacobian(draws)
-    usable = ~bad & (np.max(np.abs(val), axis=1) <= 1e4)
-    if not usable.any():
+    bases = draw_bank(backend, "period-base", seed, 0.8)
+
+    def usable(rows):
+        ok = ~bases.bad[0, rows] & (np.max(np.abs(bases.val[0, rows]), axis=1) <= 1e4)
+        return (i if good else None for i, good in zip(range(rows.start, rows.stop), ok.tolist()))
+
+    found = bases.scan(1, 200, usable)
+    if not found:
         return []
-    first = int(np.argmax(usable))
-    base, target, jac_a = tuple(complex(c) for c in draws[first]), val[first], jac[first]
+    first = found[0]
+    base, target, jac_a = tuple(complex(c) for c in bases.u[first]), bases.val[0, first], bases.jac[0, first]
     steps = [(-span + (2 * span) * i / (grid - 1)) for i in range(grid)]
     offsets_1d = [complex(re, im) for re in steps for im in steps]
     if n == 1:

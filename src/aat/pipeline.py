@@ -343,13 +343,19 @@ def stage_period(ctx: RunContext) -> None:
         ctx.verdict("no period for rational mapping", not candidates, f"{len(candidates)} candidates")
     section["generators"] = [c.to_json() for c in candidates]
     if candidates and ctx.vspec is not None:
+        tol = max(opts.tol, 1e-8)
         try:
-            unique = uniqueness_witness(
-                backend, ctx.vspec, candidates[0].p, seed=opts.seed, box=ctx.box, tol=max(opts.tol, 1e-8)
+            unique, gap, shift = uniqueness_witness(
+                backend, ctx.vspec, candidates[0].p, seed=opts.seed, box=ctx.box, tol=tol
             )
-            ctx.verdict("uniqueness witness", unique, "shifted values agree on a period pair")
         except StructuralError:
             section["uniqueness_witness"] = "no usable witness pair"
+        else:
+            detail = "shifted values agree on a period pair"
+            if not unique:
+                at = ", ".join(f"{c:.6g}" for c in shift)
+                detail = f"shifted values of a period pair differ by {gap:.3g} > tol {tol:.3g} at shift ({at})"
+            ctx.verdict("uniqueness witness", unique, detail)
     ctx.section["periods"] = section
 
 

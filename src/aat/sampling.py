@@ -18,15 +18,14 @@ N = 24) and the choice of the group law's root branch read the vetting bank
 of the run seed; a reported residual (`residual_check`), the group-law
 checks, the derivative checks (around each row's u), period verification
 (at each row's u + p) and the uniqueness witness read the report bank of the
-run seed and box.  The relations, formulas and period candidates come from
-exact algebra or from draws of their own, and the bank's draws do not depend
-on them, so one shared draw set is as sound as fresh draws per check
-(Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).
-
-`sequential_draws` serves only the sample nullspace search, which draws
-single points u: chunks of draws, one batched evaluation per chunk, and a
-replay of the loop's stopping rule that leaves a shared rng exactly where the
-one-at-a-time loop would.
+run seed and box.  Two banks feed what the checks test: the Newton base
+point of period detection is the first usable u of the "period-base" bank
+(box 0.8), and the sample nullspace search fits its monomial rows to the u of
+the "nullspace" bank.  The relations, formulas and period candidates thus
+come from exact algebra or from banks of their own, and the vetting and
+report banks' draws do not depend on them, so one shared draw set is as
+sound as fresh draws per check (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM
+1979).
 """
 
 from __future__ import annotations
@@ -77,36 +76,6 @@ def draw_points(rng: random.Random, count: int, n: int, box: float) -> np.ndarra
     """
     parts = -box + (box - -box) * np.array([rng.random() for _ in range(2 * n * count)])
     return (parts[0::2] + 1j * parts[1::2]).reshape(count, n)
-
-
-def sequential_draws(rng: random.Random, want: int, limit: int, width: int, box: float, evaluate) -> list:
-    """The results a loop that draws one row of `width` coordinates at a time
-    keeps, when it stops after `want` usable rows or `limit` rows.  Only the
-    sample nullspace search draws this way; the other checks read a
-    `DrawBank`.
-
-    Rows are drawn in chunks; `evaluate(rows)` yields one result per row of a
-    chunk, in order, with None for an unusable row, and may evaluate the
-    whole chunk at once before yielding.  The usable results come back in
-    draw order, and `rng` is left where that loop would leave it.
-    """
-    kept = []
-    drawn = 0
-    while len(kept) < want and drawn < limit:
-        state = rng.getstate()
-        count = min(2 * (want - len(kept)), limit - drawn)
-        used = 0
-        for result in evaluate(draw_points(rng, count, width, box)):
-            used += 1
-            if result is not None:
-                kept.append(result)
-                if len(kept) == want:
-                    break
-        drawn += used
-        if used < count:  # give back the draws past the last row used
-            rng.setstate(state)
-            draw_points(rng, used, width, box)
-    return kept
 
 
 VALUE_CAP = 1e8  # treat enormous values as pole-adjacent and skip the sample

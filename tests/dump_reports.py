@@ -20,8 +20,9 @@ changed, the relations that changed, the verdicts whose pass value changed
 path.  In a path, a (k, p) key such as `1_2` reads `*`, and a verdict or
 residual reads by its id without the object index (`residual H_`).  With
 `--show PATH` it then prints both sides' values at every difference under
-one such path (`--show 'trace/*/notes'`).  Not a test: pytest collects only
-`test_*.py`.
+one such path (`--show 'trace/*/notes'`).  It exits 1 when an exit code, a
+relation or a verdict's pass value changed, and 0 otherwise.  Not a test:
+pytest collects only `test_*.py`.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def _general(path) -> str:
     return "/".join(parts)
 
 
-def compare(a: Path, b: Path, show: str | None = None) -> None:
+def compare(a: Path, b: Path, show: str | None = None) -> bool:
+    """Print how two OUTDIRs differ; whether an exit code, a relation or a
+    verdict's pass value changed."""
     codes = [json.loads((d / "exit_codes.json").read_text()) for d in (a, b)]
     exits = [
         f"  {name}: {codes[0].get(name, _ABSENT)} -> {codes[1].get(name, _ABSENT)}"
@@ -111,12 +114,12 @@ def compare(a: Path, b: Path, show: str | None = None) -> None:
     if show is not None:
         print(f"values at {show}:")
         print("\n".join(shown) if shown else "  none")
+    return bool(exits or relations or verdicts)
 
 
 def main(argv) -> int:
     if len(argv) in (3, 5) and argv[0] == "--compare" and argv[3:4] in ([], ["--show"]):
-        compare(Path(argv[1]), Path(argv[2]), argv[4] if len(argv) == 5 else None)
-        return 0
+        return int(compare(Path(argv[1]), Path(argv[2]), argv[4] if len(argv) == 5 else None))
     if len(argv) != 1:
         usage = "usage: python tests/dump_reports.py OUTDIR | --compare OUTDIR_A OUTDIR_B [--show PATH]"
         print(usage, file=sys.stderr)

@@ -18,9 +18,11 @@ entries, or the exception that ended the run; every input that is not ok is
 printed.  The same N draws the same inputs in any checkout, so two FILEs
 from two checkouts line up.
 
-`--compare` lists the inputs whose verdicts differ between two FILEs, and
-counts the inputs whose residual entries differ.  Not a test: pytest
-collects only `test_*.py`.
+`--compare` lists the inputs whose verdicts differ between two FILEs, those
+that went from ok to not ok or to an error first, and counts the inputs
+whose residual entries differ.  It exits 1 when some input went from ok to
+not ok or to an error, and 0 otherwise.  Not a test: pytest collects only
+`test_*.py`.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ def compare(a: str, b: str) -> int:
         with open(path, encoding="utf-8") as f:
             sides.append({_label(e): e for e in json.load(f)})
     shared = [label for label in sides[0] if label in sides[1]]
+    worse = {label for label in shared if sides[0][label].get("ok") and not sides[1][label].get("ok")}
     verdicts = [label for label in shared if sides[0][label].get("verdicts") != sides[1][label].get("verdicts")]
+    verdicts.sort(key=lambda label: label not in worse)  # the inputs that got worse first
     residuals = [label for label in shared if sides[0][label].get("residuals") != sides[1][label].get("residuals")]
     print(f"{len(shared)} inputs in both files; verdicts differ on {len(verdicts)}:")
     for label in verdicts:
@@ -134,7 +138,7 @@ def compare(a: str, b: str) -> int:
     print(f"residual entries (pole_skipped, verdict) differ on {len(residuals)}:")
     for label in residuals:
         print(f"  {label}")
-    return 0
+    return 1 if worse else 0
 
 
 def main(argv) -> int:

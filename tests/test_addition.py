@@ -22,7 +22,7 @@ from aat.parsing import parse_poly
 from aat.pipeline import catalog_problem_text
 from aat.problem import parse_problem
 from aat.ratfn import RatFn
-from aat.sampling import draw_bank, residual_check
+from aat.sampling import DEFAULT_BOX, draw_bank, residual_check
 from aat.variety import QuotientContext, VarietySpec, find_primitive_element, variety_for_alpha
 
 
@@ -269,7 +269,15 @@ def test_group_axioms_spot(ctx, request):
 def test_uniqueness_witness_wp(wp_ctx):
     _, backend, _, spec = wp_ctx
     lat = backend.lattice
-    assert uniqueness_witness(backend, spec, (2 * lat.omega1,), seed=5)
+    agree, gap, shift = uniqueness_witness(backend, spec, (2 * lat.omega1,), seed=5)
+    assert agree and gap <= 1e-8 and len(shift) == 1
+
+
+def test_a_failing_witness_names_its_worst_gap_and_shift(wp_ctx):
+    _, backend, _, spec = wp_ctx
+    agree, gap, shift = uniqueness_witness(backend, spec, (2 * backend.lattice.omega1 + 1e-8,), seed=5)
+    assert not agree and gap > 1e-8
+    assert any(np.array_equal(shift, u) for u in draw_bank(backend, "residual", 5, DEFAULT_BOX).u)
 
 
 def test_uniqueness_witness_reads_the_report_bank(wp_ctx, monkeypatch):
@@ -281,7 +289,7 @@ def test_uniqueness_witness_reads_the_report_bank(wp_ctx, monkeypatch):
     bank.extend(100)
     evaluate, calls = backend.value_jacobian, []
     monkeypatch.setattr(backend, "value_jacobian", lambda points: calls.append(np.array(points)) or evaluate(points))
-    assert uniqueness_witness(backend, spec, (period,), seed=5, box=0.9)
+    assert uniqueness_witness(backend, spec, (period,), seed=5, box=0.9)[0]
     assert len(bank.u) == 100 and [len(c) for c in calls] == [60, 10]
     assert np.array_equal(calls[0], bank.u[:60] + period)
 

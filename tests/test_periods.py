@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aat.backends import make_backend
-from aat import periods
+from aat import naming, periods
 from aat.periods import (
     _newton,
     _verify_periods,
@@ -206,6 +206,30 @@ def test_determinism(wp_backend):
     a = detect_period(wp_backend, seed=11, tol=1e-9)
     b = detect_period(wp_backend, seed=11, tol=1e-9)
     assert [c.p for c in a] == [c.p for c in b]
+
+
+def test_the_newton_base_is_the_first_usable_row_of_its_bank(monkeypatch):
+    # lemniscatic at seed 42: the first row is usable, so the base point is
+    # the first draw of the "period-base" stream, read from a bank of two rows
+    backend = make_backend("weierstrass", {"g2": Fraction(4), "g3": Fraction(0)})
+    calls, newton = [], periods._newton
+
+    def spy(backend, target, seeds, **kw):
+        calls.append((target, seeds))
+        return newton(backend, target, seeds, **kw)
+
+    monkeypatch.setattr(periods, "_newton", spy)
+    detect_period(backend, seed=42, tol=1e-9)
+    bank = backend.banks["period-base", 42, 0.8]
+    usable = ~bank.bad[0] & (np.max(np.abs(bank.val[0]), axis=1) <= 1e4)
+    first = int(np.argmax(usable))
+    [(target, seeds)] = calls
+    span = backend.period_box()
+    assert len(bank.u) == 2 and usable[first]
+    assert seeds[0] == (bank.u[first, 0] + complex(-span, -span),)
+    assert np.array_equal(target, bank.val[0, first])
+    reference = draw_points(random.Random(naming.stage_seed(42, "period-base")), 1, 1, 0.8)[0]
+    assert np.array_equal(bank.u[first], reference)
 
 
 def test_detect_period_makes_no_point_evaluation(monkeypatch):

@@ -23,7 +23,6 @@ from aat.sampling import (
     SamplingError,
     draw_points,
     residual_check,
-    sequential_draws,
     vanishes,
 )
 from test_backends import FAMILIES
@@ -87,28 +86,6 @@ def test_vanishes_probe():
     backend = make_backend("exp", {"c": Fraction(2)})
     assert vanishes(parse_poly("z1_1 - 2*x1", ring), backend, seed=11)
     assert not vanishes(parse_poly("z1_1 - x1", ring), backend, seed=11)
-
-
-@pytest.mark.parametrize("want,limit,width,threshold", [(1, 30, 1, 0.9), (20, 800, 2, 0.0), (50, 60, 3, 0.5), (5, 400, 1, 1.1)])
-def test_sequential_draws_replays_a_one_at_a_time_loop(want, limit, width, threshold):
-    """Same kept rows and the same rng state afterwards as the loop it
-    replaces; a row is usable when its first real part exceeds `threshold`."""
-
-    def usable(row):
-        return tuple(row) if row[0].real > threshold else None
-
-    rng = random.Random(f"replay:{want}:{limit}")
-    want_kept, drawn = [], 0
-    while len(want_kept) < want and drawn < limit:
-        drawn += 1
-        row = usable(draw_points(rng, 1, width, 2.0)[0])
-        if row is not None:
-            want_kept.append(row)
-    after = rng.random()
-    rng = random.Random(f"replay:{want}:{limit}")
-    kept = sequential_draws(rng, want, limit, width, 2.0, lambda rows: [usable(r) for r in rows])
-    assert kept == want_kept
-    assert rng.random() == after
 
 
 # -- the report bank against a loop that tests one row at a time ---------------------
@@ -306,7 +283,9 @@ def test_bank_probe_agrees_with_a_fresh_residual_check(family, params, alpha, y_
 
 def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
     # generation and the whole derive of zeta-drift vet on one bank per seed:
-    # one `value_jacobian` call from the sampling module, however many probes
+    # one `value_jacobian` call from the sampling module, however many probes;
+    # the sample nullspace of 2_1 makes one more, of 40 rows, on a bank of its
+    # own, so its fit is never vetted on the rows it came from
     backend = make_backend("singular2-case4", {"g2": Fraction(4), "g3": Fraction(0)})
     reads, probes = [], []
     evaluate, first_usable = backend.value_jacobian, DrawBank.first_usable
@@ -322,13 +301,17 @@ def test_derive_reads_the_backend_for_vetting_once_per_seed(monkeypatch):
     system = AATSystem(n=2, ring=ring, polys=backend.addition_polys(ring, seed=42))
     relations, _ = derive_first_order(system, backend, seed=42)
     assert [str(r.poly) for r in relations] == ["z1_1^2 - 4*x1^3 + 4*x1", "z2_1 - x1", "z1_2", "z2_2 - 1"]
-    assert reads == [4 * PROBE_SAMPLES] and len(probes) > 5
+    assert reads == [4 * PROBE_SAMPLES, 4 * 40] and len(probes) > 5
+    assert set(backend.banks) == {("probe-bank", 42, DEFAULT_BOX), ("nullspace", 42, DEFAULT_BOX)}
     made = len(probes)
-    derive_first_order(system, backend, seed=42)  # the bank remembers every verdict
-    assert reads == [4 * PROBE_SAMPLES] and len(probes) == made
+    derive_first_order(system, backend, seed=42)  # the banks remember every verdict and row
+    assert reads == [4 * PROBE_SAMPLES, 4 * 40] and len(probes) == made
     derive_first_order(system, backend, seed=7)
-    assert reads == [4 * PROBE_SAMPLES] * 2
-    assert sorted(backend.banks) == [("probe-bank", 7, DEFAULT_BOX), ("probe-bank", 42, DEFAULT_BOX)]
+    assert reads == [4 * PROBE_SAMPLES, 4 * 40] * 2
+    assert sorted(backend.banks) == [
+        ("nullspace", 7, DEFAULT_BOX), ("nullspace", 42, DEFAULT_BOX),
+        ("probe-bank", 7, DEFAULT_BOX), ("probe-bank", 42, DEFAULT_BOX),
+    ]
 
 
 def test_reported_residuals_read_the_backend_only_through_the_report_bank(monkeypatch):
@@ -479,13 +462,9 @@ def test_formula_checks_read_the_backend_only_through_the_banks(monkeypatch):
     assert section["group_law"]["formula_agreement"]["tried"] == 100
 
 
-# the private draw streams left outside `sampling.py`, as (module, function,
-# callee): each entry goes with the stream it names
-PRIVATE_DRAWS = {
-    ("periods.py", "detect_period", "random.Random"),  # the Newton base draw
-    ("periods.py", "detect_period", "draw_points"),
-    ("elimination.py", "_relation_search", "random.Random"),  # the sample nullspace search
-}
+# the private draw streams outside `sampling.py`, as (module, function,
+# callee): there are none, since every sampled step reads a `DrawBank`
+PRIVATE_DRAWS: set = set()
 
 
 def _draw_calls(path):
@@ -507,8 +486,7 @@ def _draw_calls(path):
 
 
 def test_sampled_checks_draw_only_through_sampling():
-    # every other sampled check reads a `DrawBank`; a new private stream
-    # fails here, and so does a listed one that is gone
+    # every sampled check reads a `DrawBank`; a new private stream fails here
     sources = sorted((Path(__file__).resolve().parent.parent / "src" / "aat").glob("*.py"))
     found = set().union(*(_draw_calls(path) for path in sources if path.name != "sampling.py"))
     assert found == PRIVATE_DRAWS

@@ -27,6 +27,17 @@ FOUND = [
     ("exp", {"c": "1000"}, 623016, ["period lattice recovered"], "exp c = 1000 at `--seed 623016`"),
     ("singular2-case4", {"g2": "7/7473045", "g3": "0"}, 620704, ["period lattice recovered"],
      "singular2-case4 (7/7473045, 0) at `--seed 620704`"),
+    ("weierstrass", {"g2": "2", "g3": "-1/2"}, 714601, ["period lattice recovered"],
+     "weierstrass (2, −1/2) `--seed 714601`"),
+    ("weierstrass", {"g2": "16", "g3": "-8/3"}, 530520, ["period lattice recovered"],
+     "weierstrass (16, −8/3) `--seed 530520`"),
+    ("singular2-case4", {"g2": "7/2", "g3": "2"}, 286203, ["period lattice recovered"],
+     "singular2-case4 (7/2, 2) `--seed 286203`"),
+    ("exp", {"c": "-25"}, 486671, ["period lattice recovered"], "exp c = −25 `--seed 486671`"),
+    ("weierstrass", {"g2": "8/3", "g3": "-4"}, 133366, ["period lattice recovered"],
+     "weierstrass (8/3, −4) `--seed 133366`"),
+    ("singular2-case4", {"g2": "-3/2", "g3": "11/2"}, 792901, ["period lattice recovered"],
+     "singular2-case4 (−3/2, 11/2) `--seed 792901`"),
 ]
 
 # inputs that a CHANGES.md line names as mended, and the text of that line

@@ -177,7 +177,7 @@ ROWS = [
 
 
 # prefixes whose failing detail must say why, and so differ from the passing one
-DETAIL_SAYS_WHY = {"period lattice recovered"}
+DETAIL_SAYS_WHY = {"period lattice recovered", "uniqueness witness"}
 
 
 def _matching(ctx, want):
@@ -222,3 +222,13 @@ def test_period_detail_names_the_index_of_a_sublattice(monkeypatch):
     assert not verdict["pass"]
     assert verdict["detail"].startswith("2 generators found for 2 quasi-period vectors; not covered: (")
     assert verdict["detail"].endswith("; index 2"), verdict
+
+
+def test_witness_detail_names_the_worst_gap_and_its_shift(monkeypatch):
+    ctx = dataclasses.replace(_base(LEM), verdicts=[], skipped=[], residuals=[], section={})
+    _detect_gives(ctx, functools.partial(monkeypatch.setattr, pipeline), lambda found: _moved(found, 1e-8))
+    pipeline.stage_period(ctx)
+    [verdict] = _matching(ctx, "uniqueness witness")
+    assert not verdict["pass"]
+    shape = r"shifted values of a period pair differ by [\d.e+-]+ > tol 1e-08 at shift \([^,()]+\)"
+    assert re.fullmatch(shape, verdict["detail"]), verdict
